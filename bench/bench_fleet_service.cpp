@@ -1,4 +1,4 @@
-/// bench_fleet_service — what request-path telemetry costs.
+/// bench_fleet_service — what request-path telemetry and mutations cost.
 ///
 /// Forks an `ash_fleetd` daemon twice — instrumented (per-verb latency and
 /// queue-wait histograms, flight recorder on) and bare (no clock reads on
@@ -6,16 +6,24 @@
 /// a retrying client.  Reports throughput and client-observed round-trip
 /// quantiles side by side: the instrumented column is the price of
 /// watching the daemon, and it should be noise against socket I/O.
+///
+/// Then it books schedule_sleep mutations against instrumented daemons of
+/// 16 and 10^5 devices and reports mutation p50/p99 and the bytes left in
+/// the state directory after the drain: with the write-ahead journal a
+/// mutation costs one small append, so p50 should not grow with the fleet.
 
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "ash/fleet/client.h"
 #include "ash/fleet/service.h"
@@ -28,6 +36,7 @@ namespace {
 using namespace ash;
 
 constexpr int kCalls = 2000;
+constexpr int kMutations = 1000;
 
 struct ScenarioRow {
   std::string name;
@@ -38,6 +47,14 @@ struct ScenarioRow {
   double p99_ms = 0.0;
 };
 
+struct MutationRow {
+  std::uint64_t devices = 0;
+  std::uint64_t calls = 0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  std::uintmax_t state_bytes = 0;
+};
+
 void make_dir(const std::string& path) {
   const std::string cmd = "mkdir -p '" + path + "'";
   if (std::system(cmd.c_str()) != 0) {
@@ -46,20 +63,21 @@ void make_dir(const std::string& path) {
   }
 }
 
-ScenarioRow run_scenario(const std::string& name, const std::string& root,
-                         bool instrument) {
-  const std::string dir = root + "/" + name;
+fleet::ServiceConfig daemon_config(const std::string& dir, bool instrument,
+                                   std::uint64_t devices) {
   make_dir(dir + "/state");
-
   fleet::ServiceConfig config;
   config.socket_path = dir + "/fleetd.sock";
   config.state_dir = dir + "/state";
-  config.devices = 16;
+  config.devices = devices;
   config.seed = 0x40A0;
   config.instrument = instrument;
   config.flight_recorder_capacity = instrument ? 256 : 0;
   if (instrument) config.flight_recorder_path = dir + "/flight.txt";
+  return config;
+}
 
+pid_t fork_daemon(const fleet::ServiceConfig& config) {
   const pid_t pid = ::fork();
   if (pid < 0) {
     std::fprintf(stderr, "fork failed\n");
@@ -75,6 +93,20 @@ ScenarioRow run_scenario(const std::string& name, const std::string& root,
       std::_Exit(3);
     }
   }
+  return pid;
+}
+
+void stop_daemon(pid_t pid) {
+  ::kill(pid, SIGTERM);
+  int status = 0;
+  (void)util::retry_eintr([&] { return ::waitpid(pid, &status, 0); });
+}
+
+ScenarioRow run_scenario(const std::string& name, const std::string& root,
+                         bool instrument) {
+  const fleet::ServiceConfig config =
+      daemon_config(root + "/" + name, instrument, 16);
+  const pid_t pid = fork_daemon(config);
 
   ScenarioRow row;
   row.name = name;
@@ -108,9 +140,7 @@ ScenarioRow run_scenario(const std::string& name, const std::string& root,
     row.calls = client.stats().calls;
   }
 
-  ::kill(pid, SIGTERM);
-  int status = 0;
-  (void)util::retry_eintr([&] { return ::waitpid(pid, &status, 0); });
+  stop_daemon(pid);
 
   const auto snapshot = obs::registry().snapshot();
   for (const auto& h : snapshot.histograms) {
@@ -124,12 +154,56 @@ ScenarioRow run_scenario(const std::string& name, const std::string& root,
   return row;
 }
 
+/// kMutations schedule_sleep calls, each a new (client, request) on a
+/// different device, timed one by one at the client.
+MutationRow run_mutations(const std::string& root, std::uint64_t devices) {
+  const fleet::ServiceConfig config = daemon_config(
+      root + "/sleep-" + std::to_string(devices), true, devices);
+  const pid_t pid = fork_daemon(config);
+
+  MutationRow row;
+  row.devices = devices;
+  std::vector<double> ms;
+  {
+    fleet::ClientConfig cc;
+    cc.socket_path = config.socket_path;
+    cc.client_id = 7;
+    fleet::Client client(cc);
+    (void)client.ping();  // connect + genesis outside the clock
+    for (int i = 0; i < kMutations; ++i) {
+      fleet::ScheduleSleepRequest req;
+      req.client_id = cc.client_id;
+      req.device_id = (static_cast<std::uint64_t>(i) * 7919) % devices;
+      req.start = Seconds{3600.0 * i};
+      req.duration = Seconds{3600.0 * (1 + i % 12)};
+      const auto t0 = std::chrono::steady_clock::now();
+      (void)client.schedule_sleep(req);
+      ms.push_back(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+    }
+    row.calls = client.stats().calls - 1;
+  }
+  stop_daemon(pid);
+  obs::registry().clear();
+
+  std::sort(ms.begin(), ms.end());
+  row.p50_ms = ms[ms.size() / 2];
+  row.p99_ms = ms[ms.size() * 99 / 100];
+  for (const auto& entry :
+       std::filesystem::directory_iterator(config.state_dir)) {
+    row.state_bytes += entry.file_size();
+  }
+  return row;
+}
+
 }  // namespace
 
 int main() {
   bench::print_banner(
-      "fleet service telemetry overhead",
-      "instrumented vs bare request path, same client mix over the wire");
+      "fleet service telemetry overhead and mutation cost",
+      "instrumented vs bare request path, same client mix over the wire; "
+      "schedule_sleep at 16 and 1e5 devices");
 
   char tmpl[] = "/tmp/ash_bench_fleetd_XXXXXX";
   if (::mkdtemp(tmpl) == nullptr) {
@@ -155,6 +229,26 @@ int main() {
                 row.p50_ms, row.p95_ms, row.p99_ms);
   }
 
+  if (ok) {
+    std::printf("\nboth scenarios completed every call; the delta is the "
+                "telemetry bill\n");
+  }
+
+  const MutationRow sleeps[] = {run_mutations(root, 16),
+                                run_mutations(root, 100000)};
+  std::printf("\n%-14s %8s %8s %9s %9s %12s\n", "schedule_sleep", "devices",
+              "calls", "p50_ms", "p99_ms", "state_bytes");
+  for (const auto& row : sleeps) {
+    ok = ok && row.calls == static_cast<std::uint64_t>(kMutations);
+    std::printf("%-14s %8llu %8llu %9.3f %9.3f %12llu\n", "",
+                static_cast<unsigned long long>(row.devices),
+                static_cast<unsigned long long>(row.calls), row.p50_ms,
+                row.p99_ms, static_cast<unsigned long long>(row.state_bytes));
+  }
+  std::printf("mutation p50 at 1e5 vs 16 devices: %.2fx (journal target: "
+              "within 2x)\n",
+              sleeps[1].p50_ms / sleeps[0].p50_ms);
+
   const std::string cleanup = "rm -rf '" + root + "'";
   if (std::system(cleanup.c_str()) != 0) {
     std::fprintf(stderr, "cleanup of %s failed\n", root.c_str());
@@ -163,7 +257,5 @@ int main() {
     std::fprintf(stderr, "\nFAIL: a scenario dropped calls\n");
     return 1;
   }
-  std::printf("\nboth scenarios completed every call; the delta is the "
-              "telemetry bill\n");
   return 0;
 }

@@ -1,24 +1,27 @@
 #include "ash/fleet/checkpoint_store.h"
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cerrno>
 #include <cstring>
-#include <map>
 #include <system_error>
 
 #include "ash/util/atomic_file.h"
 #include "ash/util/crc32.h"
+#include "ash/util/syscall.h"
 
 namespace ash::fleet {
 
 namespace {
 
 constexpr char kMagic[8] = {'A', 'S', 'H', 'F', 'L', 'T', '1', '\n'};
-constexpr std::size_t kHeaderSize = 40;
+constexpr std::size_t kHeaderSize = kSnapshotHeaderSize;
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -65,7 +68,13 @@ std::string frame_snapshot(int shard_id, std::uint64_t sequence,
   return out;
 }
 
-DecodedSnapshot decode_snapshot(std::string_view bytes) {
+namespace {
+
+/// Verify the frame at the front of `bytes`.  `whole` demands that it end
+/// exactly where `bytes` ends (a snapshot file); otherwise later bytes are
+/// left for the next frame (a journal).  Returns the frame's size.
+std::size_t decode_frame(std::string_view bytes, bool whole,
+                         DecodedSnapshot& out) {
   if (bytes.size() < kHeaderSize) {
     throw CorruptSnapshot("snapshot truncated: " +
                           std::to_string(bytes.size()) +
@@ -85,22 +94,50 @@ DecodedSnapshot decode_snapshot(std::string_view bytes) {
     throw CorruptSnapshot("header CRC mismatch (header tampered or torn)");
   }
   const std::uint64_t payload_size = get_u64(bytes, 24);
-  if (bytes.size() - kHeaderSize != payload_size) {
+  const std::uint64_t carried = bytes.size() - kHeaderSize;
+  if (whole ? carried != payload_size : carried < payload_size) {
     throw CorruptSnapshot(
         "payload length mismatch: header says " +
         std::to_string(payload_size) + " bytes, file carries " +
-        std::to_string(bytes.size() - kHeaderSize) +
-        (bytes.size() - kHeaderSize < payload_size ? " (torn write)"
-                                                   : " (trailing garbage)"));
+        std::to_string(carried) +
+        (carried < payload_size ? " (torn write)" : " (trailing garbage)"));
   }
+  const std::string_view payload =
+      bytes.substr(kHeaderSize, static_cast<std::size_t>(payload_size));
   const std::uint32_t payload_crc = get_u32(bytes, 32);
-  if (util::crc32(bytes.substr(kHeaderSize)) != payload_crc) {
+  if (util::crc32(payload) != payload_crc) {
     throw CorruptSnapshot("payload CRC mismatch (bit rot or tampering)");
   }
-  DecodedSnapshot out;
   out.shard_id = static_cast<int>(get_u32(bytes, 12));
   out.sequence = get_u64(bytes, 16);
-  out.payload = std::string(bytes.substr(kHeaderSize));
+  out.payload = std::string(payload);
+  return kHeaderSize + payload.size();
+}
+
+[[noreturn]] void io_error(const std::string& what, const std::string& path) {
+  throw std::system_error(errno, std::generic_category(), what + " " + path);
+}
+
+}  // namespace
+
+DecodedSnapshot decode_snapshot(std::string_view bytes) {
+  DecodedSnapshot out;
+  (void)decode_frame(bytes, true, out);
+  return out;
+}
+
+SnapshotPrefix decode_snapshot_prefix(std::string_view bytes) {
+  SnapshotPrefix out;
+  while (out.valid_bytes < bytes.size()) {
+    DecodedSnapshot frame;
+    try {
+      out.valid_bytes +=
+          decode_frame(bytes.substr(out.valid_bytes), false, frame);
+    } catch (const CorruptSnapshot&) {
+      break;  // the damage and everything after it is not a record
+    }
+    out.frames.push_back(std::move(frame));
+  }
   return out;
 }
 
@@ -126,7 +163,28 @@ std::string CheckpointStore::save(int shard_id, std::uint64_t sequence,
   return path;
 }
 
+std::string CheckpointStore::journal_path(int shard_id,
+                                          std::uint64_t base) const {
+  std::string name = file_name(shard_id, base);
+  name.replace(name.size() - 5, 5, ".wal");
+  return directory_ + "/" + name;
+}
+
+std::map<std::uint64_t, std::string> CheckpointStore::journal_files(
+    int shard_id) const {
+  return files_by_sequence(shard_id, ".wal");
+}
+
 std::vector<std::string> CheckpointStore::shard_files(int shard_id) const {
+  std::vector<std::string> out;
+  for (auto& [seq, path] : files_by_sequence(shard_id, ".ckpt")) {
+    out.push_back(std::move(path));
+  }
+  return out;
+}
+
+std::map<std::uint64_t, std::string> CheckpointStore::files_by_sequence(
+    int shard_id, std::string_view suffix) const {
   // Collect by *parsed* sequence so ordering never depends on readdir
   // order; the zero-padded names sort the same way, but parsing is the
   // contract.
@@ -141,10 +199,14 @@ std::vector<std::string> CheckpointStore::shard_files(int shard_id) const {
   while (dirent* e = ::readdir(d)) {
     const std::string name = e->d_name;
     if (name.rfind(want_prefix, 0) != 0) continue;
-    if (name.size() < 5 || name.substr(name.size() - 5) != ".ckpt") continue;
+    if (name.size() < suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
+      continue;
+    }
     const std::string digits =
         name.substr(std::strlen(want_prefix),
-                    name.size() - std::strlen(want_prefix) - 5);
+                    name.size() - std::strlen(want_prefix) - suffix.size());
     if (digits.empty() ||
         digits.find_first_not_of("0123456789") != std::string::npos) {
       continue;
@@ -153,10 +215,7 @@ std::vector<std::string> CheckpointStore::shard_files(int shard_id) const {
         directory_ + "/" + name;
   }
   ::closedir(d);
-  std::vector<std::string> out;
-  out.reserve(by_seq.size());
-  for (const auto& [seq, path] : by_seq) out.push_back(path);
-  return out;
+  return by_seq;
 }
 
 std::optional<LoadedSnapshot> CheckpointStore::load_newest_valid(
@@ -192,6 +251,64 @@ void CheckpointStore::prune(int shard_id, std::size_t keep) const {
   if (files.size() <= keep) return;
   for (std::size_t i = 0; i + keep < files.size(); ++i) {
     ::unlink(files[i].c_str());
+  }
+}
+
+Journal::Journal(std::string path, std::uint64_t keep_bytes)
+    : path_(std::move(path)) {
+  const bool created = ::access(path_.c_str(), F_OK) != 0;
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd_ < 0) io_error("cannot open journal", path_);
+  const auto fail = [&](const char* what) {
+    const int saved = errno;
+    ::close(fd_);
+    errno = saved;
+    io_error(what, path_);
+  };
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) fail("cannot stat journal");
+  bytes_ = std::min<std::uint64_t>(keep_bytes,
+                                   static_cast<std::uint64_t>(st.st_size));
+  if (static_cast<std::uint64_t>(st.st_size) > bytes_ &&
+      (::ftruncate(fd_, static_cast<off_t>(bytes_)) != 0 ||
+       util::retry_eintr([&] { return ::fdatasync(fd_); }) != 0)) {
+    fail("cannot truncate journal");
+  }
+  if (created) util::sync_directory(util::dirname_of(path_));
+}
+
+Journal::~Journal() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void Journal::append(int shard_id, std::uint64_t sequence,
+                     std::string_view payload) {
+  const std::string frame = frame_snapshot(shard_id, sequence, payload);
+  std::size_t off = 0;
+  while (off < frame.size()) {
+    const ssize_t n = util::retry_eintr([&] {
+      return ::write(fd_, frame.data() + off, frame.size() - off);
+    });
+    if (n < 0) {
+      const int saved = errno;
+      // Never leave a torn record for the next append to land behind.
+      (void)::ftruncate(fd_, static_cast<off_t>(bytes_));
+      errno = saved;
+      io_error("cannot append to journal", path_);
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  if (util::retry_eintr([&] { return ::fdatasync(fd_); }) != 0) {
+    io_error("cannot fdatasync journal", path_);
+  }
+  bytes_ += frame.size();
+}
+
+SnapshotPrefix Journal::records(const std::string& path) {
+  try {
+    return decode_snapshot_prefix(util::read_file(path));
+  } catch (const std::system_error&) {
+    return SnapshotPrefix{};  // unreadable: no record verifies
   }
 }
 

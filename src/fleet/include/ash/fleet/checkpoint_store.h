@@ -31,8 +31,17 @@
 /// recovery map.  Sequence numbers are monotone per shard (the campaign
 /// phase index), which makes "newest" well-defined without trusting
 /// mtimes.
+///
+/// The same frame, laid end to end, is a write-ahead journal: `Journal`
+/// appends one frame per record and fdatasyncs it, and
+/// `decode_snapshot_prefix` recovers the records wholly before the first
+/// byte that fails verification — a torn tail record is dropped under the
+/// same contract that drops a torn snapshot.  Journals live beside the
+/// snapshots as `shard-<id>.seq-<base>.wal`, named by the sequence of the
+/// snapshot they follow.
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -43,6 +52,8 @@ namespace ash::fleet {
 
 /// Frame format version written by this build.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Bytes of frame header before the payload.
+inline constexpr std::size_t kSnapshotHeaderSize = 40;
 
 /// Thrown by decode_snapshot when a frame fails verification; the message
 /// names the failing check (magic, version, truncation, CRC, ...).
@@ -66,6 +77,17 @@ struct DecodedSnapshot {
 /// short header, bad magic/version, header CRC mismatch, payload length
 /// mismatch (truncation or trailing garbage) or payload CRC mismatch.
 DecodedSnapshot decode_snapshot(std::string_view bytes);
+
+/// The verified frames at the front of a journal.
+struct SnapshotPrefix {
+  std::vector<DecodedSnapshot> frames;
+  std::uint64_t valid_bytes = 0;  ///< bytes the frames cover
+};
+
+/// Decode frames laid end to end, stopping at the first one that fails
+/// any decode_snapshot check (torn, bit-flipped or garbage): never throws,
+/// never yields a partial frame.
+SnapshotPrefix decode_snapshot_prefix(std::string_view bytes);
 
 /// A snapshot recovered from disk, plus how many invalid files were
 /// skipped to reach it (surfaced into the supervision stats).
@@ -105,8 +127,48 @@ class CheckpointStore {
   /// Canonical file name for (shard, sequence).
   static std::string file_name(int shard_id, std::uint64_t sequence);
 
+  /// Path of the shard's journal that follows the snapshot at `base`.
+  std::string journal_path(int shard_id, std::uint64_t base) const;
+
+  /// Journal paths of one shard keyed by base sequence (ascending).
+  std::map<std::uint64_t, std::string> journal_files(int shard_id) const;
+
  private:
+  std::map<std::uint64_t, std::string> files_by_sequence(
+      int shard_id, std::string_view suffix) const;
+
   std::string directory_;
+};
+
+/// An open write-ahead journal file (single writer).
+class Journal {
+ public:
+  /// Open `path` for appending, creating it when absent (then the
+  /// directory is fsync'd, so the new name survives a crash).  Bytes past
+  /// the first `keep_bytes` — a torn or corrupt tail — are truncated away
+  /// before anything is appended.  Throws std::system_error.
+  Journal(std::string path, std::uint64_t keep_bytes);
+  ~Journal();
+  Journal(const Journal&) = delete;
+  Journal& operator=(const Journal&) = delete;
+
+  /// Append one frame and fdatasync it: when this returns, the record is
+  /// durable.  On a failed write the file is cut back to its last whole
+  /// record and std::system_error is thrown.
+  void append(int shard_id, std::uint64_t sequence, std::string_view payload);
+
+  const std::string& path() const { return path_; }
+  /// File size: the valid prefix kept at open plus every append.
+  std::uint64_t bytes() const { return bytes_; }
+
+  /// The verified record prefix of the journal at `path` (empty when the
+  /// file is missing or unreadable).
+  static SnapshotPrefix records(const std::string& path);
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace ash::fleet

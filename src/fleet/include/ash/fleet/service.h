@@ -27,15 +27,25 @@
 ///   * the per-tick request queue is bounded: requests beyond
 ///     `max_request_queue` are shed with `Status::kOverloaded` instead of
 ///     growing memory — explicit backpressure, never silent latency;
-///   * mutations are **write-ahead**: the state snapshot (including the
-///     idempotency table) is durably saved *before* the acknowledgement is
-///     queued, so a daemon SIGKILLed between apply and ack replays the
-///     original acknowledgement bytes when the client retries — a retrying
-///     client can never double-book a window;
+///   * mutations are **write-ahead**: each newly applied mutation is
+///     appended to the state journal as one CRC-framed record and
+///     `fdatasync`'d *before* the acknowledgement is queued, so a daemon
+///     SIGKILLed between apply and ack replays the original
+///     acknowledgement bytes when the client retries — a retrying client
+///     can never double-book a window;
 ///   * SIGTERM drains gracefully: stop accepting, answer what is queued,
 ///     flush outboxes, persist a final snapshot, exit;
-///   * restart loads the newest valid snapshot, so post-restart answers are
-///     consistent with the last acknowledged state.
+///   * restart loads the newest valid snapshot and replays the journal's
+///     valid prefix past it, so post-restart answers are consistent with
+///     the last acknowledged state.
+///
+/// On disk (`state_dir`): sparse snapshots `shard-00000.seq-<n>.ckpt` and
+/// journals `shard-00000.seq-<base>.wal` holding the records after the
+/// snapshot at `base`.  A snapshot is written at genesis, at drain, and
+/// whenever the journal's bytes outgrow the last snapshot's (and one 4 KiB
+/// block, so a tiny state is not rewritten every other mutation); each one
+/// rotates to a fresh journal, so a mutation costs one small append and
+/// compaction is O(windows), amortized O(1) per mutation.
 ///
 /// Operational tallies are published as `fleet.service.*` metrics through
 /// `ash::obs`; they are deliberately kept out of response payloads so a
@@ -43,6 +53,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,8 +110,8 @@ struct ServiceConfig {
   /// (null histogram pointers; see obs::ScopedLatencyTimer).
   bool instrument = true;
   /// When nonempty, the flight recorder persists here: at every durable
-  /// state checkpoint, periodically from the poll loop, at drain, and
-  /// best-effort from the fatal-signal handler.
+  /// mutation and snapshot, periodically from the poll loop, at drain,
+  /// and best-effort from the fatal-signal handler.
   std::string flight_recorder_path;
   /// Ring capacity; 0 disables the recorder (record() = one branch).
   std::size_t flight_recorder_capacity = 256;
@@ -130,13 +141,28 @@ struct AppliedMutation {
   std::uint64_t windows_after = 0;
 };
 
+/// One schedule-sleep mutation, as a journal record stores it.
+struct SleepMutation {
+  std::uint64_t client_id = 0;
+  std::uint64_t request_id = 0;
+  std::uint64_t device_id = 0;
+  SleepWindow window;
+
+  /// One text line: client, request, device, start, duration (`%.17g`).
+  std::string encode() const;
+  /// Throws std::runtime_error on anything encode() cannot produce.
+  static SleepMutation parse(std::string_view bytes);
+};
+
 /// The service's durable state: a pure function of (genesis config, the
-/// sequence of applied mutations).  Serializes as a line-oriented text
-/// document framed by CheckpointStore — same discipline as campaign
-/// snapshots, same newest-valid recovery.
+/// sequence of applied mutations), and stored as exactly that — a sparse
+/// snapshot (genesis config, non-empty windows, idempotency table) plus a
+/// journal of the mutations applied after it, both CheckpointStore frames
+/// with newest-valid recovery.
 struct ServiceState {
   std::uint64_t sequence = 0;  ///< mutations applied since genesis
   Volts margin{12e-3};
+  std::uint64_t seed = 0;  ///< genesis seed of the device priors
   std::vector<DeviceAging> devices;
   std::vector<AppliedMutation> applied;
 
@@ -145,10 +171,20 @@ struct ServiceState {
   static ServiceState genesis(std::uint64_t device_count, Volts margin,
                               std::uint64_t seed);
 
+  /// The `ash-fleet-service v2` document: device count, margin and seed
+  /// (priors are rebuilt through genesis), the non-empty windows and the
+  /// idempotency table.
   std::string serialize() const;
   /// Throws std::runtime_error naming the failing field on malformed
-  /// input; never yields a partially-filled state.
+  /// input — any other version, a duplicated header field, a window or
+  /// applied line before `devices`, a missing field — and never yields a
+  /// partially-filled state.
   static ServiceState deserialize(std::string_view bytes);
+
+  /// Book the mutation's window, advance the sequence and remember the
+  /// acknowledgement; returns the device's window count after.  The
+  /// device must be tracked.
+  std::uint64_t apply(const SleepMutation& mutation);
 
   const AppliedMutation* find_applied(std::uint64_t client_id,
                                       std::uint64_t request_id) const;
@@ -183,7 +219,8 @@ struct ServiceStats {
 class Service {
  public:
   /// Loads the newest valid state snapshot from `state_dir` (genesis when
-  /// none verifies) and durably persists the starting state.  Throws
+  /// none verifies), replays the journal's valid prefix past it and cuts
+  /// any torn tail before the first new append.  Throws
   /// std::runtime_error on an unusable state_dir or socket path,
   /// std::invalid_argument on nonsensical tunables.
   explicit Service(ServiceConfig config);
@@ -217,10 +254,10 @@ class Service {
   };
   const Health& health() const { return health_; }
 
-  /// Mutations applied but not yet durably snapshotted (0 outside of a
-  /// write-ahead window, since save_state runs before every ack).
+  /// Mutations applied but not yet durable in the journal or a snapshot
+  /// (0 at rest: every record is fdatasync'd before its ack).
   std::uint64_t snapshot_lag() const {
-    return state_.sequence - last_snapshot_sequence_;
+    return state_.sequence - durable_sequence_;
   }
 
   const obs::FlightRecorder& flight_recorder() const { return recorder_; }
@@ -239,7 +276,14 @@ class Service {
   Frame respond_metrics(const Frame& request);
   Frame respond_profile(const Frame& request);
   Frame respond_health(const Frame& request);
-  void save_state();
+  /// Write-ahead half of a mutation: fdatasync its journal record, then
+  /// compact when the journal has outgrown the last snapshot.
+  void journal_mutation(const SleepMutation& mutation);
+  /// Snapshot the state and rotate to a fresh journal based at its
+  /// sequence.  The journal it retires is kept one more round, so an
+  /// older snapshot can still be rolled forward should this one not
+  /// verify; older journals are deleted.
+  void save_snapshot();
   /// Best-effort atomic persist of the flight recorder (no-op when
   /// unconfigured; persistence failures are swallowed — telemetry must
   /// never take the daemon down).
@@ -254,7 +298,10 @@ class Service {
   ServiceStats stats_;
   Health health_;
   obs::FlightRecorder recorder_;
-  std::uint64_t last_snapshot_sequence_ = 0;
+  std::unique_ptr<Journal> journal_;
+  std::uint64_t durable_sequence_ = 0;
+  /// Framed size of the newest snapshot: the compaction threshold.
+  std::uint64_t snapshot_bytes_ = 0;
   /// Registered once at construction, indexed by the raw request type;
   /// the request path only ever dereferences (lock-free).
   std::array<obs::Histogram*, 21> latency_{};

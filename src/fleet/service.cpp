@@ -34,6 +34,11 @@ namespace {
 /// (its own directory, so it can never collide with campaign shards).
 constexpr int kStateShard = 0;
 
+/// Journal size below which no compaction runs, however small the last
+/// snapshot: rewriting a state smaller than one filesystem block costs
+/// three fsyncs and saves no replay work worth having.
+constexpr std::uint64_t kMinCompactionBytes = 4096;
+
 /// Monotonic host milliseconds for I/O deadlines (supervision-layer wall
 /// clock, never part of the deterministic payload).
 double now_ms() {
@@ -87,7 +92,8 @@ std::string errno_message(const char* what) {
 
 // --- ServiceState text document -----------------------------------------
 
-constexpr char kStateHeader[] = "ash-fleet-service v1";
+constexpr char kStateFormat[] = "ash-fleet-service ";
+constexpr char kStateVersion[] = "v2";
 
 [[noreturn]] void state_error(const std::string& detail) {
   throw std::runtime_error("service state: " + detail);
@@ -107,12 +113,39 @@ double parse_double_token(std::istringstream& line, const char* field) {
   return v;
 }
 
+void expect_line_end(std::istringstream& line, const std::string& tag) {
+  std::string extra;
+  if (line >> extra) state_error("trailing '" + extra + "' on '" + tag + "'");
+}
+
 }  // namespace
+
+std::string SleepMutation::encode() const {
+  return strformat("%llu %llu %llu %.17g %.17g\n",
+                   static_cast<unsigned long long>(client_id),
+                   static_cast<unsigned long long>(request_id),
+                   static_cast<unsigned long long>(device_id),
+                   window.start.value(), window.duration.value());
+}
+
+SleepMutation SleepMutation::parse(std::string_view bytes) {
+  std::istringstream is{std::string(bytes)};
+  SleepMutation m;
+  m.client_id = parse_u64_token(is, "record client");
+  m.request_id = parse_u64_token(is, "record request");
+  m.device_id = parse_u64_token(is, "record device");
+  m.window.start = Seconds{parse_double_token(is, "record start")};
+  m.window.duration = Seconds{parse_double_token(is, "record duration")};
+  // Canonical bytes only: whatever encode() would not write is corrupt.
+  if (m.encode() != bytes) state_error("journal record is not canonical");
+  return m;
+}
 
 ServiceState ServiceState::genesis(std::uint64_t device_count, Volts margin,
                                    std::uint64_t seed) {
   ServiceState state;
   state.margin = margin;
+  state.seed = seed;
   state.devices.resize(device_count);
   for (std::uint64_t i = 0; i < device_count; ++i) {
     // One independent stream per device: the prior of device i never moves
@@ -124,17 +157,16 @@ ServiceState ServiceState::genesis(std::uint64_t device_count, Volts margin,
 }
 
 std::string ServiceState::serialize() const {
-  std::string out = kStateHeader;
+  std::string out = kStateFormat;
+  out += kStateVersion;
   out += '\n';
   out += strformat("sequence %llu\n",
                    static_cast<unsigned long long>(sequence));
   out += strformat("margin_v %.17g\n", margin.value());
   out += strformat("devices %llu\n",
                    static_cast<unsigned long long>(devices.size()));
+  out += strformat("seed %llu\n", static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    out += strformat("device %llu %.17g\n",
-                     static_cast<unsigned long long>(i),
-                     devices[i].delta_vth.value());
     for (const SleepWindow& w : devices[i].windows) {
       out += strformat("window %llu %.17g %.17g\n",
                        static_cast<unsigned long long>(i), w.start.value(),
@@ -154,55 +186,84 @@ std::string ServiceState::serialize() const {
 ServiceState ServiceState::deserialize(std::string_view bytes) {
   std::istringstream is{std::string(bytes)};
   std::string line;
-  if (!std::getline(is, line) || line != kStateHeader) {
+  if (!std::getline(is, line) || line.rfind(kStateFormat, 0) != 0) {
     state_error("bad header '" + line + "'");
   }
-  ServiceState state;
+  if (line.substr(sizeof kStateFormat - 1) != kStateVersion) {
+    state_error("unsupported document version '" +
+                line.substr(sizeof kStateFormat - 1) + "' (this build reads " +
+                kStateVersion + ")");
+  }
+  // Collect everything first; the state is built only from a complete,
+  // verified document, so no caller ever sees a partial one.
+  std::uint64_t sequence = 0, device_count = 0, seed = 0;
+  double margin = 0.0;
   bool have_sequence = false, have_margin = false, have_devices = false,
-       ended = false;
+       have_seed = false, ended = false;
+  std::vector<std::pair<std::uint64_t, SleepWindow>> windows;
+  std::vector<AppliedMutation> applied;
+  const auto once = [](bool& seen, const std::string& tag) {
+    if (seen) state_error("duplicate '" + tag + "' line");
+    seen = true;
+  };
   while (std::getline(is, line)) {
     if (ended) state_error("content after 'end'");
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
     if (tag == "sequence") {
-      state.sequence = parse_u64_token(ls, "sequence");
-      have_sequence = true;
+      once(have_sequence, tag);
+      sequence = parse_u64_token(ls, "sequence");
     } else if (tag == "margin_v") {
-      state.margin = Volts{parse_double_token(ls, "margin_v")};
-      have_margin = true;
+      once(have_margin, tag);
+      margin = parse_double_token(ls, "margin_v");
     } else if (tag == "devices") {
-      state.devices.resize(parse_u64_token(ls, "devices"));
-      have_devices = true;
-    } else if (tag == "device") {
-      const std::uint64_t id = parse_u64_token(ls, "device id");
-      if (id >= state.devices.size()) state_error("device id out of range");
-      state.devices[id].delta_vth =
-          Volts{parse_double_token(ls, "device delta_vth")};
+      once(have_devices, tag);
+      device_count = parse_u64_token(ls, "devices");
+    } else if (tag == "seed") {
+      once(have_seed, tag);
+      seed = parse_u64_token(ls, "seed");
     } else if (tag == "window") {
+      if (!have_devices) state_error("'window' line before 'devices'");
       const std::uint64_t id = parse_u64_token(ls, "window device");
-      if (id >= state.devices.size()) state_error("window device out of range");
+      if (id >= device_count) state_error("window device out of range");
       SleepWindow w;
       w.start = Seconds{parse_double_token(ls, "window start")};
       w.duration = Seconds{parse_double_token(ls, "window duration")};
-      state.devices[id].windows.push_back(w);
+      windows.emplace_back(id, w);
     } else if (tag == "applied") {
+      if (!have_devices) state_error("'applied' line before 'devices'");
       AppliedMutation m;
       m.client_id = parse_u64_token(ls, "applied client");
       m.request_id = parse_u64_token(ls, "applied request");
       m.windows_after = parse_u64_token(ls, "applied windows");
-      state.applied.push_back(m);
+      applied.push_back(m);
     } else if (tag == "end") {
       ended = true;
     } else {
       state_error("unknown line tag '" + tag + "'");
     }
+    expect_line_end(ls, tag);
   }
   if (!ended) state_error("missing 'end' (truncated document)");
-  if (!have_sequence || !have_margin || !have_devices) {
-    state_error("missing required field");
-  }
+  if (!have_sequence) state_error("missing 'sequence'");
+  if (!have_margin) state_error("missing 'margin_v'");
+  if (!have_devices) state_error("missing 'devices'");
+  if (!have_seed) state_error("missing 'seed'");
+  ServiceState state = genesis(device_count, Volts{margin}, seed);
+  state.sequence = sequence;
+  for (const auto& [id, w] : windows) state.devices[id].windows.push_back(w);
+  state.applied = std::move(applied);
   return state;
+}
+
+std::uint64_t ServiceState::apply(const SleepMutation& mutation) {
+  std::vector<SleepWindow>& windows = devices.at(mutation.device_id).windows;
+  windows.push_back(mutation.window);
+  ++sequence;
+  applied.push_back(AppliedMutation{mutation.client_id, mutation.request_id,
+                                    windows.size()});
+  return windows.size();
 }
 
 const AppliedMutation* ServiceState::find_applied(
@@ -300,38 +361,101 @@ Service::Service(ServiceConfig config)
     slot(MessageType::kHealthRequest, "fleet.service.latency.health");
     queue_wait_ = &reg.histogram("fleet.service.queue_wait", lat);
   }
+  // Recovery: the newest snapshot that verifies, rolled forward by the
+  // journal records past it in sequence order, up to the first damaged
+  // record or gap.  Records at or below the state's sequence are already
+  // in the snapshot (a crash between a compaction's snapshot and its
+  // journal rotation leaves them behind) and are skipped, never applied
+  // twice.
   const auto loaded = state_store_.load_newest_valid(kStateShard);
   if (loaded) {
-    // Resume exactly where the last acknowledged mutation left us — the
-    // crash-consistency half of the protocol contract.
     state_ = ServiceState::deserialize(loaded->payload);
-    last_snapshot_sequence_ = state_.sequence;
+    snapshot_bytes_ = kSnapshotHeaderSize + loaded->payload.size();
   } else {
     state_ = ServiceState::genesis(config_.devices, config_.margin,
                                    config_.seed);
   }
+  const auto replay = [&](const DecodedSnapshot& record) {
+    if (record.shard_id != kStateShard ||
+        record.sequence != state_.sequence + 1) {
+      return false;
+    }
+    try {
+      const SleepMutation mutation = SleepMutation::parse(record.payload);
+      if (mutation.device_id >= state_.devices.size()) return false;
+      (void)state_.apply(mutation);
+      return true;
+    } catch (const std::runtime_error&) {
+      return false;  // CRC-valid nonsense is damage too
+    }
+  };
+  const auto journals = state_store_.journal_files(kStateShard);
+  // Whether the newest journal ends exactly at the recovered state, so the
+  // next record can be appended to it; its valid prefix is what stays.
+  bool resumable = false;
+  std::uint64_t keep_bytes = 0;
+  for (const auto& [base, path] : journals) {
+    const SnapshotPrefix prefix = Journal::records(path);
+    bool consumed = true;
+    for (const DecodedSnapshot& record : prefix.frames) {
+      if (record.sequence > state_.sequence && !replay(record)) {
+        consumed = false;
+        break;
+      }
+    }
+    const std::uint64_t end =
+        prefix.frames.empty() ? base : prefix.frames.back().sequence;
+    resumable = consumed && end == state_.sequence;
+    keep_bytes = prefix.valid_bytes;
+  }
+  durable_sequence_ = state_.sequence;
   recorder_.record(obs::FlightEventKind::kDaemonStart, state_.sequence);
   if (loaded) {
     recorder_.record(obs::FlightEventKind::kStateLoaded, state_.sequence);
   } else {
     recorder_.record(obs::FlightEventKind::kStateGenesis);
-    save_state();
+  }
+  if (loaded && resumable) {
+    journal_ = std::make_unique<Journal>(journals.rbegin()->second,
+                                         keep_bytes);
+  } else {
+    // Genesis, or no journal that can take the next record.
+    save_snapshot();
+    persist_flight();
   }
 }
 
-void Service::save_state() {
+void Service::journal_mutation(const SleepMutation& mutation) {
+  journal_->append(kStateShard, state_.sequence, mutation.encode());
+  durable_sequence_ = state_.sequence;
+  if (journal_->bytes() > std::max(snapshot_bytes_, kMinCompactionBytes)) {
+    save_snapshot();
+  }
+  persist_flight();
+}
+
+void Service::save_snapshot() {
   const std::string payload = state_.serialize();
   state_store_.save(kStateShard, state_.sequence, payload);
   state_store_.prune(kStateShard, 16);
+  snapshot_bytes_ = kSnapshotHeaderSize + payload.size();
+  durable_sequence_ = state_.sequence;
+  const std::string path =
+      state_store_.journal_path(kStateShard, state_.sequence);
+  if (journal_ == nullptr || journal_->path() != path) {
+    const std::string retired = journal_ ? journal_->path() : std::string();
+    journal_ = std::make_unique<Journal>(path, 0);
+    for (const auto& [base, file] : state_store_.journal_files(kStateShard)) {
+      if (file != path && file != retired) ::unlink(file.c_str());
+    }
+  }
   ++stats_.snapshots_saved;
-  last_snapshot_sequence_ = state_.sequence;
   recorder_.record(obs::FlightEventKind::kSnapshotSaved, state_.sequence,
                    payload.size());
   if (obs::tracing()) {
     obs::instant(obs::EventKind::kFleetSnapshot, "state", "fleet.service",
                  {{"sequence", std::to_string(state_.sequence)}});
   }
-  persist_flight();
 }
 
 void Service::persist_flight() {
@@ -553,11 +677,10 @@ Frame Service::respond_schedule_sleep(const Frame& request) {
     return Frame{MessageType::kErrorResponse, request.request_id,
                  err.encode()};
   }
-  DeviceAging& device = state_.devices[req.device_id];
-  device.windows.push_back(SleepWindow{req.start, req.duration});
-  ++state_.sequence;
-  state_.applied.push_back(AppliedMutation{req.client_id, request.request_id,
-                                           device.windows.size()});
+  const SleepMutation mutation{req.client_id, request.request_id,
+                               req.device_id,
+                               SleepWindow{req.start, req.duration}};
+  const std::uint64_t windows = state_.apply(mutation);
   recorder_.record(obs::FlightEventKind::kMutationApplied, req.device_id,
                    state_.sequence);
   if (obs::tracing()) {
@@ -569,9 +692,9 @@ Frame Service::respond_schedule_sleep(const Frame& request) {
   }
   // Write-ahead: the mutation is durable *before* the ack is queued, so a
   // SIGKILL in between replays the same ack instead of double-applying.
-  save_state();
+  journal_mutation(mutation);
   ++stats_.mutations;
-  return ack(device.windows.size());
+  return ack(windows);
 }
 
 Frame Service::respond_status(const Frame& request) {
@@ -911,7 +1034,8 @@ void Service::run() {
   conns.clear();
 
   // The final durable checkpoint of the drain contract.
-  save_state();
+  save_snapshot();
+  persist_flight();
 
   // Crash-consistent metrics dump: every volatile tally published, then
   // one atomic write — a kill mid-drain leaves the previous complete

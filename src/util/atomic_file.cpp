@@ -63,7 +63,6 @@ bool writable_directory(const std::string& path) {
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {
-  const std::string dir = dirname_of(path);
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
 
@@ -81,6 +80,10 @@ void atomic_write_file(const std::string& path, const std::string& bytes) {
 
   // Persist the rename itself: without the directory fsync a crash can
   // forget that the new name exists even though its data blocks are safe.
+  sync_directory(dirname_of(path));
+}
+
+void sync_directory(const std::string& dir) {
   Fd dfd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
   if (dfd.get() >= 0) (void)::fsync(dfd.get());
 }

@@ -28,6 +28,10 @@ namespace ash::util {
 /// std::system_error on any I/O failure; on failure `path` is untouched.
 void atomic_write_file(const std::string& path, const std::string& bytes);
 
+/// fsync a directory so the names created or renamed in it survive a
+/// crash (best-effort: an unopenable directory is ignored).
+void sync_directory(const std::string& dir);
+
 /// Read a whole file into a string.  Throws std::system_error when the
 /// file cannot be opened or read.
 std::string read_file(const std::string& path);

@@ -18,7 +18,8 @@
 ///     supervised worker processes (ash_fleet's machinery) so the
 ///     rejuvenation query has durable shard snapshots to rank.  SIGTERM
 ///     drains gracefully (final durable state snapshot); SIGKILL is safe —
-///     the next start resumes from the newest snapshot that verifies.
+///     the next start resumes from the newest valid snapshot plus the
+///     journal's valid prefix, so every acknowledged mutation survives.
 ///     --flight keeps a crash-safe flight recorder that persists across
 ///     kills; --profile turns on kernel profiling (served by the profile
 ///     scrape); --trace streams request-path spans as JSONL.
@@ -100,6 +101,9 @@ int usage() {
       "                  [--flight FILE] [--flight-capacity N] "
       "[--no-instrument]\n"
       "                  [--profile] [--trace FILE]\n"
+      "                  (resumes from the newest valid snapshot in the "
+      "state dir\n"
+      "                  plus the journal's valid prefix)\n"
       "       ash_fleetd query --socket PATH "
       "(ping|status|margin|rejuvenation|sleep)\n"
       "                  [--device N] [--duty F] [--vdd F] [--temp F] "
@@ -508,7 +512,7 @@ class DrillDaemon {
     }
   }
 
-  /// SIGKILL + restart-from-newest-snapshot: the chaos hook.
+  /// SIGKILL + restart from the snapshot and journal: the chaos hook.
   void kill_and_restart() {
     if (pid_ > 0) {
       ::kill(pid_, SIGKILL);
