@@ -11,7 +11,7 @@
 /// pool, sharded across supervised worker processes (`FleetSupervisor`,
 /// one forked worker per chip with durable checkpoints), and in lockstep
 /// through the batch engine (`tb::PopulationRunner` over per-site
-/// `bti::BatchEnsemble`s in exact mode) — and all three sample logs are
+/// `bti::BatchEnsemble`s) — and all three sample logs are
 /// required to agree byte-for-byte.  That pins two determinism contracts
 /// on a real workload: process isolation, checkpoint round-trips and
 /// phase-at-a-time resume must not perturb the science payload by a single

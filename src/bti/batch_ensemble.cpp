@@ -1,84 +1,12 @@
 #include "ash/bti/batch_ensemble.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "ash/bti/acceleration.h"
 #include "ash/obs/profile.h"
-#include "ash/util/constants.h"
-#include "ash/util/fast_exp.h"
 #include "ash/util/thread_pool.h"
 
 namespace ash::bti {
-namespace {
-
-/// Condition-level scalars of the rate formulas — the exact expressions of
-/// `TrapEnsemble::scalars_for`, parameterized on the class's kinetics
-/// constants.  Always `std::exp`: a handful of calls per (condition,
-/// class), so fast mode gains nothing here and exactness costs nothing.
-struct CondScalars {
-  double duty;
-  double phi;
-  double capture_field;
-  double capture_arr_x;
-  double emission_bias_boost;
-  double emission_arr_x;
-};
-
-CondScalars scalars_for(const TdParameters& params,
-                        const OperatingCondition& c) {
-  CondScalars s;
-  s.duty = std::clamp(c.gate_stress_duty, 0.0, 1.0);
-  const double emission_bias_v = s.duty == 0.0 ? c.voltage_v.value() : 0.0;
-  s.phi = s.duty > 0.0
-              ? occupancy_amplitude(params, c.voltage_v, c.temperature_k)
-              : 0.0;
-  s.capture_field =
-      c.voltage_v >= params.capture_threshold_voltage_v
-          ? std::exp(params.capture_field_accel_per_v *
-                     (c.voltage_v - params.stress_ref_voltage_v).value())
-          : 0.0;
-  s.capture_arr_x = (1.0 / c.temperature_k.value() -
-                     1.0 / params.stress_ref_temp_k.value()) /
-                    kBoltzmannEv;
-  s.emission_bias_boost = std::exp(
-      params.emission_neg_bias_accel_per_v * std::max(0.0, -emission_bias_v));
-  s.emission_arr_x = (1.0 / c.temperature_k.value() -
-                      1.0 / params.recovery_ref_temp_k.value()) /
-                     kBoltzmannEv;
-  return s;
-}
-
-/// Every TdParameters field *except* delta_vth_mean_v: the per-trap
-/// DeltaVth scale is the one axis members of a trap class may differ on
-/// (chip corners, PBTI ratios).  Everything else feeds the kinetics draws
-/// or the rate scalars, so it must match for the class to share rates.
-bool kinetics_params_equal(const TdParameters& a, const TdParameters& b) {
-  return a.traps_per_device == b.traps_per_device &&
-         a.tau_capture_min_s == b.tau_capture_min_s &&
-         a.tau_capture_max_s == b.tau_capture_max_s &&
-         a.emission_ratio_log10_mu == b.emission_ratio_log10_mu &&
-         a.emission_ratio_log10_sigma == b.emission_ratio_log10_sigma &&
-         a.permanent_fraction == b.permanent_fraction &&
-         a.stress_ref_voltage_v == b.stress_ref_voltage_v &&
-         a.stress_ref_temp_k == b.stress_ref_temp_k &&
-         a.capture_field_accel_per_v == b.capture_field_accel_per_v &&
-         a.capture_ea_mean_ev == b.capture_ea_mean_ev &&
-         a.capture_ea_sigma_ev == b.capture_ea_sigma_ev &&
-         a.capture_threshold_voltage_v == b.capture_threshold_voltage_v &&
-         a.amp_prefactor == b.amp_prefactor && a.amp_e0_ev == b.amp_e0_ev &&
-         a.amp_b_ev_per_v == b.amp_b_ev_per_v &&
-         a.recovery_ref_voltage_v == b.recovery_ref_voltage_v &&
-         a.recovery_ref_temp_k == b.recovery_ref_temp_k &&
-         a.emission_ea_mean_ev == b.emission_ea_mean_ev &&
-         a.emission_ea_sigma_ev == b.emission_ea_sigma_ev &&
-         a.emission_neg_bias_accel_per_v == b.emission_neg_bias_accel_per_v &&
-         a.min_safe_voltage_v == b.min_safe_voltage_v &&
-         a.max_safe_temp_k == b.max_safe_temp_k;
-}
-
-}  // namespace
 
 BatchEnsemble::BatchEnsemble(const std::vector<BatchMemberSpec>& specs,
                              const BatchConfig& config)
@@ -88,7 +16,7 @@ BatchEnsemble::BatchEnsemble(const std::vector<BatchMemberSpec>& specs,
   }
   for (const auto& spec : specs) {
     // Draw the member's population through the solo constructor: the batch
-    // *is* those ensembles, which is what makes exact mode bit-identical.
+    // *is* those ensembles, which is what makes it bit-identical to them.
     const TrapEnsemble source(spec.params, spec.seed);
     adopt_member(source);
   }
@@ -109,203 +37,66 @@ BatchEnsemble::BatchEnsemble(const std::vector<const TrapEnsemble*>& members,
 }
 
 void BatchEnsemble::adopt_member(const TrapEnsemble& source) {
-  const auto view = source.population_view();
-  const auto n = static_cast<std::size_t>(view.trap_count);
-  const TdParameters& params = source.parameters();
-
-  // Class lookup: identical kinetics parameters *and* identical kinetics
-  // draws.  Two members built from the same seed and kinetics constants
-  // share every draw (the per-trap DeltaVth scale consumes exactly one
-  // uniform regardless of its mean, so the streams stay aligned); distinct
-  // seeds diverge at the first trap, so the element compare fails fast.
-  int class_index = -1;
-  for (std::size_t ci = 0; ci < classes_.size(); ++ci) {
-    const TrapClass& cls = classes_[ci];
-    if (cls.tau_capture_s.size() != n) continue;
-    if (!kinetics_params_equal(cls.params, params)) continue;
-    if (!std::equal(cls.tau_capture_s.begin(), cls.tau_capture_s.end(),
-                    view.tau_capture_s) ||
-        !std::equal(cls.tau_emission_s.begin(), cls.tau_emission_s.end(),
-                    view.tau_emission_s) ||
-        !std::equal(cls.capture_ea_ev.begin(), cls.capture_ea_ev.end(),
-                    view.capture_ea_ev) ||
-        !std::equal(cls.emission_ea_ev.begin(), cls.emission_ea_ev.end(),
-                    view.emission_ea_ev) ||
-        !std::equal(cls.permanent.begin(), cls.permanent.end(),
-                    view.permanent)) {
-      continue;
-    }
-    class_index = static_cast<int>(ci);
-    break;
-  }
-  if (class_index < 0) {
-    TrapClass cls;
-    cls.params = params;
-    cls.tau_capture_s.assign(view.tau_capture_s, view.tau_capture_s + n);
-    cls.tau_emission_s.assign(view.tau_emission_s, view.tau_emission_s + n);
-    cls.capture_ea_ev.assign(view.capture_ea_ev, view.capture_ea_ev + n);
-    cls.emission_ea_ev.assign(view.emission_ea_ev, view.emission_ea_ev + n);
-    cls.permanent.assign(view.permanent, view.permanent + n);
-    cls.rate_cache.resize(kRateCacheSlots);
-    classes_.push_back(std::move(cls));
-    class_index = static_cast<int>(classes_.size()) - 1;
+  // Class lookup: identical kinetics parameters *and* identical draws.
+  // Two members built from the same seed and kinetics constants share
+  // every draw (the per-trap DeltaVth scale consumes exactly one uniform
+  // regardless of its mean, so the streams stay aligned); distinct seeds
+  // diverge at the first trap, so the element compare fails fast.
+  const TrapKinetics& kinetics = source.kinetics();
+  auto cls = std::find_if(
+      classes_.begin(), classes_.end(),
+      [&](const TrapClass& c) { return c.kinetics.same_kinetics(kinetics); });
+  if (cls == classes_.end()) {
+    classes_.push_back({TrapKinetics(kinetics, kRateCacheSlots), {}});
+    cls = classes_.end() - 1;
   }
 
-  const int m = member_count();
-  classes_[static_cast<std::size_t>(class_index)].members.push_back(m);
-  member_params_.push_back(params);
-  delta_vth_v_.insert(delta_vth_v_.end(), view.delta_vth_v,
-                      view.delta_vth_v + n);
+  cls->members.push_back(member_count());
+  member_params_.push_back(source.parameters());
+  const std::vector<double>& dv = source.contributions();
+  delta_vth_v_.insert(delta_vth_v_.end(), dv.begin(), dv.end());
   const std::vector<double> occ = source.occupancies();
   occupancy_.insert(occupancy_.end(), occ.begin(), occ.end());
-  offsets_.push_back(offsets_.back() + n);
+  offsets_.push_back(offsets_.back() + dv.size());
   active_entry_.push_back(nullptr);
   cached_delta_.push_back(0.0);
   cached_delta_version_.push_back(~std::uint64_t{0});
 }
 
-BatchEnsemble::RateEntry& BatchEnsemble::entry_for(
-    TrapClass& cls, const OperatingCondition& c, double duty, double dt_s) {
-  RateEntry* hit = nullptr;
-  for (auto& e : cls.rate_cache) {
-    if (e.valid && e.voltage_v == c.voltage_v &&
-        e.temperature_k == c.temperature_k && e.duty == duty) {
-      hit = &e;
-      break;
-    }
+std::size_t BatchEnsemble::index_of(int member) const {
+  if (member < 0 || member >= member_count()) {
+    throw std::out_of_range("BatchEnsemble: member index out of range");
   }
-  if (hit != nullptr && hit->decay_dt_s == dt_s) return *hit;
+  return static_cast<std::size_t>(member);
+}
 
-  const bool fast = config_.fast_exp;
-  if (hit == nullptr) {
-    // Unlike the solo ensemble there is no miss-twice promotion and no
-    // store-free transient path: a rate computation amortizes over every
-    // member of the class, so even a one-shot condition is cheapest as a
-    // straight cache fill.  Bit-exactness is unaffected — the cached
-    // values are the same doubles whichever policy computes them.
-    hit = &cls.rate_cache[static_cast<std::size_t>(cls.rate_cache_next)];
-    cls.rate_cache_next = (cls.rate_cache_next + 1) % kRateCacheSlots;
+int BatchEnsemble::trap_count(int member) const {
+  const std::size_t m = index_of(member);
+  return static_cast<int>(offsets_[m + 1] - offsets_[m]);
+}
 
-    const CondScalars s = scalars_for(cls.params, c);
-    const auto factors = [&](FactorCache& cache, const std::vector<double>& ea,
-                             double arr_x) -> const double* {
-      for (auto& slot : cache.slots) {
-        if (slot.valid && slot.arr_x == arr_x) return slot.f.data();
-      }
-      FactorCache::Slot& slot =
-          cache.slots[static_cast<std::size_t>(cache.next)];
-      cache.next = (cache.next + 1) % FactorCache::kSlots;
-      const std::size_t count = ea.size();
-      slot.f.resize(count);
-      if (fast) {
-        for (std::size_t i = 0; i < count; ++i) {
-          slot.f[i] = util::fast_exp(-ea[i] * arr_x);
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          slot.f[i] = std::exp(-ea[i] * arr_x);
-        }
-      }
-      slot.arr_x = arr_x;
-      slot.valid = true;
-      return slot.f.data();
-    };
-    const double* exp_c =
-        s.duty > 0.0
-            ? factors(cls.capture_factors, cls.capture_ea_ev, s.capture_arr_x)
-            : nullptr;
-    const double* exp_e = s.duty < 1.0
-                              ? factors(cls.emission_factors,
-                                        cls.emission_ea_ev, s.emission_arr_x)
-                              : nullptr;
-
-    const std::size_t n = cls.tau_capture_s.size();
-    hit->lambda.resize(n);
-    hit->p_inf.resize(n);
-    hit->decay.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Exact expression order of TrapEnsemble's per-trap loop.
-      const double rc =
-          exp_c != nullptr
-              ? s.duty * (s.capture_field * exp_c[i]) / cls.tau_capture_s[i]
-              : 0.0;
-      const double re =
-          exp_e != nullptr && cls.permanent[i] == 0
-              ? (1.0 - s.duty) * (s.emission_bias_boost * exp_e[i]) /
-                    cls.tau_emission_s[i]
-              : 0.0;
-      const double lambda = rc + re;
-      hit->lambda[i] = lambda;
-      hit->p_inf[i] = lambda > 0.0 ? rc * s.phi / lambda : 0.0;
-    }
-    hit->voltage_v = c.voltage_v;
-    hit->temperature_k = c.temperature_k;
-    hit->duty = s.duty;
-    hit->valid = true;
-    hit->decay_dt_s = -1.0;
-  }
-
-  // Decay factors for this dt (fresh entry or a condition hit with a new
-  // step size).
-  const std::size_t n = hit->lambda.size();
-  const double* lambda = hit->lambda.data();
-  double* decay = hit->decay.data();
-  if (fast) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = lambda[i] * dt_s;
-      decay[i] =
-          lambda[i] <= 0.0 ? 1.0 : (x > 700.0 ? 0.0 : util::fast_exp(-x));
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = lambda[i] * dt_s;
-      decay[i] = lambda[i] <= 0.0 ? 1.0 : (x > 700.0 ? 0.0 : std::exp(-x));
-    }
-  }
-  hit->decay_dt_s = dt_s;
-  return *hit;
+const TdParameters& BatchEnsemble::parameters(int member) const {
+  return member_params_[index_of(member)];
 }
 
 void BatchEnsemble::apply_members(int lo, int hi) {
   for (int m = lo; m < hi; ++m) {
-    const RateEntry* e = active_entry_[static_cast<std::size_t>(m)];
-    const double* p_inf = e->p_inf.data();
-    const double* decay = e->decay.data();
-    double* occ = occupancy_.data() + offsets_[static_cast<std::size_t>(m)];
-    const std::size_t n = offsets_[static_cast<std::size_t>(m) + 1] -
-                          offsets_[static_cast<std::size_t>(m)];
-    for (std::size_t i = 0; i < n; ++i) {
-      occ[i] = p_inf[i] + (occ[i] - p_inf[i]) * decay[i];
-    }
+    const auto k = static_cast<std::size_t>(m);
+    TrapKinetics::apply(*active_entry_[k], occupancy_.data() + offsets_[k]);
   }
 }
 
 void BatchEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
   const obs::ScopedKernelTimer timer(obs::Kernel::kBtiBatchEvolve);
-  const double dt_s = dt.value();
-  if (dt_s < 0.0) {
-    throw std::invalid_argument("BatchEnsemble::evolve: negative dt");
-  }
-  if (dt_s == 0.0) return;
   // Validate against every class before mutating anything: a throwing
-  // evolve leaves the whole population untouched (the solo ensemble's
-  // messages, so callers can't tell which engine rejected the condition).
+  // evolve leaves the whole population untouched.  dt == 0 is a no-op.
   for (const auto& cls : classes_) {
-    if (c.voltage_v < cls.params.min_safe_voltage_v) {
-      throw std::invalid_argument(
-          "TrapEnsemble::evolve: voltage below pn-junction breakdown limit");
-    }
-    if (c.temperature_k > cls.params.max_safe_temp_k) {
-      throw std::invalid_argument(
-          "TrapEnsemble::evolve: temperature above functional limit");
-    }
+    if (!cls.kinetics.check_step(c, dt)) return;
   }
-
-  const double duty = std::clamp(c.gate_stress_duty, 0.0, 1.0);
 
   // One rate/decay computation per (condition, trap class)...
   for (auto& cls : classes_) {
-    const RateEntry& e = entry_for(cls, c, duty, dt_s);
+    const TrapKinetics::RateEntry& e = cls.kinetics.entry_for(c, dt);
     for (const int m : cls.members) {
       active_entry_[static_cast<std::size_t>(m)] = &e;
     }
@@ -334,7 +125,7 @@ void BatchEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
 }
 
 double BatchEnsemble::delta_vth(int member) const {
-  const auto m = static_cast<std::size_t>(member);
+  const std::size_t m = index_of(member);
   if (cached_delta_version_[m] != version_) {
     const double* occ = occupancy_.data() + offsets_[m];
     const double* dv = delta_vth_v_.data() + offsets_[m];
@@ -355,7 +146,7 @@ std::vector<double> BatchEnsemble::delta_vth_all() const {
 }
 
 std::vector<double> BatchEnsemble::occupancies(int member) const {
-  const auto m = static_cast<std::size_t>(member);
+  const std::size_t m = index_of(member);
   return std::vector<double>(occupancy_.begin() + static_cast<std::ptrdiff_t>(
                                                       offsets_[m]),
                              occupancy_.begin() +
@@ -364,7 +155,7 @@ std::vector<double> BatchEnsemble::occupancies(int member) const {
 
 void BatchEnsemble::set_occupancies(int member,
                                     const std::vector<double>& occ) {
-  const auto m = static_cast<std::size_t>(member);
+  const std::size_t m = index_of(member);
   if (occ.size() != offsets_[m + 1] - offsets_[m]) {
     throw std::invalid_argument(
         "BatchEnsemble::set_occupancies: size mismatch");

@@ -24,21 +24,16 @@
 /// `util::ThreadPool` (elementwise-independent, so bit-identical under any
 /// scheduling; pinned by the tsan job).
 ///
-/// Exactness contract: in the default exact mode every cached value is
-/// computed with the *identical expression order* of
-/// `TrapEnsemble::evolve`, and members are adopted through
-/// `TrapEnsemble::population_view()` — so a batch trajectory is bit-for-bit
-/// equal to N independent `TrapEnsemble` runs (asserted for a seeded
-/// 64-chip population in tests/bti/batch_ensemble_test.cpp, and for the
-/// full 20-chip Table-1 campaign in bench_ablation_chip_variation).
-///
-/// Fast-physics mode (`BatchConfig::fast_exp`, default off) swaps the
-/// per-trap exponentials — the Arrhenius factor arrays and the decay
-/// factors — for `util::fast_exp` (relative error <= kFastExpRelErr,
-/// pinned by tests/util/fast_exp_test.cpp).  Condition-level scalars (a
-/// handful of exp() per condition) stay `std::exp`.  Fast mode is still
-/// fully deterministic, just not bit-equal to exact mode: bit-exactness
-/// becomes a per-run choice.
+/// Exactness contract: each trap class is a `TrapKinetics` core copied
+/// from a member's solo ensemble, and its rates and decay factors come
+/// from the same `entry_for` the solo ensemble's cache uses — the one rate
+/// routine of the model — so a batch trajectory is bit-for-bit equal to N
+/// independent `TrapEnsemble` runs (asserted for seeded 64-chip
+/// populations in tests/bti/batch_ensemble_test.cpp, and for the full
+/// 20-chip Table-1 campaign in bench_ablation_chip_variation).  Unlike the
+/// solo ensemble there is no miss-twice promotion: a rate computation
+/// amortizes over every member of its class, so every condition fills a
+/// slot of the 16-deep per-class cache.
 
 #include <cstdint>
 #include <vector>
@@ -46,6 +41,7 @@
 #include "ash/bti/condition.h"
 #include "ash/bti/parameters.h"
 #include "ash/bti/trap_ensemble.h"
+#include "ash/bti/trap_kinetics.h"
 
 namespace ash::util {
 class ThreadPool;
@@ -62,9 +58,6 @@ struct BatchMemberSpec {
 
 /// Per-batch knobs.
 struct BatchConfig {
-  /// Use util::fast_exp for the per-trap exponentials.  Default off: exact
-  /// mode is bit-identical to the per-chip path.
-  bool fast_exp = false;
   /// Optional worker pool for the occupancy apply sweep.  Null (or an
   /// inline pool) runs the sweep on the calling thread; results are
   /// bit-identical either way.
@@ -89,9 +82,9 @@ class BatchEnsemble {
                          const BatchConfig& config = {});
 
   /// Advance every member by dt under one shared operating condition.
-  /// Validation (negative dt, breakdown voltage, thermal limit) matches
-  /// `TrapEnsemble::evolve` and runs against every trap class before any
-  /// state changes, so a throwing call leaves the population untouched.
+  /// Validation is the core's `check_step`, run against every trap class
+  /// before any state changes, so a throwing call leaves the population
+  /// untouched.
   void evolve(const OperatingCondition& condition, Seconds dt);
 
   int member_count() const { return static_cast<int>(member_params_.size()); }
@@ -99,13 +92,10 @@ class BatchEnsemble {
   /// A homogeneous-kinetics population has class_count() == 1 no matter
   /// how many members it holds.
   int class_count() const { return static_cast<int>(classes_.size()); }
-  int trap_count(int member) const {
-    return static_cast<int>(offsets_[static_cast<std::size_t>(member) + 1] -
-                            offsets_[static_cast<std::size_t>(member)]);
-  }
-  const TdParameters& parameters(int member) const {
-    return member_params_[static_cast<std::size_t>(member)];
-  }
+  /// Every per-member accessor throws std::out_of_range for a member
+  /// outside [0, member_count()).
+  int trap_count(int member) const;
+  const TdParameters& parameters(int member) const;
 
   /// Member m's threshold-voltage shift, computed with the exact reduction
   /// order of `TrapEnsemble::delta_vth` and cached per member between
@@ -130,60 +120,17 @@ class BatchEnsemble {
   const BatchConfig& config() const { return config_; }
 
  private:
-  /// Per-(condition, class) memo — the batch-level counterpart of
-  /// `TrapEnsemble::RateEntry`, holding the class's lambda / p_inf arrays
-  /// plus the decay factors for the most recent dt.
-  struct RateEntry {
-    Volts voltage_v{0.0};
-    Kelvin temperature_k{0.0};
-    double duty = 0.0;
-    bool valid = false;
-    std::vector<double> lambda;
-    std::vector<double> p_inf;
-    double decay_dt_s = -1.0;
-    std::vector<double> decay;
-  };
-
-  /// Temperature-keyed Arrhenius factor memo (same shape as the solo
-  /// ensemble's).
-  struct FactorCache {
-    struct Slot {
-      double arr_x = 0.0;
-      bool valid = false;
-      std::vector<double> f;
-    };
-    static constexpr int kSlots = 2;
-    Slot slots[kSlots];
-    int next = 0;
-  };
-
   /// One kinetics equivalence class: members sharing identical kinetics
-  /// draws (tau, Ea, permanence) and kinetics parameters.  The class owns
-  /// the arrays the rate computation reads and every per-condition cache.
+  /// draws and kinetics parameters, and the core that computes their rates.
   struct TrapClass {
-    TdParameters params;  // kinetics fields authoritative for the class
-    std::vector<double> tau_capture_s;
-    std::vector<double> tau_emission_s;
-    std::vector<double> capture_ea_ev;
-    std::vector<double> emission_ea_ev;
-    std::vector<std::uint8_t> permanent;
+    TrapKinetics kinetics;
     std::vector<int> members;
-    FactorCache capture_factors;
-    FactorCache emission_factors;
-    std::vector<RateEntry> rate_cache;
-    int rate_cache_next = 0;
   };
 
-  /// Conditions recur far more across a population sweep than inside one
-  /// chip's campaign (stress + recovery + measurement wake per phase), so
-  /// the batch cache is deeper than the solo ensemble's 6 slots — and a
-  /// miss is promoted immediately: its cost amortizes over every member of
-  /// the class, so there is no one-shot transient path here.
   static constexpr int kRateCacheSlots = 16;
 
   void adopt_member(const TrapEnsemble& source);
-  RateEntry& entry_for(TrapClass& cls, const OperatingCondition& condition,
-                       double duty, double dt_s);
+  std::size_t index_of(int member) const;
   void apply_members(int lo, int hi);
 
   BatchConfig config_;
@@ -199,7 +146,7 @@ class BatchEnsemble {
 
   /// Per-member pointers into the active rate entries, rebuilt each evolve
   /// before the apply sweep (kept as a member to avoid per-call allocs).
-  std::vector<const RateEntry*> active_entry_;
+  std::vector<const TrapKinetics::RateEntry*> active_entry_;
 
   std::uint64_t version_ = 0;
   mutable std::vector<double> cached_delta_;

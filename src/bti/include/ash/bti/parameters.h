@@ -133,6 +133,7 @@ struct TdParameters {
   /// Throws std::invalid_argument with a descriptive message if any
   /// constant is out of its physical domain.
   void validate() const;
+  bool operator==(const TdParameters&) const = default;
 };
 
 /// The default-calibrated parameter set for the 40 nm FPGA reproduction.

@@ -4,285 +4,77 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ash/bti/acceleration.h"
 #include "ash/obs/profile.h"
-#include "ash/util/constants.h"
 #include "ash/util/random.h"
 
 namespace ash::bti {
 
-TrapEnsemble::TrapEnsemble(const TdParameters& params, std::uint64_t seed)
-    : params_(params) {
-  params_.validate();
+namespace {
+
+/// Draw a device's trap population: the kinetics arrays for the core and
+/// the DeltaVth contributions into `delta_vth_v`, interleaved per trap in
+/// the historical AoS draw order so existing seeds reproduce the same
+/// populations.
+TrapKinetics::Traps draw_traps(const TdParameters& params, std::uint64_t seed,
+                               std::vector<double>& delta_vth_v) {
+  params.validate();
   Rng rng(seed);
-  const auto n = static_cast<std::size_t>(params_.traps_per_device);
-  delta_vth_v_.reserve(n);
-  tau_capture_s_.reserve(n);
-  tau_emission_s_.reserve(n);
-  capture_ea_ev_.reserve(n);
-  emission_ea_ev_.reserve(n);
-  permanent_.reserve(n);
-  occupancy_.reserve(n);
-  // Draw order matches the historical AoS constructor so existing seeds
-  // reproduce the same trap populations.
-  for (int i = 0; i < params_.traps_per_device; ++i) {
-    delta_vth_v_.push_back(rng.exponential(params_.delta_vth_mean_v.value()));
-    tau_capture_s_.push_back(rng.loguniform(params_.tau_capture_min_s.value(),
-                                            params_.tau_capture_max_s.value()));
+  const auto n = static_cast<std::size_t>(params.traps_per_device);
+  TrapKinetics::Traps t;
+  delta_vth_v.reserve(n);
+  t.tau_capture.reserve(n);
+  t.tau_emission.reserve(n);
+  t.capture_ea.reserve(n);
+  t.emission_ea.reserve(n);
+  t.permanent.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    delta_vth_v.push_back(rng.exponential(params.delta_vth_mean_v.value()));
+    t.tau_capture.push_back(rng.loguniform(params.tau_capture_min_s.value(),
+                                           params.tau_capture_max_s.value()));
     const double rho = std::pow(
-        10.0, rng.normal(params_.emission_ratio_log10_mu,
-                         params_.emission_ratio_log10_sigma));
-    tau_emission_s_.push_back(rho * tau_capture_s_.back());
-    capture_ea_ev_.push_back(std::max(
-        0.0, rng.normal(params_.capture_ea_mean_ev, params_.capture_ea_sigma_ev)));
-    emission_ea_ev_.push_back(
-        std::max(0.0, rng.normal(params_.emission_ea_mean_ev,
-                                 params_.emission_ea_sigma_ev)));
-    permanent_.push_back(rng.bernoulli(params_.permanent_fraction) ? 1 : 0);
-    occupancy_.push_back(0.0);
+        10.0, rng.normal(params.emission_ratio_log10_mu,
+                         params.emission_ratio_log10_sigma));
+    t.tau_emission.push_back(rho * t.tau_capture.back());
+    t.capture_ea.push_back(std::max(
+        0.0, rng.normal(params.capture_ea_mean_ev, params.capture_ea_sigma_ev)));
+    t.emission_ea.push_back(
+        std::max(0.0, rng.normal(params.emission_ea_mean_ev,
+                                 params.emission_ea_sigma_ev)));
+    t.permanent.push_back(rng.bernoulli(params.permanent_fraction) ? 1 : 0);
   }
-  rate_cache_.resize(kRateCacheSlots);
+  return t;
 }
 
-const double* TrapEnsemble::arrhenius_factors(FactorCache& cache,
-                                              const std::vector<double>& ea_ev,
-                                              double arr_x) {
-  for (auto& s : cache.slots) {
-    if (s.valid && s.arr_x == arr_x) return s.f.data();
-  }
-  FactorCache::Slot& s = cache.slots[static_cast<std::size_t>(cache.next)];
-  cache.next = (cache.next + 1) % FactorCache::kSlots;
-  const std::size_t n = ea_ev.size();
-  s.f.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    s.f[i] = std::exp(-ea_ev[i] * arr_x);
-  }
-  s.arr_x = arr_x;
-  s.valid = true;
-  return s.f.data();
-}
+}  // namespace
 
-TrapEnsemble::CondScalars TrapEnsemble::scalars_for(
-    const OperatingCondition& c) const {
-  CondScalars s;
-  s.duty = std::clamp(c.gate_stress_duty, 0.0, 1.0);
+TrapEnsemble::TrapEnsemble(const TdParameters& params, std::uint64_t seed)
+    : core_(params, draw_traps(params, seed, delta_vth_v_), kRateCacheSlots),
+      occupancy_(delta_vth_v_.size(), 0.0) {}
 
-  // Gate bias seen during the *unstressed* fraction of the interval: a
-  // recovery interval applies its own (possibly negative) bias; the
-  // off-phase of an AC stress interval is simply unbiased.
-  const double emission_bias_v = s.duty == 0.0 ? c.voltage_v.value() : 0.0;
-
-  // Amplitude and per-Ea Arrhenius exponents are condition-level constants,
-  // hoisted out of the per-trap loops.
-  s.phi = s.duty > 0.0
-              ? occupancy_amplitude(params_, c.voltage_v, c.temperature_k)
-              : 0.0;
-  s.capture_field =
-      c.voltage_v >= params_.capture_threshold_voltage_v
-          ? std::exp(params_.capture_field_accel_per_v *
-                     (c.voltage_v - params_.stress_ref_voltage_v).value())
-          : 0.0;
-  s.capture_arr_x = (1.0 / c.temperature_k.value() -
-                     1.0 / params_.stress_ref_temp_k.value()) /
-                    kBoltzmannEv;
-  s.emission_bias_boost = std::exp(
-      params_.emission_neg_bias_accel_per_v * std::max(0.0, -emission_bias_v));
-  s.emission_arr_x = (1.0 / c.temperature_k.value() -
-                      1.0 / params_.recovery_ref_temp_k.value()) /
-                     kBoltzmannEv;
-  return s;
-}
-
-void TrapEnsemble::fill_and_step(RateEntry& e, const OperatingCondition& c,
-                                 double dt_s) {
-  const CondScalars s = scalars_for(c);
-
-  // Per-trap Arrhenius factors are a function of temperature alone (the
-  // voltage and duty enter only through the scalars above), so they come
-  // from a temperature-keyed memo that survives voltage/duty changes.
-  // Exact-zero duty multipliers are resolved here rather than per trap:
-  // the historical loop computed `duty * af_c` (resp. `(1-duty) * af_e`),
-  // which for a finite factor is exactly +0.0 — skipping the whole factor
-  // array in those cases is bit-identical and saves one exp() per trap.
-  const double* exp_c =
-      s.duty > 0.0 ? arrhenius_factors(capture_factors_, capture_ea_ev_,
-                                       s.capture_arr_x)
-                   : nullptr;
-  const double* exp_e =
-      s.duty < 1.0 ? arrhenius_factors(emission_factors_, emission_ea_ev_,
-                                       s.emission_arr_x)
-                   : nullptr;
-
-  // Rates, decay factor and occupancy update fused into one pass; the memo
-  // arrays are filled as a side effect for the steady-state sweeps that
-  // follow.
-  const std::size_t n = occupancy_.size();
-  e.lambda.resize(n);
-  e.p_inf.resize(n);
-  e.decay.resize(n);
-  double* occ = occupancy_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    // Exact expression order of the historical per-trap loop (with the
-    // memoized exp factors substituted operand-for-operand), so the cached
-    // rates are bit-identical to recomputing them every call.
-    const double rc =
-        exp_c != nullptr
-            ? s.duty * (s.capture_field * exp_c[i]) / tau_capture_s_[i]
-            : 0.0;
-    const double re =
-        exp_e != nullptr && permanent_[i] == 0
-            ? (1.0 - s.duty) * (s.emission_bias_boost * exp_e[i]) /
-                  tau_emission_s_[i]
-            : 0.0;
-    const double lambda = rc + re;
-    const double p_inf = lambda > 0.0 ? rc * s.phi / lambda : 0.0;
-    const double x = lambda * dt_s;
-    // lambda <= 0: with p_inf = 0, decay = 1 is the identity update.  exp
-    // underflows harmlessly for large x; short-circuit to avoid the call.
-    const double decay = lambda <= 0.0 ? 1.0 : (x > 700.0 ? 0.0 : std::exp(-x));
-    e.lambda[i] = lambda;
-    e.p_inf[i] = p_inf;
-    e.decay[i] = decay;
-    occ[i] = p_inf + (occ[i] - p_inf) * decay;
-  }
-
-  e.voltage_v = c.voltage_v;
-  e.temperature_k = c.temperature_k;
-  e.duty = s.duty;
-  e.decay_dt_s = dt_s;
-  e.valid = true;
-}
-
-void TrapEnsemble::transient_step(const OperatingCondition& c, double dt_s) {
-  const CondScalars s = scalars_for(c);
-  const double* exp_c =
-      s.duty > 0.0 ? arrhenius_factors(capture_factors_, capture_ea_ev_,
-                                       s.capture_arr_x)
-                   : nullptr;
-  const double* exp_e =
-      s.duty < 1.0 ? arrhenius_factors(emission_factors_, emission_ea_ev_,
-                                       s.emission_arr_x)
-                   : nullptr;
-
-  // Same per-trap math as fill_and_step, but nothing is written except the
-  // occupancies: rates and decay stay in registers or a small L1-resident
-  // block buffer.  Campaigns whose instruments drift (unique condition
-  // every interval) spend their whole evolve budget here, and the avoided
-  // memo stores — and their later cache evictions across a thousand-device
-  // chip — are the dominant cost.  The rate arithmetic (division-bound) is
-  // kept in its own exp-free loop so the compiler can vectorize it; the
-  // exp() calls and the occupancy update follow in a second pass over the
-  // same block.
-  const std::size_t n = occupancy_.size();
-  double* occ = occupancy_.data();
-  constexpr std::size_t kBlock = 128;
-  double lam[kBlock];
-  double pinf[kBlock];
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t len = std::min(kBlock, n - base);
-    for (std::size_t j = 0; j < len; ++j) {
-      const std::size_t i = base + j;
-      const double rc =
-          exp_c != nullptr
-              ? s.duty * (s.capture_field * exp_c[i]) / tau_capture_s_[i]
-              : 0.0;
-      const double re =
-          exp_e != nullptr && permanent_[i] == 0
-              ? (1.0 - s.duty) * (s.emission_bias_boost * exp_e[i]) /
-                    tau_emission_s_[i]
-              : 0.0;
-      const double lambda = rc + re;
-      lam[j] = lambda;
-      pinf[j] = lambda > 0.0 ? rc * s.phi / lambda : 0.0;
-    }
-    for (std::size_t j = 0; j < len; ++j) {
-      const double lambda = lam[j];
-      const double x = lambda * dt_s;
-      const double decay =
-          lambda <= 0.0 ? 1.0 : (x > 700.0 ? 0.0 : std::exp(-x));
-      const std::size_t i = base + j;
-      occ[i] = pinf[j] + (occ[i] - pinf[j]) * decay;
-    }
-  }
-}
-
-void TrapEnsemble::refill_decay_and_step(RateEntry& e, double dt_s) {
-  const double* lambda = e.lambda.data();
-  const double* p_inf = e.p_inf.data();
-  double* decay = e.decay.data();
-  double* occ = occupancy_.data();
-  const std::size_t n = occupancy_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = lambda[i] * dt_s;
-    const double d =
-        lambda[i] <= 0.0 ? 1.0 : (x > 700.0 ? 0.0 : std::exp(-x));
-    decay[i] = d;
-    occ[i] = p_inf[i] + (occ[i] - p_inf[i]) * d;
-  }
-  e.decay_dt_s = dt_s;
+bool TrapEnsemble::recurring_miss(const OperatingCondition& c) {
+  const double duty = std::clamp(c.gate_stress_duty, 0.0, 1.0);
+  const bool recurring = last_miss_valid_ &&
+                         last_miss_voltage_ == c.voltage_v &&
+                         last_miss_temp_ == c.temperature_k &&
+                         last_miss_duty_ == duty;
+  last_miss_voltage_ = c.voltage_v;
+  last_miss_temp_ = c.temperature_k;
+  last_miss_duty_ = duty;
+  last_miss_valid_ = !recurring;
+  return recurring;
 }
 
 void TrapEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
   const obs::ScopedKernelTimer timer(obs::Kernel::kTrapEnsembleEvolve);
-  const double dt_s = dt.value();
-  if (dt_s < 0.0) {
-    throw std::invalid_argument("TrapEnsemble::evolve: negative dt");
-  }
-  if (dt_s == 0.0) return;
-  if (c.voltage_v < params_.min_safe_voltage_v) {
-    throw std::invalid_argument(
-        "TrapEnsemble::evolve: voltage below pn-junction breakdown limit");
-  }
-  if (c.temperature_k > params_.max_safe_temp_k) {
-    throw std::invalid_argument(
-        "TrapEnsemble::evolve: temperature above functional limit");
-  }
-
-  const double duty = std::clamp(c.gate_stress_duty, 0.0, 1.0);
-  RateEntry* hit = nullptr;
-  for (auto& e : rate_cache_) {
-    if (e.valid && e.voltage_v == c.voltage_v &&
-        e.temperature_k == c.temperature_k && e.duty == duty) {
-      hit = &e;
-      break;
-    }
-  }
-
-  if (hit == nullptr) {
-    // A condition missing twice in a row is recurring (a fixed-step sweep,
-    // a benchmark, a multicore mission): promote it into the rate cache so
-    // the third and later steps take the exp-free sweep below.  A one-shot
-    // condition (drifting instruments) takes the store-free transient path.
-    const bool recurring = last_miss_valid_ &&
-                           last_miss_voltage_ == c.voltage_v &&
-                           last_miss_temp_ == c.temperature_k &&
-                           last_miss_duty_ == duty;
-    if (recurring) {
-      RateEntry& e = rate_cache_[static_cast<std::size_t>(rate_cache_next_)];
-      rate_cache_next_ = (rate_cache_next_ + 1) % kRateCacheSlots;
-      fill_and_step(e, c, dt_s);
-      last_miss_valid_ = false;
-    } else {
-      last_miss_voltage_ = c.voltage_v;
-      last_miss_temp_ = c.temperature_k;
-      last_miss_duty_ = duty;
-      last_miss_valid_ = true;
-      transient_step(c, dt_s);
-    }
-  } else if (hit->decay_dt_s != dt_s) {
-    refill_decay_and_step(*hit, dt_s);
+  if (!core_.check_step(c, dt)) return;
+  // A condition missing twice in a row is recurring (a fixed-step sweep, a
+  // benchmark, a multicore mission): it is promoted into the rate cache,
+  // and later steps with the same dt are one exp-free sweep.  A one-shot
+  // condition (drifting instruments) takes the store-free transient step.
+  if (core_.cached(c) || recurring_miss(c)) {
+    TrapKinetics::apply(core_.entry_for(c, dt), occupancy_.data());
   } else {
-    // Steady state (same condition, same dt — every fixed-step sweep after
-    // the first): one branch-free, exp-free FMA sweep
-    //   p' = p_inf + (p - p_inf) * decay
-    // (the exact linear-ODE solution over the interval, see trap.h).
-    const double* p_inf = hit->p_inf.data();
-    const double* decay = hit->decay.data();
-    double* occ = occupancy_.data();
-    const std::size_t n = occupancy_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      occ[i] = p_inf[i] + (occ[i] - p_inf[i]) * decay[i];
-    }
+    core_.transient_step(c, dt, occupancy_.data());
   }
   ++version_;
 }
@@ -302,7 +94,7 @@ double TrapEnsemble::permanent_delta_vth() const {
   double acc = 0.0;
   const std::size_t n = occupancy_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (permanent_[i] != 0) acc += occupancy_[i] * delta_vth_v_[i];
+    if (core_.traps().permanent[i] != 0) acc += occupancy_[i] * delta_vth_v_[i];
   }
   return acc;
 }
@@ -319,18 +111,6 @@ void TrapEnsemble::reset() {
 }
 
 std::vector<double> TrapEnsemble::occupancies() const { return occupancy_; }
-
-TrapEnsemble::PopulationView TrapEnsemble::population_view() const {
-  PopulationView v;
-  v.delta_vth_v = delta_vth_v_.data();
-  v.tau_capture_s = tau_capture_s_.data();
-  v.tau_emission_s = tau_emission_s_.data();
-  v.capture_ea_ev = capture_ea_ev_.data();
-  v.emission_ea_ev = emission_ea_ev_.data();
-  v.permanent = permanent_.data();
-  v.trap_count = trap_count();
-  return v;
-}
 
 void TrapEnsemble::set_occupancies(const std::vector<double>& occ) {
   if (occ.size() != occupancy_.size()) {

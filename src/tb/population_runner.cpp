@@ -218,7 +218,6 @@ std::vector<DataLog> PopulationRunner::run(
   if (tc.phases.empty()) return logs;
 
   bti::BatchConfig batch_config;
-  batch_config.fast_exp = population_.fast_exp;
   batch_config.pool = population_.pool;
   PopulationPhysics physics(chips, batch_config);
   const fpga::RingOscillator& structure = chips.front()->ro();

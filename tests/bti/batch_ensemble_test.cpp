@@ -1,6 +1,8 @@
 #include "ash/bti/batch_ensemble.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -154,25 +156,39 @@ TEST(BatchEnsemble, ThreadPoolShardingBitIdentical) {
   }
 }
 
-// Fast mode is approximate but tightly bounded: per-step factor error is
-// <= util::kFastExpRelErr, and it compounds only linearly with the step
-// count of the schedule, so the end-of-campaign shift agrees to ~1e-6.
-TEST(BatchEnsemble, FastModeStaysWithinErrorBudget) {
-  const auto specs = one_class_population(16);
-  BatchConfig fast;
-  fast.fast_exp = true;
-  BatchEnsemble exact_batch(specs, {});
-  BatchEnsemble fast_batch(specs, fast);
-  for (const auto& step : mixed_schedule()) {
-    exact_batch.evolve(step.condition, Seconds{step.dt_s});
-    fast_batch.evolve(step.condition, Seconds{step.dt_s});
+// More recurring conditions than either rate cache holds (6 solo slots,
+// 16 batch slots), each applied three times in a row so the solo ensemble
+// promotes it, and the whole cycle run twice with two dts: both caches
+// evict and refill slots that held another condition's arrays.
+TEST(BatchEnsemble, RateCacheEvictionStaysBitIdentical) {
+  const auto specs = one_class_population(8);
+  TrapEnsemble solo(specs.front().params, specs.front().seed);
+  BatchEnsemble single({specs.front()}, {});
+  BatchEnsemble batch(specs, {});
+  ASSERT_EQ(batch.class_count(), 1);
+
+  int step_index = 0;
+  for (const double dt_s : {60.0, 450.0}) {
+    for (int k = 0; k < 20; ++k) {
+      const OperatingCondition c =
+          k % 4 == 3 ? recovery(Volts{-0.05 * (k % 5)}, Celsius{25.0 + 5 * k})
+                     : ac_stress(Volts{1.0 + 0.02 * k}, Celsius{25.0 + 5 * k},
+                                 0.25 * (1 + k % 4));
+      for (int r = 0; r < 3; ++r, ++step_index) {
+        solo.evolve(c, Seconds{dt_s});
+        single.evolve(c, Seconds{dt_s});
+        batch.evolve(c, Seconds{dt_s});
+        const auto occ = solo.occupancies();
+        ASSERT_EQ(single.occupancies(0), occ) << "step " << step_index;
+        ASSERT_EQ(single.delta_vth(0), solo.delta_vth()) << "step " << step_index;
+        for (int m = 0; m < batch.member_count(); ++m) {
+          ASSERT_EQ(batch.occupancies(m), occ)
+              << "member " << m << " step " << step_index;
+        }
+      }
+    }
   }
-  for (int m = 0; m < exact_batch.member_count(); ++m) {
-    const double exact = exact_batch.delta_vth(m);
-    const double approx = fast_batch.delta_vth(m);
-    ASSERT_GT(exact, 0.0);
-    ASSERT_NEAR(approx / exact, 1.0, 1e-6) << "member " << m;
-  }
+  ASSERT_EQ(batch.delta_vth(0), solo.delta_vth());
 }
 
 TEST(BatchEnsemble, ValidationMatchesSoloAndLeavesStateUntouched) {
@@ -196,6 +212,110 @@ TEST(BatchEnsemble, ValidationMatchesSoloAndLeavesStateUntouched) {
   batch.evolve(stress, Seconds{0.0});
   EXPECT_EQ(batch.state_version(), version);
   EXPECT_EQ(batch.occupancies(2), before);
+}
+
+// Non-finite inputs throw before any state changes: each one would
+// otherwise poison every trap (NaN passes every ordered comparison).
+class BatchEnsembleNonFinite : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    batch_.evolve(stress_, Seconds{60.0});
+    before_ = batch_.occupancies(1);
+    version_ = batch_.state_version();
+  }
+  void expect_rejected(const OperatingCondition& c, Seconds dt) {
+    EXPECT_THROW(batch_.evolve(c, dt), std::invalid_argument);
+    EXPECT_EQ(batch_.state_version(), version_);
+    EXPECT_EQ(batch_.occupancies(1), before_);
+  }
+  static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  BatchEnsemble batch_{distinct_seed_population(3), {}};
+  OperatingCondition stress_ = dc_stress(Volts{1.2}, Celsius{110.0});
+  std::vector<double> before_;
+  std::uint64_t version_ = 0;
+};
+
+TEST_F(BatchEnsembleNonFinite, NanDtThrows) {
+  expect_rejected(stress_, Seconds{kNan});
+}
+
+TEST_F(BatchEnsembleNonFinite, NonFiniteVoltageThrows) {
+  OperatingCondition c = stress_;
+  c.voltage_v = Volts{kNan};
+  expect_rejected(c, Seconds{60.0});
+  c.voltage_v = Volts{kInf};
+  expect_rejected(c, Seconds{60.0});
+}
+
+TEST_F(BatchEnsembleNonFinite, NonFiniteTemperatureThrows) {
+  OperatingCondition c = stress_;
+  c.temperature_k = Kelvin{kNan};
+  expect_rejected(c, Seconds{60.0});
+  c.temperature_k = Kelvin{-kInf};
+  expect_rejected(c, Seconds{60.0});
+}
+
+TEST_F(BatchEnsembleNonFinite, NonFiniteDutyThrows) {
+  OperatingCondition c = stress_;
+  c.gate_stress_duty = kNan;
+  expect_rejected(c, Seconds{60.0});
+  c.gate_stress_duty = kInf;
+  expect_rejected(c, Seconds{60.0});
+}
+
+TEST_F(BatchEnsembleNonFinite, InfiniteDtReachesEquilibrium) {
+  TrapEnsemble solo(default_td_parameters(), derive_seed(0xBA7C4, 1));
+  solo.evolve(stress_, Seconds{60.0});
+  batch_.evolve(stress_, Seconds{kInf});
+  solo.evolve(stress_, Seconds{kInf});
+  EXPECT_EQ(batch_.occupancies(1), solo.occupancies());
+  for (const double p : solo.occupancies()) EXPECT_TRUE(std::isfinite(p));
+}
+
+// Every per-member accessor refuses an index outside [0, member_count())
+// and leaves the population untouched.
+class BatchEnsembleMemberIndex : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    batch_.evolve(dc_stress(Volts{1.2}, Celsius{110.0}), Seconds{60.0});
+    snapshot_ = batch_.delta_vth_all();
+    version_ = batch_.state_version();
+  }
+  void TearDown() override {
+    EXPECT_EQ(batch_.state_version(), version_);
+    EXPECT_EQ(batch_.delta_vth_all(), snapshot_);
+  }
+  BatchEnsemble batch_{distinct_seed_population(3), {}};
+  std::vector<double> snapshot_;
+  std::uint64_t version_ = 0;
+};
+
+TEST_F(BatchEnsembleMemberIndex, DeltaVth) {
+  EXPECT_THROW(batch_.delta_vth(3), std::out_of_range);
+  EXPECT_THROW(batch_.delta_vth(-1), std::out_of_range);
+}
+
+TEST_F(BatchEnsembleMemberIndex, Occupancies) {
+  EXPECT_THROW(batch_.occupancies(3), std::out_of_range);
+  EXPECT_THROW(batch_.occupancies(-1), std::out_of_range);
+}
+
+TEST_F(BatchEnsembleMemberIndex, TrapCount) {
+  EXPECT_THROW(batch_.trap_count(3), std::out_of_range);
+  EXPECT_THROW(batch_.trap_count(-1), std::out_of_range);
+}
+
+TEST_F(BatchEnsembleMemberIndex, Parameters) {
+  EXPECT_THROW(batch_.parameters(3), std::out_of_range);
+  EXPECT_THROW(batch_.parameters(-1), std::out_of_range);
+}
+
+TEST_F(BatchEnsembleMemberIndex, SetOccupancies) {
+  const std::vector<double> occ(
+      static_cast<std::size_t>(batch_.trap_count(0)), 0.5);
+  EXPECT_THROW(batch_.set_occupancies(3, occ), std::out_of_range);
+  EXPECT_THROW(batch_.set_occupancies(-1, occ), std::out_of_range);
 }
 
 TEST(BatchEnsemble, SetOccupanciesRoundTripAndReset) {

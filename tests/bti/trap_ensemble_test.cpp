@@ -1,6 +1,7 @@
 #include "ash/bti/trap_ensemble.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -232,6 +233,58 @@ TEST(TrapEnsemble, RejectsUnsafeConditions) {
   EXPECT_THROW(e.evolve(recovery(Volts{-0.6}, Celsius{20.0}), Seconds{1.0}), std::invalid_argument);
   EXPECT_THROW(e.evolve(dc_stress(Volts{1.2}, Celsius{150.0}), Seconds{1.0}), std::invalid_argument);
   EXPECT_THROW(e.evolve(ref_stress(), Seconds{-1.0}), std::invalid_argument);
+}
+
+// Non-finite inputs throw before any state changes: each one would
+// otherwise poison every trap (NaN passes every ordered comparison).
+void expect_rejected(const OperatingCondition& c, Seconds dt) {
+  auto e = fresh();
+  e.evolve(ref_stress(), Seconds{60.0});
+  const auto before = e.occupancies();
+  const auto version = e.state_version();
+  EXPECT_THROW(e.evolve(c, dt), std::invalid_argument);
+  EXPECT_EQ(e.state_version(), version);
+  EXPECT_EQ(e.occupancies(), before);
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(TrapEnsemble, RejectsNanDt) { expect_rejected(ref_stress(), Seconds{kNan}); }
+
+TEST(TrapEnsemble, RejectsNonFiniteVoltage) {
+  OperatingCondition c = ref_stress();
+  c.voltage_v = Volts{kNan};
+  expect_rejected(c, Seconds{60.0});
+  c.voltage_v = Volts{kInf};
+  expect_rejected(c, Seconds{60.0});
+}
+
+TEST(TrapEnsemble, RejectsNonFiniteTemperature) {
+  OperatingCondition c = ref_stress();
+  c.temperature_k = Kelvin{kNan};
+  expect_rejected(c, Seconds{60.0});
+  c.temperature_k = Kelvin{-kInf};
+  expect_rejected(c, Seconds{60.0});
+}
+
+TEST(TrapEnsemble, RejectsNonFiniteDuty) {
+  OperatingCondition c = ref_stress();
+  c.gate_stress_duty = kNan;
+  expect_rejected(c, Seconds{60.0});
+  c.gate_stress_duty = kInf;
+  expect_rejected(c, Seconds{60.0});
+}
+
+TEST(TrapEnsemble, InfiniteDtReachesEquilibrium) {
+  auto e = fresh();
+  e.evolve(ref_stress(), Seconds{kInf});
+  const double shift = e.delta_vth();
+  EXPECT_TRUE(std::isfinite(shift));
+  EXPECT_GT(shift, 0.0);
+  // The equilibrium is a fixed point.
+  e.evolve(ref_stress(), Seconds{hours(24.0)});
+  EXPECT_NEAR(e.delta_vth(), shift, shift * 1e-12);
 }
 
 TEST(TrapEnsemble, MaxShiftBoundsActualShift) {

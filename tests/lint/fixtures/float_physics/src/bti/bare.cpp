@@ -5,6 +5,6 @@ double pack(double x) {
 double legacy_decay(double x) {
   return expf(x);  // ash-lint: allow(float-physics)
 }
-double fast_exp_shim(double x) {  // ash-lint: allow(float-physics)
+double quick_exp_shim(double x) {  // ash-lint: allow(float-physics)
   return 1.0 + x;
 }

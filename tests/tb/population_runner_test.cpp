@@ -134,33 +134,6 @@ TEST(PopulationRunner, ThreadPoolShardingByteIdentical) {
   EXPECT_EQ(run_with(threaded), run_with({}));
 }
 
-// Fast mode keeps the sample grid and metadata while perturbing only the
-// physics-derived values within the documented budget.
-TEST(PopulationRunner, FastModeTracksExactClosely) {
-  const RunnerConfig config;
-  const TestCase tc = mini_campaign();
-
-  const auto run_one = [&](PopulationRunnerConfig pop) {
-    fpga::FpgaChip chip(chip_config(0));
-    std::vector<fpga::FpgaChip*> ptrs{&chip};
-    return PopulationRunner(config, pop).run(ptrs, tc).front();
-  };
-
-  PopulationRunnerConfig fast;
-  fast.fast_exp = true;
-  const DataLog exact = run_one({});
-  const DataLog approx = run_one(fast);
-  ASSERT_EQ(exact.size(), approx.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    const auto& e = exact.records()[i];
-    const auto& a = approx.records()[i];
-    EXPECT_EQ(e.t_campaign_s, a.t_campaign_s);
-    EXPECT_EQ(e.phase, a.phase);
-    ASSERT_GT(e.frequency_hz.value(), 0.0);
-    EXPECT_NEAR(a.frequency_hz / e.frequency_hz, 1.0, 1e-9) << "record " << i;
-  }
-}
-
 TEST(PopulationRunner, RejectsUnsupportedConfigurations) {
   RunnerConfig killed;
   killed.abort_at_campaign_s = Seconds{3600.0};

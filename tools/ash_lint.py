@@ -29,11 +29,9 @@ a handful of recognisable source patterns, so we lint for them:
                   trajectories.  The rule also polices exponentials: the
                   float-precision exp family (expf, exp2f, expm1f) and any
                   homebrew exponential approximation (a float/double
-                  function named like fast_exp / exp_approx) are findings
-                  in physics code *and* src/util — except inside
-                  src/util/include/ash/util/fast_exp.h, the one sanctioned
-                  approximate exponential.  Calling util::fast_exp is fine;
-                  defining a second one is not.
+                  function named like quick_exp / exp_approx) are findings
+                  in physics code *and* src/util, with no sanctioned site:
+                  the physics uses std::exp.
 
   raw-double-api  A function parameter spelled `double <name>_{s,v,k,c,hz}`
                   in a *public* section of a public header of the physics
@@ -344,16 +342,13 @@ PHYSICS_PREFIXES = ("src/bti/", "src/fpga/", "src/tb/", "src/mc/",
                     "src/core/")
 
 # The exponential half of the rule: float-precision exp family calls, and
-# definitions of a second approximate exponential.  Calls to the sanctioned
-# util::fast_exp never match (a call site has no leading float/double).
+# definitions of an approximate exponential.
 EXPF_CALL_RE = re.compile(
     r"(?<![\w.])(?:std::)?(expf|exp2f|expm1f|exp10f)\s*\(")
 FAST_EXP_DEF_RE = re.compile(
     r"\b(?:float|double)\s+"
     r"(\w*(?:fast|approx|quick|cheap)\w*?exp\w*|\w*exp\w*(?:approx|fast)\w*)"
     r"\s*\(")
-# The one place a non-std::exp exponential is allowed to live.
-FAST_EXP_HOME = "src/util/include/ash/util/fast_exp.h"
 EXP_SCOPE_PREFIXES = PHYSICS_PREFIXES + ("src/util/",)
 
 
@@ -368,23 +363,18 @@ def rule_float_physics(fl: FileLint) -> None:
                 "float-physics", no,
                 "float in a physics path: the models are calibrated in "
                 "double precision; use double (or a units.h strong type)")
-        if fl.rel == FAST_EXP_HOME:
-            continue
         m = EXPF_CALL_RE.search(line)
         if m:
             fl.report(
                 "float-physics", no,
                 f"{m.group(1)} is a single-precision exponential; use "
-                "std::exp, or route approximate physics through "
-                "util::fast_exp (the one sanctioned fast exponential)")
+                "std::exp")
         m = FAST_EXP_DEF_RE.search(line)
         if m:
             fl.report(
                 "float-physics", no,
-                f"'{m.group(1)}' looks like a second approximate "
-                "exponential; util/fast_exp.h is the only allowed site "
-                "for a non-std::exp implementation — call util::fast_exp "
-                "instead")
+                f"'{m.group(1)}' looks like an approximate exponential; "
+                "the physics is calibrated against std::exp, so use it")
 
 
 # --------------------------------------------------------------------------
