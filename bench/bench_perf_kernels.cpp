@@ -18,7 +18,9 @@
 #include "ash/bti/batch_ensemble.h"
 #include "ash/bti/closed_form.h"
 #include "ash/bti/trap_ensemble.h"
+#include "ash/fleet/service.h"
 #include "ash/fpga/chip.h"
+#include "ash/mc/margin.h"
 #include "ash/mc/system.h"
 #include "ash/obs/profile.h"
 #include "ash/tb/experiment_runner.h"
@@ -141,7 +143,8 @@ double wall_ms(const std::chrono::steady_clock::time_point begin,
 /// the three regimes that matter: the steady-state trap kernel (rate-cache
 /// hits), the chip-5 runner campaign (chamber noise defeats the cache —
 /// the honest end-to-end number) and a fixed-condition drive of the same
-/// chip (cache-friendly end-to-end).
+/// chip (cache-friendly end-to-end).  A margin pass times the fleet's read
+/// path: a whole-shard query and the same devices asked one at a time.
 int run_json_mode(const std::string& path) {
   using clock = std::chrono::steady_clock;
   using namespace ash;
@@ -328,6 +331,55 @@ int run_json_mode(const std::string& path) {
     }
   }
 
+  // Margin projection: one 256-device whole-shard query (priors by the
+  // fleet service's genesis rule, one mission schedule) and the same 256
+  // devices as single queries, asserted bit-identical.  Recorded in the
+  // ledger, not gated.
+  constexpr int kMarginDevices = 256;
+  constexpr int kMarginRounds = 100;
+  double margin_single_us = 0.0;
+  double margin_batch_us = 0.0;
+  {
+    const bti::ClosedFormModel model(bti::ClosedFormParameters{});
+    const fleet::ServiceState genesis = fleet::ServiceState::genesis(
+        kMarginDevices, Volts{12e-3},
+        default_seed(SeedStream::kFleetService));
+    std::vector<mc::MarginQuery> shard;
+    for (const fleet::DeviceAging& device : genesis.devices) {
+      mc::MarginQuery q;
+      q.delta_vth = device.delta_vth;
+      q.margin = genesis.margin;
+      shard.push_back(q);
+    }
+    std::vector<mc::MarginOutlook> batched;
+    auto t0 = clock::now();
+    for (int r = 0; r < kMarginRounds; ++r) {
+      batched = mc::margin_outlook(model, shard);
+      benchmark::DoNotOptimize(batched.data());
+    }
+    margin_batch_us = wall_ms(t0, clock::now()) * 1e3 / kMarginRounds;
+    std::vector<mc::MarginOutlook> single(shard.size());
+    t0 = clock::now();
+    for (int r = 0; r < kMarginRounds; ++r) {
+      for (std::size_t d = 0; d < shard.size(); ++d) {
+        single[d] = mc::margin_outlook(model, shard[d]);
+      }
+      benchmark::DoNotOptimize(single.data());
+    }
+    margin_single_us =
+        wall_ms(t0, clock::now()) * 1e3 / (kMarginRounds * kMarginDevices);
+    for (std::size_t d = 0; d < shard.size(); ++d) {
+      if (single[d].crosses != batched[d].crosses ||
+          single[d].time_to_margin != batched[d].time_to_margin) {
+        std::fprintf(stderr,
+                     "bench_perf_kernels: batched margin diverged from the "
+                     "single query at device %zu\n",
+                     d);
+        return 1;
+      }
+    }
+  }
+
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "bench_perf_kernels: cannot write %s\n",
@@ -350,7 +402,7 @@ int run_json_mode(const std::string& path) {
                   i + 1 < profiles.size() ? "," : "");
     os << line;
   }
-  char tail[560];
+  char tail[640];
   std::snprintf(tail, sizeof(tail),
                 "  ],\n  \"chip5_campaign_wall_ms\": %.1f,\n"
                 "  \"chip5_fixed_drive_wall_ms\": %.1f,\n"
@@ -358,10 +410,13 @@ int run_json_mode(const std::string& path) {
                 "  \"population_steps\": %d,\n"
                 "  \"population_independent_wall_ms\": %.1f,\n"
                 "  \"population_batch_wall_ms\": %.1f,\n"
-                "  \"population_speedup_exact\": %.2f\n}\n",
+                "  \"population_speedup_exact\": %.2f,\n"
+                "  \"margin_single_us\": %.2f,\n"
+                "  \"margin_batch256_us\": %.1f\n}\n",
                 campaign_ms, fixed_drive_ms, kPopChips, pop_steps,
                 pop_independent_ms, pop_batch_ms,
-                pop_independent_ms / pop_batch_ms);
+                pop_independent_ms / pop_batch_ms, margin_single_us,
+                margin_batch_us);
   os << tail;
   std::printf("wrote %s\n%s", path.c_str(), obs::profile_table().c_str());
   std::printf("chip5 campaign: %.1f ms   fixed drive: %.1f ms\n",
@@ -371,6 +426,8 @@ int run_json_mode(const std::string& path) {
       "(%.1fx)\n",
       kPopChips, pop_steps, pop_independent_ms, pop_batch_ms,
       pop_independent_ms / pop_batch_ms);
+  std::printf("margin: single %.2f us/query   whole-shard (%d devices) %.1f us\n",
+              margin_single_us, kMarginDevices, margin_batch_us);
   return 0;
 }
 

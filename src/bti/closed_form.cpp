@@ -123,16 +123,15 @@ double ClosedFormModel::ac_amplitude_factor(const OperatingCondition& c) const {
   return 1.0 / (1.0 + r);
 }
 
-double ClosedFormModel::stress_delta_vth(Seconds t,
-                                         const OperatingCondition& c) const {
-  const double t_s = t.value();
-  if (t_s <= 0.0 || !c.is_stressing()) return 0.0;
-  const double afc = capture_acceleration(c.voltage_v, c.temperature_k);
-  if (afc <= 0.0) return 0.0;
-  const double t_eff = t_s * std::clamp(c.gate_stress_duty, 0.0, 1.0) * afc;
-  const double amp =
-      beta(c.voltage_v, c.temperature_k) * ac_amplitude_factor(c);
-  return amp * std::log1p(t_eff / params_.tau_stress_s.value());
+StressLaw ClosedFormModel::stress_law(const OperatingCondition& c) const {
+  StressLaw law;
+  law.tau = params_.tau_stress_s;
+  if (!c.is_stressing()) return law;
+  law.afc = capture_acceleration(c.voltage_v, c.temperature_k);
+  if (law.afc <= 0.0) return law;
+  law.duty = std::clamp(c.gate_stress_duty, 0.0, 1.0);
+  law.amp = beta(c.voltage_v, c.temperature_k) * ac_amplitude_factor(c);
+  return law;
 }
 
 double ClosedFormModel::remaining_fraction(Seconds t1_equiv, Seconds t2,
@@ -165,8 +164,8 @@ double ClosedFormAger::equivalent_stress_time(double beta_v) const {
 
 void ClosedFormAger::advance_stress(const OperatingCondition& c, double dt_s) {
   in_recovery_episode_ = false;
-  const double afc = model_.capture_acceleration(c.voltage_v, c.temperature_k);
-  if (afc <= 0.0) {
+  const StressLaw law = model_.stress_law(c);
+  if (law.afc <= 0.0) {
     // Biased below the capture threshold: the stressed fraction does
     // nothing; the unbiased fraction passively recovers at 0 V.
     OperatingCondition passive = c;
@@ -176,13 +175,11 @@ void ClosedFormAger::advance_stress(const OperatingCondition& c, double dt_s) {
     in_recovery_episode_ = false;
     return;
   }
-  const double amp = model_.beta(c.voltage_v, c.temperature_k) *
-                     model_.ac_amplitude_factor(c);
+  const double amp = law.amp;
   if (amp <= 0.0) return;
-  const double tau_s = model_.parameters().tau_stress_s.value();
+  const double tau_s = law.tau.value();
   const double perm = model_.parameters().permanent_ratio;
-  const double dt_eff =
-      dt_s * std::clamp(c.gate_stress_duty, 0.0, 1.0) * afc;
+  const double dt_eff = dt_s * law.duty * law.afc;
 
   // Reversible traps: refill from the current (possibly healed) state —
   // fast traps recaptured first, so re-stress initially degrades fast.

@@ -14,6 +14,14 @@
 ///     estimator evolve hundreds of simulated years; the stateful
 ///     `ClosedFormAger` is O(1) per schedule segment where the trap
 ///     ensemble is O(traps).
+///
+/// The stress law under one fixed condition is a value, `StressLaw`: its
+/// condition-only factors (six `exp`s) are evaluated once by
+/// `ClosedFormModel::stress_law`, and each time point then costs one
+/// `log1p`.  `stress_delta_vth`, the ager's stress step and the margin
+/// projection (`ash::mc::margin_outlook`) all read the same law.
+
+#include <cmath>
 
 #include "ash/bti/condition.h"
 #include "ash/bti/parameters.h"
@@ -76,6 +84,32 @@ struct ClosedFormParameters {
   void validate() const;
 };
 
+/// Eq. (1) under one fixed operating condition:
+///   DeltaVth(t) = amp * ln(1 + t * duty * afc / tau)
+/// with every condition-only factor already evaluated.  Built by
+/// `ClosedFormModel::stress_law`.
+struct StressLaw {
+  /// Gate stress duty clamped to [0, 1].
+  double duty = 0.0;
+  /// Capture acceleration AFc(V, T); 0 when the condition does not stress
+  /// or is biased below the capture threshold.
+  double afc = 0.0;
+  /// beta(V, T) * ac_amplitude_factor, volts per ln-unit; evaluated only
+  /// when afc > 0.
+  double amp = 0.0;
+  /// Stress onset time constant (1/C of Eq. (1)).
+  Seconds tau{120.0};
+
+  /// DeltaVth after stressing a fresh device for t under this condition;
+  /// 0 for t <= 0 and for a condition that does not age (afc == 0).
+  double delta_vth(Seconds t) const {
+    const double t_s = t.value();
+    if (t_s <= 0.0 || afc <= 0.0) return 0.0;
+    const double t_eff = t_s * duty * afc;
+    return amp * std::log1p(t_eff / tau.value());
+  }
+};
+
 /// Stateless evaluations of the closed-form laws.
 class ClosedFormModel {
  public:
@@ -97,9 +131,16 @@ class ClosedFormModel {
   /// concurrent emission of the unbiased half-cycles.  1 for DC.
   double ac_amplitude_factor(const OperatingCondition& c) const;
 
-  /// DeltaVth after stressing a fresh device for t_s seconds (Eq. (1)).
-  /// `duty` scales the effective stress time (AC operation).
-  double stress_delta_vth(Seconds t, const OperatingCondition& c) const;
+  /// The stress law of Eq. (1) under `c`, its condition-only factors
+  /// evaluated once.
+  StressLaw stress_law(const OperatingCondition& c) const;
+
+  /// DeltaVth after stressing a fresh device for t seconds (Eq. (1)).
+  /// `duty` scales the effective stress time (AC operation).  One-shot
+  /// form of `stress_law(c).delta_vth(t)`.
+  double stress_delta_vth(Seconds t, const OperatingCondition& c) const {
+    return stress_law(c).delta_vth(t);
+  }
 
   /// Fraction of a stress phase's DeltaVth remaining after recovering for
   /// t2_s seconds under `c`, given the stress phase lasted t1_equiv_s at

@@ -279,8 +279,9 @@ inline constexpr std::uint64_t kMaxMarginBatchDevices = 4096;
 
 /// The whole-shard margin query: one mission schedule, many devices.  The
 /// daemon answers through the batched mc::margin_outlook overload, which
-/// hoists the schedule-dependent work once — each row is still
-/// bit-identical to the corresponding single-device kMarginRequest.
+/// builds the schedule's stress law and ceiling once for the whole request
+/// — each row is still bit-identical to the corresponding single-device
+/// kMarginRequest.
 struct MarginBatchRequest {
   std::vector<std::uint64_t> device_ids;
   /// Queried mission schedule, shared by every device of the batch.

@@ -12,9 +12,21 @@
 /// stress law to find the stress-equivalent age t0 that reproduces the
 /// current DeltaVth under the queried condition, then bisects for the
 /// first instant the projected shift reaches the margin.  Everything is
-/// closed-form + bisection to fixed iteration count — bit-deterministic,
-/// which is what lets two fleet daemons (one chaos-ridden, one not)
-/// answer the same query with identical bytes.
+/// closed-form + bisection to its floating-point fixed point, capped at
+/// 200 steps — bit-deterministic, which is what lets two fleet daemons
+/// (one chaos-ridden, one not) answer the same query with identical bytes.
+///
+/// The law is built once per query (`bti::ClosedFormModel::stress_law`),
+/// so each bisection step is one `log1p`.  The bisection stops as soon as
+/// `mid == hi`, or `mid == lo` with `lo > 0`: from then on a 200-step loop
+/// could never move `hi`, so the answer is the bits the full loop returns.
+/// `hi` always satisfies law(hi) >= target (the caller checked the ceiling
+/// and the horizon with the same law), and `lo > 0` was set only because
+/// law(lo) < target, so re-evaluating either endpoint re-takes the branch
+/// that leaves it in place.  `lo == 0` with `mid == 0` would need `hi` at
+/// or below the smallest subnormal, which 200 halvings from any `hi` the
+/// projection bisects (>= 6e-42) never reach; the loop simply continues
+/// there, as the full loop would.
 
 #include <vector>
 
@@ -54,12 +66,13 @@ MarginOutlook margin_outlook(const bti::ClosedFormModel& model,
 
 /// Batched projection — the whole-shard form of the query ("when does
 /// every device of this shard cross, under one mission schedule?").  The
-/// expensive condition-independent work (operating-condition construction
-/// and the kMaxProjectSeconds ceiling evaluation) is hoisted once per
-/// distinct (duty, vdd, temp) triple instead of once per device; the
-/// per-device bisections are untouched, so each element of the result is
-/// bit-identical to margin_outlook(model, queries[i]).  Validates every
-/// query before projecting any (all-or-nothing on malformed input).
+/// per-schedule work (the stress law and its kMaxProjectSeconds ceiling)
+/// is rebuilt only when a query's (duty, vdd, temp) differs from the
+/// previous query's, so a one-schedule shard builds it once; the
+/// per-device bisections are the single call's, so each element of the
+/// result is bit-identical to margin_outlook(model, queries[i]).
+/// Validates every query before projecting any (all-or-nothing on
+/// malformed input).
 std::vector<MarginOutlook> margin_outlook(
     const bti::ClosedFormModel& model, const std::vector<MarginQuery>& queries);
 

@@ -1,5 +1,6 @@
 #include "ash/mc/margin.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,8 +10,9 @@ namespace ash::mc {
 
 namespace {
 
-/// Fixed-iteration bisection keeps the answer bit-deterministic across
-/// platforms and runs (the fleet protocol's transcript invariant).
+/// Cap on the bisection's steps.  The loop stops earlier, at its fixed
+/// point, so the cap only bounds work; the answer is the same bits either
+/// way (the fleet protocol's transcript invariant).
 constexpr int kBisectIterations = 200;
 
 /// Largest projection time we ever evaluate: ~3e11 years.  The log law is
@@ -39,15 +41,17 @@ void validate(const MarginQuery& q) {
   }
 }
 
-/// Smallest t in [0, hi] with delta(t) >= target, assuming delta is
-/// monotone nondecreasing and delta(hi) >= target.
-double bisect_first_reach(const bti::ClosedFormModel& model,
-                          const bti::OperatingCondition& c, double target,
+/// Smallest t in [0, hi] with law(t) >= target, assuming the law is
+/// monotone nondecreasing and law(hi) >= target.  Stops at the bisection's
+/// floating-point fixed point, where the 200-step loop would keep re-
+/// evaluating the same mid without moving `hi` (see margin.h).
+double bisect_first_reach(const bti::StressLaw& law, double target,
                           double hi) {
   double lo = 0.0;
   for (int i = 0; i < kBisectIterations; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (model.stress_delta_vth(Seconds{mid}, c) >= target) {
+    if (mid == hi || (mid == lo && lo > 0.0)) break;
+    if (law.delta_vth(Seconds{mid}) >= target) {
       hi = mid;
     } else {
       lo = mid;
@@ -56,13 +60,12 @@ double bisect_first_reach(const bti::ClosedFormModel& model,
   return hi;
 }
 
-/// The query-specific tail of the projection, with the condition and its
-/// kMaxProjectSeconds ceiling supplied by the caller.  Shared by the single
-/// and the batched entry points so a hoisted (condition, ceiling) pair
-/// yields bit-identical answers by construction.
-MarginOutlook project(const bti::ClosedFormModel& model,
-                      const MarginQuery& query,
-                      const bti::OperatingCondition& c, double ceiling) {
+/// The query-specific tail of the projection, with the schedule's stress
+/// law and its kMaxProjectSeconds ceiling supplied by the caller.  Shared
+/// by the single and the batched entry points so a hoisted (law, ceiling)
+/// pair yields bit-identical answers by construction.
+MarginOutlook project(const bti::StressLaw& law, const MarginQuery& query,
+                      double ceiling) {
   MarginOutlook outlook;
   // If even kMaxProjectSeconds of this condition cannot reproduce the
   // current shift (or reach the margin), the condition ages the device too
@@ -74,27 +77,36 @@ MarginOutlook project(const bti::ClosedFormModel& model,
   }
   // Invert the monotone stress law: find the stress-equivalent age t0 that
   // reproduces the device's current shift under the queried condition.
-  const double t0 = bisect_first_reach(model, c, query.delta_vth.value(),
-                                       kMaxProjectSeconds);
+  const double t0 =
+      bisect_first_reach(law, query.delta_vth.value(), kMaxProjectSeconds);
 
   // Does the projected shift reach the margin inside the horizon?
   const double at_horizon =
-      model.stress_delta_vth(Seconds{t0 + query.horizon.value()}, c);
+      law.delta_vth(Seconds{t0 + query.horizon.value()});
   if (at_horizon < query.margin.value()) {
     outlook.crosses = false;
     outlook.time_to_margin = query.horizon;
     return outlook;
   }
-  const double t_cross = bisect_first_reach(model, c, query.margin.value(),
+  const double t_cross = bisect_first_reach(law, query.margin.value(),
                                             t0 + query.horizon.value());
   outlook.crosses = true;
   outlook.time_to_margin = Seconds{std::max(0.0, t_cross - t0)};
   return outlook;
 }
 
-bti::OperatingCondition condition_of(const MarginQuery& query) {
-  return query.duty > 0.0 ? bti::ac_stress(query.vdd, query.temp, query.duty)
-                          : bti::recovery(query.vdd, query.temp);
+bti::StressLaw law_of(const bti::ClosedFormModel& model,
+                      const MarginQuery& query) {
+  return model.stress_law(
+      query.duty > 0.0 ? bti::ac_stress(query.vdd, query.temp, query.duty)
+                       : bti::recovery(query.vdd, query.temp));
+}
+
+MarginOutlook already_past_margin() {
+  MarginOutlook outlook;
+  outlook.crosses = true;
+  outlook.time_to_margin = Seconds{0.0};
+  return outlook;
 }
 
 }  // namespace
@@ -102,18 +114,12 @@ bti::OperatingCondition condition_of(const MarginQuery& query) {
 MarginOutlook margin_outlook(const bti::ClosedFormModel& model,
                              const MarginQuery& query) {
   validate(query);
-
+  // Already past budget: the crossing is now.
   if (query.delta_vth.value() >= query.margin.value()) {
-    // Already past budget: the crossing is now.
-    MarginOutlook outlook;
-    outlook.crosses = true;
-    outlook.time_to_margin = Seconds{0.0};
-    return outlook;
+    return already_past_margin();
   }
-
-  const bti::OperatingCondition c = condition_of(query);
-  const double ceiling = model.stress_delta_vth(Seconds{kMaxProjectSeconds}, c);
-  return project(model, query, c, ceiling);
+  const bti::StressLaw law = law_of(model, query);
+  return project(law, query, law.delta_vth(Seconds{kMaxProjectSeconds}));
 }
 
 std::vector<MarginOutlook> margin_outlook(
@@ -121,47 +127,27 @@ std::vector<MarginOutlook> margin_outlook(
     const std::vector<MarginQuery>& queries) {
   for (const MarginQuery& q : queries) validate(q);
 
-  // One hoisted (condition, ceiling) per distinct mission schedule.  A
-  // whole-shard query carries one schedule for every device, so the linear
-  // scan stays O(1) per query in practice.
-  struct Hoisted {
-    double duty;
-    double vdd;
-    double temp;
-    bti::OperatingCondition c;
-    double ceiling;
-  };
-  std::vector<Hoisted> hoisted;
+  // The last schedule seen (`memo`) and its hoisted (law, ceiling).  A
+  // whole-shard query carries one schedule for every device, so the law is
+  // built once; a schedule change costs one law rebuild, never a scan.
+  const MarginQuery* memo = nullptr;
+  bti::StressLaw law;
+  double ceiling = 0.0;
 
   std::vector<MarginOutlook> outlooks;
   outlooks.reserve(queries.size());
   for (const MarginQuery& q : queries) {
     if (q.delta_vth.value() >= q.margin.value()) {
-      MarginOutlook outlook;
-      outlook.crosses = true;
-      outlook.time_to_margin = Seconds{0.0};
-      outlooks.push_back(outlook);
+      outlooks.push_back(already_past_margin());
       continue;
     }
-    const Hoisted* entry = nullptr;
-    for (const Hoisted& h : hoisted) {
-      if (h.duty == q.duty && h.vdd == q.vdd.value() &&
-          h.temp == q.temp.value()) {
-        entry = &h;
-        break;
-      }
+    if (memo == nullptr || memo->duty != q.duty || memo->vdd != q.vdd ||
+        memo->temp != q.temp) {
+      memo = &q;
+      law = law_of(model, q);
+      ceiling = law.delta_vth(Seconds{kMaxProjectSeconds});
     }
-    if (entry == nullptr) {
-      Hoisted h;
-      h.duty = q.duty;
-      h.vdd = q.vdd.value();
-      h.temp = q.temp.value();
-      h.c = condition_of(q);
-      h.ceiling = model.stress_delta_vth(Seconds{kMaxProjectSeconds}, h.c);
-      hoisted.push_back(h);
-      entry = &hoisted.back();
-    }
-    outlooks.push_back(project(model, q, entry->c, entry->ceiling));
+    outlooks.push_back(project(law, q, ceiling));
   }
   return outlooks;
 }

@@ -1,11 +1,15 @@
 #include "ash/bti/closed_form.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "ash/bti/trap_ensemble.h"
 #include "ash/util/constants.h"
+#include "ash/util/crc32.h"
+#include "ash/util/random.h"
 
 namespace ash::bti {
 namespace {
@@ -215,6 +219,63 @@ TEST(ClosedFormAger, ResetRestoresFresh) {
   ager.reset();
   EXPECT_DOUBLE_EQ(ager.delta_vth(), 0.0);
   EXPECT_DOUBLE_EQ(ager.permanent_delta_vth(), 0.0);
+}
+
+// Bit pins: the CRC-32 of every double's bit pattern along a seeded
+// schedule and over a grid.  A refactor of the closed-form law (expression
+// order, hoisting, early-outs) must leave them unchanged; a change of the
+// physics must update them on purpose.
+void crc_double(util::Crc32& crc, double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  crc.update(&bits, sizeof bits);
+}
+
+TEST(ClosedFormBits, AgerScheduleIsPinned) {
+  const double volts[] = {0.3, 0.6, 0.9, 1.2, 1.8, 2.5};
+  const double temps_c[] = {-20.0, 25.0, 80.0, 110.0, 150.0};
+  const double duties[] = {1.0, 0.5, 0.25, 1e-9, 5e-324, 0.999};
+  const double heal_volts[] = {0.0, -0.3, 0.4};
+  ClosedFormAger ager(params());
+  Rng rng(derive_seed(0xC10DF0u, 1));
+  util::Crc32 crc;
+  for (int i = 0; i < 1200; ++i) {
+    OperatingCondition c;
+    c.temperature_k = Kelvin{celsius(temps_c[rng.uniform_index(5)])};
+    if (rng.uniform() < 0.7) {
+      c.voltage_v = Volts{volts[rng.uniform_index(6)]};
+      c.gate_stress_duty = duties[rng.uniform_index(6)];
+    } else {
+      c.voltage_v = Volts{heal_volts[rng.uniform_index(3)]};
+      c.gate_stress_duty = 0.0;
+    }
+    ager.evolve(c, Seconds{std::pow(10.0, rng.uniform(-3.0, 7.0))});
+    crc_double(crc, ager.delta_vth());
+    crc_double(crc, ager.permanent_delta_vth());
+  }
+  EXPECT_EQ(crc.value(), 0x39C312F8u);
+}
+
+TEST(ClosedFormBits, StressDeltaVthGridIsPinned) {
+  const ClosedFormModel m(params());
+  const double times[] = {-1.0, 0.0,  5e-324, 1e-9, 1.0, 120.0,
+                          3.6e3, 1e6, 3.2e8,  1e12, 1e19};
+  const double volts[] = {-0.3, 0.0, 0.59, 0.6, 0.9, 1.2, 2.5};
+  const double temps_c[] = {25.0, 60.0, 80.0, 100.0, 110.0};
+  const double duties[] = {0.0, 5e-324, 1e-9, 0.05, 0.5, 0.95, 1.0};
+  util::Crc32 crc;
+  for (double v : volts) {
+    for (double t_c : temps_c) {
+      for (double duty : duties) {
+        OperatingCondition c;
+        c.voltage_v = Volts{v};
+        c.temperature_k = Kelvin{celsius(t_c)};
+        c.gate_stress_duty = duty;
+        for (double t : times) crc_double(crc, m.stress_delta_vth(Seconds{t}, c));
+      }
+    }
+  }
+  EXPECT_EQ(crc.value(), 0xF0520F9Au);
 }
 
 TEST(ClosedFormParameters, ValidateRejectsNonsense) {

@@ -1,6 +1,8 @@
 #include "ash/mc/margin.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 #include "ash/bti/closed_form.h"
 #include "ash/bti/condition.h"
+#include "ash/util/random.h"
 #include "ash/util/units.h"
 
 namespace ash::mc {
@@ -150,6 +153,29 @@ TEST(MarginOutlook, BatchedOverloadIsBitIdenticalToSingleCalls) {
     q.horizon = Seconds{1e15};
     queries.push_back(q);
   }
+  // Per-device schedules: 800 distinct ones, then 800 in runs of 16 equal
+  // schedules, then 800 alternating query by query.  In the last two
+  // blocks consecutive schedules differ in exactly one of (duty, vdd,
+  // temp) (a Gray code over the three fields), so a hoisted law reused
+  // across a change of any single field shows up as a mismatch.
+  Rng rng(derive_seed(0x3A561Bu, 1));
+  for (int i = 0; i < 2400; ++i) {
+    MarginQuery q;
+    q.delta_vth = Volts{rng.uniform(0.0, 11e-3)};
+    q.horizon = Seconds{1e15};
+    if (i < 800) {
+      q.duty = rng.uniform(0.0, 1.0);
+      q.vdd = Volts{rng.uniform(0.5, 2.5)};
+      q.temp = Celsius{rng.uniform(25.0, 125.0)};
+    } else {
+      const int step = i < 1600 ? i / 16 : i;
+      const int gray = step ^ (step >> 1);
+      q.duty = (gray & 1) != 0 ? 0.3 : 0.5;
+      q.vdd = Volts{(gray & 2) != 0 ? 1.1 : 1.2};
+      q.temp = Celsius{(gray & 4) != 0 ? 100.0 : 80.0};
+    }
+    queries.push_back(q);
+  }
   const std::vector<MarginOutlook> batched = margin_outlook(model(), queries);
   ASSERT_EQ(batched.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -159,6 +185,161 @@ TEST(MarginOutlook, BatchedOverloadIsBitIdenticalToSingleCalls) {
               solo.time_to_margin.value())
         << "query " << i;
   }
+}
+
+// The projection as it was first written: 200 bisection steps, each one
+// evaluating the stateless law through ClosedFormModel::stress_delta_vth.
+// The production path hoists the condition into a bti::StressLaw and stops
+// at the bisection's floating-point fixed point; it must return the same
+// bits as this reference on every query.
+namespace reference {
+
+constexpr int kBisectIterations = 200;
+constexpr double kMaxProjectSeconds = 1e19;
+
+double bisect_first_reach(const bti::ClosedFormModel& model,
+                          const bti::OperatingCondition& c, double target,
+                          double hi) {
+  double lo = 0.0;
+  for (int i = 0; i < kBisectIterations; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (model.stress_delta_vth(Seconds{mid}, c) >= target) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+MarginOutlook margin_outlook(const bti::ClosedFormModel& model,
+                             const MarginQuery& query) {
+  if (query.delta_vth.value() >= query.margin.value()) {
+    MarginOutlook outlook;
+    outlook.crosses = true;
+    outlook.time_to_margin = Seconds{0.0};
+    return outlook;
+  }
+  const bti::OperatingCondition c =
+      query.duty > 0.0 ? bti::ac_stress(query.vdd, query.temp, query.duty)
+                       : bti::recovery(query.vdd, query.temp);
+  const double ceiling = model.stress_delta_vth(Seconds{kMaxProjectSeconds}, c);
+  MarginOutlook outlook;
+  if (ceiling < query.margin.value() || ceiling < query.delta_vth.value()) {
+    outlook.crosses = false;
+    outlook.time_to_margin = query.horizon;
+    return outlook;
+  }
+  const double t0 = bisect_first_reach(model, c, query.delta_vth.value(),
+                                       kMaxProjectSeconds);
+  const double at_horizon =
+      model.stress_delta_vth(Seconds{t0 + query.horizon.value()}, c);
+  if (at_horizon < query.margin.value()) {
+    outlook.crosses = false;
+    outlook.time_to_margin = query.horizon;
+    return outlook;
+  }
+  const double t_cross = bisect_first_reach(model, c, query.margin.value(),
+                                            t0 + query.horizon.value());
+  outlook.crosses = true;
+  outlook.time_to_margin = Seconds{std::max(0.0, t_cross - t0)};
+  return outlook;
+}
+
+}  // namespace reference
+
+/// Number of queries whose single-call or batched answer differs from the
+/// reference in `crosses` or in any bit of `time_to_margin`.
+int count_mismatches(const std::vector<MarginQuery>& queries) {
+  const bti::ClosedFormModel m = model();
+  const std::vector<MarginOutlook> batched = margin_outlook(m, queries);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const MarginOutlook want = reference::margin_outlook(m, queries[i]);
+    const double want_t = want.time_to_margin.value();
+    for (const MarginOutlook& got : {margin_outlook(m, queries[i]), batched[i]}) {
+      const double got_t = got.time_to_margin.value();
+      if (got.crosses != want.crosses ||
+          std::memcmp(&got_t, &want_t, sizeof got_t) != 0) {
+        if (++mismatches > 10) break;
+        ADD_FAILURE() << "query " << i << ": delta_vth "
+                      << queries[i].delta_vth.value() << " duty "
+                      << queries[i].duty << " horizon "
+                      << queries[i].horizon.value();
+        break;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(MarginOutlook, FixedPointBisectionMatchesReference) {
+  constexpr double kMargin = 12e-3;
+  constexpr double kTenYears = 10.0 * 365.25 * 24.0 * 3600.0;
+
+  // Benchmark-like traffic: devices short of a 12 mV budget, nominal
+  // supply, three chamber temperatures, a ten-year horizon.
+  Rng rng(derive_seed(0x3A561Bu, 2));
+  std::vector<MarginQuery> traffic;
+  const double temps_c[] = {60.0, 80.0, 100.0};
+  for (int i = 0; i < 20000; ++i) {
+    MarginQuery q;
+    q.delta_vth = Volts{rng.uniform(0.0, 0.9 * kMargin)};
+    q.margin = Volts{kMargin};
+    q.duty = rng.uniform(0.05, 0.95);
+    q.vdd = Volts{1.2};
+    q.temp = Celsius{temps_c[rng.uniform_index(3)]};
+    q.horizon = Seconds{kTenYears};
+    traffic.push_back(q);
+  }
+  EXPECT_EQ(count_mismatches(traffic), 0);
+
+  // Edge grid: zero and subnormal shifts, duties and horizons, a margin
+  // one ulp above the shift, supplies below the capture threshold.
+  std::vector<MarginQuery> edges;
+  const double just_under = std::nextafter(kMargin, 0.0);
+  const double shifts[] = {0.0, 5e-324, 1e-12, 6e-3, just_under};
+  const double margins[] = {0.0, 1e-9, kMargin};
+  const double duties[] = {0.0, 5e-324, 1e-9, 0.5, 1.0};
+  const double vdds[] = {0.0, 0.59, 0.6, 1.2, 2.5};
+  const double grid_temps_c[] = {-40.0, 25.0, 110.0, 150.0};
+  const double horizons[] = {0.0, 5e-324, 1.0, kTenYears, 1e18};
+  for (double shift : shifts) {
+    for (double margin : margins) {
+      for (double duty : duties) {
+        for (double vdd : vdds) {
+          for (double temp_c : grid_temps_c) {
+            for (double horizon : horizons) {
+              MarginQuery q;
+              q.delta_vth = Volts{shift};
+              q.margin = Volts{margin};
+              q.duty = duty;
+              q.vdd = Volts{vdd};
+              q.temp = Celsius{temp_c};
+              q.horizon = Seconds{horizon};
+              edges.push_back(q);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(count_mismatches(edges), 0);
+
+  // Hostile sweep: every scale-free field log-uniform over hundreds of
+  // decades, so the bisection meets subnormal brackets and huge ones.
+  std::vector<MarginQuery> hostile;
+  for (int i = 0; i < 20000; ++i) {
+    MarginQuery q;
+    q.delta_vth = Volts{std::pow(10.0, rng.uniform(-320.0, -1.0))};
+    q.margin = Volts{std::pow(10.0, rng.uniform(-320.0, 0.0))};
+    q.duty = std::pow(10.0, rng.uniform(-320.0, 0.0));
+    q.vdd = Volts{rng.uniform(0.0, 3.0)};
+    q.temp = Celsius{rng.uniform(-50.0, 200.0)};
+    q.horizon = Seconds{std::pow(10.0, rng.uniform(-320.0, 19.0))};
+    hostile.push_back(q);
+  }
+  EXPECT_EQ(count_mismatches(hostile), 0);
 }
 
 TEST(MarginOutlook, BatchedOverloadValidatesEveryQueryUpFront) {
