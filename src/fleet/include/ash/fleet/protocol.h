@@ -29,10 +29,12 @@
 ///
 /// Payloads are line-oriented `key value` text documents (the repo's
 /// checkpoint idiom: diffable, 8-bit-clean inside the CRC envelope).
-/// Doubles are printed with %.17g so every value round-trips bit-exactly —
-/// what makes retried-transcript == undisturbed-transcript a *byte*
-/// comparison.  Quantities cross the wire as strong units (ash::Seconds,
-/// ash::Volts, ash::Celsius): the struct field types are the wire schema.
+/// Doubles travel in their shortest round-trip text and are parsed back
+/// strictly (`ash::fmt_double` / `ash::parse_double`, util/double_codec.h),
+/// so every value round-trips bit-exactly — what makes retried-transcript
+/// == undisturbed-transcript a *byte* comparison.  Quantities cross the
+/// wire as strong units (ash::Seconds, ash::Volts, ash::Celsius): the
+/// struct field types are the wire schema.
 
 #include <array>
 #include <atomic>

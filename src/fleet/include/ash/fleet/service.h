@@ -71,6 +71,13 @@ class Histogram;
 
 namespace ash::fleet {
 
+/// Most devices one service tracks: 2^22, a 128 MiB device table.  A
+/// `ServiceConfig::devices` above it is refused at construction, and a
+/// state snapshot claiming more is refused before genesis allocates it — a
+/// CRC-valid snapshot proves its bytes were written, not that they are
+/// sane.
+inline constexpr std::uint64_t kMaxServiceDevices = std::uint64_t{1} << 22;
+
 /// Service tunables.  Timings are host-time milliseconds — serving real
 /// sockets is the one fleet layer that legitimately lives on the wall
 /// clock; nothing here feeds back into the simulated physics.
@@ -84,7 +91,7 @@ struct ServiceConfig {
   std::string campaign_dir;
   /// Shard ids 0..shard_count-1 are scanned in `campaign_dir`.
   int shard_count = 0;
-  /// Devices tracked (ids 0..devices-1).
+  /// Devices tracked (ids 0..devices-1), 1..kMaxServiceDevices.
   std::uint64_t devices = 64;
   /// Per-device aging budget (match mc::ReliabilityConfig).
   Volts margin{12e-3};
@@ -148,7 +155,8 @@ struct SleepMutation {
   std::uint64_t device_id = 0;
   SleepWindow window;
 
-  /// One text line: client, request, device, start, duration (`%.17g`).
+  /// One text line: client, request, device, start, duration (doubles in
+  /// their shortest round-trip form, `ash::fmt_double`).
   std::string encode() const;
   /// Throws std::runtime_error on anything encode() cannot produce.
   static SleepMutation parse(std::string_view bytes);
@@ -171,14 +179,15 @@ struct ServiceState {
   static ServiceState genesis(std::uint64_t device_count, Volts margin,
                               std::uint64_t seed);
 
-  /// The `ash-fleet-service v2` document: device count, margin and seed
+  /// The `ash-fleet-service v3` document: device count, margin and seed
   /// (priors are rebuilt through genesis), the non-empty windows and the
   /// idempotency table.
   std::string serialize() const;
   /// Throws std::runtime_error naming the failing field on malformed
   /// input — any other version, a duplicated header field, a window or
-  /// applied line before `devices`, a missing field — and never yields a
-  /// partially-filled state.
+  /// applied line before `devices`, a missing field, a number that is not
+  /// `ash::parse_double`'s, more than kMaxServiceDevices devices — and
+  /// never yields a partially-filled state.
   static ServiceState deserialize(std::string_view bytes);
 
   /// Book the mutation's window, advance the sequence and remember the

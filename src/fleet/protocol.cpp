@@ -7,10 +7,11 @@
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <optional>
 
 #include "ash/obs/metrics.h"
 #include "ash/util/crc32.h"
-#include "ash/util/table.h"
+#include "ash/util/double_codec.h"
 
 namespace ash::fleet {
 
@@ -115,15 +116,21 @@ Frame finish_frame(std::string_view bytes) {
 // Text-document payload helpers.
 // -------------------------------------------------------------------------
 
-/// %.17g: the shortest printf format that round-trips every finite double
-/// bit-exactly — transcript comparisons are byte comparisons because of it.
-std::string fmt_double(double v) { return strformat("%.17g", v); }
-
 void put_field(std::string& out, const char* key, const std::string& value) {
   out += key;
   out += ' ';
   out += value;
   out += '\n';
+}
+
+/// A finite double field or row token, in ash::parse_double's grammar.
+double parse_double_value(std::string_view v, const char* key) {
+  const std::optional<double> out = parse_double(v);
+  if (!out) {
+    throw ProtocolError("field '" + std::string(key) +
+                        "' is not a finite number: '" + std::string(v) + "'");
+  }
+  return *out;
 }
 
 /// Strict `key value` document: every key required exactly once, no
@@ -178,14 +185,7 @@ class Doc {
   }
 
   double get_double(const char* key) const {
-    const std::string& v = raw(key);
-    char* end = nullptr;
-    const double out = std::strtod(v.c_str(), &end);
-    if (v.empty() || end != v.c_str() + v.size() || !std::isfinite(out)) {
-      throw ProtocolError("field '" + std::string(key) +
-                          "' is not a finite number: '" + v + "'");
-    }
-    return out;
+    return parse_double_value(raw(key), key);
   }
 
   double get_double_in(const char* key, double lo, double hi) const {
@@ -304,20 +304,6 @@ std::uint64_t parse_u64_value(std::string_view v, const char* key) {
 /// A non-negative duration field (hostile negative horizons rejected).
 Seconds get_seconds(const Doc& doc, const char* key) {
   return Seconds{doc.get_double_in(key, 0.0, 1e18)};
-}
-
-/// A finite double row token (the Doc::get_double discipline, outside the
-/// strict key/value grammar).
-double parse_double_value(std::string_view v, const char* key) {
-  const std::string text(v);
-  char* end = nullptr;
-  const double out = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() ||
-      !std::isfinite(out)) {
-    throw ProtocolError("field '" + std::string(key) +
-                        "' is not a finite number: '" + text + "'");
-  }
-  return out;
 }
 
 }  // namespace

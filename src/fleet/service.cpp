@@ -8,13 +8,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "ash/mc/margin.h"
@@ -23,6 +25,7 @@
 #include "ash/obs/trace.h"
 #include "ash/tb/experiment_runner.h"
 #include "ash/util/atomic_file.h"
+#include "ash/util/double_codec.h"
 #include "ash/util/syscall.h"
 #include "ash/util/table.h"
 
@@ -93,49 +96,87 @@ std::string errno_message(const char* what) {
 // --- ServiceState text document -----------------------------------------
 
 constexpr char kStateFormat[] = "ash-fleet-service ";
-constexpr char kStateVersion[] = "v2";
+constexpr char kStateVersion[] = "v3";
 
 [[noreturn]] void state_error(const std::string& detail) {
   throw std::runtime_error("service state: " + detail);
 }
 
-std::uint64_t parse_u64_token(std::istringstream& line, const char* field) {
-  std::uint64_t v = 0;
-  if (!(line >> v)) state_error(std::string("field '") + field + "' missing");
-  return v;
-}
+/// The space-separated tokens of one state-document line or journal
+/// record.  The writers separate tokens by exactly one space, so an empty
+/// token (a doubled, leading or trailing space) is malformed.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
 
-double parse_double_token(std::istringstream& line, const char* field) {
-  double v = 0.0;
-  if (!(line >> v) || !std::isfinite(v)) {
-    state_error(std::string("field '") + field + "' not a finite number");
+  /// The next token; empty once the line is used up.
+  std::string_view next() {
+    if (done_) return {};
+    const std::size_t space = rest_.find(' ');
+    if (space == std::string_view::npos) {
+      done_ = true;
+      return rest_;
+    }
+    const std::string_view token = rest_.substr(0, space);
+    rest_.remove_prefix(space + 1);
+    return token;
   }
-  return v;
-}
 
-void expect_line_end(std::istringstream& line, const std::string& tag) {
-  std::string extra;
-  if (line >> extra) state_error("trailing '" + extra + "' on '" + tag + "'");
-}
+  std::uint64_t u64(const char* field) {
+    const std::string_view token = next();
+    std::uint64_t v = 0;
+    const char* const last = token.data() + token.size();
+    const std::from_chars_result r = std::from_chars(token.data(), last, v);
+    if (token.empty() || r.ec != std::errc() || r.ptr != last) {
+      state_error(std::string("field '") + field + "' missing");
+    }
+    return v;
+  }
+
+  double number(const char* field) {
+    const std::optional<double> v = parse_double(next());
+    if (!v) {
+      state_error(std::string("field '") + field + "' not a finite number");
+    }
+    return *v;
+  }
+
+  void expect_end(std::string_view tag) {
+    if (!done_) {
+      state_error("trailing '" + std::string(next()) + "' on '" +
+                  std::string(tag) + "'");
+    }
+  }
+
+ private:
+  std::string_view rest_;
+  bool done_ = false;
+};
 
 }  // namespace
 
 std::string SleepMutation::encode() const {
-  return strformat("%llu %llu %llu %.17g %.17g\n",
-                   static_cast<unsigned long long>(client_id),
-                   static_cast<unsigned long long>(request_id),
-                   static_cast<unsigned long long>(device_id),
-                   window.start.value(), window.duration.value());
+  std::string out = std::to_string(client_id);
+  out += ' ';
+  out += std::to_string(request_id);
+  out += ' ';
+  out += std::to_string(device_id);
+  out += ' ';
+  out += fmt_double(window.start.value());
+  out += ' ';
+  out += fmt_double(window.duration.value());
+  out += '\n';
+  return out;
 }
 
 SleepMutation SleepMutation::parse(std::string_view bytes) {
-  std::istringstream is{std::string(bytes)};
+  Tokens tokens(bytes.substr(0, bytes.find('\n')));
   SleepMutation m;
-  m.client_id = parse_u64_token(is, "record client");
-  m.request_id = parse_u64_token(is, "record request");
-  m.device_id = parse_u64_token(is, "record device");
-  m.window.start = Seconds{parse_double_token(is, "record start")};
-  m.window.duration = Seconds{parse_double_token(is, "record duration")};
+  m.client_id = tokens.u64("record client");
+  m.request_id = tokens.u64("record request");
+  m.device_id = tokens.u64("record device");
+  m.window.start = Seconds{tokens.number("record start")};
+  m.window.duration = Seconds{tokens.number("record duration")};
   // Canonical bytes only: whatever encode() would not write is corrupt.
   if (m.encode() != bytes) state_error("journal record is not canonical");
   return m;
@@ -159,40 +200,58 @@ ServiceState ServiceState::genesis(std::uint64_t device_count, Volts margin,
 std::string ServiceState::serialize() const {
   std::string out = kStateFormat;
   out += kStateVersion;
+  out += "\nsequence ";
+  out += std::to_string(sequence);
+  out += "\nmargin_v ";
+  out += fmt_double(margin.value());
+  out += "\ndevices ";
+  out += std::to_string(devices.size());
+  out += "\nseed ";
+  out += std::to_string(seed);
   out += '\n';
-  out += strformat("sequence %llu\n",
-                   static_cast<unsigned long long>(sequence));
-  out += strformat("margin_v %.17g\n", margin.value());
-  out += strformat("devices %llu\n",
-                   static_cast<unsigned long long>(devices.size()));
-  out += strformat("seed %llu\n", static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < devices.size(); ++i) {
     for (const SleepWindow& w : devices[i].windows) {
-      out += strformat("window %llu %.17g %.17g\n",
-                       static_cast<unsigned long long>(i), w.start.value(),
-                       w.duration.value());
+      out += "window ";
+      out += std::to_string(i);
+      out += ' ';
+      out += fmt_double(w.start.value());
+      out += ' ';
+      out += fmt_double(w.duration.value());
+      out += '\n';
     }
   }
   for (const AppliedMutation& m : applied) {
-    out += strformat("applied %llu %llu %llu\n",
-                     static_cast<unsigned long long>(m.client_id),
-                     static_cast<unsigned long long>(m.request_id),
-                     static_cast<unsigned long long>(m.windows_after));
+    out += "applied ";
+    out += std::to_string(m.client_id);
+    out += ' ';
+    out += std::to_string(m.request_id);
+    out += ' ';
+    out += std::to_string(m.windows_after);
+    out += '\n';
   }
   out += "end\n";
   return out;
 }
 
 ServiceState ServiceState::deserialize(std::string_view bytes) {
-  std::istringstream is{std::string(bytes)};
-  std::string line;
-  if (!std::getline(is, line) || line.rfind(kStateFormat, 0) != 0) {
-    state_error("bad header '" + line + "'");
+  std::size_t pos = 0;
+  // The next line, without its '\n' (a last line may lack one).
+  const auto next_line = [&](std::string_view& line) {
+    if (pos >= bytes.size()) return false;
+    std::size_t eol = bytes.find('\n', pos);
+    if (eol == std::string_view::npos) eol = bytes.size();
+    line = bytes.substr(pos, eol - pos);
+    pos = eol + 1;
+    return true;
+  };
+  std::string_view line;
+  if (!next_line(line) || line.rfind(kStateFormat, 0) != 0) {
+    state_error("bad header '" + std::string(line) + "'");
   }
-  if (line.substr(sizeof kStateFormat - 1) != kStateVersion) {
-    state_error("unsupported document version '" +
-                line.substr(sizeof kStateFormat - 1) + "' (this build reads " +
-                kStateVersion + ")");
+  const std::string_view version = line.substr(sizeof kStateFormat - 1);
+  if (version != kStateVersion) {
+    state_error("unsupported document version '" + std::string(version) +
+                "' (this build reads " + kStateVersion + ")");
   }
   // Collect everything first; the state is built only from a complete,
   // verified document, so no caller ever sees a partial one.
@@ -202,48 +261,55 @@ ServiceState ServiceState::deserialize(std::string_view bytes) {
        have_seed = false, ended = false;
   std::vector<std::pair<std::uint64_t, SleepWindow>> windows;
   std::vector<AppliedMutation> applied;
-  const auto once = [](bool& seen, const std::string& tag) {
-    if (seen) state_error("duplicate '" + tag + "' line");
+  const auto once = [](bool& seen, std::string_view tag) {
+    if (seen) state_error("duplicate '" + std::string(tag) + "' line");
     seen = true;
   };
-  while (std::getline(is, line)) {
+  while (next_line(line)) {
     if (ended) state_error("content after 'end'");
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+    Tokens tokens(line);
+    const std::string_view tag = tokens.next();
     if (tag == "sequence") {
       once(have_sequence, tag);
-      sequence = parse_u64_token(ls, "sequence");
+      sequence = tokens.u64("sequence");
     } else if (tag == "margin_v") {
       once(have_margin, tag);
-      margin = parse_double_token(ls, "margin_v");
+      margin = tokens.number("margin_v");
     } else if (tag == "devices") {
       once(have_devices, tag);
-      device_count = parse_u64_token(ls, "devices");
+      device_count = tokens.u64("devices");
+      // Checked here, before genesis allocates a table this size: the CRC
+      // proves only that the bytes are the ones written, not that they
+      // are sane.
+      if (device_count > kMaxServiceDevices) {
+        state_error("devices " + std::to_string(device_count) +
+                    " above the limit of " +
+                    std::to_string(kMaxServiceDevices));
+      }
     } else if (tag == "seed") {
       once(have_seed, tag);
-      seed = parse_u64_token(ls, "seed");
+      seed = tokens.u64("seed");
     } else if (tag == "window") {
       if (!have_devices) state_error("'window' line before 'devices'");
-      const std::uint64_t id = parse_u64_token(ls, "window device");
+      const std::uint64_t id = tokens.u64("window device");
       if (id >= device_count) state_error("window device out of range");
       SleepWindow w;
-      w.start = Seconds{parse_double_token(ls, "window start")};
-      w.duration = Seconds{parse_double_token(ls, "window duration")};
+      w.start = Seconds{tokens.number("window start")};
+      w.duration = Seconds{tokens.number("window duration")};
       windows.emplace_back(id, w);
     } else if (tag == "applied") {
       if (!have_devices) state_error("'applied' line before 'devices'");
       AppliedMutation m;
-      m.client_id = parse_u64_token(ls, "applied client");
-      m.request_id = parse_u64_token(ls, "applied request");
-      m.windows_after = parse_u64_token(ls, "applied windows");
+      m.client_id = tokens.u64("applied client");
+      m.request_id = tokens.u64("applied request");
+      m.windows_after = tokens.u64("applied windows");
       applied.push_back(m);
     } else if (tag == "end") {
       ended = true;
     } else {
-      state_error("unknown line tag '" + tag + "'");
+      state_error("unknown line tag '" + std::string(tag) + "'");
     }
-    expect_line_end(ls, tag);
+    tokens.expect_end(tag);
   }
   if (!ended) state_error("missing 'end' (truncated document)");
   if (!have_sequence) state_error("missing 'sequence'");
@@ -327,6 +393,12 @@ Service::Service(ServiceConfig config)
       recorder_(config_.flight_recorder_capacity) {
   if (config_.devices < 1) {
     throw std::invalid_argument("service: need at least one device");
+  }
+  if (config_.devices > kMaxServiceDevices) {
+    throw std::invalid_argument("service: devices " +
+                                std::to_string(config_.devices) +
+                                " above the limit of " +
+                                std::to_string(kMaxServiceDevices));
   }
   if (config_.max_request_queue < 1 || config_.max_connections < 1 ||
       config_.io_timeout_ms < 1 || config_.poll_interval_ms < 1) {

@@ -27,6 +27,46 @@
 /// or below the smallest subnormal, which 200 halvings from any `hi` the
 /// projection bisects (>= 6e-42) never reach; the loop simply continues
 /// there, as the full loop would.
+///
+/// **Certified bracket.**  Most of a bisection's mids are far from the
+/// root, where the branch is obvious; the law is evaluated only where it
+/// is not.  Before bisecting for `target`, one `expm1` gives the root in
+/// exact arithmetic, r = tau * expm1(target/amp) / (duty * afc), and the
+/// law is evaluated at L = r(1 - eps) and U = r(1 + eps) (eps = 2^-40).
+/// The loop is then the loop above — same mids, same stop rule, same cap —
+/// except that a mid below L takes the `lo` branch and a mid at or above U
+/// the `hi` branch without a `log1p`.  It takes the branches the loop that
+/// evaluates every mid takes, so it returns the same bits, provided:
+///
+///   * law(L) < target * (1 - Delta) proves law(t) < target for all t <= L;
+///   * law(U) > target * (1 + Delta) proves law(t) >= target for all
+///     t >= U;
+///
+/// with Delta = 2^-48 (32 units of u = 2^-53).  Why: the computed law is
+/// c(t) = amp (*) log1p~(y(t)) with y(t) = ((t (*) duty) (*) afc) (/) tau,
+/// where (*) and (/) are rounded IEEE operations and log1p~ is libm's.
+/// Each rounded operation is monotone in its argument, and duty, afc and
+/// tau are positive (or r is not a positive normal, see below), so
+/// y(t) <= y(L) for t <= L and y(t) >= y(U) for t >= U — no bound on the
+/// argument's three roundings is needed.  The exact log1p is increasing.
+/// What separates c(t) from c(L) is then only the error of the last two
+/// steps at both points, delta = 3u per evaluation:
+///
+///   * `log1p`: at most 1 ulp (<= 2u relative) for double on x86_64 and
+///     aarch64 — glibc manual, "Known Maximum Errors in Math Functions";
+///   * the product `amp * log1p`: one rounding, u.
+///
+/// So c(t) <= c(L) (1 + delta)/(1 - delta) ~ c(L)(1 + 6u), and ulp-sized
+/// absolute terms from subnormal intermediates stay below 6u * target
+/// because target and target/amp are required to be normal.  With the one
+/// rounding of target * (1 -/+ Delta), 13u of the 32u budget is used
+/// (each further ulp of `log1p` error costs 8u, so up to 3 ulp still keep
+/// the proof).  The upper side is the mirror image.
+///
+/// A target, target/amp or r that is not a positive normal double (a zero
+/// shift, duty or capture factor, `expm1` overflow, a subnormal target)
+/// certifies nothing, and each end whose test fails is dropped: the loop
+/// then evaluates every mid on that side, exactly as before.
 
 #include <vector>
 

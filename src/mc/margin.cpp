@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "ash/bti/condition.h"
@@ -41,17 +42,64 @@ void validate(const MarginQuery& q) {
   }
 }
 
+/// Delta of the bracket certificates: 2^-48, 32 units in the last place,
+/// of which the law's evaluation error uses at most 13 (margin.h).
+constexpr double kLawRelError = 0x1p-48;
+
+/// Half-width epsilon of the certified bracket, relative to the
+/// approximate root.  At the root the law's elasticity is about 1/z
+/// (z = target/amp), so the bracket's ends miss the target by about
+/// epsilon/z: clear of kLawRelError up to z ~ 200, which covers every
+/// projection of a 12 mV margin at 1.2 V and 60..100 C.  Only ~13 steps of
+/// a 52-bit bisection then fall inside the bracket.
+constexpr double kBracketHalfWidth = 0x1p-40;
+
+/// Where a bisection for `target` may skip the law: every t < lower is
+/// certified to give law(t) < target, every t >= upper law(t) >= target.
+/// The default, [0, inf), certifies nothing.
+struct Bracket {
+  double lower = 0.0;
+  double upper = std::numeric_limits<double>::infinity();
+};
+
+/// Certify a bracket around r = tau * expm1(target/amp) / (duty * afc),
+/// the root of the law in exact arithmetic (one `expm1`, two `log1p`).
+/// Each end is certified on its own; a target, amp ratio or root that is
+/// not a positive normal double certifies neither (see margin.h).
+Bracket certify(const bti::StressLaw& law, double target) {
+  Bracket bracket;
+  const double z = target / law.amp;
+  if (!std::isnormal(target) || !std::isnormal(z) || z < 0.0) return bracket;
+  const double r = law.tau.value() * std::expm1(z) / (law.duty * law.afc);
+  if (!std::isnormal(r) || r < 0.0) return bracket;
+  const double lower = r * (1.0 - kBracketHalfWidth);
+  const double upper = r * (1.0 + kBracketHalfWidth);
+  if (law.delta_vth(Seconds{lower}) < target * (1.0 - kLawRelError)) {
+    bracket.lower = lower;
+  }
+  if (law.delta_vth(Seconds{upper}) > target * (1.0 + kLawRelError)) {
+    bracket.upper = upper;
+  }
+  return bracket;
+}
+
 /// Smallest t in [0, hi] with law(t) >= target, assuming the law is
 /// monotone nondecreasing and law(hi) >= target.  Stops at the bisection's
 /// floating-point fixed point, where the 200-step loop would keep re-
-/// evaluating the same mid without moving `hi` (see margin.h).
+/// evaluating the same mid without moving `hi` (see margin.h).  A mid
+/// outside the certified bracket takes the branch its certificate proves;
+/// only the mids inside it evaluate the law.
 double bisect_first_reach(const bti::StressLaw& law, double target,
                           double hi) {
+  const Bracket bracket = certify(law, target);
   double lo = 0.0;
   for (int i = 0; i < kBisectIterations; ++i) {
     const double mid = 0.5 * (lo + hi);
     if (mid == hi || (mid == lo && lo > 0.0)) break;
-    if (law.delta_vth(Seconds{mid}) >= target) {
+    const bool reached =
+        mid >= bracket.upper ||
+        (mid >= bracket.lower && law.delta_vth(Seconds{mid}) >= target);
+    if (reached) {
       hi = mid;
     } else {
       lo = mid;

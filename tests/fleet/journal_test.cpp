@@ -326,6 +326,40 @@ TEST_F(JournalTest, AVersionOneStateDirectoryIsRefusedByName) {
   }
 }
 
+TEST_F(JournalTest, AVersionTwoStateDirectoryIsRefusedByName) {
+  // A v2 directory as v2 left it: its snapshot and a journal record whose
+  // %.17g doubles are not the canonical bytes v3 replays.
+  const ServiceConfig c = config(state_dir("v2"));
+  CheckpointStore(c.state_dir)
+      .save(kStateShard, 0,
+            "ash-fleet-service v2\nsequence 0\nmargin_v 0.012\ndevices 8\n"
+            "seed 4261\nend\n");
+  Journal(CheckpointStore(c.state_dir).journal_path(kStateShard, 0), 0)
+      .append(kStateShard, 1, "0 1 2 0.10000000000000001 3600\n");
+  try {
+    Service service(c);
+    FAIL() << "a v2 state directory was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'v2'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(JournalTest, ASnapshotClaimingAbsurdlyManyDevicesIsRefused) {
+  const ServiceConfig c = config(state_dir("absurd"));
+  CheckpointStore(c.state_dir)
+      .save(kStateShard, 0,
+            "ash-fleet-service v3\nsequence 0\nmargin_v 0.012\n"
+            "devices 1099511627776\nseed 4261\nend\n");
+  try {
+    Service service(c);
+    FAIL() << "a snapshot of 2^40 devices was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("above the limit"), std::string::npos)
+        << e.what();
+  }
+}
+
 /// Copy the state files (snapshots and journals) of `from` into a fresh
 /// directory: a restart that cannot touch the live daemon's files.
 std::string copy_state(const std::string& from, const std::string& to) {

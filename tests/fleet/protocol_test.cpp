@@ -408,6 +408,36 @@ TEST(PayloadCodec, NumericFieldsRejectHostileValues) {
                ProtocolError);
 }
 
+/// Number spellings `strtod` took that the strict `ash::parse_double` now
+/// refuses: leading space or '+', hex, out-of-range decimals, inf and nan.
+const char* const kStrtodOnlySpellings[] = {" 1",    "+1",  "0x1p3", "1e-400",
+                                            "1e400", "inf", "nan"};
+
+TEST(PayloadCodec, StrtodOnlyNumberSpellingsAreRejected) {
+  const std::string lines[] = {"device 3", "duty 0.5", "vdd_v 1.2",
+                               "temp_c 80", "horizon_s 3600"};
+  for (const char* spelling : kStrtodOnlySpellings) {
+    for (const char* key : {"duty", "vdd_v", "temp_c", "horizon_s"}) {
+      std::string doc;
+      for (const std::string& line : lines) {
+        const std::string k = line.substr(0, line.find(' '));
+        doc += (k == key ? k + " " + spelling : line) + "\n";
+      }
+      EXPECT_THROW(MarginRequest::parse(doc), ProtocolError)
+          << key << " '" << spelling << "'";
+    }
+    const std::string head = "status ok\nmargin_v 0.012\nrows 1\n";
+    EXPECT_THROW(MarginBatchResponse::parse(head + "row 1 1 " + spelling +
+                                            " 0.01\n"),
+                 ProtocolError)
+        << "time_to_margin_s '" << spelling << "'";
+    EXPECT_THROW(MarginBatchResponse::parse(head + "row 1 1 5 " + spelling +
+                                            "\n"),
+                 ProtocolError)
+        << "delta_vth_v '" << spelling << "'";
+  }
+}
+
 TEST(PayloadCodec, MessageTypeNamesAreStable) {
   EXPECT_STREQ(to_string(MessageType::kMarginRequest), "margin-request");
   EXPECT_STREQ(to_string(Status::kOverloaded), "overloaded");

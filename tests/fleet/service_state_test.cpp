@@ -1,4 +1,4 @@
-/// The `ash-fleet-service v2` state document: sparse (priors are rebuilt
+/// The `ash-fleet-service v3` state document: sparse (priors are rebuilt
 /// through genesis) and strict — one negative test per rejection rule, so
 /// a malformed document can never yield a partially filled state.
 
@@ -135,6 +135,55 @@ TEST(ServiceStateDocument, RefusesAVersionOneDocumentByName) {
       << message;
 }
 
+TEST(ServiceStateDocument, RefusesAVersionTwoDocumentByName) {
+  // v2 wrote doubles with %.17g; v3 reads only the shortest round-trip
+  // form, so a v2 document is refused whole rather than half-understood.
+  const std::string v2 =
+      "ash-fleet-service v2\nsequence 1\nmargin_v 0.012\ndevices 4\n"
+      "seed 7\nwindow 2 0.10000000000000001 3600\napplied 3 11 1\nend\n";
+  const std::string message = rejection(v2);
+  EXPECT_NE(message.find("unsupported document version 'v2'"),
+            std::string::npos)
+      << message;
+}
+
+TEST(ServiceStateDocument, RefusesAnAbsurdDeviceCountBeforeAllocating) {
+  // CRC-valid is not sane: 2^40 devices would be a 32 TiB device table.
+  const std::string doc =
+      "ash-fleet-service v3\nsequence 0\nmargin_v 0.012\n"
+      "devices 1099511627776\nseed 7\nend\n";
+  const std::string message = rejection(doc);
+  EXPECT_NE(message.find("devices 1099511627776 above the limit of " +
+                         std::to_string(kMaxServiceDevices)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(rejection("ash-fleet-service v3\nsequence 0\nmargin_v 0.012\n"
+                      "devices " +
+                      std::to_string(kMaxServiceDevices + 1) +
+                      "\nseed 7\nend\n")
+                .find("above the limit"),
+            std::string::npos);
+}
+
+TEST(ServiceStateDocument, NumbersAreReadStrictly) {
+  const std::string doc = good_document();
+  const std::string margin_line = "margin_v 0.012\n";
+  ASSERT_NE(doc.find(margin_line), std::string::npos) << doc;
+  for (const char* spelling : {"+0.012", "0x1p-7", "1e-400", "inf", "nan"}) {
+    std::string bad = doc;
+    bad.replace(bad.find(margin_line), margin_line.size(),
+                std::string("margin_v ") + spelling + "\n");
+    EXPECT_NE(rejection(bad).find("field 'margin_v' not a finite number"),
+              std::string::npos)
+        << spelling;
+  }
+  // One space between tokens, as serialize() writes them.
+  std::string doubled = doc;
+  doubled.replace(doubled.find(margin_line), margin_line.size(),
+                  "margin_v  0.012\n");
+  EXPECT_NE(rejection(doubled), "");
+}
+
 TEST(ServiceStateDocument, RejectsTrailingTokens) {
   std::string doc = good_document();
   doc.replace(doc.find("\nend"), 1, " 9\n");  // "applied 3 11 1 9"
@@ -172,6 +221,34 @@ TEST(SleepMutationRecord, RejectsWhatEncodeCannotProduce) {
     EXPECT_THROW((void)SleepMutation::parse(bad), std::runtime_error)
         << "accepted '" << bad << "'";
   }
+}
+
+TEST(SleepMutationRecord, StrtodOnlyNumberSpellingsAreAStateError) {
+  for (const char* spelling : {" 1", "+1", "0x1p3", "1e-400", "1e400", "inf",
+                               "nan"}) {
+    for (const std::string& record :
+         {std::string("0 0 2 ") + spelling + " 7200\n",
+          std::string("0 0 2 3600 ") + spelling + "\n"}) {
+      try {
+        (void)SleepMutation::parse(record);
+        ADD_FAILURE() << "accepted '" << record << "'";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("service state: ", 0), 0u)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(SleepMutationRecord, AVersionTwoRecordIsNotCanonical) {
+  // The same mutation as v2 wrote it (%.17g) and as v3 writes it: only the
+  // v3 bytes replay, which is why the state format's version moved.
+  SleepMutation m;
+  m.device_id = 2;
+  m.window = SleepWindow{Seconds{0.1}, Seconds{3600.0}};
+  EXPECT_EQ(m.encode(), "0 0 2 0.1 3600\n");
+  EXPECT_THROW((void)SleepMutation::parse("0 0 2 0.10000000000000001 3600\n"),
+               std::runtime_error);
 }
 
 }  // namespace

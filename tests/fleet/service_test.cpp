@@ -354,5 +354,13 @@ TEST_F(ServiceTest, NonsensicalTunablesAreRejected) {
   EXPECT_THROW(Service{config}, std::invalid_argument);
 }
 
+TEST_F(ServiceTest, DeviceCountAboveTheLimitIsRejected) {
+  ServiceConfig config = small_config();
+  config.devices = kMaxServiceDevices + 1;
+  EXPECT_THROW(Service{config}, std::invalid_argument);
+  config.devices = std::uint64_t{1} << 40;
+  EXPECT_THROW(Service{config}, std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ash::fleet

@@ -10,6 +10,7 @@
 
 #include "ash/bti/closed_form.h"
 #include "ash/bti/condition.h"
+#include "ash/fleet/service.h"
 #include "ash/util/random.h"
 #include "ash/util/units.h"
 
@@ -248,10 +249,10 @@ MarginOutlook margin_outlook(const bti::ClosedFormModel& model,
 
 }  // namespace reference
 
-/// Number of queries whose single-call or batched answer differs from the
-/// reference in `crosses` or in any bit of `time_to_margin`.
-int count_mismatches(const std::vector<MarginQuery>& queries) {
-  const bti::ClosedFormModel m = model();
+/// Number of queries whose single-call or batched answer under `m` differs
+/// from the reference in `crosses` or in any bit of `time_to_margin`.
+int count_mismatches(const bti::ClosedFormModel& m,
+                     const std::vector<MarginQuery>& queries) {
   const std::vector<MarginOutlook> batched = margin_outlook(m, queries);
   int mismatches = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -271,6 +272,10 @@ int count_mismatches(const std::vector<MarginQuery>& queries) {
     }
   }
   return mismatches;
+}
+
+int count_mismatches(const std::vector<MarginQuery>& queries) {
+  return count_mismatches(model(), queries);
 }
 
 TEST(MarginOutlook, FixedPointBisectionMatchesReference) {
@@ -351,6 +356,179 @@ TEST(MarginOutlook, BatchedOverloadValidatesEveryQueryUpFront) {
                std::invalid_argument);
   EXPECT_TRUE(margin_outlook(model(), std::vector<MarginQuery>{}).empty());
 }
+
+// --- The certified bracket's fallbacks --------------------------------
+// The bisection skips the law outside a bracket it certifies around a
+// root guess (margin.h).  Where no guess or no certificate is possible it
+// evaluates every mid; each family below reaches that fallback and must
+// still return the reference's bits.
+
+bti::StressLaw law_of(const bti::ClosedFormModel& m, const MarginQuery& q) {
+  return m.stress_law(q.duty > 0.0 ? bti::ac_stress(q.vdd, q.temp, q.duty)
+                                   : bti::recovery(q.vdd, q.temp));
+}
+
+/// How many queries run their first bisection (for the current shift)
+/// with no root guess: target, target/amp or the guess
+/// tau * expm1(target/amp) / (duty * afc) is not a positive normal double
+/// (margin.h's guard).
+int unguessed_bisections(const bti::ClosedFormModel& m,
+                         const std::vector<MarginQuery>& queries) {
+  int n = 0;
+  for (const MarginQuery& q : queries) {
+    if (q.delta_vth.value() >= q.margin.value()) continue;
+    const bti::StressLaw law = law_of(m, q);
+    const double ceiling = law.delta_vth(Seconds{1e19});
+    if (ceiling < q.margin.value() || ceiling < q.delta_vth.value()) continue;
+    const double target = q.delta_vth.value();
+    const double z = target / law.amp;
+    const double r = law.tau.value() * std::expm1(z) / (law.duty * law.afc);
+    const bool usable = std::isnormal(target) && std::isnormal(z) && z > 0.0 &&
+                        std::isnormal(r) && r > 0.0;
+    if (!usable) ++n;
+  }
+  return n;
+}
+
+constexpr double kTenYearsS = 10.0 * 365.25 * 24.0 * 3600.0;
+
+MarginQuery query(double delta_vth, double margin, double duty, double vdd,
+                  double temp_c, double horizon) {
+  MarginQuery q;
+  q.delta_vth = Volts{delta_vth};
+  q.margin = Volts{margin};
+  q.duty = duty;
+  q.vdd = Volts{vdd};
+  q.temp = Celsius{temp_c};
+  q.horizon = Seconds{horizon};
+  return q;
+}
+
+TEST(MarginCertificate, ZeroShiftFallsBackToTheFullLoop) {
+  std::vector<MarginQuery> queries;
+  for (double margin : {12e-3, 1e-9, 1e-300}) {
+    for (double duty : {1e-9, 0.05, 0.5, 1.0}) {
+      for (double vdd : {0.6, 1.2, 2.5}) {
+        for (double temp_c : {-40.0, 25.0, 60.0, 80.0, 100.0, 150.0}) {
+          for (double horizon : {0.0, 1.0, kTenYearsS, 1e18}) {
+            queries.push_back(query(0.0, margin, duty, vdd, temp_c, horizon));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(unguessed_bisections(model(), queries), 100);
+  EXPECT_EQ(count_mismatches(queries), 0);
+}
+
+TEST(MarginCertificate, TargetsPastExpm1OverflowFallBack) {
+  // A capture factor near 1e304 makes t * duty * afc overflow inside the
+  // projection window, so the law reaches targets whose guess needs
+  // expm1(target/amp) with target/amp > 709.78, which overflows.  Ratios
+  // between ~250 and 709 keep a finite guess but leave the bracket's ends
+  // too close to the target to certify.
+  bti::ClosedFormParameters physics;
+  physics.capture_field_accel_per_v = 1000.0;
+  const bti::ClosedFormModel m(physics);
+  std::vector<MarginQuery> queries;
+  for (double duty : {0.5, 1.0}) {
+    for (double temp_c : {60.0, 80.0, 100.0}) {
+      const double amp = law_of(m, query(0.0, 1.0, duty, 1.9, temp_c, 1.0)).amp;
+      ASSERT_GT(amp, 0.0);
+      for (double ratio : {300.0, 500.0, 700.0, 720.0, 1000.0, 1e4}) {
+        for (double shift : {0.0, 0.5, 0.9, 0.99}) {
+          for (double horizon : {1.0, 1e6, kTenYearsS, 1e18}) {
+            queries.push_back(query(shift * ratio * amp, ratio * amp, duty,
+                                    1.9, temp_c, horizon));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(unguessed_bisections(m, queries), 50);
+  EXPECT_EQ(count_mismatches(m, queries), 0);
+}
+
+TEST(MarginCertificate, SubnormalDutiesAndTargetsFallBack) {
+  const double tiny[] = {5e-324, 1e-310, 2.2250738585072009e-308,
+                         2.2250738585072014e-308, 1e-300};
+  std::vector<MarginQuery> queries;
+  for (double duty : tiny) {
+    for (double shift : {0.0, 5e-324, 1e-310, 1e-300}) {
+      for (double margin : {1e-310, 1e-300, 1e-250, 12e-3}) {
+        for (double temp_c : {25.0, 80.0, 150.0}) {
+          for (double horizon : {1.0, kTenYearsS, 1e18}) {
+            queries.push_back(
+                query(shift, margin, duty, 1.2, temp_c, horizon));
+            queries.push_back(
+                query(shift, margin, 0.5, 1.2, temp_c, horizon * duty));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(unguessed_bisections(model(), queries), 50);
+  EXPECT_EQ(count_mismatches(queries), 0);
+}
+
+TEST(MarginCertificate, RecoveryConditionsNeverBisect) {
+  // afc == 0: zero duty is a recovery condition, and a supply below the
+  // capture threshold does not stress; the law is 0 everywhere.
+  std::vector<MarginQuery> queries;
+  for (double duty : {0.0, 0.5}) {
+    for (double vdd : {-1.0, 0.0, 0.3, 0.59}) {
+      for (double shift : {0.0, 1e-3, 11e-3}) {
+        for (double horizon : {0.0, 1.0, kTenYearsS, 1e18}) {
+          queries.push_back(query(shift, 12e-3, duty, vdd, 80.0, horizon));
+        }
+      }
+    }
+  }
+  const bti::ClosedFormModel m = model();
+  for (const MarginQuery& q : queries) {
+    ASSERT_EQ(law_of(m, q).afc, 0.0);
+  }
+  EXPECT_EQ(unguessed_bisections(m, queries), 0);  // nothing bisects
+  EXPECT_EQ(count_mismatches(queries), 0);
+}
+
+TEST(MarginCertificate, HorizonsUpTo1e18MatchTheReference) {
+  Rng rng(derive_seed(0xCE27u, 1));
+  std::vector<MarginQuery> queries;
+  for (int i = 0; i < 4000; ++i) {
+    const double horizon = std::pow(10.0, rng.uniform(0.0, 18.0));
+    queries.push_back(query(rng.uniform(0.0, 0.9 * 12e-3), 12e-3,
+                            rng.uniform(0.05, 0.95), 1.2,
+                            rng.uniform(25.0, 150.0), horizon));
+  }
+  for (double horizon : {1e17, 5e17, 1e18}) {
+    queries.push_back(query(0.0, 12e-3, 0.5, 1.2, 80.0, horizon));
+    queries.push_back(query(6e-3, 12e-3, 1.0, 2.5, 150.0, horizon));
+  }
+  EXPECT_EQ(count_mismatches(queries), 0);
+}
+
+/// One chamber temperature of the fleet benchmark per test, so the three
+/// sweeps run side by side under `ctest -j`.
+class FleetPriorSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(FleetPriorSweep, EveryGenesisPriorMatchesTheReference) {
+  // The 16384 device priors the fleet benchmark's daemon starts from
+  // (benchmark seed 1) over a grid of duties spanning its mission range.
+  const fleet::ServiceState genesis =
+      fleet::ServiceState::genesis(16384, Volts{12e-3}, derive_seed(1, 0xDE5));
+  std::vector<MarginQuery> queries;
+  for (double duty : {0.05, 0.275, 0.5, 0.725, 0.95}) {
+    for (const fleet::DeviceAging& device : genesis.devices) {
+      queries.push_back(query(device.delta_vth.value(), 12e-3, duty, 1.2,
+                              GetParam(), kTenYearsS));
+    }
+  }
+  EXPECT_EQ(count_mismatches(queries), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(ChamberTemperatures, FleetPriorSweep,
+                         ::testing::Values(60.0, 80.0, 100.0));
 
 }  // namespace
 }  // namespace ash::mc
