@@ -32,7 +32,9 @@
 ///     `fdatasync`'d *before* the acknowledgement is queued, so a daemon
 ///     SIGKILLed between apply and ack replays the original
 ///     acknowledgement bytes when the client retries — a retrying client
-///     can never double-book a window;
+///     can never double-book a window.  That `fdatasync` is the only
+///     durable write between a mutation's decode and its ack: the flight
+///     ring is dumped after the tick's acks are sent, with no fsync;
 ///   * SIGTERM drains gracefully: stop accepting, answer what is queued,
 ///     flush outboxes, persist a final snapshot, exit;
 ///   * restart loads the newest valid snapshot and replays the journal's
@@ -116,14 +118,15 @@ struct ServiceConfig {
   /// histograms.  Off, the request path performs no clock reads at all
   /// (null histogram pointers; see obs::ScopedLatencyTimer).
   bool instrument = true;
-  /// When nonempty, the flight recorder persists here: at every durable
-  /// mutation and snapshot, periodically from the poll loop, at drain,
-  /// and best-effort from the fatal-signal handler.
+  /// When nonempty, the flight recorder persists here: at startup, after
+  /// each poll tick's acks are sent when the tick recorded an event (reads
+  /// record none, so read-only traffic writes nothing), at drain, and
+  /// best-effort from the fatal-signal handler.  A dump is a temp file
+  /// renamed into place with no fsync: it survives a kill of the daemon,
+  /// not a power cut, and never sits between a request and its ack.
   std::string flight_recorder_path;
   /// Ring capacity; 0 disables the recorder (record() = one branch).
   std::size_t flight_recorder_capacity = 256;
-  /// Poll iterations between periodic flight-recorder persists.
-  int flight_flush_every_polls = 64;
 };
 
 /// One booked recovery-sleep window.
@@ -214,6 +217,7 @@ struct ServiceStats {
   std::uint64_t mutations = 0;             ///< newly applied
   std::uint64_t replays = 0;               ///< idempotent re-acks
   std::uint64_t snapshots_saved = 0;
+  std::uint64_t flight_dumps = 0;          ///< flight-ring files written
 
   std::string render() const;
   /// Set one `prefix`-named counter per field (same integers as the
@@ -293,9 +297,11 @@ class Service {
   /// older snapshot can still be rolled forward should this one not
   /// verify; older journals are deleted.
   void save_snapshot();
-  /// Best-effort atomic persist of the flight recorder (no-op when
-  /// unconfigured; persistence failures are swallowed — telemetry must
-  /// never take the daemon down).
+  /// Best-effort dump of the flight recorder via util::replace_file
+  /// (no-op when unconfigured; failures are swallowed — telemetry must
+  /// never take the daemon down).  No fsync: the dump survives a kill,
+  /// not a power cut.  Never called between a request's decode and its
+  /// ack.
   void persist_flight();
   /// Latency histogram for a request type (nullptr when uninstrumented).
   obs::Histogram* latency_histogram(MessageType type) const;
@@ -307,6 +313,9 @@ class Service {
   ServiceStats stats_;
   Health health_;
   obs::FlightRecorder recorder_;
+  /// recorder_.recorded() at the last dump: the ring is rewritten only
+  /// when an event has been recorded since.
+  std::uint64_t flight_dumped_at_ = 0;
   std::unique_ptr<Journal> journal_;
   std::uint64_t durable_sequence_ = 0;
   /// Framed size of the newest snapshot: the compaction threshold.

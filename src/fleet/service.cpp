@@ -57,9 +57,9 @@ void handle_stop(int) { g_stop = 1; }
 // A crashing daemon tries to leave its flight recorder on disk.  The
 // handler uses only async-signal-safe calls: sigaction/open/close/rename/
 // raise plus FlightRecorder::record/write_fd (atomics and stack buffers).
-// The dump goes to a temp name first and renames over the periodic dump
-// only when every write succeeded — a half-written crash dump must never
-// clobber a complete periodic one.
+// The dump goes to a temp name first and renames over the last dump only
+// when every write succeeded — a half-written crash dump must never
+// clobber a complete one.
 
 constexpr int kFatalSignals[] = {SIGSEGV, SIGABRT, SIGBUS, SIGFPE};
 constexpr int kFatalSignalCount =
@@ -367,6 +367,8 @@ std::string ServiceStats::render() const {
                    static_cast<unsigned long long>(replays));
   out += strformat("  snapshots saved        %llu\n",
                    static_cast<unsigned long long>(snapshots_saved));
+  out += strformat("  flight dumps           %llu\n",
+                   static_cast<unsigned long long>(flight_dumps));
   return out;
 }
 
@@ -382,6 +384,7 @@ void ServiceStats::publish(obs::Registry& registry,
   registry.counter(prefix + "mutations").set(mutations);
   registry.counter(prefix + "replays").set(replays);
   registry.counter(prefix + "snapshots_saved").set(snapshots_saved);
+  registry.counter(prefix + "flight_dumps").set(flight_dumps);
 }
 
 // --- Service -------------------------------------------------------------
@@ -503,7 +506,6 @@ void Service::journal_mutation(const SleepMutation& mutation) {
   if (journal_->bytes() > std::max(snapshot_bytes_, kMinCompactionBytes)) {
     save_snapshot();
   }
-  persist_flight();
 }
 
 void Service::save_snapshot() {
@@ -532,9 +534,10 @@ void Service::save_snapshot() {
 
 void Service::persist_flight() {
   if (config_.flight_recorder_path.empty() || !recorder_.enabled()) return;
+  flight_dumped_at_ = recorder_.recorded();
+  ++stats_.flight_dumps;
   try {
-    util::atomic_write_file(config_.flight_recorder_path,
-                            recorder_.serialize());
+    util::replace_file(config_.flight_recorder_path, recorder_.serialize());
   } catch (const std::exception&) {
     // Best-effort telemetry: a full disk must never take the daemon down.
   }
@@ -916,12 +919,6 @@ void Service::run() {
 
   while (g_stop == 0) {
     ++health_.poll_iterations;
-    if (config_.flight_flush_every_polls > 0 &&
-        health_.poll_iterations % static_cast<std::uint64_t>(
-                                      config_.flight_flush_every_polls) ==
-            0) {
-      persist_flight();
-    }
     fds.clear();
     fds.push_back(pollfd{listen_fd, POLLIN, 0});
     for (const Conn& c : conns) {
@@ -936,9 +933,11 @@ void Service::run() {
     }
     const double now = now_ms();
 
-    // Accept everything pending; beyond the cap, turn clients away with
-    // an immediate close (their backoff handles the rest).
-    for (;;) {
+    // Accept everything pending — only when poll flagged the listener, so
+    // a tick of plain traffic makes no accept4 call; the loop ends at
+    // EAGAIN.  Beyond the cap, turn clients away with an immediate close
+    // (their backoff handles the rest).
+    while ((fds[0].revents & POLLIN) != 0) {
       const int fd = util::retry_eintr([&] {
         return ::accept4(listen_fd, nullptr, nullptr,
                          SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -1077,6 +1076,11 @@ void Service::run() {
       }
     }
     health_.connections = conns.size();
+
+    // The tick's acks are on the wire; now, and only if the tick recorded
+    // an event (reads record none), refresh the flight dump before the
+    // next poll.
+    if (recorder_.recorded() != flight_dumped_at_) persist_flight();
   }
 
   // Graceful drain: no new connections, flush what is owed, then persist.

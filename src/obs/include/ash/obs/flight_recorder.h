@@ -10,8 +10,9 @@
 /// no stack trace and no drain-time metrics dump, so the recorder keeps
 /// the last `capacity` structured events (state transitions, evictions,
 /// shed requests, framing rejections, snapshot writes) in a ring the
-/// daemon persists via `util::atomic_write_file` at every durable-state
-/// checkpoint and periodically from the poll loop.  After a kill, the
+/// daemon dumps via `util::replace_file` (temp file + rename, no fsync)
+/// after each poll tick's acks are sent, only when the tick recorded an
+/// event.  The dump survives a kill, not a power cut; after a kill, the
 /// newest dump on disk explains the run.
 ///
 /// Cost model, mirroring ScopedKernelTimer: a recorder constructed with

@@ -8,6 +8,8 @@
 #include <string>
 #include <system_error>
 
+#include "ash/util/syscall.h"
+
 namespace ash::util {
 
 namespace {
@@ -40,12 +42,32 @@ class Fd {
 void write_all(int fd, const std::string& bytes, const std::string& path) {
   std::size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("cannot write", path);
-    }
+    const ssize_t n = retry_eintr([&] {
+      return ::write(fd, bytes.data() + off, bytes.size() - off);
+    });
+    if (n < 0) fail("cannot write", path);
     off += static_cast<std::size_t>(n);
+  }
+}
+
+/// Write `bytes` to a sibling temp file (fsync'ed when `durable`) and
+/// rename it over `path`.  On failure the temp file is unlinked and `path`
+/// is untouched.
+void install_file(const std::string& path, const std::string& bytes,
+                  bool durable) {
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+
+  Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  if (fd.get() < 0) fail("cannot create", tmp);
+  try {
+    write_all(fd.get(), bytes, tmp);
+    if (durable && ::fsync(fd.get()) != 0) fail("cannot fsync", tmp);
+    if (fd.close_now() != 0) fail("cannot close", tmp);
+    if (::rename(tmp.c_str(), path.c_str()) != 0) fail("cannot rename", path);
+  } catch (...) {
+    ::unlink(tmp.c_str());
+    throw;
   }
 }
 
@@ -63,24 +85,14 @@ bool writable_directory(const std::string& path) {
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-
-  Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  if (fd.get() < 0) fail("cannot create", tmp);
-  try {
-    write_all(fd.get(), bytes, tmp);
-    if (::fsync(fd.get()) != 0) fail("cannot fsync", tmp);
-    if (fd.close_now() != 0) fail("cannot close", tmp);
-    if (::rename(tmp.c_str(), path.c_str()) != 0) fail("cannot rename", path);
-  } catch (...) {
-    ::unlink(tmp.c_str());
-    throw;
-  }
-
+  install_file(path, bytes, /*durable=*/true);
   // Persist the rename itself: without the directory fsync a crash can
   // forget that the new name exists even though its data blocks are safe.
   sync_directory(dirname_of(path));
+}
+
+void replace_file(const std::string& path, const std::string& bytes) {
+  install_file(path, bytes, /*durable=*/false);
 }
 
 void sync_directory(const std::string& dir) {

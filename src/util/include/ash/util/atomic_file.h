@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file atomic_file.h
-/// Crash-safe file persistence: write-to-temp, fsync, rename, fsync-dir.
+/// Crash-safe file persistence: write-to-temp, fsync, rename, fsync-dir
+/// (and the same without the fsyncs, for kill-safe telemetry).
 ///
 /// A checkpoint that a crash can tear in half is worse than no checkpoint —
 /// it poisons the recovery path.  `atomic_write_file` guarantees that after
@@ -16,6 +17,13 @@
 ///   3. rename(2) installs it over the destination atomically;
 ///   4. the directory is fsync'ed, so the rename itself survives a crash.
 ///
+/// `replace_file` is the same temp-file-and-rename without the two
+/// fsyncs: a killed process still leaves the complete old or the complete
+/// new content (the rename is atomic and the page cache outlives the
+/// process), but a power cut may lose either.  It suits telemetry that
+/// must explain a crash but need not survive the machine, written often
+/// enough that two fsyncs per write would dominate its cost.
+///
 /// Failures are reported as `std::system_error` carrying errno and the
 /// path; a failed write unlinks its temp file, so aborted attempts leave
 /// no debris for directory scans to trip over.
@@ -27,6 +35,11 @@ namespace ash::util {
 /// Atomically replace (or create) `path` with `bytes`.  Throws
 /// std::system_error on any I/O failure; on failure `path` is untouched.
 void atomic_write_file(const std::string& path, const std::string& bytes);
+
+/// Replace (or create) `path` with `bytes` via a temp file and rename(2),
+/// with no fsync: survives a kill of the writer, not a power cut.  Throws
+/// std::system_error on any I/O failure; on failure `path` is untouched.
+void replace_file(const std::string& path, const std::string& bytes);
 
 /// fsync a directory so the names created or renamed in it survive a
 /// crash (best-effort: an unopenable directory is ignored).

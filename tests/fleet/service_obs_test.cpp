@@ -5,7 +5,10 @@
 ///   * scrapes interleaved mid-session stay out of the client transcript,
 ///     so the chaos transcript-identity gate is unperturbed by watching;
 ///   * a SIGKILLed daemon leaves a loadable flight-recorder dump whose
-///     events explain the life it led;
+///     events explain the life it led — every acknowledged mutation, once
+///     a later round trip has come back;
+///   * the dump is rewritten only after a tick that recorded an event:
+///     reads cost no dump, a mutation at most one;
 ///   * the SIGTERM drain's metrics dump is atomic: complete content, no
 ///     temp-file debris, readable while torn-write chaos reigns elsewhere.
 ///
@@ -176,6 +179,30 @@ TEST_F(ServiceObsTest, InProcessScrapesAnswerLiveTallies) {
 
   // Scrapes are reads: no mutation applied, no durable sequence advance.
   EXPECT_EQ(service.state().sequence, 1u);
+}
+
+TEST_F(ServiceObsTest, RequestPathWritesNoFlightDump) {
+  // respond() runs between a request's decode and its ack: the journal's
+  // fdatasync is its only durable write, and the flight ring is never
+  // dumped there — the poll loop dumps it after the tick's acks are sent.
+  ServiceConfig config = daemon_config("ackpath");
+  Service service(config);
+  const std::uint64_t at_start = service.stats().flight_dumps;
+  EXPECT_EQ(at_start, 1u) << "genesis dumps the ring once";
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    ScheduleSleepRequest req;
+    req.client_id = 4;
+    req.device_id = i % 6;
+    const Frame ack = service.respond(
+        {MessageType::kScheduleSleepRequest, 10 + i, req.encode()});
+    ASSERT_EQ(ack.type, MessageType::kScheduleSleepResponse);
+    MarginRequest margin;
+    margin.device_id = i % 6;
+    (void)service.respond(
+        {MessageType::kMarginRequest, 1000 + i, margin.encode()});
+  }
+  EXPECT_GE(service.stats().snapshots_saved, 2u) << "compaction ran too";
+  EXPECT_EQ(service.stats().flight_dumps, at_start);
 }
 
 TEST_F(ServiceObsTest, WireScrapesReportTheDaemonsLife) {
@@ -354,6 +381,89 @@ TEST_F(ServiceObsTest, DrainMetricsDumpIsAtomicAndComplete) {
   }
   EXPECT_TRUE(saw_drain_begin);
   EXPECT_TRUE(saw_drain_end);
+}
+
+TEST_F(ServiceObsTest, ReadsWriteNoFlightDumpsAndMutationsAtMostOneEach) {
+  const ServiceConfig config = daemon_config("dumps");
+  ForkedDaemon daemon(config);
+  daemon.start();
+
+  ClientConfig cc;
+  cc.socket_path = config.socket_path;
+  cc.client_id = 21;
+  Client client(cc);
+  // The ping's tick records the accept and dumps it; the scrape after it
+  // sees that dump already counted.
+  ASSERT_TRUE(client.ping());
+  const auto dumps = [&] {
+    bool found = false;
+    const double v = metric_value(client.metrics("fleet.service.").text,
+                                  "fleet.service.flight_dumps", &found);
+    EXPECT_TRUE(found);
+    return v;
+  };
+  const double before_reads = dumps();
+  EXPECT_GE(before_reads, 1.0);
+
+  for (int i = 0; i < 300; ++i) {
+    if (i % 3 == 2) {
+      EXPECT_EQ(client.status().status, Status::kOk);
+    } else {
+      MarginRequest req;
+      req.device_id = static_cast<std::uint64_t>(i % 6);
+      EXPECT_EQ(client.margin(req).status, Status::kOk);
+    }
+  }
+  const double after_reads = dumps();
+  EXPECT_EQ(after_reads, before_reads) << "a read rewrote the flight ring";
+
+  constexpr int kMutations = 5;
+  for (int i = 0; i < kMutations; ++i) {
+    ScheduleSleepRequest req;
+    req.client_id = cc.client_id;
+    req.device_id = static_cast<std::uint64_t>(i);
+    EXPECT_EQ(client.schedule_sleep(req).windows, 1u);
+  }
+  const double after_mutations = dumps();
+  EXPECT_GT(after_mutations, after_reads);
+  EXPECT_LE(after_mutations - after_reads, kMutations);
+  EXPECT_EQ(client.stats().reconnects, 1u)
+      << "a second connection records an accept";
+
+  EXPECT_EQ(daemon.terminate(), 0);
+}
+
+TEST_F(ServiceObsTest, SigkillAfterAPingKeepsEveryAckedMutationInTheDump) {
+  // The dump of a mutation's tick is written after its ack and before the
+  // daemon polls again, so once a later round trip (a ping, which records
+  // nothing) has come back, the dump on disk holds every acked mutation.
+  const ServiceConfig config = daemon_config("acked");
+  ForkedDaemon daemon(config);
+  daemon.start();
+
+  constexpr int kMutations = 4;
+  {
+    ClientConfig cc;
+    cc.socket_path = config.socket_path;
+    cc.client_id = 17;
+    Client client(cc);
+    for (int i = 0; i < kMutations; ++i) {
+      ScheduleSleepRequest req;
+      req.client_id = cc.client_id;
+      req.device_id = static_cast<std::uint64_t>(i + 1);
+      ASSERT_EQ(client.schedule_sleep(req).windows, 1u);
+    }
+    ASSERT_TRUE(client.ping());
+    daemon.sigkill();
+  }
+
+  const auto events =
+      obs::FlightRecorder::load(util::read_file(config.flight_recorder_path));
+  int applied = 0;
+  for (const auto& e : events) {
+    applied += e.kind == obs::FlightEventKind::kMutationApplied ? 1 : 0;
+  }
+  EXPECT_EQ(applied, kMutations);
 }
 
 }  // namespace

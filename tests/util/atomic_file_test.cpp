@@ -89,6 +89,27 @@ TEST_F(AtomicFileTest, MissingDirectoryThrows) {
                std::system_error);
 }
 
+TEST_F(AtomicFileTest, ReplaceFileInstallsWholeContentWithoutDebris) {
+  // The fsync-free sibling shares the temp-file-and-rename path: whole
+  // content replaced, no temp file left, a bad directory reported.
+  const std::string path = dir_ + "/ring.txt";
+  replace_file(path, "first version, longer than the second");
+  replace_file(path, "v2");
+  EXPECT_EQ(read_file(path), "v2");
+  int entries = 0;
+  DIR* d = ::opendir(dir_.c_str());
+  ASSERT_NE(d, nullptr);
+  while (dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name == "." || name == "..") continue;
+    EXPECT_EQ(name, "ring.txt");
+    ++entries;
+  }
+  ::closedir(d);
+  EXPECT_EQ(entries, 1);
+  EXPECT_THROW(replace_file(dir_ + "/no/such/dir/f", "x"), std::system_error);
+}
+
 TEST_F(AtomicFileTest, ReadMissingFileThrows) {
   EXPECT_THROW(read_file(dir_ + "/absent"), std::system_error);
 }

@@ -20,8 +20,10 @@
 ///     drains gracefully (final durable state snapshot); SIGKILL is safe —
 ///     the next start resumes from the newest valid snapshot plus the
 ///     journal's valid prefix, so every acknowledged mutation survives.
-///     --flight keeps a crash-safe flight recorder that persists across
-///     kills; --profile turns on kernel profiling (served by the profile
+///     --flight keeps a flight recorder whose dump survives a kill of the
+///     daemon, not a power cut: it is rewritten (temp file + rename, no
+///     fsync) after the acks of each poll tick that recorded an event, so
+///     read-only traffic writes nothing; --profile turns on kernel profiling (served by the profile
 ///     scrape); --trace streams request-path spans as JSONL.
 ///
 ///   ash_fleetd query --socket PATH (ping|status|margin|rejuvenation|sleep)
@@ -101,6 +103,9 @@ int usage() {
       "                  [--flight FILE] [--flight-capacity N] "
       "[--no-instrument]\n"
       "                  [--profile] [--trace FILE]\n"
+      "                  (--flight: dump written after the ack, only when "
+      "changed;\n"
+      "                  survives a kill, not a power cut)\n"
       "                  (resumes from the newest valid snapshot in the "
       "state dir\n"
       "                  plus the journal's valid prefix)\n"
