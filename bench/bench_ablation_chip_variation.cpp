@@ -7,16 +7,13 @@
 /// populations, process corners and mismatch) and report the spread of the
 /// metrics the paper quotes as single numbers.
 ///
-/// The population runs THREE times — fanned over an in-process thread
-/// pool, sharded across supervised worker processes (`FleetSupervisor`,
-/// one forked worker per chip with durable checkpoints), and in lockstep
-/// through the batch engine (`tb::PopulationRunner` over per-site
-/// `bti::BatchEnsemble`s) — and all three sample logs are
-/// required to agree byte-for-byte.  That pins two determinism contracts
-/// on a real workload: process isolation, checkpoint round-trips and
-/// phase-at-a-time resume must not perturb the science payload by a single
-/// bit, and neither may swapping the per-chip aging kernels for the fused
-/// population kernels.
+/// The population runs twice — fanned over an in-process thread pool, and
+/// sharded across supervised worker processes (`FleetSupervisor`, one
+/// forked worker per chip with durable checkpoints) — and the two sample
+/// logs are required to agree byte-for-byte.  That pins a determinism
+/// contract on a real workload: process isolation, checkpoint round-trips
+/// and phase-at-a-time resume must not perturb the science payload by a
+/// single bit.
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +27,6 @@
 #include "ash/fpga/chip.h"
 #include "ash/tb/data_log.h"
 #include "ash/tb/experiment_runner.h"
-#include "ash/tb/population_runner.h"
 #include "ash/tb/test_case.h"
 #include "ash/util/crc32.h"
 #include "ash/util/stats.h"
@@ -145,33 +141,15 @@ int main() {
   // Pass 2: the same population as a supervised multi-process fleet.
   const std::vector<tb::DataLog> sharded = run_process_sharded();
 
-  // Pass 3: the same population in lockstep through the batch engine.
-  std::vector<tb::DataLog> batched;
-  {
-    std::vector<fpga::FpgaChip> chips;
-    chips.reserve(kChips);
-    for (int i = 0; i < kChips; ++i) chips.emplace_back(chip_config(i));
-    std::vector<fpga::FpgaChip*> ptrs;
-    for (auto& chip : chips) ptrs.push_back(&chip);
-    // The schedule is shared; per-chip test cases differ only in the
-    // chip_id field, which the runners ignore (ids come from the chips).
-    tb::PopulationRunner runner{tb::RunnerConfig{}};
-    batched = runner.run(ptrs, variation_case(1));
-  }
-
-  // Neither the fleet layer nor the batch engine may perturb the science
-  // payload by a single bit.
-  std::string bytes_threaded, bytes_sharded, bytes_batched;
+  // The fleet layer may not perturb the science payload by a single bit.
+  std::string bytes_threaded, bytes_sharded;
   for (const tb::DataLog& log : threaded) bytes_threaded += log_bytes(log);
   for (const tb::DataLog& log : sharded) bytes_sharded += log_bytes(log);
-  for (const tb::DataLog& log : batched) bytes_batched += log_bytes(log);
-  const bool identical =
-      bytes_threaded == bytes_sharded && bytes_threaded == bytes_batched;
-  std::printf("threaded vs process-sharded vs batch-engine sample logs: %s "
-              "(crc32 %08x / %08x / %08x)\n\n",
+  const bool identical = bytes_threaded == bytes_sharded;
+  std::printf("threaded vs process-sharded sample logs: %s "
+              "(crc32 %08x / %08x)\n\n",
               identical ? "bit-identical" : "DIVERGED",
-              util::crc32(bytes_threaded), util::crc32(bytes_sharded),
-              util::crc32(bytes_batched));
+              util::crc32(bytes_threaded), util::crc32(bytes_sharded));
   if (!identical) return 1;
 
   std::vector<double> fresh_mhz;

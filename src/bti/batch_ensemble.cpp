@@ -22,20 +22,6 @@ BatchEnsemble::BatchEnsemble(const std::vector<BatchMemberSpec>& specs,
   }
 }
 
-BatchEnsemble::BatchEnsemble(const std::vector<const TrapEnsemble*>& members,
-                             const BatchConfig& config)
-    : config_(config) {
-  if (members.empty()) {
-    throw std::invalid_argument("BatchEnsemble: empty population");
-  }
-  for (const TrapEnsemble* source : members) {
-    if (source == nullptr) {
-      throw std::invalid_argument("BatchEnsemble: null member");
-    }
-    adopt_member(*source);
-  }
-}
-
 void BatchEnsemble::adopt_member(const TrapEnsemble& source) {
   // Class lookup: identical kinetics parameters *and* identical draws.
   // Two members built from the same seed and kinetics constants share

@@ -29,11 +29,11 @@
 /// from the same `entry_for` the solo ensemble's cache uses — the one rate
 /// routine of the model — so a batch trajectory is bit-for-bit equal to N
 /// independent `TrapEnsemble` runs (asserted for seeded 64-chip
-/// populations in tests/bti/batch_ensemble_test.cpp, and for the full
-/// 20-chip Table-1 campaign in bench_ablation_chip_variation).  Unlike the
-/// solo ensemble there is no miss-twice promotion: a rate computation
-/// amortizes over every member of its class, so every condition fills a
-/// slot of the 16-deep per-class cache.
+/// populations, rate-cache eviction and pool sharding in
+/// tests/bti/batch_ensemble_test.cpp).  Unlike the solo ensemble there is
+/// no miss-twice promotion: a rate computation amortizes over every member
+/// of its class, so every condition fills a slot of the 16-deep per-class
+/// cache.
 
 #include <cstdint>
 #include <vector>
@@ -72,13 +72,6 @@ class BatchEnsemble {
   /// `TrapEnsemble(specs[m].params, specs[m].seed)` for every member (and
   /// bit-identical to doing so — the members *are* those populations).
   explicit BatchEnsemble(const std::vector<BatchMemberSpec>& specs,
-                         const BatchConfig& config = {});
-
-  /// Adopt existing ensembles (kinetics arrays and *current* occupancies
-  /// are copied; the sources are not retained).  This is how the
-  /// population runner batches the transistors of N structurally identical
-  /// chips.  Throws std::invalid_argument on an empty list or a null entry.
-  explicit BatchEnsemble(const std::vector<const TrapEnsemble*>& members,
                          const BatchConfig& config = {});
 
   /// Advance every member by dt under one shared operating condition.

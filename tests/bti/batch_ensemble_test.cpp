@@ -113,31 +113,6 @@ TEST(BatchEnsemble, ExactModeBitIdenticalOneClass64) {
   expect_bit_identical_trajectories(specs, {});
 }
 
-TEST(BatchEnsemble, AdoptedEnsemblesContinueBitIdentically) {
-  const auto specs = distinct_seed_population(8);
-  std::vector<TrapEnsemble> solo;
-  for (const auto& s : specs) solo.emplace_back(s.params, s.seed);
-  // Age the solos first; adoption must pick up mid-campaign state.
-  const auto stress = dc_stress(Volts{1.2}, Celsius{110.0});
-  for (auto& e : solo) {
-    e.evolve(stress, Seconds{3600.0});
-    e.evolve(stress, Seconds{3600.0});
-  }
-  std::vector<const TrapEnsemble*> ptrs;
-  for (const auto& e : solo) ptrs.push_back(&e);
-  BatchEnsemble batch(ptrs, {});
-  for (std::size_t m = 0; m < solo.size(); ++m) {
-    ASSERT_EQ(batch.delta_vth(static_cast<int>(m)), solo[m].delta_vth());
-  }
-  for (const auto& step : mixed_schedule()) {
-    batch.evolve(step.condition, Seconds{step.dt_s});
-    for (auto& e : solo) e.evolve(step.condition, Seconds{step.dt_s});
-  }
-  for (std::size_t m = 0; m < solo.size(); ++m) {
-    ASSERT_EQ(batch.occupancies(static_cast<int>(m)), solo[m].occupancies());
-  }
-}
-
 // The tsan-job target: the apply sweep sharded over a ThreadPool must be
 // data-race-free and bit-identical to the serial sweep.
 TEST(BatchEnsemble, ThreadPoolShardingBitIdentical) {
@@ -342,10 +317,6 @@ TEST(BatchEnsemble, SetOccupanciesRoundTripAndReset) {
 TEST(BatchEnsemble, RejectsEmptyAndNullPopulations) {
   EXPECT_THROW(BatchEnsemble(std::vector<BatchMemberSpec>{}, {}),
                std::invalid_argument);
-  EXPECT_THROW(BatchEnsemble(std::vector<const TrapEnsemble*>{}, {}),
-               std::invalid_argument);
-  std::vector<const TrapEnsemble*> with_null{nullptr};
-  EXPECT_THROW(BatchEnsemble(with_null, {}), std::invalid_argument);
 }
 
 TEST(BatchEnsemble, ClassGroupingSplitsOnKineticsChanges) {

@@ -1,5 +1,5 @@
 // Fixture: the same gaps as the positive case, but each incomplete
-// enumerator carries a reasoned ash-check escape on its line.
+// enumerator carries a reasoned ash-lint escape on its line.
 #pragma once
 
 #include <string>
@@ -9,13 +9,13 @@ namespace ash::fleet {
 
 enum class MessageType : unsigned {
   kEchoRequest = 1,
-  kEchoResponse = 2,  // ash-check: allow(protocol-exhaustiveness): fixture-sanctioned gap
+  kEchoResponse = 2,  // ash-lint: allow(protocol-exhaustiveness): fixture-sanctioned gap
 };
 
 enum class ProtocolViolation : unsigned {
   kNone = 0,
   kBadMagic,
-  kHostileLength,  // ash-check: allow(protocol-exhaustiveness): fixture-sanctioned gap
+  kHostileLength,  // ash-lint: allow(protocol-exhaustiveness): fixture-sanctioned gap
   kCount,
 };
 

@@ -6,7 +6,7 @@ namespace fix {
 
 void sweep(util::ThreadPool& pool, std::vector<double>& out) {
   pool.parallel_for(0, static_cast<int>(out.size()), [&](int i) {
-    out[i] = static_cast<double>(std::rand());  // ash-check: allow(shard-purity): fixture-sanctioned violation
+    out[i] = static_cast<double>(std::rand());  // ash-lint: allow(shard-purity): fixture-sanctioned violation
   });
 }
 

@@ -1,5 +1,5 @@
 // Fixture: the same stdio violation, acknowledged with a reasoned
-// ash-check escape — suppressed, not a finding.
+// ash-lint escape — suppressed, not a finding.
 #include <csignal>
 #include <cstdio>
 #include <unistd.h>
@@ -9,7 +9,7 @@ namespace fix {
 void handle_fatal(int sig) {
   char byte = static_cast<char>(sig);
   (void)write(2, &byte, 1);
-  std::printf("down\n");  // ash-check: allow(signal-safety): fixture-sanctioned violation
+  std::printf("down\n");  // ash-lint: allow(signal-safety): fixture-sanctioned violation
 }
 
 void install() { signal(SIGTERM, handle_fatal); }
