@@ -35,11 +35,7 @@ tb::TestCase chip5_head() {
 }
 
 tb::CampaignResult run_lab(const tb::RunnerConfig& config) {
-  fpga::ChipConfig cc;
-  cc.chip_id = 5;
-  cc.seed = 0x40A0 + 5;
-  cc.ro_stages = kStages;
-  fpga::FpgaChip chip(cc);
+  fpga::FpgaChip chip(tb::paper_chip_config(5, kStages));
   return tb::ExperimentRunner(config).run_campaign(chip, chip5_head());
 }
 

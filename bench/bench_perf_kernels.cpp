@@ -175,11 +175,7 @@ int run_json_mode(const std::string& path) {
   const tb::TestCase tc = tb::paper_campaign().at(4);
   double campaign_ms = 0.0;
   {
-    fpga::ChipConfig cc;
-    cc.chip_id = tc.chip_id;
-    cc.seed = 0x40A0 + static_cast<std::uint64_t>(tc.chip_id);
-    cc.ro_stages = 75;
-    fpga::FpgaChip chip(cc);
+    fpga::FpgaChip chip(tb::paper_chip_config(tc.chip_id, 75));
     tb::ExperimentRunner runner{tb::RunnerConfig{}};
     const auto t0 = clock::now();
     const auto result = runner.run_campaign(chip, tc);
@@ -192,11 +188,7 @@ int run_json_mode(const std::string& path) {
   // actually hit.
   double fixed_drive_ms = 0.0;
   {
-    fpga::ChipConfig cc;
-    cc.chip_id = tc.chip_id;
-    cc.seed = 0x40A0 + static_cast<std::uint64_t>(tc.chip_id);
-    cc.ro_stages = 75;
-    fpga::FpgaChip chip(cc);
+    fpga::FpgaChip chip(tb::paper_chip_config(tc.chip_id, 75));
     const auto t0 = clock::now();
     for (const auto& phase : tc.phases) {
       bti::OperatingCondition cond;

@@ -15,29 +15,31 @@
 #include <string>
 
 #include "ash/core/metrics.h"
-#include "ash/fpga/chip.h"
 #include "ash/tb/experiment_runner.h"
 #include "ash/tb/test_case.h"
 #include "ash/util/table.h"
+#include "ash/util/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace ash;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
-  tb::ExperimentRunner runner{tb::RunnerConfig{}};
   Table summary({"chip", "schedule", "samples", "fresh f (MHz)",
                  "worst degradation", "final recovered"});
 
-  for (const auto& test_case : tb::paper_campaign()) {
-    fpga::ChipConfig cc;
-    cc.chip_id = test_case.chip_id;
-    cc.seed = 0x40A0 + static_cast<std::uint64_t>(test_case.chip_id);
-    fpga::FpgaChip chip(cc);
-
+  const auto cases = tb::paper_campaign();
+  for (const auto& test_case : cases) {
     std::printf("running %s (chip %d, %.0f h of schedule)...\n",
                 test_case.name.c_str(), test_case.chip_id,
-                test_case.total_duration_s() / 3600.0);
-    const tb::DataLog log = runner.run(chip, test_case);
+                test_case.total_duration_s().value() / 3600.0);
+  }
+  util::ThreadPool pool(
+      util::recommended_pool_size(static_cast<int>(cases.size())));
+  const auto results = tb::run_paper_campaign(pool, tb::RunnerConfig{}, 75);
+
+  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+    const auto& test_case = cases[ci];
+    const tb::DataLog& log = results[ci].log;
 
     const std::string path =
         out_dir + "/campaign_chip" + std::to_string(test_case.chip_id) +

@@ -12,7 +12,7 @@
 /// mode against this paper's data: measured recovery depends strongly on
 /// the sleep *conditions* (negative bias, temperature), which RD has no
 /// knob for — exactly the argument of ref. [15] ("Physics Matters") for
-/// preferring Trapping/Detrapping.  bench_ablation_model_selection runs
+/// preferring Trapping/Detrapping.  `ash_lab reproduce` (Ablation L) runs
 /// the comparison on the virtual campaign.
 
 #include "ash/bti/condition.h"

@@ -5,6 +5,7 @@
 #include <deque>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "ash/util/random.h"
 #include "ash/util/stats.h"
 #include "ash/util/table.h"
+#include "ash/util/thread_pool.h"
 
 namespace ash::tb {
 
@@ -633,6 +635,40 @@ RunnerConfig naive_runner_config(const FaultPlan& plan) {
   config.retry.max_sample_retries = 0;
   config.measurement.estimator = RobustEstimator::kMean;
   return config;
+}
+
+fpga::ChipConfig paper_chip_config(int chip_id, int ro_stages,
+                                   std::uint64_t seed_base) {
+  fpga::ChipConfig cc;
+  cc.chip_id = chip_id;
+  cc.seed = seed_base + static_cast<std::uint64_t>(chip_id);
+  cc.ro_stages = ro_stages;
+  return cc;
+}
+
+std::vector<CampaignResult> run_paper_campaign(util::ThreadPool& pool,
+                                               const RunnerConfig& config,
+                                               int ro_stages,
+                                               std::uint64_t seed_base) {
+  const std::vector<TestCase> cases = paper_campaign();
+  // Longest schedule first: chip 5's re-stress makes it the critical path,
+  // and on a pool smaller than the campaign it must not queue behind a
+  // short chip.
+  std::vector<std::size_t> order(cases.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return cases[a].total_duration_s() > cases[b].total_duration_s();
+  });
+  auto started = pool.parallel_for(static_cast<int>(cases.size()), [&](int k) {
+    const TestCase& tc = cases[order[static_cast<std::size_t>(k)]];
+    fpga::FpgaChip chip(paper_chip_config(tc.chip_id, ro_stages, seed_base));
+    return ExperimentRunner(config).run_campaign(chip, tc);
+  });
+  std::vector<CampaignResult> results(cases.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    results[order[k]] = std::move(started[k]);
+  }
+  return results;
 }
 
 }  // namespace ash::tb

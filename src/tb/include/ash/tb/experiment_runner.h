@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "ash/fpga/chip.h"
 #include "ash/tb/data_log.h"
@@ -38,6 +39,10 @@
 #include "ash/tb/power_supply.h"
 #include "ash/tb/test_case.h"
 #include "ash/tb/thermal_chamber.h"
+
+namespace ash::util {
+class ThreadPool;
+}  // namespace ash::util
 
 namespace ash::tb {
 
@@ -192,5 +197,20 @@ RunnerConfig tolerant_runner_config(const FaultPlan& plan);
 /// Preset: the same dirty lab run naively — single-shot samples, plain
 /// mean over readings, no plausibility checks, no rewinds.
 RunnerConfig naive_runner_config(const FaultPlan& plan);
+
+/// Table 1 chip `chip_id` with `ro_stages` RO stages and seed
+/// `seed_base + chip_id` (the paper campaign's seeds are 0x40A0 + chip id).
+fpga::ChipConfig paper_chip_config(int chip_id, int ro_stages,
+                                   std::uint64_t seed_base = 0x40A0);
+
+/// Run the whole Table 1 campaign (`paper_campaign()`), one task per chip
+/// on `pool`: each task builds its `paper_chip_config` chip and runs it
+/// under its own ExperimentRunner(`config`).  Results come back in chip
+/// order and are bit-identical to the serial loop at any pool size, since
+/// tasks share no state and instrument noise derives from (runner seed,
+/// phase, attempt) alone.
+std::vector<CampaignResult> run_paper_campaign(
+    util::ThreadPool& pool, const RunnerConfig& config, int ro_stages,
+    std::uint64_t seed_base = 0x40A0);
 
 }  // namespace ash::tb

@@ -63,4 +63,8 @@ std::string ascii_chart(const std::vector<std::string>& labels,
                         const std::vector<std::vector<double>>& rows,
                         std::size_t width = 64, std::size_t height = 16);
 
+/// Print the banner that opens every reproduced figure/table section: its
+/// title and the paper's claim, between two rules.
+void print_banner(const std::string& name, const std::string& paper_claim);
+
 }  // namespace ash

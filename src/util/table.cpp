@@ -150,4 +150,11 @@ std::string ascii_chart(const std::vector<std::string>& labels,
   return out.str();
 }
 
+void print_banner(const std::string& name, const std::string& paper_claim) {
+  std::printf("================================================================\n");
+  std::printf("%s\n", name.c_str());
+  std::printf("paper: %s\n", paper_claim.c_str());
+  std::printf("================================================================\n");
+}
+
 }  // namespace ash

@@ -32,11 +32,8 @@ tb::TestCase chip5_head() {
 }
 
 fpga::FpgaChip paper_chip() {
-  fpga::ChipConfig cc;
-  cc.chip_id = 5;
-  cc.seed = 0x40A0 + 5;
-  cc.ro_stages = 15;  // per-device physics; smaller RO keeps the test fast
-  return fpga::FpgaChip(cc);
+  // Per-device physics; a smaller RO keeps the test fast.
+  return fpga::FpgaChip(tb::paper_chip_config(5, 15));
 }
 
 /// Worst fractional per-sample delay error against the ideal-lab log,

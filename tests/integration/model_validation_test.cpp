@@ -23,11 +23,7 @@ struct Run {
 };
 
 Run run_chip(int id, const tb::TestCase& tc) {
-  fpga::ChipConfig cc;
-  cc.chip_id = id;
-  cc.seed = 0x40A0 + static_cast<std::uint64_t>(id);
-  cc.ro_stages = 15;
-  fpga::FpgaChip chip(cc);
+  fpga::FpgaChip chip(tb::paper_chip_config(id, 15));
   tb::ExperimentRunner runner{tb::RunnerConfig{}};
   Run r;
   r.log = runner.run(chip, tc);

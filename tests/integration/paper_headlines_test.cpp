@@ -9,10 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "ash/core/metrics.h"
-#include "ash/fpga/chip.h"
 #include "ash/tb/experiment_runner.h"
-#include "ash/tb/test_case.h"
 #include "ash/util/constants.h"
+#include "ash/util/thread_pool.h"
 
 namespace ash {
 namespace {
@@ -22,20 +21,6 @@ struct RunResult {
   double fresh_delay_s = 0.0;
   double fresh_frequency_hz = 0.0;
 };
-
-RunResult run_case(const tb::TestCase& tc, int stages = 15) {
-  fpga::ChipConfig cc;
-  cc.chip_id = tc.chip_id;
-  cc.seed = 0x40A0 + static_cast<std::uint64_t>(tc.chip_id);
-  cc.ro_stages = stages;
-  fpga::FpgaChip chip(cc);
-  tb::ExperimentRunner runner{tb::RunnerConfig{}};
-  RunResult r;
-  r.log = runner.run(chip, tc);
-  r.fresh_delay_s = r.log.records().front().delay_s.value();
-  r.fresh_frequency_hz = r.log.records().front().frequency_hz.value();
-  return r;
-}
 
 double end_degradation(const RunResult& r, const std::string& phase) {
   const auto f = r.log.frequency_series(phase);
@@ -47,8 +32,13 @@ class PaperCampaign : public ::testing::Test {
   // One shared campaign run for the whole suite (expensive setup).
   static void SetUpTestSuite() {
     results_ = new std::vector<RunResult>();
-    for (const auto& tc : tb::paper_campaign()) {
-      results_->push_back(run_case(tc));
+    util::ThreadPool pool(util::recommended_pool_size(5));
+    for (auto& result : tb::run_paper_campaign(pool, tb::RunnerConfig{}, 15)) {
+      RunResult r;
+      r.log = std::move(result.log);
+      r.fresh_delay_s = r.log.records().front().delay_s.value();
+      r.fresh_frequency_hz = r.log.records().front().frequency_hz.value();
+      results_->push_back(std::move(r));
     }
   }
   static void TearDownTestSuite() {

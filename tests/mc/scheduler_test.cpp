@@ -181,7 +181,9 @@ TEST(Schedulers, TolerateNaNTelemetry) {
   EXPECT_EQ(active_count(b), 7);
   EXPECT_EQ(b[2], CoreMode::kSleepRejuvenate);
   for (int i = 0; i < 8; ++i) {
-    if (i != 2) EXPECT_EQ(b[static_cast<std::size_t>(i)], CoreMode::kActive);
+    if (i != 2) {
+      EXPECT_EQ(b[static_cast<std::size_t>(i)], CoreMode::kActive);
+    }
   }
 }
 

@@ -27,11 +27,8 @@ class SinkGuard {
 
 tb::CampaignResult run_chip5(const tb::RunnerConfig& config) {
   tb::TestCase tc = tb::campaign_case("AR110N6");  // the chip-5 schedule
-  fpga::ChipConfig cc;
-  cc.chip_id = tc.chip_id;
-  cc.seed = 0x40A0 + static_cast<std::uint64_t>(tc.chip_id);
-  cc.ro_stages = 15;  // small chip keeps the test quick
-  fpga::FpgaChip chip(cc);
+  // A small chip keeps the test quick.
+  fpga::FpgaChip chip(tb::paper_chip_config(tc.chip_id, 15));
   return tb::ExperimentRunner(config).run_campaign(chip, tc);
 }
 

@@ -1,6 +1,10 @@
 /// ash_lab — command-line front end to the virtual aging laboratory.
 ///
 /// Subcommands:
+///   reproduce — run the paper's Table 1 campaign once (chips in parallel)
+///       and print every section derived from it: Figs. 4-8, Tables 2-5
+///       and Ablation L, PAPER vs MEASURED (tools/reproduce.cpp)
+///       ash_lab reproduce
 ///   campaign  — run the paper's Table 1 five-chip campaign, CSV per chip
 ///       ash_lab campaign [--stages 75] [--out DIR] [--seed N]
 ///                        [--fault-plan none|representative|harsh]
@@ -71,6 +75,7 @@
 #include "ash/util/random.h"
 #include "ash/util/table.h"
 #include "ash/util/thread_pool.h"
+#include "reproduce.h"
 
 namespace {
 
@@ -79,8 +84,8 @@ using namespace ash;
 int usage() {
   std::fprintf(
       stderr,
-      "usage: ash_lab <campaign|chip1..chip5|stress|plan|population|"
-      "multicore> [--flags]\n"
+      "usage: ash_lab <reproduce|campaign|chip1..chip5|stress|plan|"
+      "population|multicore> [--flags]\n"
       "observability: --trace FILE --metrics FILE --profile\n"
       "see the header of tools/ash_lab.cpp for flag lists\n");
   return 2;
@@ -116,27 +121,14 @@ int cmd_campaign(const Flags& flags) {
   const auto plan =
       tb::FaultPlan::by_name(flags.get("fault-plan", std::string("none")));
 
-  // The five chips of the Table-1 campaign are fully independent: each
-  // task owns its chip and its ExperimentRunner (instrument noise streams
-  // are seeded per (runner seed, phase, attempt), so per-task runners
-  // reproduce the serial run's logs bit-for-bit).  All I/O and the
-  // fault-report merge stay on this thread, in chip order.
+  // Every task owns its chip and runner (bit-identical to the serial run);
+  // all I/O and the fault-report merge stay on this thread, in chip order.
   const auto cases = tb::paper_campaign();
-  const tb::RunnerConfig runner_cfg = campaign_runner_config(flags, plan);
   const int jobs = flags.get("jobs", 0);
   util::ThreadPool pool(jobs != 0 ? jobs : util::recommended_pool_size(
                                                static_cast<int>(cases.size())));
-  auto results = pool.parallel_for(
-      static_cast<int>(cases.size()), [&](int i) {
-        const auto& tc = cases[static_cast<std::size_t>(i)];
-        fpga::ChipConfig cc;
-        cc.chip_id = tc.chip_id;
-        cc.seed = seed + static_cast<std::uint64_t>(tc.chip_id);
-        cc.ro_stages = stages;
-        fpga::FpgaChip chip(cc);
-        tb::ExperimentRunner runner{runner_cfg};
-        return runner.run_campaign(chip, tc);
-      });
+  const auto results = tb::run_paper_campaign(
+      pool, campaign_runner_config(flags, plan), stages, seed);
 
   tb::FaultReport total_faults;
   Table summary({"chip", "samples", "usable", "fresh f (MHz)",
@@ -181,6 +173,16 @@ int cmd_campaign(const Flags& flags) {
   return 0;
 }
 
+/// The paper reproduction: the Table 1 campaign at 75 stages under the
+/// default runner, once, then every section printed from its logs.
+int cmd_reproduce(const Flags& flags) {
+  flags.check_known(with_obs({}));
+  util::ThreadPool pool(util::recommended_pool_size(5));
+  lab::print_paper_reproduction(
+      tb::run_paper_campaign(pool, tb::RunnerConfig{}, 75));
+  return 0;
+}
+
 /// Run ONE chip of the Table 1 campaign (`ash_lab chip5 ...`) — the
 /// single-chip acceptance path for tracing a Fig. 9-style run.
 int cmd_chip(const Flags& flags, const std::string& name) {
@@ -201,12 +203,9 @@ int cmd_chip(const Flags& flags, const std::string& name) {
       tb::FaultPlan::by_name(flags.get("fault-plan", std::string("none")));
   tb::ExperimentRunner runner{campaign_runner_config(flags, plan)};
 
-  fpga::ChipConfig cc;
-  cc.chip_id = tc->chip_id;
-  cc.seed = static_cast<std::uint64_t>(flags.get("seed", 0x40A0)) +
-            static_cast<std::uint64_t>(tc->chip_id);
-  cc.ro_stages = flags.get("stages", 75);
-  fpga::FpgaChip chip(cc);
+  fpga::FpgaChip chip(tb::paper_chip_config(
+      tc->chip_id, flags.get("stages", 75),
+      static_cast<std::uint64_t>(flags.get("seed", 0x40A0))));
 
   const auto result = runner.run_campaign(chip, *tc);
   const std::string path = flags.get("out", std::string(".")) +
@@ -465,6 +464,7 @@ int cmd_multicore(const Flags& flags) {
 }
 
 int dispatch(const std::string& cmd, const Flags& flags) {
+  if (cmd == "reproduce") return cmd_reproduce(flags);
   if (cmd == "campaign") return cmd_campaign(flags);
   if (cmd == "stress") return cmd_stress(flags);
   if (cmd == "plan") return cmd_plan(flags);

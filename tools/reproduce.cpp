@@ -1,0 +1,623 @@
+/// `ash_lab reproduce` — every section the paper derives from its Table 1
+/// campaign (Figs. 4-8, Tables 2-5) plus Ablation L, printed as PAPER vs
+/// MEASURED rows from one run of the five chips.  Each section opens with
+/// a banner naming the figure or table and the paper's claim.
+
+#include "reproduce.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "ash/bti/closed_form.h"
+#include "ash/bti/reaction_diffusion.h"
+#include "ash/core/metrics.h"
+#include "ash/core/model_fit.h"
+#include "ash/util/constants.h"
+#include "ash/util/series.h"
+#include "ash/util/table.h"
+
+namespace ash::lab {
+namespace {
+
+using Campaign = std::vector<tb::CampaignResult>;
+
+/// Chip `id`'s sample log (results are in chip order, chips 1..5).
+const tb::DataLog& chip(const Campaign& campaign, int id) {
+  return campaign.at(static_cast<std::size_t>(id - 1)).log;
+}
+
+/// A chip's first measurement is its fresh reference, as in the paper: all
+/// later metrics are relative to it.
+double fresh_delay_s(const tb::DataLog& log) {
+  return log.records().front().delay_s.value();
+}
+
+/// DeltaTd(t) series (in ns) for one phase, relative to the fresh delay.
+Series delay_change_ns(const tb::DataLog& log, const std::string& phase) {
+  return core::delay_change_series(log.delay_series(phase), fresh_delay_s(log))
+      .mapped([](double v) { return v * 1e9; });
+}
+
+/// Frequency-degradation (%) series for one phase.
+Series degradation_percent(const tb::DataLog& log, const std::string& phase) {
+  return core::frequency_degradation_series(
+             log.frequency_series(phase),
+             log.records().front().frequency_hz.value())
+      .mapped([](double v) { return v * 100.0; });
+}
+
+/// Recovered-delay series (Eq. (16)) in ns for a recovery phase.
+Series recovered_delay_ns(const tb::DataLog& log, const std::string& phase) {
+  return core::recovered_delay_series(log.delay_series(phase))
+      .mapped([](double v) { return v * 1e9; });
+}
+
+/// Eq. (11) fit of a recovery phase after the campaign's 24 h stress; chip
+/// 4 stressed at 100 degC, so its stress time is converted to
+/// reference-equivalent time.
+core::RecoveryFit fit_recovery(const tb::DataLog& run, int chip_id,
+                               const char* phase) {
+  const auto remaining =
+      core::delay_change_series(run.delay_series(phase), fresh_delay_s(run));
+  const core::ModelFitter fitter;
+  const bti::ClosedFormModel prior(fitter.priors());
+  const double afc =
+      chip_id == 4 ? prior.capture_acceleration(Volts{1.2}, Kelvin{celsius(100.0)}) : 1.0;
+  return fitter.fit_recovery(remaining, hours(24.0) * afc);
+}
+
+/// `n` evenly resampled values of a series: one row of an ASCII chart.
+std::vector<double> chart_row(const Series& series, std::size_t n) {
+  const Series resampled = series.resampled(n);
+  std::vector<double> row;
+  row.reserve(resampled.size());
+  for (const auto& p : resampled.samples()) row.push_back(p.value);
+  return row;
+}
+
+/// Figure 4, "AC/DC stress test results": RO frequency degradation over
+/// 24 h of accelerated stress at 110 degC, AC (chip 1) vs DC (chip 2).  The
+/// paper's shape: fast degradation in the first ~3 hours, then slowing; AC
+/// ends at about half of DC (~1.1 % vs ~2.2 %).
+void fig4(const Campaign& campaign) {
+  print_banner(
+      "Figure 4 — AC vs DC accelerated stress (24 h @ 110 degC)",
+      "fast-then-slow degradation; AC ~ half of DC (~1.1 % vs ~2.2 %)");
+
+  const auto ac = degradation_percent(chip(campaign, 1), "AS110AC24");
+  const auto dc = degradation_percent(chip(campaign, 2), "AS110DC24");
+
+  Table t({"time (h)", "AC stress (%)", "DC stress (%)"});
+  for (double h : {0.0, 1.0, 3.0, 6.0, 12.0, 18.0, 24.0}) {
+    t.add_row({fmt_fixed(h, 1), fmt_fixed(ac.at(hours(h)), 2),
+               fmt_fixed(dc.at(hours(h)), 2)});
+  }
+  std::printf("%s\n", t.render().c_str());
+
+  const double ratio = ac.back().value / dc.back().value;
+  const double dc_first3h = dc.at(hours(3.0));
+  Table s({"metric", "paper", "measured"});
+  s.add_row({"DC degradation @24 h", "~2.2%", fmt_fixed(dc.back().value, 2) + "%"});
+  s.add_row({"AC degradation @24 h", "~1.1%", fmt_fixed(ac.back().value, 2) + "%"});
+  s.add_row({"AC/DC ratio", "~0.5", fmt_fixed(ratio, 2)});
+  s.add_row({"DC share done in first 3 h", "large (fast start)",
+             fmt_percent(dc_first3h / dc.back().value, 0)});
+  std::printf("%s\n", s.render().c_str());
+
+  std::printf("%s\n", ascii_chart({"DC stress", "AC stress"},
+                                  {chart_row(dc, 48), chart_row(ac, 48)})
+                          .c_str());
+}
+
+/// Figure 5, "Accelerated wearout with 110 degC and 100 degC for 1 day":
+/// measured delay change over time for chips 5 (110 degC) and 4 (100 degC),
+/// with the extracted first-order model (Eq. (10)) overlaid.  Shape: fast
+/// initial degradation, then logarithmic slowing; higher temperature
+/// degrades more; model tracks measurement.
+void fig5(const Campaign& campaign) {
+  print_banner(
+      "Figure 5 — accelerated wearout at 110 vs 100 degC (24 h DC)",
+      "log-like delay growth; 110 degC > 100 degC; model matches measurement");
+
+  const auto d110 = delay_change_ns(chip(campaign, 5), "AS110DC24");
+  const auto d100 = delay_change_ns(chip(campaign, 4), "AS100DC24");
+
+  const core::ModelFitter fitter;
+  const auto fit110 = fitter.fit_stress(
+      d110.mapped([](double ns) { return ns * 1e-9; }));
+  const auto fit100 = fitter.fit_stress(
+      d100.mapped([](double ns) { return ns * 1e-9; }));
+
+  Table t({"time (h)", "110C meas (ns)", "110C model (ns)", "100C meas (ns)",
+           "100C model (ns)"});
+  for (double h : {0.5, 1.0, 3.0, 6.0, 12.0, 18.0, 24.0}) {
+    t.add_row({fmt_fixed(h, 1), fmt_fixed(d110.at(hours(h)), 2),
+               fmt_fixed(fit110.delta_td(hours(h)) * 1e9, 2),
+               fmt_fixed(d100.at(hours(h)), 2),
+               fmt_fixed(fit100.delta_td(hours(h)) * 1e9, 2)});
+  }
+  std::printf("%s\n", t.render().c_str());
+
+  Table s({"metric", "paper", "measured"});
+  s.add_row({"delay change @110C, 24 h", "~2.2% of Td0",
+             fmt_fixed(d110.back().value, 2) + " ns"});
+  s.add_row({"100C/110C end ratio", "~0.77 (Table 2)",
+             fmt_fixed(d100.back().value / d110.back().value, 2)});
+  s.add_row({"model fit R^2 (110C)", "close match",
+             fmt_fixed(fit110.r_squared, 4)});
+  s.add_row({"model fit R^2 (100C)", "close match",
+             fmt_fixed(fit100.r_squared, 4)});
+  std::printf("%s\n", s.render().c_str());
+
+  std::printf("%s\n", ascii_chart({"110C measurement", "100C measurement"},
+                                  {chart_row(d110, 64), chart_row(d100, 64)})
+                          .c_str());
+}
+
+/// One recovery case of Figure 6: measured recovered delay, its recovery-
+/// law fit and the damage it started from.
+struct RecoveryCase {
+  Series rd_ns;  // recovered delay, measured
+  core::RecoveryFit fit;
+  double damage_ns;  // DeltaTd(t1)
+};
+
+RecoveryCase recovery_case(const Campaign& campaign, int chip_id,
+                           const char* phase) {
+  const tb::DataLog& run = chip(campaign, chip_id);
+  return {recovered_delay_ns(run, phase), fit_recovery(run, chip_id, phase),
+          (run.delay_series(phase).front().value - fresh_delay_s(run)) * 1e9};
+}
+
+void print_pane(const char* title, const RecoveryCase& zero,
+                const RecoveryCase& neg) {
+  std::printf("--- %s ---\n", title);
+  Table t({"time (h)", "0V meas (ns)", "0V model (ns)", "-0.3V meas (ns)",
+           "-0.3V model (ns)"});
+  for (double h : {0.0, 0.3, 1.0, 2.0, 4.0, 6.0}) {
+    const double t2 = hours(h);
+    const auto model_rd = [&](const RecoveryCase& c) {
+      return c.damage_ns * (1.0 - c.fit.remaining_fraction(t2));
+    };
+    t.add_row({fmt_fixed(h, 1), fmt_fixed(zero.rd_ns.at(t2), 2),
+               fmt_fixed(model_rd(zero), 2), fmt_fixed(neg.rd_ns.at(t2), 2),
+               fmt_fixed(model_rd(neg), 2)});
+  }
+  std::printf("%s\n", t.render().c_str());
+}
+
+/// Figure 6, "Recover at (a) 20 degC (b) 110 degC": recovered delay
+/// (Eq. (16)) over 6 h of sleep, comparing 0 V vs -0.3 V at each
+/// temperature, with the fitted recovery model overlaid.  Shape: the
+/// negative rail accelerates recovery markedly at both temperatures.
+void fig6(const Campaign& campaign) {
+  print_banner(
+      "Figure 6 — recovery with negative voltage at (a) 20 degC (b) 110 degC",
+      "-0.3 V markedly accelerates recovery at both temperatures");
+
+  const auto r20z = recovery_case(campaign, 2, "R20Z6");
+  const auto r20n = recovery_case(campaign, 3, "AR20N6");
+  const auto r110z = recovery_case(campaign, 4, "AR110Z6");
+  const auto r110n = recovery_case(campaign, 5, "AR110N6");
+
+  print_pane("(a) 20 degC", r20z, r20n);
+  print_pane("(b) 110 degC", r110z, r110n);
+
+  Table s({"case", "paper expectation", "recovered fraction", "model R^2"});
+  const auto frac = [](const RecoveryCase& c) {
+    return c.rd_ns.back().value / c.damage_ns;
+  };
+  s.add_row({"R20Z6 (passive)", "clearly partial", fmt_percent(frac(r20z), 0),
+             fmt_fixed(r20z.fit.r_squared, 3)});
+  s.add_row({"AR20N6", "most of the damage", fmt_percent(frac(r20n), 0),
+             fmt_fixed(r20n.fit.r_squared, 3)});
+  s.add_row({"AR110Z6", "most of the damage", fmt_percent(frac(r110z), 0),
+             fmt_fixed(r110z.fit.r_squared, 3)});
+  s.add_row({"AR110N6", "fastest / deepest", fmt_percent(frac(r110n), 0),
+             fmt_fixed(r110n.fit.r_squared, 3)});
+  std::printf("%s\n", s.render().c_str());
+
+  Table v({"comparison", "paper", "measured"});
+  v.add_row({"-0.3V beats 0V at 20 degC", "yes",
+             frac(r20n) > frac(r20z) ? "yes" : "NO"});
+  v.add_row({"-0.3V beats 0V at 110 degC", "yes",
+             r110n.rd_ns.at(hours(0.3)) >= r110z.rd_ns.at(hours(0.3)) - 0.05
+                 ? "yes"
+                 : "NO"});
+  std::printf("%s\n", v.render().c_str());
+}
+
+/// Figure 7, "Recover under (a) 0 V (b) -0.3 V": the same four recovery
+/// cases as Fig. 6 re-sliced by supply rail, showing that high temperature
+/// accelerates recovery at either rail.
+void fig7(const Campaign& campaign) {
+  print_banner(
+      "Figure 7 — recovery at high temperature under (a) 0 V (b) -0.3 V",
+      "110 degC recovers faster than 20 degC at either supply rail");
+
+  const auto rd_20z = recovered_delay_ns(chip(campaign, 2), "R20Z6");
+  const auto rd_20n = recovered_delay_ns(chip(campaign, 3), "AR20N6");
+  const auto rd_110z = recovered_delay_ns(chip(campaign, 4), "AR110Z6");
+  const auto rd_110n = recovered_delay_ns(chip(campaign, 5), "AR110N6");
+
+  std::printf("--- (a) 0 V ---\n");
+  Table a({"time (h)", "20 degC (ns)", "110 degC (ns)"});
+  for (double h : {0.0, 0.3, 1.0, 2.0, 4.0, 6.0}) {
+    a.add_row({fmt_fixed(h, 1), fmt_fixed(rd_20z.at(hours(h)), 2),
+               fmt_fixed(rd_110z.at(hours(h)), 2)});
+  }
+  std::printf("%s\n", a.render().c_str());
+
+  std::printf("--- (b) -0.3 V ---\n");
+  Table b({"time (h)", "20 degC (ns)", "110 degC (ns)"});
+  for (double h : {0.0, 0.3, 1.0, 2.0, 4.0, 6.0}) {
+    b.add_row({fmt_fixed(h, 1), fmt_fixed(rd_20n.at(hours(h)), 2),
+               fmt_fixed(rd_110n.at(hours(h)), 2)});
+  }
+  std::printf("%s\n", b.render().c_str());
+
+  // Compare early-time recovery speed (before saturation) — the paper's
+  // "high temperature not only accelerates wearout, but also accelerates
+  // recovery".
+  Table s({"comparison (recovered @ 1 h)", "paper", "measured"});
+  s.add_row({"110C vs 20C at 0 V", "faster",
+             rd_110z.at(hours(1.0)) > rd_20z.at(hours(1.0)) ? "yes" : "NO"});
+  s.add_row({"110C vs 20C at -0.3 V", "faster",
+             rd_110n.at(hours(1.0)) > rd_20n.at(hours(1.0)) ? "yes" : "NO"});
+  std::printf("%s\n", s.render().c_str());
+}
+
+/// Figure 8, "Delay change over time during recovery": DeltaTd(t) for all
+/// four recovery conditions on one axis, with the closed-form model
+/// overlaid.  Ordering at every time: (110 degC, -0.3 V) heals deepest,
+/// then (110 degC, 0 V), then (20 degC, -0.3 V), then (20 degC, 0 V).
+void fig8(const Campaign& campaign) {
+  print_banner(
+      "Figure 8 — delay change during recovery, four conditions + model",
+      "ordering: 110C/-0.3V < 110C/0V < 20C/-0.3V < 20C/0V remaining");
+
+  struct Case {
+    const char* label;
+    int chip;
+    const char* phase;
+    bti::OperatingCondition cond;
+  };
+  const Case cases[] = {
+      {"110C & -0.3V", 5, "AR110N6", bti::recovery(Volts{-0.3}, Celsius{110.0})},
+      {"110C & 0V", 4, "AR110Z6", bti::recovery(Volts{0.0}, Celsius{110.0})},
+      {"20C & -0.3V", 3, "AR20N6", bti::recovery(Volts{-0.3}, Celsius{20.0})},
+      {"20C & 0V", 2, "R20Z6", bti::recovery(Volts{0.0}, Celsius{20.0})},
+  };
+
+  const bti::ClosedFormModel model(
+      bti::ClosedFormParameters::from_td(bti::default_td_parameters()));
+
+  std::vector<Series> measured;
+  std::vector<double> t1_equiv;
+  for (const auto& c : cases) {
+    const tb::DataLog& run = chip(campaign, c.chip);
+    const double fresh = fresh_delay_s(run);
+    measured.push_back(run.delay_series(c.phase).mapped(
+        [&](double d) { return (d - fresh) * 1e9; }));
+    t1_equiv.push_back(
+        c.chip == 4 ? hours(24.0) * model.capture_acceleration(
+                                        Volts{1.2}, Kelvin{celsius(100.0)})
+                    : hours(24.0));
+  }
+
+  Table t({"time (h)", "110C/-0.3V meas", "model", "110C/0V meas", "model",
+           "20C/-0.3V meas", "model", "20C/0V meas", "model"});
+  for (double h : {0.0, 0.3, 1.0, 2.0, 4.0, 6.0}) {
+    std::vector<std::string> row{fmt_fixed(h, 1)};
+    for (std::size_t i = 0; i < 4; ++i) {
+      const double d0 = measured[i].front().value;
+      row.push_back(fmt_fixed(measured[i].at(hours(h)), 2));
+      row.push_back(fmt_fixed(
+          d0 * model.remaining_fraction(Seconds{t1_equiv[i]}, Seconds{hours(h)}, cases[i].cond),
+          2));
+    }
+    t.add_row(row);
+  }
+  std::printf("%s\n", t.render().c_str());
+
+  // Ordering check at the 1 h mark (before saturation), normalized to the
+  // per-case starting damage so chip-to-chip variation cancels.
+  std::vector<double> remaining_frac;
+  for (std::size_t i = 0; i < 4; ++i) {
+    remaining_frac.push_back(measured[i].at(hours(1.0)) /
+                             measured[i].front().value);
+  }
+  Table s({"check", "paper", "measured"});
+  bool ordered = remaining_frac[0] <= remaining_frac[1] + 0.02 &&
+                 remaining_frac[1] <= remaining_frac[2] + 0.02 &&
+                 remaining_frac[2] <= remaining_frac[3] + 0.02;
+  s.add_row({"remaining-damage ordering @1 h", "hot+neg < hot < neg < passive",
+             ordered ? "yes" : "NO"});
+  for (std::size_t i = 0; i < 4; ++i) {
+    s.add_row({std::string("remaining fraction @6 h, ") + cases[i].label, "-",
+               fmt_percent(measured[i].back().value / measured[i].front().value,
+                           0)});
+  }
+  std::printf("%s\n", s.render().c_str());
+
+  std::vector<std::vector<double>> chart_rows;
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < 4; ++i) {
+    chart_rows.push_back(chart_row(measured[i], 48));
+    labels.push_back(cases[i].label);
+  }
+  std::printf("%s\n", ascii_chart(labels, chart_rows).c_str());
+}
+
+/// Table 2, "Delay change (%) for different temperature conditions":
+/// end-of-stress frequency/delay degradation for the accelerated-stress
+/// cases.  Paper values: AS110DC24 ~2.2 %, AS100DC24 ~1.7 %, AS110AC24
+/// ~1.1 %.
+void table2(const Campaign& campaign) {
+  print_banner(
+      "Table 2 — delay change (%) per stress condition (24 h)",
+      "110C DC ~2.2%; 100C DC ~1.7%; 110C AC ~1.1%");
+
+  struct Row {
+    const char* case_label;
+    int chip;
+    const char* phase;
+    const char* paper;
+  };
+  const Row rows[] = {
+      {"AS110DC24", 2, "AS110DC24", "~2.2%"},
+      {"AS110DC24 (chip 3)", 3, "AS110DC24", "~2.2%"},
+      {"AS110DC24 (chip 5)", 5, "AS110DC24", "~2.2%"},
+      {"AS100DC24", 4, "AS100DC24", "~1.7%"},
+      {"AS110AC24", 1, "AS110AC24", "~1.1%"},
+  };
+
+  Table t({"case", "chip", "paper", "measured"});
+  double dc110 = 0.0;
+  double dc100 = 0.0;
+  for (const auto& r : rows) {
+    const auto deg = degradation_percent(chip(campaign, r.chip), r.phase);
+    if (std::string(r.case_label) == "AS110DC24") dc110 = deg.back().value;
+    if (std::string(r.case_label) == "AS100DC24") dc100 = deg.back().value;
+    t.add_row({r.case_label, strformat("%d", r.chip), r.paper,
+               fmt_fixed(deg.back().value, 2) + "%"});
+  }
+  std::printf("%s\n", t.render().c_str());
+
+  Table s({"derived", "paper", "measured"});
+  s.add_row({"100C/110C ratio", "~0.77", fmt_fixed(dc100 / dc110, 2)});
+  std::printf("%s\n", s.render().c_str());
+}
+
+/// Table 3, "Extracted parameters": Eq. (10)'s fitting parameters
+/// (amplitude beta*A and C = 1/tau) extracted from the measured stress
+/// curves, plus the recovery-law parameters (acceleration, permanent ratio)
+/// from the recovery curves — exactly the procedure the paper uses to
+/// overlay its model on Figures 5-8.
+void table3(const Campaign& campaign) {
+  print_banner(
+      "Table 3 — extracted model parameters (Eq. (10) / Eq. (11) fits)",
+      "first-order model parameters extracted from measurement");
+
+  const core::ModelFitter fitter;
+
+  std::printf("--- stress law: DeltaTd(t) = amplitude * ln(1 + C t) ---\n");
+  Table t({"case", "chip", "amplitude (ns)", "C (1/s)", "RMSE (ps)", "R^2"});
+  struct StressRow {
+    const char* phase;
+    int chip;
+  };
+  for (const auto& r : {StressRow{"AS110DC24", 2}, StressRow{"AS110DC24", 5},
+                        StressRow{"AS100DC24", 4}, StressRow{"AS110AC24", 1}}) {
+    const auto series = delay_change_ns(chip(campaign, r.chip), r.phase)
+                            .mapped([](double ns) { return ns * 1e-9; });
+    const auto fit = fitter.fit_stress(series);
+    t.add_row({r.phase, strformat("%d", r.chip),
+               fmt_fixed(fit.amplitude_s.value() * 1e9, 3),
+               strformat("%.2e", 1.0 / fit.tau_s.value()),
+               fmt_fixed(fit.rmse_s.value() * 1e12, 1), fmt_fixed(fit.r_squared, 4)});
+  }
+  std::printf("%s\n", t.render().c_str());
+
+  std::printf(
+      "--- recovery law: remaining = perm + (1-perm) ... (Eq. (11)) ---\n");
+  Table r({"case", "chip", "acceleration AF", "permanent ratio", "R^2"});
+  struct RecRow {
+    const char* phase;
+    int chip;
+  };
+  for (const auto& rr : {RecRow{"R20Z6", 2}, RecRow{"AR20N6", 3},
+                         RecRow{"AR110Z6", 4}, RecRow{"AR110N6", 5}}) {
+    const auto fit = fit_recovery(chip(campaign, rr.chip), rr.chip, rr.phase);
+    r.add_row({rr.phase, strformat("%d", rr.chip),
+               strformat("%.1f", fit.acceleration),
+               fmt_fixed(fit.permanent_ratio, 3),
+               fmt_fixed(fit.r_squared, 4)});
+  }
+  std::printf("%s\n", r.render().c_str());
+
+  std::printf(
+      "note: the calibrated generative constants are tau_stress = 120 s,\n"
+      "AF(110C) ~ 28, AF(-0.3V) ~ 15, permanent ratio 0.04 — the fits\n"
+      "should land near these up to counter noise and saturation.\n");
+}
+
+/// Table 4, "Design margin relaxed parameter" per recovery condition.
+/// Definition (see ash::core::metrics.h): RD(end) / M with the design
+/// margin M = 1.25 x DeltaTd(stress end).  The paper's headline pair falls
+/// out of this one definition: the best case (110 degC, -0.3 V) recovers
+/// ~90 % of the damage = margin relaxed ~72.4 %.
+void table4(const Campaign& campaign) {
+  print_banner(
+      "Table 4 — design-margin-relaxed parameter per recovery condition",
+      "best case 72.4%; all accelerated cases within ~90% of original margin");
+
+  struct Row {
+    const char* phase;
+    int chip;
+    const char* paper_note;
+  };
+  const Row rows[] = {
+      {"R20Z6", 2, "passive baseline (low)"},
+      {"AR20N6", 3, ">= ~90% recovered"},
+      {"AR110Z6", 4, ">= ~90% recovered"},
+      {"AR110N6", 5, "best: 72.4% margin relaxed"},
+  };
+
+  Table t({"case", "recovered fraction", "margin relaxed (paper)",
+           "margin relaxed (measured)"});
+  for (const auto& r : rows) {
+    const tb::DataLog& run = chip(campaign, r.chip);
+    const auto delay = run.delay_series(r.phase);
+    const double frac = core::recovered_fraction(delay, fresh_delay_s(run));
+    const double relaxed =
+        core::design_margin_relaxed(delay, fresh_delay_s(run));
+    t.add_row({r.phase, fmt_percent(frac, 1),
+               std::string(r.paper_note),
+               fmt_percent(relaxed, 1)});
+  }
+  std::printf("%s\n", t.render().c_str());
+
+  const tb::DataLog& best = chip(campaign, 5);
+  const auto best_delay = best.delay_series("AR110N6");
+  Table s({"headline", "paper", "measured"});
+  s.add_row({"best-case margin relaxed", "72.4%",
+             fmt_percent(core::design_margin_relaxed(best_delay,
+                                                     fresh_delay_s(best)),
+                         1)});
+  s.add_row({"best-case recovered (within original margin)", "~90%",
+             fmt_percent(core::recovered_fraction(best_delay,
+                                                  fresh_delay_s(best)),
+                         1)});
+  std::printf("%s\n", s.render().c_str());
+}
+
+/// Table 5, "Ratio of active vs. sleep time": chip 5 is recovered after
+/// 24 h of stress (AR110N6) and again after being re-stressed for 48 h
+/// (AR110N12).  Both rounds use alpha = 4; the paper's finding is that the
+/// same design-margin-relaxed parameter is achieved despite the different
+/// absolute stress — the ratio, not the duration, is what matters.
+void table5(const Campaign& campaign) {
+  print_banner(
+      "Table 5 — same alpha = 4, different stress durations (chip 5)",
+      "AR110N6 and AR110N12 achieve the same margin-relaxed parameter");
+
+  const tb::DataLog& chip5 = chip(campaign, 5);
+
+  // Round 2's "fresh" reference: the chip state right after round 1's
+  // recovery (start of AS110DC48), because round 1's permanent damage is
+  // part of round 2's baseline.
+  const double fresh1 = fresh_delay_s(chip5);
+  const double fresh2 = chip5.delay_series("AS110DC48").front().value;
+
+  const double relaxed6 =
+      core::design_margin_relaxed(chip5.delay_series("AR110N6"), fresh1);
+  const double relaxed12 =
+      core::design_margin_relaxed(chip5.delay_series("AR110N12"), fresh2);
+
+  Table t({"round", "stress", "sleep", "alpha", "margin relaxed"});
+  t.add_row({"1", "24 h @110C DC", "6 h @110C/-0.3V", "4",
+             fmt_percent(relaxed6, 1)});
+  t.add_row({"2", "48 h @110C DC", "12 h @110C/-0.3V", "4",
+             fmt_percent(relaxed12, 1)});
+  std::printf("%s\n", t.render().c_str());
+
+  Table s({"check", "paper", "measured"});
+  s.add_row({"same margin relaxed across rounds", "yes (Table 5)",
+             std::abs(relaxed6 - relaxed12) < 0.04 ? "yes" : "NO"});
+  s.add_row({"difference", "-",
+             fmt_percent(std::abs(relaxed6 - relaxed12), 1)});
+  std::printf("%s\n", s.render().c_str());
+}
+
+/// Ablation L, "Physics Matters": TD vs RD.  Ref. [15], the device model
+/// the paper builds on, argued that Trapping/Detrapping beats the classic
+/// Reaction-Diffusion picture because only TD explains *recovery*.  Both
+/// models fit the accelerated stress data almost equally well (a power law
+/// mimics a log over two decades), but RD's universal recovery curve is
+/// condition-blind — it cannot produce the spread the four sleep
+/// conditions measure, which is the very effect the paper engineers.
+void ablation_model_selection(const Campaign& campaign) {
+  print_banner(
+      "Ablation L — model selection: Trapping/Detrapping vs Reaction-"
+      "Diffusion",
+      "stress data cannot separate the models; recovery data rejects RD");
+
+  // --- Stress-side fits: both models vs the measured AS110DC24 curve.
+  const tb::DataLog& chip2 = chip(campaign, 2);
+  const auto dtd = core::delay_change_series(chip2.delay_series("AS110DC24"),
+                                             fresh_delay_s(chip2));
+  const auto td_fit = core::ModelFitter().fit_stress(dtd);
+  const auto rd_fit = bti::fit_rd_stress(dtd, bti::RdParameters{}, true);
+
+  Table s({"model", "law", "fit R^2 (stress)"});
+  s.add_row({"TD (ref [15], this paper)",
+             "beta*ln(1 + C t)", fmt_fixed(td_fit.r_squared, 4)});
+  s.add_row({"RD (classic)",
+             strformat("A*t^%.3f", rd_fit.time_exponent),
+             fmt_fixed(rd_fit.r_squared, 4)});
+  std::printf("%s\n", s.render().c_str());
+
+  // --- Recovery-side predictions vs the four measured conditions.
+  bti::RdParameters rd_params;
+  const bti::RdModel rd(rd_params);
+  const bti::ClosedFormModel td(
+      bti::ClosedFormParameters::from_td(bti::default_td_parameters()));
+
+  struct Case {
+    const char* label;
+    int chip;
+    const char* phase;
+    bti::OperatingCondition cond;
+  };
+  const Case cases[] = {
+      {"R20Z6 (20C, 0V)", 2, "R20Z6", bti::recovery(Volts{0.0}, Celsius{20.0})},
+      {"AR20N6 (20C, -0.3V)", 3, "AR20N6", bti::recovery(Volts{-0.3}, Celsius{20.0})},
+      {"AR110Z6 (110C, 0V)", 4, "AR110Z6", bti::recovery(Volts{0.0}, Celsius{110.0})},
+      {"AR110N6 (110C, -0.3V)", 5, "AR110N6", bti::recovery(Volts{-0.3}, Celsius{110.0})},
+  };
+
+  Table r({"condition", "measured remaining @6 h", "TD prediction",
+           "RD prediction"});
+  double rd_worst_error = 0.0;
+  double td_worst_error = 0.0;
+  for (const auto& c : cases) {
+    const tb::DataLog& run = chip(campaign, c.chip);
+    const auto delay = run.delay_series(c.phase);
+    const double measured = (delay.back().value - fresh_delay_s(run)) /
+                            (delay.front().value - fresh_delay_s(run));
+    const double td_pred =
+        td.remaining_fraction(Seconds{hours(24.0)}, Seconds{hours(6.0)}, c.cond);
+    const double rd_pred = rd.remaining_fraction(Seconds{hours(24.0)}, Seconds{hours(6.0)});
+    td_worst_error = std::max(td_worst_error, std::abs(td_pred - measured));
+    rd_worst_error = std::max(rd_worst_error, std::abs(rd_pred - measured));
+    r.add_row({c.label, fmt_percent(measured, 0), fmt_percent(td_pred, 0),
+               fmt_percent(rd_pred, 0)});
+  }
+  std::printf("%s\n", r.render().c_str());
+
+  Table v({"verdict", "TD", "RD"});
+  v.add_row({"worst |prediction - measurement|",
+             fmt_percent(td_worst_error, 0), fmt_percent(rd_worst_error, 0)});
+  v.add_row({"explains condition dependence?", "yes",
+             "no (universal curve)"});
+  std::printf("%s\n", v.render().c_str());
+  std::printf(
+      "reading: this is why the paper's Sec. 3 starts from the TD model —\n"
+      "an accelerated-self-healing technique is only *designable* under a\n"
+      "physics whose recovery responds to voltage and temperature knobs.\n");
+}
+
+}  // namespace
+
+void print_paper_reproduction(const Campaign& campaign) {
+  for (const auto section : {fig4, fig5, fig6, fig7, fig8, table2, table3,
+                             table4, table5, ablation_model_selection}) {
+    section(campaign);
+  }
+}
+
+}  // namespace ash::lab
