@@ -10,11 +10,10 @@
 
 #include "ash/core/abb.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation I — adaptive body bias (refs [9]-[11]) vs self-healing",
       "ABB keeps timing but burns leakage and runs out of range");
 

@@ -13,11 +13,10 @@
 #include "ash/core/planner.h"
 #include "ash/util/constants.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation B — alpha / voltage / temperature knob sweeps (Eq. (12))",
       "recovery deepens with sleep share, negative bias and temperature");
 

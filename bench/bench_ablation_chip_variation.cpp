@@ -32,7 +32,6 @@
 #include "ash/util/stats.h"
 #include "ash/util/table.h"
 #include "ash/util/thread_pool.h"
-#include "common.h"
 
 namespace {
 
@@ -121,7 +120,7 @@ std::vector<tb::DataLog> run_process_sharded() {
 }  // namespace
 
 int main() {
-  bench::print_banner(
+  print_banner(
       "Ablation F — chip-to-chip variation of aging and recovery",
       "population statistics behind the paper's single-chip numbers");
 

@@ -10,11 +10,10 @@
 #include "ash/core/circadian.h"
 #include "ash/util/constants.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation E — virtual circadian rhythm: schedule design space",
       "short cycles bound the worst case; alpha trades margin for uptime");
 

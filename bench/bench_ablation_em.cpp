@@ -13,11 +13,10 @@
 #include "ash/bti/electromigration.h"
 #include "ash/util/constants.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation D — electromigration under self-healing schedules",
       "hot sleep is EM-free (no current); duty reduction extends EM life");
 

@@ -16,10 +16,13 @@
 #include <vector>
 
 #include "ash/core/metrics.h"
+#include "ash/fpga/chip.h"
 #include "ash/obs/metrics.h"
+#include "ash/tb/data_log.h"
+#include "ash/tb/experiment_runner.h"
 #include "ash/tb/fault.h"
+#include "ash/tb/test_case.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 namespace {
 
@@ -78,7 +81,7 @@ double worst_sample_error(const tb::DataLog& log, const tb::DataLog& ideal) {
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation — fault injection vs. fault tolerance (Table 4 headline)",
       "tolerant runner reproduces the 72.4% margin-relaxed headline at the "
       "instrument-noise floor under a representative dirty lab and keeps "

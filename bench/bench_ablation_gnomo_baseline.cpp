@@ -11,11 +11,10 @@
 
 #include "ash/core/gnomo.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation C — GNOMO (ref. [12]) vs accelerated self-healing",
       "self-healing out-heals GNOMO at nominal work energy");
 

@@ -21,7 +21,6 @@
 #include "ash/mc/system.h"
 #include "ash/obs/metrics.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 namespace {
 
@@ -51,7 +50,7 @@ ash::mc::SystemConfig study_config() {
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation — multi-core self-healing under core faults",
       "seed-swept core deaths, stuck rails and sensor corruption; the "
       "reliability manager turns faults into accounted degradation");

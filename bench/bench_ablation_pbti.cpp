@@ -13,11 +13,10 @@
 #include "ash/fpga/chip.h"
 #include "ash/util/constants.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation J — NBTI/PBTI asymmetry across technology generations",
       "PT-LUT fabrics are NMOS-rich: wearout tracks the PBTI share");
 

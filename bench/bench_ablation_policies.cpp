@@ -11,11 +11,10 @@
 
 #include "ash/core/lifetime.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation A — recovery scheduling policies (Sec. 2.2)",
       "proactive > reactive > passive > none on aging; reactive runs aged");
 

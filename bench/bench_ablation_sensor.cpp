@@ -13,11 +13,10 @@
 #include "ash/util/constants.h"
 #include "ash/util/stats.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation G — silicon-odometer tracking accuracy",
       "the sensor reactive recovery would rely on: bias and noise budget");
 

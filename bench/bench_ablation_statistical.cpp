@@ -10,11 +10,10 @@
 
 #include "ash/core/statistical.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation K — statistical design margins over a 200-chip population",
       "healing compresses the tail, not just the mean");
 

@@ -11,11 +11,10 @@
 
 #include "ash/mc/system.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Ablation H — demand-aligned circadian rejuvenation",
       "night-time demand valleys provide the sleep budget for free");
 

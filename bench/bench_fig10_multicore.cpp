@@ -11,11 +11,10 @@
 
 #include "ash/mc/system.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Figure 10 — multi-core self-healing with on-chip heaters",
       "active neighbours heat sleeping cores; circadian scheduling extends "
       "lifetime and respects TDP");

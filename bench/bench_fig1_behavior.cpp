@@ -11,12 +11,12 @@
 
 #include "ash/bti/trap_ensemble.h"
 #include "ash/util/constants.h"
+#include "ash/util/series.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Figure 1 — behavioural stress/recovery cycles (passive recovery)",
       "partial recovery; unrecovered residue accumulates cycle over cycle");
 

@@ -11,12 +11,12 @@
 
 #include "ash/bti/trap_ensemble.h"
 #include "ash/util/constants.h"
+#include "ash/util/series.h"
 #include "ash/util/table.h"
-#include "common.h"
 
 int main() {
   using namespace ash;
-  bench::print_banner(
+  print_banner(
       "Figure 9 — cyclic wearout + accelerated recovery (alpha = 4)",
       "deep rejuvenation each cycle; only the irreversible floor accretes");
 

@@ -11,11 +11,9 @@
 /// 16 and 10^5 devices and reports mutation p50/p99 and the bytes left in
 /// the state directory after the drain: with the write-ahead journal a
 /// mutation costs one small append, so p50 should not grow with the fleet.
-
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
+///
+/// Exits 1 when a scenario drops calls or a daemon's SIGTERM drain does not
+/// exit with status 0.
 
 #include <algorithm>
 #include <chrono>
@@ -28,8 +26,7 @@
 #include "ash/fleet/client.h"
 #include "ash/fleet/service.h"
 #include "ash/obs/metrics.h"
-#include "ash/util/syscall.h"
-#include "common.h"
+#include "ash/util/table.h"
 
 namespace {
 
@@ -45,6 +42,7 @@ struct ScenarioRow {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
+  int drain_status = -1;  ///< the daemon's SIGTERM exit status; 0 = drained
 };
 
 struct MutationRow {
@@ -53,6 +51,7 @@ struct MutationRow {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   std::uintmax_t state_bytes = 0;
+  int drain_status = -1;  ///< the daemon's SIGTERM exit status; 0 = drained
 };
 
 void make_dir(const std::string& path) {
@@ -77,36 +76,12 @@ fleet::ServiceConfig daemon_config(const std::string& dir, bool instrument,
   return config;
 }
 
-pid_t fork_daemon(const fleet::ServiceConfig& config) {
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "fork failed\n");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    try {
-      fleet::Service service(config);
-      service.run();
-      std::_Exit(0);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench daemon: %s\n", e.what());
-      std::_Exit(3);
-    }
-  }
-  return pid;
-}
-
-void stop_daemon(pid_t pid) {
-  ::kill(pid, SIGTERM);
-  int status = 0;
-  (void)util::retry_eintr([&] { return ::waitpid(pid, &status, 0); });
-}
-
 ScenarioRow run_scenario(const std::string& name, const std::string& root,
                          bool instrument) {
   const fleet::ServiceConfig config =
       daemon_config(root + "/" + name, instrument, 16);
-  const pid_t pid = fork_daemon(config);
+  fleet::ForkedDaemon daemon(config);
+  daemon.start();
 
   ScenarioRow row;
   row.name = name;
@@ -140,7 +115,7 @@ ScenarioRow run_scenario(const std::string& name, const std::string& root,
     row.calls = client.stats().calls;
   }
 
-  stop_daemon(pid);
+  row.drain_status = daemon.terminate();
 
   const auto snapshot = obs::registry().snapshot();
   for (const auto& h : snapshot.histograms) {
@@ -159,7 +134,8 @@ ScenarioRow run_scenario(const std::string& name, const std::string& root,
 MutationRow run_mutations(const std::string& root, std::uint64_t devices) {
   const fleet::ServiceConfig config = daemon_config(
       root + "/sleep-" + std::to_string(devices), true, devices);
-  const pid_t pid = fork_daemon(config);
+  fleet::ForkedDaemon daemon(config);
+  daemon.start();
 
   MutationRow row;
   row.devices = devices;
@@ -184,7 +160,7 @@ MutationRow run_mutations(const std::string& root, std::uint64_t devices) {
     }
     row.calls = client.stats().calls - 1;
   }
-  stop_daemon(pid);
+  row.drain_status = daemon.terminate();
   obs::registry().clear();
 
   std::sort(ms.begin(), ms.end());
@@ -200,7 +176,7 @@ MutationRow run_mutations(const std::string& root, std::uint64_t devices) {
 }  // namespace
 
 int main() {
-  bench::print_banner(
+  print_banner(
       "fleet service telemetry overhead and mutation cost",
       "instrumented vs bare request path, same client mix over the wire; "
       "schedule_sleep at 16 and 1e5 devices");
@@ -221,7 +197,8 @@ int main() {
               "p50_ms", "p95_ms", "p99_ms");
   bool ok = true;
   for (const auto& row : rows) {
-    ok = ok && row.calls == static_cast<std::uint64_t>(kCalls) + 1;
+    ok = ok && row.calls == static_cast<std::uint64_t>(kCalls) + 1 &&
+         row.drain_status == 0;
     std::printf("%-14s %8llu %10.0f %9.3f %9.3f %9.3f\n", row.name.c_str(),
                 static_cast<unsigned long long>(row.calls),
                 row.wall_s > 0.0 ? static_cast<double>(kCalls) / row.wall_s
@@ -230,8 +207,8 @@ int main() {
   }
 
   if (ok) {
-    std::printf("\nboth scenarios completed every call; the delta is the "
-                "telemetry bill\n");
+    std::printf("\nboth scenarios completed every call and drained; the "
+                "delta is the telemetry bill\n");
   }
 
   const MutationRow sleeps[] = {run_mutations(root, 16),
@@ -239,7 +216,8 @@ int main() {
   std::printf("\n%-14s %8s %8s %9s %9s %12s\n", "schedule_sleep", "devices",
               "calls", "p50_ms", "p99_ms", "state_bytes");
   for (const auto& row : sleeps) {
-    ok = ok && row.calls == static_cast<std::uint64_t>(kMutations);
+    ok = ok && row.calls == static_cast<std::uint64_t>(kMutations) &&
+         row.drain_status == 0;
     std::printf("%-14s %8llu %8llu %9.3f %9.3f %12llu\n", "",
                 static_cast<unsigned long long>(row.devices),
                 static_cast<unsigned long long>(row.calls), row.p50_ms,
@@ -254,7 +232,9 @@ int main() {
     std::fprintf(stderr, "cleanup of %s failed\n", root.c_str());
   }
   if (!ok) {
-    std::fprintf(stderr, "\nFAIL: a scenario dropped calls\n");
+    std::fprintf(stderr,
+                 "\nFAIL: a scenario dropped calls or a daemon did not "
+                 "drain with status 0\n");
     return 1;
   }
   return 0;

@@ -1,17 +1,22 @@
-/// bench_perf_kernels — google-benchmark timings of the simulator kernels.
+/// bench_perf_kernels — the fixed kernel workload behind the CI perf gate.
 ///
 /// Not a paper figure: this measures the library's own hot paths so
-/// regressions in simulation throughput are visible.  Covered kernels:
-/// trap-ensemble evolution, closed-form ager segments, RO delay
-/// evaluation, full-chip aging steps, thermal steady-state solves and a
-/// multi-core scheduling interval.
-
-#include <benchmark/benchmark.h>
+/// regressions in simulation throughput are visible.  One deterministic
+/// workload runs with the in-library kernel timers on: trap-ensemble
+/// evolution, RO delay evaluation, the chip-5 campaign and a fixed-condition
+/// drive of the same chip, a multicore month, the 1024-chip population
+/// (independent engines vs the batch engine) and the fleet margin
+/// projection.  The numbers go to the JSON file that
+/// tools/check_perf_regression.py compares against
+/// bench/baselines/BENCH_kernels.json.
+///
+/// Usage: bench_perf_kernels [--json FILE]   (FILE defaults to
+/// BENCH_kernels.json).  Exit 0 ok, 1 a cross-check failed or FILE is
+/// unwritable, 2 usage.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -32,161 +37,65 @@ namespace {
 
 using namespace ash;
 
-void BM_TrapEnsembleEvolve(benchmark::State& state) {
-  bti::TrapEnsemble e(bti::default_td_parameters(), 1);
-  const auto cond = bti::dc_stress(Volts{1.2}, Celsius{110.0});
-  for (auto _ : state) {
-    e.evolve(cond, Seconds{60.0});
-    benchmark::DoNotOptimize(e.delta_vth());
-  }
-}
-BENCHMARK(BM_TrapEnsembleEvolve);
-
-void BM_TrapEnsembleDeltaVth(benchmark::State& state) {
-  bti::TrapEnsemble e(bti::default_td_parameters(), 1);
-  e.evolve(bti::dc_stress(Volts{1.2}, Celsius{110.0}), Seconds{hours(24.0)});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(e.delta_vth());
-  }
-}
-BENCHMARK(BM_TrapEnsembleDeltaVth);
-
-void BM_ClosedFormAgerCycle(benchmark::State& state) {
-  bti::ClosedFormAger ager(
-      bti::ClosedFormParameters::from_td(bti::default_td_parameters()));
-  const auto stress = bti::dc_stress(Volts{1.2}, Celsius{110.0});
-  const auto heal = bti::recovery(Volts{-0.3}, Celsius{110.0});
-  for (auto _ : state) {
-    ager.evolve(stress, Seconds{hours(24.0)});
-    ager.evolve(heal, Seconds{hours(6.0)});
-    benchmark::DoNotOptimize(ager.delta_vth());
-  }
-}
-BENCHMARK(BM_ClosedFormAgerCycle);
-
-void BM_RingOscillatorFrequency(benchmark::State& state) {
-  fpga::ChipConfig cc;
-  cc.ro_stages = static_cast<int>(state.range(0));
-  fpga::FpgaChip chip(cc);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(chip.ro_frequency_hz(Volts{1.2}, Kelvin{celsius(20.0)}).value());
-  }
-}
-BENCHMARK(BM_RingOscillatorFrequency)->Arg(15)->Arg(75);
-
-void BM_ChipEvolveDcHour(benchmark::State& state) {
-  fpga::ChipConfig cc;
-  cc.ro_stages = static_cast<int>(state.range(0));
-  fpga::FpgaChip chip(cc);
-  const auto cond = bti::dc_stress(Volts{1.2}, Celsius{110.0});
-  for (auto _ : state) {
-    chip.evolve(fpga::RoMode::kDcFrozen, cond, Seconds{hours(1.0)});
-  }
-}
-BENCHMARK(BM_ChipEvolveDcHour)->Arg(15)->Arg(75);
-
-void BM_BatchEnsembleEvolveNoisy(benchmark::State& state) {
-  // One batch step of a homogeneous-kinetics population under a drifting
-  // (never-repeating) condition — the regime where the per-chip engine
-  // pays a full rate recomputation per member and the batch engine pays
-  // one per class.
-  const int chips = static_cast<int>(state.range(0));
-  std::vector<bti::BatchMemberSpec> specs;
-  Rng scales(0xC082);
-  for (int m = 0; m < chips; ++m) {
-    bti::TdParameters p = bti::default_td_parameters();
-    p.delta_vth_mean_v = p.delta_vth_mean_v * std::exp(scales.normal(0.0, 0.05));
-    specs.push_back({p, 0xBA7C});
-  }
-  bti::BatchEnsemble batch(specs, {});
-  double temp_k = celsius(110.0);
-  for (auto _ : state) {
-    bti::OperatingCondition cond;
-    cond.voltage_v = Volts{1.2};
-    cond.temperature_k = Kelvin{temp_k};
-    cond.gate_stress_duty = 1.0;
-    batch.evolve(cond, Seconds{60.0});
-    temp_k += 1e-4;  // unique condition every step
-  }
-  benchmark::DoNotOptimize(batch.delta_vth(0));
-}
-BENCHMARK(BM_BatchEnsembleEvolveNoisy)->Arg(256)->Arg(1024);
-
-void BM_ThermalSteadyState(benchmark::State& state) {
-  const mc::Floorplan fp;
-  const mc::ThermalModel model(fp, mc::ThermalConfig{});
-  std::vector<double> powers(static_cast<std::size_t>(fp.node_count()), 8.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.solve_steady_state(powers));
-  }
-}
-BENCHMARK(BM_ThermalSteadyState);
-
-void BM_MulticoreSimMonth(benchmark::State& state) {
-  mc::SystemConfig cfg;
-  cfg.horizon_s = Seconds{30.0 * 86400.0};
-  for (auto _ : state) {
-    mc::HeaterAwareCircadianScheduler scheduler;
-    benchmark::DoNotOptimize(mc::simulate_system(cfg, scheduler));
-  }
-}
-BENCHMARK(BM_MulticoreSimMonth);
-
 double wall_ms(const std::chrono::steady_clock::time_point begin,
                const std::chrono::steady_clock::time_point end) {
   return std::chrono::duration<double, std::milli>(end - begin).count();
 }
 
-/// `--json` mode: run a fixed, deterministic workload with the in-library
-/// kernel timers on and emit machine-readable numbers for the CI
-/// perf-smoke gate (tools/check_perf_regression.py).  The workload covers
-/// the three regimes that matter: the steady-state trap kernel (rate-cache
-/// hits), the chip-5 runner campaign (chamber noise defeats the cache —
-/// the honest end-to-end number) and a fixed-condition drive of the same
-/// chip (cache-friendly end-to-end).  A margin pass times the fleet's read
+/// Run the fixed, deterministic workload with the in-library kernel
+/// timers on, write the JSON rows to `path` and print the profile and the
+/// cross-checks.  The workload covers the three
+/// regimes that matter: the steady-state trap kernel (rate-cache hits),
+/// the chip-5 runner campaign (chamber noise defeats the cache — the
+/// honest end-to-end number) and a fixed-condition drive of the same chip
+/// (cache-friendly end-to-end).  A margin pass times the fleet's read
 /// path: a whole-shard query and the same devices asked one at a time.
-int run_json_mode(const std::string& path) {
+/// Every timed result feeds a printed or checked value, so the compiler
+/// cannot drop the work it times.
+int run_workload(const std::string& path) {
   using clock = std::chrono::steady_clock;
-  using namespace ash;
   obs::enable_profiling(true);
   obs::reset_profile();
 
   // Steady-state trap kernel: one condition, repeated steps.
+  double trap_delta_vth = 0.0;
   {
     bti::TrapEnsemble e(bti::default_td_parameters(), 1);
     const auto cond = bti::dc_stress(Volts{1.2}, Celsius{110.0});
     for (int i = 0; i < 200000; ++i) e.evolve(cond, Seconds{60.0});
-    benchmark::DoNotOptimize(e.delta_vth());
+    trap_delta_vth = e.delta_vth();
   }
 
   // Repeated RO reads at a fixed operating point (cached path delays).
+  double ro_frequency_sum = 0.0;
   {
     fpga::ChipConfig cc;
     cc.ro_stages = 75;
     fpga::FpgaChip chip(cc);
-    double sum = 0.0;
     for (int i = 0; i < 20000; ++i) {
-      sum += chip.ro_frequency_hz(Volts{1.2}, Kelvin{celsius(20.0)}).value();
+      ro_frequency_sum +=
+          chip.ro_frequency_hz(Volts{1.2}, Kelvin{celsius(20.0)}).value();
     }
-    benchmark::DoNotOptimize(sum);
   }
 
   // End-to-end chip-5 campaign through the full instrument stack.
   const tb::TestCase tc = tb::paper_campaign().at(4);
   double campaign_ms = 0.0;
+  std::size_t campaign_records = 0;
   {
     fpga::FpgaChip chip(tb::paper_chip_config(tc.chip_id, 75));
     tb::ExperimentRunner runner{tb::RunnerConfig{}};
     const auto t0 = clock::now();
     const auto result = runner.run_campaign(chip, tc);
     campaign_ms = wall_ms(t0, clock::now());
-    benchmark::DoNotOptimize(result.log.size());
+    campaign_records = result.log.size();
   }
 
   // The same chip schedule driven at fixed per-phase conditions (no
   // chamber noise): what the trap kernel does when the rate cache can
   // actually hit.
   double fixed_drive_ms = 0.0;
+  double drive_frequency_sum = 0.0;
   {
     fpga::FpgaChip chip(tb::paper_chip_config(tc.chip_id, 75));
     const auto t0 = clock::now();
@@ -207,19 +116,21 @@ int run_json_mode(const std::string& path) {
         chip.evolve(phase.mode, cond, Seconds{dt});
         // Read at the nominal measurement rail (sleep phases bias the
         // core below threshold; the counter always runs at 1.2 V).
-        benchmark::DoNotOptimize(
-            chip.ro_frequency_hz(Volts{1.2}, cond.temperature_k).value());
+        drive_frequency_sum +=
+            chip.ro_frequency_hz(Volts{1.2}, cond.temperature_k).value();
       }
     }
     fixed_drive_ms = wall_ms(t0, clock::now());
   }
 
   // One multicore month exercises the mc.* kernel split.
+  double mc_mean_delta_vth = 0.0;
   {
     mc::SystemConfig cfg;
     cfg.horizon_s = Seconds{30.0 * 86400.0};
     mc::HeaterAwareCircadianScheduler scheduler;
-    benchmark::DoNotOptimize(mc::simulate_system(cfg, scheduler));
+    mc_mean_delta_vth =
+        mc::simulate_system(cfg, scheduler).mean_end_delta_vth_v.value();
   }
 
   // Population sweep (the acceptance workload): 1024 chips of one
@@ -233,6 +144,7 @@ int run_json_mode(const std::string& path) {
   double pop_independent_ms = 0.0;
   double pop_batch_ms = 0.0;
   int pop_steps = 0;
+  double pop_read_sum = 0.0;
   {
     struct PopStep {
       bti::OperatingCondition condition;
@@ -290,7 +202,7 @@ int run_json_mode(const std::string& path) {
         }
       }
       pop_independent_ms = wall_ms(t0, clock::now());
-      benchmark::DoNotOptimize(acc);
+      pop_read_sum = acc;
       for (int m = 0; m < kPopChips; ++m) {
         independent_delta[static_cast<std::size_t>(m)] =
             fleet[static_cast<std::size_t>(m)].delta_vth();
@@ -310,7 +222,12 @@ int run_json_mode(const std::string& path) {
         }
       }
       pop_batch_ms = wall_ms(t0, clock::now());
-      benchmark::DoNotOptimize(acc);
+      if (acc != pop_read_sum) {
+        std::fprintf(stderr,
+                     "bench_perf_kernels: batch fleet reads diverged from "
+                     "independent runs\n");
+        return 1;
+      }
       for (int m = 0; m < kPopChips; ++m) {
         if (batch.delta_vth(m) != independent_delta[static_cast<std::size_t>(m)]) {
           std::fprintf(stderr,
@@ -325,8 +242,9 @@ int run_json_mode(const std::string& path) {
 
   // Margin projection: one 256-device whole-shard query (priors by the
   // fleet service's genesis rule, one mission schedule) and the same 256
-  // devices as single queries, asserted bit-identical.  Recorded in the
-  // ledger, not gated.
+  // devices as single queries, asserted bit-identical (every round
+  // overwrites the answers that check reads).  Recorded in the ledger, not
+  // gated.
   constexpr int kMarginDevices = 256;
   constexpr int kMarginRounds = 100;
   double margin_single_us = 0.0;
@@ -347,7 +265,6 @@ int run_json_mode(const std::string& path) {
     auto t0 = clock::now();
     for (int r = 0; r < kMarginRounds; ++r) {
       batched = mc::margin_outlook(model, shard);
-      benchmark::DoNotOptimize(batched.data());
     }
     margin_batch_us = wall_ms(t0, clock::now()) * 1e3 / kMarginRounds;
     std::vector<mc::MarginOutlook> single(shard.size());
@@ -356,7 +273,6 @@ int run_json_mode(const std::string& path) {
       for (std::size_t d = 0; d < shard.size(); ++d) {
         single[d] = mc::margin_outlook(model, shard[d]);
       }
-      benchmark::DoNotOptimize(single.data());
     }
     margin_single_us =
         wall_ms(t0, clock::now()) * 1e3 / (kMarginRounds * kMarginDevices);
@@ -372,6 +288,8 @@ int run_json_mode(const std::string& path) {
     }
   }
 
+  // The JSON rows tools/check_perf_regression.py reads: every kernel
+  // timer, then the end-to-end, population and margin summaries.
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "bench_perf_kernels: cannot write %s\n",
@@ -420,44 +338,31 @@ int run_json_mode(const std::string& path) {
       pop_independent_ms / pop_batch_ms);
   std::printf("margin: single %.2f us/query   whole-shard (%d devices) %.1f us\n",
               margin_single_us, kMarginDevices, margin_batch_us);
+  std::printf(
+      "checks: trap dVth %.9g V   RO sum %.9g Hz   campaign records %zu   "
+      "drive sum %.9g Hz   mc mean dVth %.9g V   population reads %.9g V\n",
+      trap_delta_vth, ro_frequency_sum, campaign_records,
+      drive_frequency_sum, mc_mean_delta_vth, pop_read_sum);
   return 0;
 }
 
 }  // namespace
 
-/// BENCHMARK_MAIN() plus the ash::obs profile: the same run that times the
-/// kernels also aggregates the in-library kernel timers, so the share
-/// breakdown (where does a multicore month actually go?) prints alongside
-/// the google-benchmark numbers.  `--json FILE` (default
-/// BENCH_kernels.json) switches to the fixed CI workload instead; the
-/// custom flag is stripped before benchmark::Initialize sees it.
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_mode = false;
-  int out = 1;
+  std::string json_path = "BENCH_kernels.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
-      json_mode = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_mode = true;
+    if (arg == "--json" && i + 1 < argc && argv[i + 1][0] != '-') {
+      json_path = argv[++i];
+    } else if (arg.rfind("--json=", 0) == 0 && arg.size() > 7) {
       json_path = arg.substr(7);
-    } else {
-      argv[out++] = argv[i];
+    } else if (arg != "--json") {
+      std::fprintf(stderr,
+                   "bench_perf_kernels: unknown argument %s\n"
+                   "usage: bench_perf_kernels [--json FILE]\n",
+                   arg.c_str());
+      return 2;
     }
   }
-  argc = out;
-  if (json_mode) {
-    return run_json_mode(json_path.empty() ? "BENCH_kernels.json"
-                                           : json_path);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ash::obs::enable_profiling(true);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  std::printf("\nin-library kernel profile (aggregated over all runs):\n%s",
-              ash::obs::profile_table().c_str());
-  return 0;
+  return run_workload(json_path);
 }

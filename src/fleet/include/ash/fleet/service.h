@@ -53,10 +53,13 @@
 /// `ash::obs`; they are deliberately kept out of response payloads so a
 /// chaos-ridden run and an undisturbed run answer with identical bytes.
 
+#include <sys/types.h>
+
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ash/bti/closed_form.h"
@@ -325,6 +328,33 @@ class Service {
   std::array<obs::Histogram*, 21> latency_{};
   obs::Histogram* queue_wait_ = nullptr;
   bool draining_ = false;
+};
+
+/// A `Service` run in a forked child: started, SIGKILLed and restarted
+/// over the same state dir, or drained with SIGTERM.  The harness behind
+/// `ash_fleetd drill`, `bench_fleet_service` and the forked-daemon test
+/// suites.  Destruction SIGKILLs and reaps a child still running.
+class ForkedDaemon {
+ public:
+  explicit ForkedDaemon(ServiceConfig config) : config_(std::move(config)) {}
+  ~ForkedDaemon() { kill(); }
+  ForkedDaemon(const ForkedDaemon&) = delete;
+  ForkedDaemon& operator=(const ForkedDaemon&) = delete;
+
+  /// Fork a child that serves until drained, then exits 0 (3 when the
+  /// service throws).  Throws std::runtime_error when fork fails.
+  void start();
+  /// SIGKILL and reap the child; no-op when none is running.
+  void kill();
+  /// kill(), then start() over the same state dir: the chaos hook.
+  void kill_and_restart();
+  /// SIGTERM and reap.  Returns the child's exit status (0 = clean
+  /// drain), 128 + signal when a signal ended it, -1 when none was running.
+  int terminate();
+
+ private:
+  ServiceConfig config_;
+  pid_t pid_ = -1;
 };
 
 }  // namespace ash::fleet

@@ -4,6 +4,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -1136,6 +1138,43 @@ void Service::run() {
     }
     g_fatal_recorder = nullptr;
   }
+}
+
+void ForkedDaemon::start() {
+  pid_ = ::fork();
+  if (pid_ < 0) throw std::runtime_error("ForkedDaemon: fork failed");
+  if (pid_ == 0) {
+    try {
+      Service service(config_);
+      service.run();
+      std::_Exit(0);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "fleetd[forked daemon]: %s\n", e.what());
+      std::_Exit(3);
+    }
+  }
+}
+
+void ForkedDaemon::kill() {
+  if (pid_ <= 0) return;
+  ::kill(pid_, SIGKILL);
+  int status = 0;
+  (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
+  pid_ = -1;
+}
+
+void ForkedDaemon::kill_and_restart() {
+  kill();
+  start();
+}
+
+int ForkedDaemon::terminate() {
+  if (pid_ <= 0) return -1;
+  ::kill(pid_, SIGTERM);
+  int status = 0;
+  (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
+  pid_ = -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
 }
 
 }  // namespace ash::fleet

@@ -47,11 +47,6 @@ struct SystemConfig {
   double tdp_w = 90.0;
   /// Points in the recorded worst-core trace.
   int trace_points = 200;
-  /// Worker threads for the per-core aging fan-out.  1 (default) keeps
-  /// the exact serial code path; 0 means one thread per hardware core.
-  /// Results are bit-identical at any setting: each core's ager is
-  /// independent and every order-dependent accumulator stays serial.
-  int aging_threads = 1;
   /// Device model.
   bti::ClosedFormParameters model =
       bti::ClosedFormParameters::from_td(bti::default_td_parameters());

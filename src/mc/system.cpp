@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <optional>
 #include <stdexcept>
 
 #include "ash/obs/profile.h"
 #include "ash/obs/trace.h"
-#include "ash/util/thread_pool.h"
 
 namespace ash::mc {
 
@@ -71,14 +69,6 @@ SystemResult run(const SystemConfig& config, Scheduler& scheduler,
   long core_intervals = 0;
   std::vector<double> prev_core_temps;  // empty on the first interval
   std::vector<double> true_vth(static_cast<std::size_t>(cores), 0.0);
-
-  // Aging fan-out: each core's ager is independent, so the evolve calls
-  // can run on a pool while every order-dependent accumulator above stays
-  // serial.  The default (aging_threads = 1) is inline mode — the exact
-  // serial code path.
-  util::ThreadPool aging_pool(config.aging_threads);
-  std::vector<bti::OperatingCondition> conds(static_cast<std::size_t>(cores));
-  std::vector<std::uint8_t> should_age(static_cast<std::size_t>(cores), 0);
 
   for (long k = 0; k < intervals; ++k) {
     const obs::ScopedKernelTimer interval_timer(obs::Kernel::kMcInterval);
@@ -143,15 +133,12 @@ SystemResult run(const SystemConfig& config, Scheduler& scheduler,
     }
     prev_core_temps.assign(temps.begin(), temps.begin() + cores);
 
-    // Evolve every core under its own condition.  Bookkeeping (serial,
-    // order-dependent accumulators) first; the independent evolve calls
-    // then fan out over the pool.
+    // Evolve every core under its own condition.
     int delivered = 0;
     for (int i = 0; i < cores; ++i) {
       const double t_c = temps[static_cast<std::size_t>(i)];
       result.max_temp_c = Celsius{std::max(result.max_temp_c.value(), t_c)};
       ++core_intervals;
-      should_age[static_cast<std::size_t>(i)] = 0;
       if (faults && faults->dead(i)) {
         // Dark: no power, no work, no aging; the state is frozen at death.
         if (assignment[static_cast<std::size_t>(i)] == CoreMode::kActive &&
@@ -190,24 +177,7 @@ SystemResult run(const SystemConfig& config, Scheduler& scheduler,
           ++sleep_core_intervals;
           break;
       }
-      conds[static_cast<std::size_t>(i)] = cond;
-      should_age[static_cast<std::size_t>(i)] = 1;
-    }
-    if (aging_pool.size() == 0) {
-      for (int i = 0; i < cores; ++i) {
-        if (should_age[static_cast<std::size_t>(i)]) {
-          agers[static_cast<std::size_t>(i)].evolve(
-              conds[static_cast<std::size_t>(i)], config.interval_s);
-        }
-      }
-    } else {
-      aging_pool.parallel_for(cores, [&](int i) {
-        if (should_age[static_cast<std::size_t>(i)]) {
-          agers[static_cast<std::size_t>(i)].evolve(
-              conds[static_cast<std::size_t>(i)], config.interval_s);
-        }
-        return 0;
-      });
+      agers[static_cast<std::size_t>(i)].evolve(cond, config.interval_s);
     }
 
     // Demand shortfall: whatever of the *requested* demand was not

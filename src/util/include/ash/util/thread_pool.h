@@ -3,7 +3,7 @@
 /// \file thread_pool.h
 /// A small fixed-size worker pool for embarrassingly parallel campaign
 /// work (DESIGN.md Sec. 8): independent chips of a Table-1 run, ablation
-/// sweep points, per-core aging in the multicore runtime.
+/// sweep points, the two policies of the multicore comparison.
 ///
 /// Design constraints, in order:
 ///   1. *Determinism* — the pool never decides what work exists or how

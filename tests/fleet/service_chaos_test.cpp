@@ -9,13 +9,11 @@
 ///   * SIGTERM drains with a final durable snapshot; SIGKILL restarts
 ///     resume the acknowledged state and replay acknowledged mutations.
 ///
-/// The daemon runs as a forked child (real sockets, real SIGKILL), the
-/// same harness `ash_fleetd drill` uses.
+/// The daemon runs as a forked child (real sockets, real SIGKILL) under
+/// `fleet::ForkedDaemon`, the same harness `ash_fleetd drill` uses.
 
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -34,58 +32,6 @@
 
 namespace ash::fleet {
 namespace {
-
-/// A forked daemon: SIGKILL-able, restartable, drainable.
-class ForkedDaemon {
- public:
-  explicit ForkedDaemon(ServiceConfig config) : config_(std::move(config)) {}
-  ~ForkedDaemon() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      int status = 0;
-      (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-    }
-  }
-
-  void start() {
-    pid_ = ::fork();
-    ASSERT_GE(pid_, 0) << "fork failed";
-    if (pid_ == 0) {
-      try {
-        Service service(config_);
-        service.run();
-        std::_Exit(0);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "fleetd[test daemon]: %s\n", e.what());
-        std::_Exit(3);
-      }
-    }
-  }
-
-  void kill_and_restart() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      int status = 0;
-      (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-      pid_ = -1;
-    }
-    start();
-  }
-
-  /// SIGTERM and reap; 0 = clean drain.
-  int terminate() {
-    if (pid_ <= 0) return -1;
-    ::kill(pid_, SIGTERM);
-    int status = 0;
-    (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-    pid_ = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
-  }
-
- private:
-  ServiceConfig config_;
-  pid_t pid_ = -1;
-};
 
 /// Blocking raw connect with a startup-grace retry loop.
 int raw_connect(const std::string& socket_path) {

@@ -12,12 +12,9 @@
 ///   * the SIGTERM drain's metrics dump is atomic: complete content, no
 ///     temp-file debris, readable while torn-write chaos reigns elsewhere.
 ///
-/// The daemon runs as a forked child (real sockets, real signals), the
-/// same harness the chaos suite and `ash_fleetd drill` use.
-
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
+/// The daemon runs as a forked child (real sockets, real signals) under
+/// `fleet::ForkedDaemon`, the same harness the chaos suite and
+/// `ash_fleetd drill` use.
 
 #include <cstdlib>
 #include <string>
@@ -31,59 +28,9 @@
 #include "ash/obs/flight_recorder.h"
 #include "ash/obs/metrics.h"
 #include "ash/util/atomic_file.h"
-#include "ash/util/syscall.h"
 
 namespace ash::fleet {
 namespace {
-
-class ForkedDaemon {
- public:
-  explicit ForkedDaemon(ServiceConfig config) : config_(std::move(config)) {}
-  ~ForkedDaemon() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      int status = 0;
-      (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-    }
-  }
-
-  void start() {
-    pid_ = ::fork();
-    ASSERT_GE(pid_, 0) << "fork failed";
-    if (pid_ == 0) {
-      try {
-        Service service(config_);
-        service.run();
-        std::_Exit(0);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "fleetd[obs test daemon]: %s\n", e.what());
-        std::_Exit(3);
-      }
-    }
-  }
-
-  void sigkill() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-    pid_ = -1;
-  }
-
-  /// SIGTERM and reap; 0 = clean drain.
-  int terminate() {
-    if (pid_ <= 0) return -1;
-    ::kill(pid_, SIGTERM);
-    int status = 0;
-    (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-    pid_ = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
-  }
-
- private:
-  ServiceConfig config_;
-  pid_t pid_ = -1;
-};
 
 /// Parse a `MetricsSnapshot::render()` document into name -> value.
 double metric_value(const std::string& text, const std::string& name,
@@ -316,7 +263,7 @@ TEST_F(ServiceObsTest, SigkilledDaemonLeavesALoadableFlightDump) {
     EXPECT_EQ(client.schedule_sleep(req).windows, 1u);
   }
 
-  daemon.sigkill();
+  daemon.kill();
 
   const std::string dump = util::read_file(config.flight_recorder_path);
   const auto events = obs::FlightRecorder::load(dump);
@@ -454,7 +401,7 @@ TEST_F(ServiceObsTest, SigkillAfterAPingKeepsEveryAckedMutationInTheDump) {
       ASSERT_EQ(client.schedule_sleep(req).windows, 1u);
     }
     ASSERT_TRUE(client.ping());
-    daemon.sigkill();
+    daemon.kill();
   }
 
   const auto events =

@@ -2,9 +2,10 @@
 """Tests for tools/check_perf_regression.py — the CI perf gate.
 
 Covers the contract edges the CI job relies on: a baseline missing the
-gated kernel, malformed JSON input, and the exactly-at-threshold boundary
+gated kernel, malformed JSON input, the exactly-at-threshold boundary
 (2.00x must PASS; the gate is `ratio <= factor`, regression is strictly
-beyond the factor).
+beyond the factor), and bad options (a factor that is not a finite
+number > 0, an unknown option), which are bad input: exit 2.
 
 Run directly or via ctest (`ctest -L perf`).
 """
@@ -172,6 +173,40 @@ class CheckPerfRegressionTest(unittest.TestCase):
         code, _, _ = self.run_gate(self.write("bare.json", bench_doc(100.0)),
                                    base)
         self.assertEqual(code, 0)
+
+    def test_non_finite_or_non_positive_factor_is_bad_input(self):
+        # NaN used to print REGRESSION on every kernel and still exit 0.
+        cur = self.write("cur.json", bench_doc(120.0))
+        base = self.write("base.json", bench_doc(100.0))
+        for bad in ("nan", "inf", "0", "-1"):
+            code, _, err = self.run_gate(cur, base, f"--factor={bad}")
+            self.assertEqual(code, 2, bad)
+            self.assertIn("--factor", err)
+
+    def test_non_numeric_factor_is_bad_input(self):
+        # Exit 1 is reserved for a real regression, not a traceback.
+        cur = self.write("cur.json", bench_doc(120.0))
+        base = self.write("base.json", bench_doc(100.0))
+        code, _, err = self.run_gate(cur, base, "--factor=abc")
+        self.assertEqual(code, 2, err)
+        self.assertIn("check_perf_regression", err)
+        self.assertNotIn("Traceback", err)
+
+    def test_unknown_option_is_bad_input(self):
+        # A misspelt --factor must not silently run the gate at 2x.
+        cur = self.write("cur.json", bench_doc(120.0))
+        base = self.write("base.json", bench_doc(100.0))
+        code, _, err = self.run_gate(cur, base, "--factr=0.1")
+        self.assertEqual(code, 2, err)
+        self.assertIn("--factr", err)
+
+    def test_nan_measurement_fails_the_exit_code_too(self):
+        # The printed verdict and the exit code come from one comparison.
+        cur = self.write("cur.json", bench_doc(float("nan")))
+        base = self.write("base.json", bench_doc(100.0))
+        code, out, _ = self.run_gate(cur, base)
+        self.assertIn("REGRESSION", out)
+        self.assertEqual(code, 1, out)
 
 
 if __name__ == "__main__":

@@ -57,11 +57,7 @@
 ///     mid-session, pinning that observation does not perturb the
 ///     transcript.  Exit 0 on identical transcripts, 1 otherwise.
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -496,55 +492,8 @@ int run_flight(const Flags& flags) {
   return 0;
 }
 
-/// A forked daemon the drill owns: SIGKILL-able, restartable, drainable.
-class DrillDaemon {
- public:
-  explicit DrillDaemon(fleet::ServiceConfig config)
-      : config_(std::move(config)) {}
-
-  void start() {
-    pid_ = ::fork();
-    if (pid_ < 0) throw std::runtime_error("drill: fork failed");
-    if (pid_ == 0) {
-      try {
-        fleet::Service service(config_);
-        service.run();
-        std::_Exit(0);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "ash_fleetd[daemon]: %s\n", e.what());
-        std::_Exit(3);
-      }
-    }
-  }
-
-  /// SIGKILL + restart from the snapshot and journal: the chaos hook.
-  void kill_and_restart() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      int status = 0;
-      (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-      pid_ = -1;
-    }
-    start();
-  }
-
-  /// SIGTERM and reap; returns the daemon's exit status (0 = clean drain).
-  int terminate() {
-    if (pid_ <= 0) return -1;
-    ::kill(pid_, SIGTERM);
-    int status = 0;
-    (void)util::retry_eintr([&] { return ::waitpid(pid_, &status, 0); });
-    pid_ = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
-  }
-
- private:
-  fleet::ServiceConfig config_;
-  pid_t pid_ = -1;
-};
-
 /// The scripted query/mutation mix both drill sessions replay.
-std::string run_session(DrillDaemon& daemon, const std::string& socket_path,
+std::string run_session(fleet::ForkedDaemon& daemon, const std::string& socket_path,
                         const fleet::FleetFaultPlan& chaos, int requests,
                         int devices, bool quiet) {
   fleet::ClientConfig cc;
@@ -630,7 +579,7 @@ int run_drill(const Flags& flags) {
     config.metrics_path = root + "/metrics.txt";
     config.flight_recorder_path = root + "/flight.txt";
     run_fleet_campaign(config.campaign_dir, shards, stages, seed);
-    DrillDaemon daemon(config);
+    fleet::ForkedDaemon daemon(config);
     daemon.start();
     transcripts[session] = run_session(
         daemon, config.socket_path,

@@ -29,9 +29,9 @@
 ///       ash_lab multicore [--years 2] [--cores 6] [--margin-mv 9]
 ///                         [--fault-plan none|representative|harsh]
 ///                         [--fault-seed N] [--raw] [--jobs N]
-///       --jobs N sizes both the policy fan-out and each system's per-core
-///       aging pool (mc::SystemConfig::aging_threads); 0 = one thread per
-///       hardware core, absent = serial aging (bit-identical either way).
+///       --jobs N sizes the two-policy fan-out (0 or absent = one worker
+///       per policy, capped at the hardware cores); each system ages its
+///       cores serially, so the tables are bit-identical at any N.
 ///       With a fault plan, each policy runs behind the reliability
 ///       manager (quarantine, failover, telemetry filtering) and the
 ///       fault/response report is printed; --raw drops the manager to
@@ -405,10 +405,6 @@ int cmd_multicore(const Flags& flags) {
   cfg.horizon_s = Seconds{flags.get("years", 2.0) * 365.25 * 86400.0};
   cfg.cores_needed = flags.get("cores", 6);
   cfg.margin_delta_vth_v = Volts{flags.get("margin-mv", 9.0) * 1e-3};
-  // --jobs reaches the per-core aging fan-out inside simulate_system too:
-  // N workers per policy (0 = one per hardware core).  Absent keeps the
-  // serial default; results are bit-identical at any setting.
-  if (flags.has("jobs")) cfg.aging_threads = flags.get("jobs", 0);
 
   auto plan =
       mc::CoreFaultPlan::by_name(flags.get("fault-plan", std::string("none")));

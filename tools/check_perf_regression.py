@@ -19,11 +19,13 @@ baseline (bench/baselines/BENCH_kernels.json):
   sweep degenerated to per-chip work, which no noise factor should
   forgive).
 
-Usage: check_perf_regression.py CURRENT.json [BASELINE.json] [--factor F]
-Exit codes: 0 ok, 1 regression, 2 bad input.
+Usage: check_perf_regression.py CURRENT.json [BASELINE.json] [--factor=F]
+Exit codes: 0 ok, 1 regression, 2 bad input (including a factor that is
+not a finite number > 0 and an unknown ``--`` option).
 """
 
 import json
+import math
 import sys
 
 PRIMARY_KERNEL = "bti.trap_ensemble.evolve"
@@ -56,12 +58,32 @@ def kernel_table(path: str, doc: dict) -> dict:
     return table
 
 
+def parse_args(argv: list[str]) -> tuple[list[str], float]:
+    """(positional paths, factor); raises ValueError on bad usage."""
+    args, factor = [], DEFAULT_FACTOR
+    for a in argv:
+        if not a.startswith("--"):
+            args.append(a)
+            continue
+        if not a.startswith("--factor="):
+            raise ValueError(f"unknown option {a!r}")
+        value = a.split("=", 1)[1]
+        try:
+            factor = float(value)
+        except ValueError:
+            factor = math.nan
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(
+                f"--factor must be a finite number > 0, got {value!r}")
+    return args, factor
+
+
 def main(argv: list[str]) -> int:
-    args = [a for a in argv[1:] if not a.startswith("--")]
-    factor = DEFAULT_FACTOR
-    for a in argv[1:]:
-        if a.startswith("--factor="):
-            factor = float(a.split("=", 1)[1])
+    try:
+        args, factor = parse_args(argv[1:])
+    except ValueError as err:
+        print(f"check_perf_regression: {err}", file=sys.stderr)
+        return 2
     if not args:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -81,8 +103,11 @@ def main(argv: list[str]) -> int:
     for name in sorted(set(current) & set(baseline)):
         cur, base = current[name], baseline[name]
         ratio = cur / base if base > 0 else float("inf")
-        verdict = "OK" if ratio <= factor else "REGRESSION"
-        failed = failed or ratio > factor
+        # One comparison for the verdict and the exit code: a NaN ratio
+        # is a regression.
+        bad = not ratio <= factor
+        verdict = "REGRESSION" if bad else "OK"
+        failed = failed or bad
         print(
             f"{name}: current {cur:.0f} ns/call, baseline "
             f"{base:.0f} ns/call, ratio {ratio:.2f}x "
@@ -96,8 +121,9 @@ def main(argv: list[str]) -> int:
         if key not in current_doc:
             continue
         speedup = float(current_doc[key])
-        verdict = "OK" if speedup >= floor else "REGRESSION"
-        failed = failed or speedup < floor
+        bad = not speedup >= floor
+        verdict = "REGRESSION" if bad else "OK"
+        failed = failed or bad
         print(f"{key}: {speedup:.2f}x (floor {floor:.2f}x) -> {verdict}")
 
     return 1 if failed else 0
