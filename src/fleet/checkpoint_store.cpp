@@ -15,6 +15,7 @@
 #include "ash/util/atomic_file.h"
 #include "ash/util/crc32.h"
 #include "ash/util/syscall.h"
+#include "ash/util/text_reader.h"
 
 namespace ash::fleet {
 
@@ -204,15 +205,14 @@ std::map<std::uint64_t, std::string> CheckpointStore::files_by_sequence(
             0) {
       continue;
     }
-    const std::string digits =
-        name.substr(std::strlen(want_prefix),
-                    name.size() - std::strlen(want_prefix) - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    by_seq[std::strtoull(digits.c_str(), nullptr, 10)] =
-        directory_ + "/" + name;
+    // A name whose sequence is not a u64 (junk, or digits past 2^64) is
+    // skipped, never saturated into the newest snapshot.
+    const std::optional<std::uint64_t> seq = util::parse_u64(
+        std::string_view(name).substr(
+            std::strlen(want_prefix),
+            name.size() - std::strlen(want_prefix) - suffix.size()));
+    if (!seq) continue;
+    by_seq[*seq] = directory_ + "/" + name;
   }
   ::closedir(d);
   return by_seq;

@@ -1,17 +1,14 @@
 #include "ash/fleet/protocol.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
-#include <map>
 #include <optional>
 
 #include "ash/obs/metrics.h"
 #include "ash/util/crc32.h"
 #include "ash/util/double_codec.h"
+#include "ash/util/text_reader.h"
 
 namespace ash::fleet {
 
@@ -113,7 +110,10 @@ Frame finish_frame(std::string_view bytes) {
 }
 
 // -------------------------------------------------------------------------
-// Text-document payload helpers.
+// Text-document payload helpers.  Payloads are util::text_reader documents:
+// every key required exactly once, no unknown keys, every number finite.
+// Hostile payloads with a valid CRC (an attacker can compute CRCs) die in
+// the reader, field by field, as ProtocolError.
 // -------------------------------------------------------------------------
 
 void put_field(std::string& out, const char* key, const std::string& value) {
@@ -123,103 +123,18 @@ void put_field(std::string& out, const char* key, const std::string& value) {
   out += '\n';
 }
 
-/// A finite double field or row token, in ash::parse_double's grammar.
-double parse_double_value(std::string_view v, const char* key) {
-  const std::optional<double> out = parse_double(v);
-  if (!out) {
-    throw ProtocolError("field '" + std::string(key) +
-                        "' is not a finite number: '" + std::string(v) + "'");
-  }
-  return *out;
+[[noreturn]] void payload_error(const std::string& detail) {
+  throw ProtocolError(detail);
 }
 
-/// Strict `key value` document: every key required exactly once, no
-/// unknown keys, every number finite.  Hostile payloads with a valid CRC
-/// (an attacker can compute CRCs) die here, field by field.
-class Doc {
- public:
-  Doc(std::string_view payload, std::initializer_list<const char*> schema) {
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-      std::size_t eol = payload.find('\n', pos);
-      if (eol == std::string_view::npos) {
-        throw ProtocolError("payload line without newline terminator");
-      }
-      const std::string_view line = payload.substr(pos, eol - pos);
-      pos = eol + 1;
-      const std::size_t space = line.find(' ');
-      if (space == std::string_view::npos || space == 0) {
-        throw ProtocolError("malformed payload line '" + std::string(line) +
-                            "'");
-      }
-      const std::string key(line.substr(0, space));
-      bool known = false;
-      for (const char* want : schema) known = known || key == want;
-      if (!known) throw ProtocolError("unknown field '" + key + "'");
-      if (!fields_.emplace(key, std::string(line.substr(space + 1))).second) {
-        throw ProtocolError("duplicate field '" + key + "'");
-      }
-    }
-    for (const char* want : schema) {
-      if (fields_.find(want) == fields_.end()) {
-        throw ProtocolError("missing field '" + std::string(want) + "'");
-      }
-    }
-  }
+/// A whole payload of `key value` lines over `schema`.
+util::KeyedDoc doc_of(std::string_view payload,
+                      std::initializer_list<const char*> schema) {
+  return util::KeyedDoc(payload, schema, payload_error);
+}
 
-  const std::string& raw(const char* key) const { return fields_.at(key); }
-
-  std::uint64_t get_u64(const char* key) const {
-    const std::string& v = raw(key);
-    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-      throw ProtocolError("field '" + std::string(key) +
-                          "' is not an unsigned integer: '" + v + "'");
-    }
-    errno = 0;
-    const std::uint64_t out = std::strtoull(v.c_str(), nullptr, 10);
-    if (errno == ERANGE) {
-      throw ProtocolError("field '" + std::string(key) + "' overflows: '" +
-                          v + "'");
-    }
-    return out;
-  }
-
-  double get_double(const char* key) const {
-    return parse_double_value(raw(key), key);
-  }
-
-  double get_double_in(const char* key, double lo, double hi) const {
-    const double out = get_double(key);
-    if (out < lo || out > hi) {
-      throw ProtocolError("field '" + std::string(key) + "' = " +
-                          fmt_double(out) + " outside [" + fmt_double(lo) +
-                          ", " + fmt_double(hi) + "]");
-    }
-    return out;
-  }
-
-  bool get_bool(const char* key) const {
-    const std::string& v = raw(key);
-    if (v == "0") return false;
-    if (v == "1") return true;
-    throw ProtocolError("field '" + std::string(key) + "' is not 0/1: '" + v +
-                        "'");
-  }
-
-  int get_int(const char* key, int lo, int hi) const {
-    const double v = get_double_in(key, lo, hi);
-    if (v != std::floor(v)) {
-      throw ProtocolError("field '" + std::string(key) +
-                          "' is not an integer: '" + raw(key) + "'");
-    }
-    return static_cast<int>(v);
-  }
-
- private:
-  std::map<std::string, std::string> fields_;
-};
-
-Status parse_status_value(std::string_view v) {
+Status parse_status(const util::Field& field) {
+  const std::string_view v = field.text();
   if (v == "ok") return Status::kOk;
   if (v == "overloaded") return Status::kOverloaded;
   if (v == "bad-request") return Status::kBadRequest;
@@ -228,82 +143,9 @@ Status parse_status_value(std::string_view v) {
   throw ProtocolError("unknown status '" + std::string(v) + "'");
 }
 
-Status parse_status(const Doc& doc) { return parse_status_value(doc.raw("status")); }
-
-// --- Scrape-channel codec helpers ----------------------------------------
-// Metrics/profile responses carry grammars the strict Doc cannot express
-// (raw `key=value` text blocks, repeated `kernel` lines), so they parse
-// through an explicit line cursor with the same fail-on-anything-odd
-// posture.
-
-class LineCursor {
- public:
-  explicit LineCursor(std::string_view payload) : payload_(payload) {}
-
-  std::string_view next_line() {
-    if (pos_ >= payload_.size()) {
-      throw ProtocolError("payload ended before a required line");
-    }
-    const std::size_t eol = payload_.find('\n', pos_);
-    if (eol == std::string_view::npos) {
-      throw ProtocolError("payload line without newline terminator");
-    }
-    const std::string_view line = payload_.substr(pos_, eol - pos_);
-    pos_ = eol + 1;
-    return line;
-  }
-
-  /// Consume exactly `n` raw bytes (the length-prefixed text block).
-  std::string_view take(std::uint64_t n) {
-    if (payload_.size() - pos_ < n) {
-      throw ProtocolError("length-prefixed block truncated");
-    }
-    const std::string_view out = payload_.substr(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  void expect_done() const {
-    if (pos_ != payload_.size()) {
-      throw ProtocolError("trailing bytes after the payload document");
-    }
-  }
-
- private:
-  std::string_view payload_;
-  std::size_t pos_ = 0;
-};
-
-/// `<key> <value>` line → value, throwing when the key is wrong.
-std::string_view expect_key(std::string_view line, const char* key) {
-  const std::size_t key_len = std::strlen(key);
-  if (line.size() < key_len + 1 || line.substr(0, key_len) != key ||
-      line[key_len] != ' ') {
-    throw ProtocolError("expected '" + std::string(key) + "' line, got '" +
-                        std::string(line) + "'");
-  }
-  return line.substr(key_len + 1);
-}
-
-std::uint64_t parse_u64_value(std::string_view v, const char* key) {
-  if (v.empty() ||
-      v.find_first_not_of("0123456789") != std::string_view::npos) {
-    throw ProtocolError("field '" + std::string(key) +
-                        "' is not an unsigned integer: '" + std::string(v) +
-                        "'");
-  }
-  errno = 0;
-  const std::uint64_t out = std::strtoull(std::string(v).c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    throw ProtocolError("field '" + std::string(key) + "' overflows: '" +
-                        std::string(v) + "'");
-  }
-  return out;
-}
-
 /// A non-negative duration field (hostile negative horizons rejected).
-Seconds get_seconds(const Doc& doc, const char* key) {
-  return Seconds{doc.get_double_in(key, 0.0, 1e18)};
+Seconds get_seconds(const util::Field& field) {
+  return Seconds{field.number_in(0.0, 1e18)};
 }
 
 }  // namespace
@@ -525,14 +367,14 @@ std::optional<Frame> FrameReader::next() {
 std::string PingRequest::encode() const { return {}; }
 
 PingRequest PingRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
+  (void)doc_of(payload, {});
   return {};
 }
 
 std::string PingResponse::encode() const { return {}; }
 
 PingResponse PingResponse::parse(std::string_view payload) {
-  (void)Doc(payload, {});
+  (void)doc_of(payload, {});
   return {};
 }
 
@@ -547,13 +389,14 @@ std::string MarginRequest::encode() const {
 }
 
 MarginRequest MarginRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"device", "duty", "vdd_v", "temp_c", "horizon_s"});
+  const auto doc =
+      doc_of(payload, {"device", "duty", "vdd_v", "temp_c", "horizon_s"});
   MarginRequest out;
-  out.device_id = doc.get_u64("device");
-  out.duty = doc.get_double_in("duty", 0.0, 1.0);
-  out.vdd = Volts{doc.get_double_in("vdd_v", -5.0, 5.0)};
-  out.temp = Celsius{doc.get_double_in("temp_c", -273.15, 300.0)};
-  out.horizon = get_seconds(doc, "horizon_s");
+  out.device_id = doc["device"].u64();
+  out.duty = doc["duty"].number_in(0.0, 1.0);
+  out.vdd = Volts{doc["vdd_v"].number_in(-5.0, 5.0)};
+  out.temp = Celsius{doc["temp_c"].number_in(-273.15, 300.0)};
+  out.horizon = get_seconds(doc["horizon_s"]);
   return out;
 }
 
@@ -568,14 +411,14 @@ std::string MarginResponse::encode() const {
 }
 
 MarginResponse MarginResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "crosses", "time_to_margin_s",
-                          "delta_vth_v", "margin_v"});
+  const auto doc = doc_of(payload, {"status", "crosses", "time_to_margin_s",
+                                    "delta_vth_v", "margin_v"});
   MarginResponse out;
-  out.status = parse_status(doc);
-  out.crosses = doc.get_bool("crosses");
-  out.time_to_margin = get_seconds(doc, "time_to_margin_s");
-  out.delta_vth = Volts{doc.get_double("delta_vth_v")};
-  out.margin = Volts{doc.get_double("margin_v")};
+  out.status = parse_status(doc["status"]);
+  out.crosses = doc["crosses"].flag();
+  out.time_to_margin = get_seconds(doc["time_to_margin_s"]);
+  out.delta_vth = Volts{doc["delta_vth_v"].number()};
+  out.margin = Volts{doc["margin_v"].number()};
   return out;
 }
 
@@ -593,48 +436,21 @@ std::string MarginBatchRequest::encode() const {
 }
 
 MarginBatchRequest MarginBatchRequest::parse(std::string_view payload) {
-  // Repeated `device` rows put this payload outside the strict Doc
-  // grammar; the line cursor applies the same fail-on-anything-odd
-  // posture (ProfileResponse's codec shape).
-  LineCursor cursor(payload);
+  // Repeated `device` rows put this payload outside the keyed-document
+  // grammar; the line cursor reads its lines in writer order.
+  util::LineCursor cursor(payload, payload_error);
   MarginBatchRequest out;
-  const double duty =
-      parse_double_value(expect_key(cursor.next_line(), "duty"), "duty");
-  if (duty < 0.0 || duty > 1.0) {
-    throw ProtocolError("field 'duty' = " + fmt_double(duty) +
-                        " outside [0, 1]");
-  }
-  out.duty = duty;
-  const double vdd =
-      parse_double_value(expect_key(cursor.next_line(), "vdd_v"), "vdd_v");
-  if (vdd < -5.0 || vdd > 5.0) {
-    throw ProtocolError("field 'vdd_v' = " + fmt_double(vdd) +
-                        " outside [-5, 5]");
-  }
-  out.vdd = Volts{vdd};
-  const double temp =
-      parse_double_value(expect_key(cursor.next_line(), "temp_c"), "temp_c");
-  if (temp < -273.15 || temp > 300.0) {
-    throw ProtocolError("field 'temp_c' = " + fmt_double(temp) +
-                        " outside [-273.15, 300]");
-  }
-  out.temp = Celsius{temp};
-  const double horizon = parse_double_value(
-      expect_key(cursor.next_line(), "horizon_s"), "horizon_s");
-  if (horizon < 0.0 || horizon > 1e18) {
-    throw ProtocolError("field 'horizon_s' = " + fmt_double(horizon) +
-                        " outside [0, 1e18]");
-  }
-  out.horizon = Seconds{horizon};
-  const std::uint64_t rows =
-      parse_u64_value(expect_key(cursor.next_line(), "devices"), "devices");
+  out.duty = cursor.keyed("duty").number_in(0.0, 1.0);
+  out.vdd = Volts{cursor.keyed("vdd_v").number_in(-5.0, 5.0)};
+  out.temp = Celsius{cursor.keyed("temp_c").number_in(-273.15, 300.0)};
+  out.horizon = get_seconds(cursor.keyed("horizon_s"));
+  const std::uint64_t rows = cursor.keyed("devices").u64();
   if (rows > kMaxMarginBatchDevices) {
     throw ProtocolError("hostile device row count " + std::to_string(rows));
   }
   out.device_ids.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
-    out.device_ids.push_back(parse_u64_value(
-        expect_key(cursor.next_line(), "device"), "device"));
+    out.device_ids.push_back(cursor.keyed("device").u64());
   }
   cursor.expect_done();
   return out;
@@ -655,45 +471,23 @@ std::string MarginBatchResponse::encode() const {
 }
 
 MarginBatchResponse MarginBatchResponse::parse(std::string_view payload) {
-  LineCursor cursor(payload);
+  util::LineCursor cursor(payload, payload_error);
   MarginBatchResponse out;
-  out.status = parse_status_value(expect_key(cursor.next_line(), "status"));
-  out.margin = Volts{parse_double_value(
-      expect_key(cursor.next_line(), "margin_v"), "margin_v")};
-  const std::uint64_t rows =
-      parse_u64_value(expect_key(cursor.next_line(), "rows"), "rows");
+  out.status = parse_status(cursor.keyed("status"));
+  out.margin = Volts{cursor.keyed("margin_v").number()};
+  const std::uint64_t rows = cursor.keyed("rows").u64();
   if (rows > kMaxMarginBatchDevices) {
     throw ProtocolError("hostile margin row count " + std::to_string(rows));
   }
   out.rows.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string_view row = expect_key(cursor.next_line(), "row");
-    const std::size_t s1 = row.find(' ');
-    const std::size_t s2 =
-        s1 == std::string_view::npos ? s1 : row.find(' ', s1 + 1);
-    const std::size_t s3 =
-        s2 == std::string_view::npos ? s2 : row.find(' ', s2 + 1);
-    if (s1 == std::string_view::npos || s1 == 0 ||
-        s2 == std::string_view::npos || s3 == std::string_view::npos) {
-      throw ProtocolError("malformed margin row '" + std::string(row) + "'");
-    }
+    util::Tokens row(cursor.keyed("row").text(), payload_error);
     MarginBatchRow r;
-    r.device_id = parse_u64_value(row.substr(0, s1), "device");
-    const std::string_view crosses = row.substr(s1 + 1, s2 - s1 - 1);
-    if (crosses != "0" && crosses != "1") {
-      throw ProtocolError("field 'crosses' is not 0/1: '" +
-                          std::string(crosses) + "'");
-    }
-    r.crosses = crosses == "1";
-    const double ttm = parse_double_value(row.substr(s2 + 1, s3 - s2 - 1),
-                                          "time_to_margin_s");
-    if (ttm < 0.0 || ttm > 1e18) {
-      throw ProtocolError("field 'time_to_margin_s' = " + fmt_double(ttm) +
-                          " outside [0, 1e18]");
-    }
-    r.time_to_margin = Seconds{ttm};
-    r.delta_vth =
-        Volts{parse_double_value(row.substr(s3 + 1), "delta_vth_v")};
+    r.device_id = row.next("device").u64();
+    r.crosses = row.next("crosses").flag();
+    r.time_to_margin = get_seconds(row.next("time_to_margin_s"));
+    r.delta_vth = Volts{row.next("delta_vth_v").number()};
+    row.expect_end("row");
     out.rows.push_back(r);
   }
   cursor.expect_done();
@@ -707,9 +501,8 @@ std::string RejuvenationRequest::encode() const {
 }
 
 RejuvenationRequest RejuvenationRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"epoch_s"});
   RejuvenationRequest out;
-  out.epoch = get_seconds(doc, "epoch_s");
+  out.epoch = get_seconds(doc_of(payload, {"epoch_s"})["epoch_s"]);
   return out;
 }
 
@@ -723,12 +516,13 @@ std::string RejuvenationResponse::encode() const {
 }
 
 RejuvenationResponse RejuvenationResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "any", "shard", "degradation"});
+  const auto doc =
+      doc_of(payload, {"status", "any", "shard", "degradation"});
   RejuvenationResponse out;
-  out.status = parse_status(doc);
-  out.any = doc.get_bool("any");
-  out.shard_id = doc.get_int("shard", -1, 1 << 20);
-  out.degradation = doc.get_double("degradation");
+  out.status = parse_status(doc["status"]);
+  out.any = doc["any"].flag();
+  out.shard_id = doc["shard"].integer(-1, 1 << 20);
+  out.degradation = doc["degradation"].number();
   return out;
 }
 
@@ -742,12 +536,13 @@ std::string ScheduleSleepRequest::encode() const {
 }
 
 ScheduleSleepRequest ScheduleSleepRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"client", "device", "start_s", "duration_s"});
+  const auto doc =
+      doc_of(payload, {"client", "device", "start_s", "duration_s"});
   ScheduleSleepRequest out;
-  out.client_id = doc.get_u64("client");
-  out.device_id = doc.get_u64("device");
-  out.start = get_seconds(doc, "start_s");
-  out.duration = get_seconds(doc, "duration_s");
+  out.client_id = doc["client"].u64();
+  out.device_id = doc["device"].u64();
+  out.start = get_seconds(doc["start_s"]);
+  out.duration = get_seconds(doc["duration_s"]);
   return out;
 }
 
@@ -760,18 +555,18 @@ std::string ScheduleSleepResponse::encode() const {
 }
 
 ScheduleSleepResponse ScheduleSleepResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "newly_applied", "windows"});
+  const auto doc = doc_of(payload, {"status", "newly_applied", "windows"});
   ScheduleSleepResponse out;
-  out.status = parse_status(doc);
-  out.newly_applied = doc.get_bool("newly_applied");
-  out.windows = doc.get_u64("windows");
+  out.status = parse_status(doc["status"]);
+  out.newly_applied = doc["newly_applied"].flag();
+  out.windows = doc["windows"].u64();
   return out;
 }
 
 std::string StatusRequest::encode() const { return {}; }
 
 StatusRequest StatusRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
+  (void)doc_of(payload, {});
   return {};
 }
 
@@ -786,14 +581,14 @@ std::string StatusResponse::encode() const {
 }
 
 StatusResponse StatusResponse::parse(std::string_view payload) {
-  const Doc doc(payload,
-                {"status", "devices", "windows", "sequence", "draining"});
+  const auto doc = doc_of(
+      payload, {"status", "devices", "windows", "sequence", "draining"});
   StatusResponse out;
-  out.status = parse_status(doc);
-  out.devices = doc.get_u64("devices");
-  out.windows = doc.get_u64("windows");
-  out.sequence = doc.get_u64("sequence");
-  out.draining = doc.get_bool("draining");
+  out.status = parse_status(doc["status"]);
+  out.devices = doc["devices"].u64();
+  out.windows = doc["windows"].u64();
+  out.sequence = doc["sequence"].u64();
+  out.draining = doc["draining"].flag();
   return out;
 }
 
@@ -806,10 +601,10 @@ std::string ErrorResponse::encode() const {
 }
 
 ErrorResponse ErrorResponse::parse(std::string_view payload) {
-  const Doc doc(payload, {"status", "message"});
+  const auto doc = doc_of(payload, {"status", "message"});
   ErrorResponse out;
-  out.status = parse_status(doc);
-  out.message = doc.raw("message");
+  out.status = parse_status(doc["status"]);
+  out.message = doc["message"].text();
   return out;
 }
 
@@ -823,9 +618,8 @@ std::string MetricsRequest::encode() const {
 }
 
 MetricsRequest MetricsRequest::parse(std::string_view payload) {
-  const Doc doc(payload, {"prefix"});
   MetricsRequest out;
-  out.prefix = doc.raw("prefix");
+  out.prefix = doc_of(payload, {"prefix"})["prefix"].text();
   if (out.prefix == "-") out.prefix.clear();
   return out;
 }
@@ -839,12 +633,12 @@ std::string MetricsResponse::encode() const {
 }
 
 MetricsResponse MetricsResponse::parse(std::string_view payload) {
-  LineCursor cursor(payload);
+  // A raw `key=value` text block follows its length, outside the
+  // keyed-document grammar.
+  util::LineCursor cursor(payload, payload_error);
   MetricsResponse out;
-  out.status = parse_status_value(expect_key(cursor.next_line(), "status"));
-  const std::uint64_t bytes =
-      parse_u64_value(expect_key(cursor.next_line(), "bytes"), "bytes");
-  out.text = std::string(cursor.take(bytes));
+  out.status = parse_status(cursor.keyed("status"));
+  out.text = std::string(cursor.take(cursor.keyed("bytes").u64()));
   cursor.expect_done();
   return out;
 }
@@ -852,7 +646,7 @@ MetricsResponse MetricsResponse::parse(std::string_view payload) {
 std::string ProfileRequest::encode() const { return {}; }
 
 ProfileRequest ProfileRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
+  (void)doc_of(payload, {});
   return {};
 }
 
@@ -872,35 +666,22 @@ std::string ProfileResponse::encode() const {
 }
 
 ProfileResponse ProfileResponse::parse(std::string_view payload) {
-  LineCursor cursor(payload);
+  util::LineCursor cursor(payload, payload_error);
   ProfileResponse out;
-  out.status = parse_status_value(expect_key(cursor.next_line(), "status"));
-  const std::string_view profiling =
-      expect_key(cursor.next_line(), "profiling");
-  if (profiling != "0" && profiling != "1") {
-    throw ProtocolError("field 'profiling' is not 0/1: '" +
-                        std::string(profiling) + "'");
-  }
-  out.profiling = profiling == "1";
-  const std::uint64_t rows =
-      parse_u64_value(expect_key(cursor.next_line(), "kernels"), "kernels");
+  out.status = parse_status(cursor.keyed("status"));
+  out.profiling = cursor.keyed("profiling").flag();
+  const std::uint64_t rows = cursor.keyed("kernels").u64();
   if (rows > 4096) {
     throw ProtocolError("hostile kernel row count " + std::to_string(rows));
   }
   out.kernels.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string_view row = expect_key(cursor.next_line(), "kernel");
+    util::Tokens row(cursor.keyed("kernel").text(), payload_error);
     ProfileEntry entry;
-    const std::size_t s1 = row.find(' ');
-    const std::size_t s2 =
-        s1 == std::string_view::npos ? s1 : row.find(' ', s1 + 1);
-    if (s1 == std::string_view::npos || s1 == 0 ||
-        s2 == std::string_view::npos) {
-      throw ProtocolError("malformed kernel row '" + std::string(row) + "'");
-    }
-    entry.kernel = std::string(row.substr(0, s1));
-    entry.calls = parse_u64_value(row.substr(s1 + 1, s2 - s1 - 1), "calls");
-    entry.total_ns = parse_u64_value(row.substr(s2 + 1), "total_ns");
+    entry.kernel = std::string(row.next("kernel").text());
+    entry.calls = row.next("calls").u64();
+    entry.total_ns = row.next("total_ns").u64();
+    row.expect_end("kernel");
     out.kernels.push_back(std::move(entry));
   }
   cursor.expect_done();
@@ -910,7 +691,7 @@ ProfileResponse ProfileResponse::parse(std::string_view payload) {
 std::string HealthRequest::encode() const { return {}; }
 
 HealthRequest HealthRequest::parse(std::string_view payload) {
-  (void)Doc(payload, {});
+  (void)doc_of(payload, {});
   return {};
 }
 
@@ -931,20 +712,20 @@ std::string HealthResponse::encode() const {
 }
 
 HealthResponse HealthResponse::parse(std::string_view payload) {
-  const Doc doc(payload,
-                {"status", "poll_iterations", "connections",
-                 "connections_high_water", "queue_depth_high_water",
-                 "requests", "shed", "snapshot_lag", "draining"});
+  const auto doc = doc_of(payload,
+                          {"status", "poll_iterations", "connections",
+                           "connections_high_water", "queue_depth_high_water",
+                           "requests", "shed", "snapshot_lag", "draining"});
   HealthResponse out;
-  out.status = parse_status(doc);
-  out.poll_iterations = doc.get_u64("poll_iterations");
-  out.connections = doc.get_u64("connections");
-  out.connections_high_water = doc.get_u64("connections_high_water");
-  out.queue_depth_high_water = doc.get_u64("queue_depth_high_water");
-  out.requests = doc.get_u64("requests");
-  out.shed = doc.get_u64("shed");
-  out.snapshot_lag = doc.get_u64("snapshot_lag");
-  out.draining = doc.get_bool("draining");
+  out.status = parse_status(doc["status"]);
+  out.poll_iterations = doc["poll_iterations"].u64();
+  out.connections = doc["connections"].u64();
+  out.connections_high_water = doc["connections_high_water"].u64();
+  out.queue_depth_high_water = doc["queue_depth_high_water"].u64();
+  out.requests = doc["requests"].u64();
+  out.shed = doc["shed"].u64();
+  out.snapshot_lag = doc["snapshot_lag"].u64();
+  out.draining = doc["draining"].flag();
   return out;
 }
 

@@ -9,13 +9,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
@@ -29,6 +27,7 @@
 #include "ash/util/atomic_file.h"
 #include "ash/util/double_codec.h"
 #include "ash/util/syscall.h"
+#include "ash/util/text_reader.h"
 #include "ash/util/table.h"
 
 namespace ash::fleet {
@@ -104,57 +103,6 @@ constexpr char kStateVersion[] = "v3";
   throw std::runtime_error("service state: " + detail);
 }
 
-/// The space-separated tokens of one state-document line or journal
-/// record.  The writers separate tokens by exactly one space, so an empty
-/// token (a doubled, leading or trailing space) is malformed.
-class Tokens {
- public:
-  explicit Tokens(std::string_view line) : rest_(line) {}
-
-  /// The next token; empty once the line is used up.
-  std::string_view next() {
-    if (done_) return {};
-    const std::size_t space = rest_.find(' ');
-    if (space == std::string_view::npos) {
-      done_ = true;
-      return rest_;
-    }
-    const std::string_view token = rest_.substr(0, space);
-    rest_.remove_prefix(space + 1);
-    return token;
-  }
-
-  std::uint64_t u64(const char* field) {
-    const std::string_view token = next();
-    std::uint64_t v = 0;
-    const char* const last = token.data() + token.size();
-    const std::from_chars_result r = std::from_chars(token.data(), last, v);
-    if (token.empty() || r.ec != std::errc() || r.ptr != last) {
-      state_error(std::string("field '") + field + "' missing");
-    }
-    return v;
-  }
-
-  double number(const char* field) {
-    const std::optional<double> v = parse_double(next());
-    if (!v) {
-      state_error(std::string("field '") + field + "' not a finite number");
-    }
-    return *v;
-  }
-
-  void expect_end(std::string_view tag) {
-    if (!done_) {
-      state_error("trailing '" + std::string(next()) + "' on '" +
-                  std::string(tag) + "'");
-    }
-  }
-
- private:
-  std::string_view rest_;
-  bool done_ = false;
-};
-
 }  // namespace
 
 std::string SleepMutation::encode() const {
@@ -172,13 +120,13 @@ std::string SleepMutation::encode() const {
 }
 
 SleepMutation SleepMutation::parse(std::string_view bytes) {
-  Tokens tokens(bytes.substr(0, bytes.find('\n')));
+  util::Tokens tokens(bytes.substr(0, bytes.find('\n')), state_error);
   SleepMutation m;
-  m.client_id = tokens.u64("record client");
-  m.request_id = tokens.u64("record request");
-  m.device_id = tokens.u64("record device");
-  m.window.start = Seconds{tokens.number("record start")};
-  m.window.duration = Seconds{tokens.number("record duration")};
+  m.client_id = tokens.next("record client").u64();
+  m.request_id = tokens.next("record request").u64();
+  m.device_id = tokens.next("record device").u64();
+  m.window.start = Seconds{tokens.next("record start").number()};
+  m.window.duration = Seconds{tokens.next("record duration").number()};
   // Canonical bytes only: whatever encode() would not write is corrupt.
   if (m.encode() != bytes) state_error("journal record is not canonical");
   return m;
@@ -236,50 +184,48 @@ std::string ServiceState::serialize() const {
 }
 
 ServiceState ServiceState::deserialize(std::string_view bytes) {
-  std::size_t pos = 0;
-  // The next line, without its '\n' (a last line may lack one).
-  const auto next_line = [&](std::string_view& line) {
-    if (pos >= bytes.size()) return false;
-    std::size_t eol = bytes.find('\n', pos);
-    if (eol == std::string_view::npos) eol = bytes.size();
-    line = bytes.substr(pos, eol - pos);
-    pos = eol + 1;
-    return true;
-  };
-  std::string_view line;
-  if (!next_line(line) || line.rfind(kStateFormat, 0) != 0) {
-    state_error("bad header '" + std::string(line) + "'");
+  util::LineCursor cursor(bytes, state_error);
+  const std::string_view header = cursor.next_line();
+  if (header.rfind(kStateFormat, 0) != 0) {
+    state_error("bad header '" + std::string(header.substr(0, 40)) + "'");
   }
-  const std::string_view version = line.substr(sizeof kStateFormat - 1);
+  const std::string_view version = header.substr(sizeof kStateFormat - 1);
   if (version != kStateVersion) {
     state_error("unsupported document version '" + std::string(version) +
                 "' (this build reads " + kStateVersion + ")");
   }
   // Collect everything first; the state is built only from a complete,
   // verified document, so no caller ever sees a partial one.
-  std::uint64_t sequence = 0, device_count = 0, seed = 0;
-  double margin = 0.0;
-  bool have_sequence = false, have_margin = false, have_devices = false,
-       have_seed = false, ended = false;
+  util::KeyedDoc head({"sequence", "margin_v", "devices", "seed"},
+                      state_error);
+  std::uint64_t device_count = 0;
   std::vector<std::pair<std::uint64_t, SleepWindow>> windows;
   std::vector<AppliedMutation> applied;
-  const auto once = [](bool& seen, std::string_view tag) {
-    if (seen) state_error("duplicate '" + std::string(tag) + "' line");
-    seen = true;
-  };
-  while (next_line(line)) {
-    if (ended) state_error("content after 'end'");
-    Tokens tokens(line);
-    const std::string_view tag = tokens.next();
-    if (tag == "sequence") {
-      once(have_sequence, tag);
-      sequence = tokens.u64("sequence");
-    } else if (tag == "margin_v") {
-      once(have_margin, tag);
-      margin = tokens.number("margin_v");
-    } else if (tag == "devices") {
-      once(have_devices, tag);
-      device_count = tokens.u64("devices");
+  for (std::string_view line = cursor.next_line(); line != "end";
+       line = cursor.next_line()) {
+    util::Tokens tokens(line, state_error);
+    const std::string_view tag = tokens.next("tag").text();
+    if (tag == "window") {
+      if (!head.has("devices")) state_error("'window' line before 'devices'");
+      const std::uint64_t id = tokens.next("window device").u64();
+      if (id >= device_count) state_error("window device out of range");
+      SleepWindow w;
+      w.start = Seconds{tokens.next("window start").number()};
+      w.duration = Seconds{tokens.next("window duration").number()};
+      tokens.expect_end(tag);
+      windows.emplace_back(id, w);
+    } else if (tag == "applied") {
+      if (!head.has("devices")) state_error("'applied' line before 'devices'");
+      AppliedMutation m;
+      m.client_id = tokens.next("applied client").u64();
+      m.request_id = tokens.next("applied request").u64();
+      m.windows_after = tokens.next("applied windows").u64();
+      tokens.expect_end(tag);
+      applied.push_back(m);
+    } else {
+      head.add(line);
+      if (tag != "devices") continue;
+      device_count = head["devices"].u64();
       // Checked here, before genesis allocates a table this size: the CRC
       // proves only that the bytes are the ones written, not that they
       // are sane.
@@ -288,38 +234,13 @@ ServiceState ServiceState::deserialize(std::string_view bytes) {
                     " above the limit of " +
                     std::to_string(kMaxServiceDevices));
       }
-    } else if (tag == "seed") {
-      once(have_seed, tag);
-      seed = tokens.u64("seed");
-    } else if (tag == "window") {
-      if (!have_devices) state_error("'window' line before 'devices'");
-      const std::uint64_t id = tokens.u64("window device");
-      if (id >= device_count) state_error("window device out of range");
-      SleepWindow w;
-      w.start = Seconds{tokens.number("window start")};
-      w.duration = Seconds{tokens.number("window duration")};
-      windows.emplace_back(id, w);
-    } else if (tag == "applied") {
-      if (!have_devices) state_error("'applied' line before 'devices'");
-      AppliedMutation m;
-      m.client_id = tokens.u64("applied client");
-      m.request_id = tokens.u64("applied request");
-      m.windows_after = tokens.u64("applied windows");
-      applied.push_back(m);
-    } else if (tag == "end") {
-      ended = true;
-    } else {
-      state_error("unknown line tag '" + std::string(tag) + "'");
     }
-    tokens.expect_end(tag);
   }
-  if (!ended) state_error("missing 'end' (truncated document)");
-  if (!have_sequence) state_error("missing 'sequence'");
-  if (!have_margin) state_error("missing 'margin_v'");
-  if (!have_devices) state_error("missing 'devices'");
-  if (!have_seed) state_error("missing 'seed'");
-  ServiceState state = genesis(device_count, Volts{margin}, seed);
-  state.sequence = sequence;
+  if (!cursor.done()) state_error("content after 'end'");
+  head.expect_complete();
+  ServiceState state = genesis(device_count, Volts{head["margin_v"].number()},
+                               head["seed"].u64());
+  state.sequence = head["sequence"].u64();
   for (const auto& [id, w] : windows) state.devices[id].windows.push_back(w);
   state.applied = std::move(applied);
   return state;

@@ -1,10 +1,13 @@
 #include "ash/fpga/checkpoint.h"
 
-#include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "ash/util/text_reader.h"
 
 namespace ash::fpga {
 
@@ -83,49 +86,46 @@ void write(std::ostream& os, const char* kind,
   throw std::runtime_error("checkpoint: " + what);
 }
 
-void read(std::istream& is, const char* kind,
+/// Restore one whole checkpoint document into `ensembles`.
+void read(std::string_view text, const char* kind,
           const std::vector<bti::TrapEnsemble*>& ensembles) {
-  std::string line;
-  if (!std::getline(is, line)) fail("empty stream");
-  std::istringstream header(line);
-  std::string magic;
-  std::string version;
-  std::string got_kind;
-  std::string devices;
-  header >> magic >> version >> got_kind >> devices;
-  if (magic != "ash-checkpoint") fail("bad magic");
+  util::LineCursor cursor(text, fail);
+  util::Tokens header(cursor.next_line(), fail);
+  if (header.next("magic").text() != "ash-checkpoint") fail("bad magic");
+  const std::string_view version = header.next("version").text();
   if (version != "v" + std::to_string(kCheckpointVersion)) {
-    fail("unsupported version '" + version + "'");
+    fail("unsupported version '" + std::string(version) + "'");
   }
+  const std::string_view got_kind = header.next("kind").text();
   if (got_kind != kind) {
-    fail("kind mismatch: stream has '" + got_kind + "', object is '" +
-         std::string(kind) + "'");
+    fail("kind mismatch: stream has '" + std::string(got_kind) +
+         "', object is '" + std::string(kind) + "'");
   }
-  const std::string expect = "devices=" + std::to_string(ensembles.size());
-  if (devices != expect) fail("device count mismatch (" + devices + ")");
+  const std::string_view devices = header.next("devices").text();
+  if (devices != "devices=" + std::to_string(ensembles.size())) {
+    fail("device count mismatch (" + std::string(devices) + ")");
+  }
+  header.expect_end("header");
 
   // Parse into a staging area first so a malformed stream cannot leave the
   // object half-restored.
   std::vector<std::vector<double>> staged;
   staged.reserve(ensembles.size());
   for (std::size_t i = 0; i < ensembles.size(); ++i) {
-    if (!std::getline(is, line)) fail("truncated stream");
-    std::istringstream row(line);
-    std::string tag;
-    int traps = 0;
-    row >> tag >> traps;
-    if (tag != "D") fail("bad device row");
+    util::Tokens row(cursor.next_line(), fail);
+    if (row.next("tag").text() != "D") fail("bad device row");
+    const int traps =
+        row.next("traps").integer(0, std::numeric_limits<int>::max());
     if (traps != ensembles[i]->trap_count()) {
       fail("trap count mismatch on device " + std::to_string(i));
     }
     std::vector<double> occ(static_cast<std::size_t>(traps));
-    for (auto& v : occ) {
-      if (!(row >> v)) fail("short device row");
-      if (v < 0.0 || v > 1.0) fail("occupancy out of range");
-    }
+    for (auto& v : occ) v = row.next("occupancy").number_in(0.0, 1.0);
+    row.expect_end("D");
     staged.push_back(std::move(occ));
   }
-  if (!std::getline(is, line) || line != "end") fail("missing trailer");
+  if (cursor.next_line() != "end") fail("missing trailer");
+  cursor.expect_done();
 
   for (std::size_t i = 0; i < ensembles.size(); ++i) {
     ensembles[i]->set_occupancies(staged[i]);
@@ -147,15 +147,15 @@ void save_checkpoint(std::ostream& os, const Fabric& fabric) {
 }
 
 void load_checkpoint(std::istream& is, RingOscillator& ro) {
-  read(is, "ring-oscillator", mutable_ensembles_of(ro));
+  read(util::read_stream(is), "ring-oscillator", mutable_ensembles_of(ro));
 }
 
 void load_checkpoint(std::istream& is, FpgaChip& chip) {
-  read(is, "chip", mutable_ensembles_of(chip.ro()));
+  read(util::read_stream(is), "chip", mutable_ensembles_of(chip.ro()));
 }
 
 void load_checkpoint(std::istream& is, Fabric& fabric) {
-  read(is, "fabric", mutable_ensembles_of(fabric));
+  read(util::read_stream(is), "fabric", mutable_ensembles_of(fabric));
 }
 
 std::string checkpoint_string(const FpgaChip& chip) {
@@ -165,19 +165,7 @@ std::string checkpoint_string(const FpgaChip& chip) {
 }
 
 void restore_checkpoint(const std::string& state, FpgaChip& chip) {
-  std::istringstream is(state);
-  load_checkpoint(is, chip);
-}
-
-std::string read_embedded_checkpoint(std::istream& is) {
-  std::string out;
-  std::string line;
-  while (std::getline(is, line)) {
-    out += line;
-    out += '\n';
-    if (line == "end") return out;
-  }
-  fail("embedded checkpoint truncated (no trailer)");
+  read(state, "chip", mutable_ensembles_of(chip.ro()));
 }
 
 }  // namespace ash::fpga

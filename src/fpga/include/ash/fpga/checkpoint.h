@@ -33,8 +33,10 @@ void save_checkpoint(std::ostream& os, const FpgaChip& chip);
 void save_checkpoint(std::ostream& os, const Fabric& fabric);
 
 /// Restore previously saved state into an identically-constructed object.
-/// Throws std::runtime_error on malformed input, version mismatch, or a
-/// structure mismatch (device/trap counts).
+/// The rest of the stream must be one document as save_checkpoint writes
+/// it (util/text_reader.h grammar, nothing after "end").  Throws
+/// std::runtime_error on malformed input, version mismatch, or a structure
+/// mismatch (device/trap counts), and then leaves the object untouched.
 void load_checkpoint(std::istream& is, RingOscillator& ro);
 void load_checkpoint(std::istream& is, FpgaChip& chip);
 void load_checkpoint(std::istream& is, Fabric& fabric);
@@ -44,11 +46,5 @@ void load_checkpoint(std::istream& is, Fabric& fabric);
 /// watchdog abort or a killed campaign can rewind to a known-good state).
 std::string checkpoint_string(const FpgaChip& chip);
 void restore_checkpoint(const std::string& state, FpgaChip& chip);
-
-/// Read one embedded checkpoint document (header through "end" trailer)
-/// from a stream without interpreting it — used by container formats that
-/// store a chip checkpoint inside a larger file.  Throws std::runtime_error
-/// on a truncated stream.
-std::string read_embedded_checkpoint(std::istream& is);
 
 }  // namespace ash::fpga

@@ -4,11 +4,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 #include "ash/util/table.h"
+#include "ash/util/text_reader.h"
 
 namespace ash::obs {
 
@@ -229,90 +229,43 @@ bool FlightRecorder::write_fd(int fd) const {
   return write_all(fd, "end\n", 4);
 }
 
-namespace {
-
-/// Parse one decimal u64 token; false on empty/malformed.
-bool parse_u64_token(std::string_view token, std::uint64_t& out) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string_view::npos) {
-    return false;
-  }
-  errno = 0;
-  out = std::strtoull(std::string(token).c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
-
-/// Split on single spaces; a torn line yields fewer tokens and fails the
-/// caller's arity check.
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    if (space == std::string_view::npos) {
-      out.push_back(line.substr(pos));
-      break;
-    }
-    out.push_back(line.substr(pos, space - pos));
-    pos = space + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<FlightRecord> FlightRecorder::load(std::string_view bytes) {
-  std::size_t pos = 0;
-  bool terminated = false;
-  const auto next_line = [&](std::string_view& line) {
-    if (pos >= bytes.size()) return false;
-    const std::size_t eol = bytes.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      // No terminator: the write died mid-line.  A torn tail can end
-      // mid-*token* ("... 4096" cut to "... 4") and still look
-      // well-formed, so the missing newline itself is the tear marker.
-      line = bytes.substr(pos);
-      pos = bytes.size();
-      terminated = false;
-      return true;
-    }
-    line = bytes.substr(pos, eol - pos);
-    pos = eol + 1;
-    terminated = true;
-    return true;
-  };
-
-  std::string_view line;
-  if (!next_line(line) || line != kHeader || !terminated) {
+  constexpr std::string_view header = kHeader;
+  if (bytes.substr(0, header.size()) != header ||
+      bytes.substr(header.size(), 1) != "\n") {
     throw std::runtime_error(
         "flight recorder: not a dump (missing '" + std::string(kHeader) +
         "' header)");
   }
+  util::LineCursor cursor(bytes.substr(header.size() + 1));
+  // Past the header nothing throws: a torn write leaves a last line
+  // without its '\n' (it may end mid-token and still look well-formed),
+  // and the first torn or malformed line ends the dump.  What comes back
+  // is the prefix of well-formed records before it.
   std::vector<FlightRecord> out;
-  while (next_line(line)) {
-    if (!terminated) break;  // torn final line: drop it
-    if (line == "end") break;
-    const std::vector<std::string_view> tokens = split_tokens(line);
-    if (tokens.empty()) break;
-    if (tokens[0] == "capacity" || tokens[0] == "recorded") {
-      std::uint64_t ignored = 0;
-      if (tokens.size() != 2 || !parse_u64_token(tokens[1], ignored)) break;
-      continue;
+  try {
+    for (std::string_view line = cursor.next_line(); line != "end";
+         line = cursor.next_line()) {
+      util::Tokens tokens(line);
+      const std::string_view tag = tokens.next("tag").text();
+      if (tag == "capacity" || tag == "recorded") {
+        (void)tokens.next("count").u64();
+        tokens.expect_end(tag);
+        continue;
+      }
+      if (tag != "event") break;
+      FlightRecord rec;
+      rec.seq = tokens.next("seq").u64();
+      rec.t_ms = tokens.next("t_ms").number();
+      rec.kind = parse_flight_event(tokens.next("kind").text());
+      rec.a = tokens.next("a").u64();
+      rec.b = tokens.next("b").u64();
+      tokens.expect_end(tag);
+      if (rec.kind == FlightEventKind::kCount) break;
+      out.push_back(rec);
     }
-    if (tokens[0] != "event" || tokens.size() != 6) break;  // torn tail
-    FlightRecord rec;
-    char* end = nullptr;
-    const std::string t_str(tokens[2]);
-    rec.t_ms = std::strtod(t_str.c_str(), &end);
-    rec.kind = parse_flight_event(tokens[3]);
-    if (!parse_u64_token(tokens[1], rec.seq) ||
-        end != t_str.c_str() + t_str.size() ||
-        rec.kind == FlightEventKind::kCount ||
-        !parse_u64_token(tokens[4], rec.a) ||
-        !parse_u64_token(tokens[5], rec.b)) {
-      break;  // first malformed line: drop it and everything after
-    }
-    out.push_back(rec);
+  } catch (const util::ParseError&) {
+    // The torn or malformed line: keep what came before it.
   }
   return out;
 }

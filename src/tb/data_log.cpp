@@ -1,13 +1,23 @@
 #include "ash/tb/data_log.h"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "ash/util/csv.h"
 #include "ash/util/table.h"
+#include "ash/util/text_reader.h"
 
 namespace ash::tb {
+
+namespace {
+
+[[noreturn]] void log_error(const std::string& detail) {
+  throw std::runtime_error("data log: " + detail);
+}
+
+}  // namespace
 
 const char* to_string(SampleQuality quality) {
   switch (quality) {
@@ -107,42 +117,55 @@ void DataLog::write_csv(std::ostream& os) const {
 }
 
 DataLog DataLog::read_csv(std::istream& is) {
-  const CsvDocument doc = ash::read_csv(is);
-  DataLog log;
-  const auto col = [&](const char* name) { return doc.column(name); };
-  const std::size_t c_case = col("test_case");
-  const std::size_t c_chip = col("chip_id");
-  const std::size_t c_phase = col("phase");
-  const std::size_t c_tc = col("t_campaign_s");
-  const std::size_t c_tp = col("t_phase_s");
-  const std::size_t c_temp = col("chamber_c");
-  const std::size_t c_v = col("supply_v");
-  const std::size_t c_counts = col("counts");
-  const std::size_t c_f = col("frequency_hz");
-  const std::size_t c_d = col("delay_s");
+  return read_csv(util::read_stream(is));
+}
+
+DataLog DataLog::read_csv(std::string_view text) {
+  const CsvDocument doc = ash::read_csv(text);
   // Quality columns are optional so logs written before fault tolerance
   // still load (they are all-good by construction).
-  const auto optional_col = [&](const char* name) -> long {
+  const auto col = [&](const char* name, bool required = true) -> long {
     const auto it = std::find(doc.header.begin(), doc.header.end(), name);
-    if (it == doc.header.end()) return -1;
-    return it - doc.header.begin();
+    if (it == doc.header.end() && required) {
+      log_error("no column named '" + std::string(name) + "'");
+    }
+    return it == doc.header.end() ? -1 : it - doc.header.begin();
   };
-  const long c_q = optional_col("quality");
-  const long c_r = optional_col("retries");
+  const long c_case = col("test_case");
+  const long c_chip = col("chip_id");
+  const long c_phase = col("phase");
+  const long c_tc = col("t_campaign_s");
+  const long c_tp = col("t_phase_s");
+  const long c_temp = col("chamber_c");
+  const long c_v = col("supply_v");
+  const long c_counts = col("counts");
+  const long c_f = col("frequency_hz");
+  const long c_d = col("delay_s");
+  const long c_q = col("quality", false);
+  const long c_r = col("retries", false);
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  DataLog log;
   for (const auto& row : doc.rows) {
+    const auto cell = [&](long c, const char* name) {
+      return util::Field(row[static_cast<std::size_t>(c)], name, log_error);
+    };
     SampleRecord r;
-    r.test_case = row[c_case];
-    r.chip_id = std::stoi(row[c_chip]);
-    r.phase = row[c_phase];
-    r.t_campaign_s = Seconds{std::stod(row[c_tc])};
-    r.t_phase_s = Seconds{std::stod(row[c_tp])};
-    r.chamber_c = Celsius{std::stod(row[c_temp])};
-    r.supply_v = Volts{std::stod(row[c_v])};
-    r.counts = std::stod(row[c_counts]);
-    r.frequency_hz = Hertz{std::stod(row[c_f])};
-    r.delay_s = Seconds{std::stod(row[c_d])};
-    if (c_q >= 0) r.quality = parse_sample_quality(row[c_q]);
-    if (c_r >= 0) r.retries = std::stoi(row[c_r]);
+    r.test_case = cell(c_case, "test_case").text();
+    r.chip_id = cell(c_chip, "chip_id").integer(-kIntMax - 1, kIntMax);
+    r.phase = cell(c_phase, "phase").text();
+    r.t_campaign_s = Seconds{cell(c_tc, "t_campaign_s").number()};
+    r.t_phase_s = Seconds{cell(c_tp, "t_phase_s").number()};
+    r.chamber_c = Celsius{cell(c_temp, "chamber_c").number()};
+    r.supply_v = Volts{cell(c_v, "supply_v").number()};
+    r.counts = cell(c_counts, "counts").number();
+    r.frequency_hz = Hertz{cell(c_f, "frequency_hz").number()};
+    r.delay_s = Seconds{cell(c_d, "delay_s").number()};
+    try {
+      if (c_q >= 0) r.quality = parse_sample_quality(row[c_q]);
+    } catch (const std::invalid_argument& e) {
+      log_error(e.what());
+    }
+    if (c_r >= 0) r.retries = cell(c_r, "retries").integer(0, kIntMax);
     log.add(std::move(r));
   }
   return log;

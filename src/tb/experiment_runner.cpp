@@ -18,6 +18,7 @@
 #include "ash/util/random.h"
 #include "ash/util/stats.h"
 #include "ash/util/table.h"
+#include "ash/util/text_reader.h"
 #include "ash/util/thread_pool.h"
 
 namespace ash::tb {
@@ -459,114 +460,7 @@ void CampaignCheckpoint::save(std::ostream& os) const {
 }
 
 CampaignCheckpoint CampaignCheckpoint::load(std::istream& is) {
-  CampaignCheckpoint ckpt;
-  std::string line;
-
-  // Every failure names the field being parsed and where the stream
-  // stopped, so a truncated or bit-flipped snapshot produces an actionable
-  // error instead of UB (std::stoi on garbage) or a zero-filled state.
-  const auto offset_suffix = [&]() -> std::string {
-    // A failed getline leaves failbit set and tellg() pinned at -1; clear
-    // it (we are about to throw anyway) so the offset of the truncation
-    // point survives into the message.
-    is.clear();
-    const auto pos = is.tellg();  // -1 only on a non-seekable stream
-    if (pos < 0) return "";
-    std::ostringstream os;
-    os << " (stream offset " << pos << ")";
-    return os.str();
-  };
-  const auto fail_field = [&](const std::string& field,
-                              const std::string& detail) {
-    fail("field '" + field + "' " + detail + offset_suffix());
-  };
-
-  if (!std::getline(is, line)) fail("empty stream" + offset_suffix());
-  if (line != "ash-campaign v2") {
-    fail("bad header '" + line.substr(0, 40) + "' (want 'ash-campaign v2')" +
-         offset_suffix());
-  }
-  const auto keyed_line = [&](const char* key) -> std::string {
-    if (!std::getline(is, line)) {
-      fail_field(key, "missing: stream truncated");
-    }
-    std::istringstream row(line);
-    std::string got;
-    row >> got;
-    if (got != key) {
-      fail_field(key, "expected, got '" + line.substr(0, 40) + "'");
-    }
-    std::string rest;
-    std::getline(row, rest);
-    // Strip the single separating space the writer emits.
-    const auto first = rest.find_first_not_of(' ');
-    return first == std::string::npos ? std::string() : rest.substr(first);
-  };
-  const auto parse_int = [&](const char* key) -> int {
-    const std::string text = keyed_line(key);
-    std::size_t used = 0;
-    long value = 0;
-    try {
-      value = std::stol(text, &used, 10);
-    } catch (const std::exception&) {
-      fail_field(key, "is not an integer: '" + text.substr(0, 40) + "'");
-    }
-    if (used != text.size() || value < std::numeric_limits<int>::min() ||
-        value > std::numeric_limits<int>::max()) {
-      fail_field(key, "is not an integer: '" + text.substr(0, 40) + "'");
-    }
-    return static_cast<int>(value);
-  };
-  const auto parse_double = [&](const char* key) -> double {
-    const std::string text = keyed_line(key);
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(text, &used);
-    } catch (const std::exception&) {
-      fail_field(key, "is not a number: '" + text.substr(0, 40) + "'");
-    }
-    if (used != text.size() || !std::isfinite(value)) {
-      fail_field(key, "is not a finite number: '" + text.substr(0, 40) + "'");
-    }
-    return value;
-  };
-
-  ckpt.next_phase = parse_int("next_phase");
-  if (ckpt.next_phase < 0) {
-    fail_field("next_phase", "is negative: " + std::to_string(ckpt.next_phase));
-  }
-  ckpt.t_campaign_s = Seconds{parse_double("t_campaign")};
-  ckpt.chamber_c = Celsius{parse_double("chamber_c")};
-  try {
-    ckpt.faults = FaultReport::deserialize(keyed_line("faults"));
-  } catch (const std::runtime_error& e) {
-    fail_field("faults", std::string("malformed: ") + e.what());
-  }
-  if (!std::getline(is, line) || line != "chip") {
-    fail_field("chip", "section missing");
-  }
-  try {
-    ckpt.chip_state = fpga::read_embedded_checkpoint(is);
-  } catch (const std::runtime_error& e) {
-    fail_field("chip", std::string("malformed: ") + e.what());
-  }
-  const int log_size = parse_int("log");
-  if (log_size < 0) {
-    fail_field("log", "has negative record count: " +
-                          std::to_string(log_size));
-  }
-  try {
-    ckpt.log = DataLog::read_csv(is);
-  } catch (const std::exception& e) {
-    fail_field("log", std::string("malformed: ") + e.what());
-  }
-  if (ckpt.log.size() != static_cast<std::size_t>(log_size)) {
-    fail_field("log", "truncated: declared " + std::to_string(log_size) +
-                          " record(s), parsed " +
-                          std::to_string(ckpt.log.size()));
-  }
-  return ckpt;
+  return deserialize(util::read_stream(is));
 }
 
 std::string CampaignCheckpoint::serialize() const {
@@ -576,8 +470,46 @@ std::string CampaignCheckpoint::serialize() const {
 }
 
 CampaignCheckpoint CampaignCheckpoint::deserialize(const std::string& bytes) {
-  std::istringstream is(bytes);
-  return load(is);
+  // Every failure (the reader's, FaultReport's, DataLog's) names what was
+  // being parsed and where the document stopped, so a truncated or
+  // bit-flipped snapshot produces an actionable error instead of a
+  // zero-filled state.
+  constexpr int kMaxCount = std::numeric_limits<int>::max();
+  util::LineCursor cursor(bytes);
+  try {
+    const std::string_view header = cursor.next_line();
+    if (header != "ash-campaign v2") {
+      util::throw_parse_error("bad header '" +
+                              std::string(header.substr(0, 40)) +
+                              "' (want 'ash-campaign v2')");
+    }
+    CampaignCheckpoint ckpt;
+    ckpt.next_phase = cursor.keyed("next_phase").integer(0, kMaxCount);
+    ckpt.t_campaign_s = Seconds{cursor.keyed("t_campaign").number()};
+    ckpt.chamber_c = Celsius{cursor.keyed("chamber_c").number()};
+    ckpt.faults =
+        FaultReport::deserialize(std::string(cursor.keyed("faults").text()));
+    if (cursor.next_line() != "chip") {
+      util::throw_parse_error("field 'chip' section missing");
+    }
+    // The chip's own checkpoint, kept as text through its "end" trailer;
+    // restore_checkpoint reads it against the chip it belongs to.
+    const std::size_t chip_begin = cursor.offset();
+    while (cursor.next_line() != "end") {
+    }
+    ckpt.chip_state = bytes.substr(chip_begin, cursor.offset() - chip_begin);
+    const int log_size = cursor.keyed("log").integer(0, kMaxCount);
+    ckpt.log = DataLog::read_csv(cursor.take(bytes.size() - cursor.offset()));
+    if (ckpt.log.size() != static_cast<std::size_t>(log_size)) {
+      util::throw_parse_error(
+          "field 'log' truncated: declared " + std::to_string(log_size) +
+          " record(s), parsed " + std::to_string(ckpt.log.size()));
+    }
+    return ckpt;
+  } catch (const std::runtime_error& e) {
+    fail(std::string(e.what()) + " (stream offset " +
+         std::to_string(cursor.offset()) + ")");
+  }
 }
 
 ExperimentRunner::ExperimentRunner(const RunnerConfig& config)

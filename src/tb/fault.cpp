@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "ash/obs/metrics.h"
 #include "ash/obs/trace.h"
 #include "ash/util/table.h"
+#include "ash/util/text_reader.h"
 
 namespace ash::tb {
 
@@ -122,15 +124,20 @@ std::string FaultReport::serialize() const {
 }
 
 FaultReport FaultReport::deserialize(const std::string& line) {
-  std::istringstream is(line);
+  util::Tokens tokens(line, [](const std::string& detail) {
+    throw std::runtime_error("FaultReport::deserialize: " + detail);
+  });
   FaultReport r;
-  if (!(is >> r.chamber_excursions >> r.sensor_faults >> r.supply_glitches >>
-        r.clock_jumps >> r.readings_dropped >> r.outlier_readings >>
-        r.comm_losses >> r.samples_retried >> r.samples_suspect >>
-        r.samples_lost >> r.phase_aborts >> r.phases_degraded >>
-        r.samples_discarded)) {
-    throw std::runtime_error("FaultReport::deserialize: malformed line");
+  // serialize()'s order: thirteen counts, none negative.
+  for (int* count :
+       {&r.chamber_excursions, &r.sensor_faults, &r.supply_glitches,
+        &r.clock_jumps, &r.readings_dropped, &r.outlier_readings,
+        &r.comm_losses, &r.samples_retried, &r.samples_suspect,
+        &r.samples_lost, &r.phase_aborts, &r.phases_degraded,
+        &r.samples_discarded}) {
+    *count = tokens.next("count").integer(0, std::numeric_limits<int>::max());
   }
+  tokens.expect_end("fault report");
   return r;
 }
 

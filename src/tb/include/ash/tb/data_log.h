@@ -8,6 +8,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ash/util/series.h"
@@ -86,8 +87,12 @@ class DataLog {
   /// Write all records as CSV (header + rows).
   void write_csv(std::ostream& os) const;
 
-  /// Parse a log previously produced by write_csv.
+  /// Parse a log previously produced by write_csv; the quality/retries
+  /// columns are optional (logs written before fault tolerance).  Every
+  /// cell must be whole in its column's grammar (util/text_reader.h);
+  /// throws std::runtime_error ("data log: ...") otherwise.
   static DataLog read_csv(std::istream& is);
+  static DataLog read_csv(std::string_view text);
 
  private:
   std::vector<SampleRecord> records_;

@@ -1,8 +1,9 @@
 #include "ash/util/csv.h"
 
-#include <istream>
 #include <ostream>
 #include <stdexcept>
+
+#include "ash/util/text_reader.h"
 
 namespace ash {
 
@@ -35,6 +36,10 @@ void write_csv_row(std::ostream& os, const std::vector<std::string>& cells) {
 }
 
 CsvDocument read_csv(std::istream& is) {
+  return read_csv(util::read_stream(is));
+}
+
+CsvDocument read_csv(std::string_view text) {
   CsvDocument doc;
   std::vector<std::string> row;
   std::string cell;
@@ -56,12 +61,12 @@ CsvDocument read_csv(std::istream& is) {
     row_has_content = false;
   };
 
-  char c = 0;
-  while (is.get(c)) {
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
     if (in_quotes) {
       if (c == '"') {
-        if (is.peek() == '"') {
-          is.get(c);
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          ++i;
           cell.push_back('"');
         } else {
           in_quotes = false;
@@ -81,11 +86,12 @@ CsvDocument read_csv(std::istream& is) {
         end_cell();
         row_has_content = true;
         break;
-      case '\r':
-        break;  // tolerate CRLF
       case '\n':
         if (row_has_content || !cell.empty() || !row.empty()) end_row();
         break;
+      case '\r':  // tolerate CRLF; any other '\r' is cell content
+        if (i + 1 < text.size() && text[i + 1] == '\n') break;
+        [[fallthrough]];
       default:
         cell.push_back(c);
         row_has_content = true;

@@ -1,7 +1,11 @@
 #include "ash/util/flags.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+
+#include "ash/util/double_codec.h"
+#include "ash/util/text_reader.h"
 
 namespace ash {
 
@@ -51,29 +55,17 @@ std::string Flags::get(const std::string& name,
 double Flags::get(const std::string& name, double default_value) const {
   const auto* v = find(name);
   if (v == nullptr) return default_value;
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing junk");
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flags: --" + name + " expects a number, got '" +
-                                *v + "'");
-  }
+  if (const std::optional<double> out = parse_double(*v)) return *out;
+  throw std::invalid_argument("flags: --" + name + " expects a number, got '" +
+                              *v + "'");
 }
 
 int Flags::get(const std::string& name, int default_value) const {
   const auto* v = find(name);
   if (v == nullptr) return default_value;
-  try {
-    std::size_t used = 0;
-    const int out = std::stoi(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing junk");
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flags: --" + name +
-                                " expects an integer, got '" + *v + "'");
-  }
+  if (const std::optional<int> out = util::parse_int(*v)) return *out;
+  throw std::invalid_argument("flags: --" + name +
+                              " expects an integer, got '" + *v + "'");
 }
 
 bool Flags::get(const std::string& name, bool default_value) const {

@@ -8,6 +8,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ash {
@@ -27,8 +28,10 @@ std::string csv_escape(const std::string& cell);
 /// Write one CSV row (escaping each cell) terminated by '\n'.
 void write_csv_row(std::ostream& os, const std::vector<std::string>& cells);
 
-/// Parse a complete CSV document from a stream.  Handles quoted cells with
-/// embedded commas/newlines/doubled quotes.  The first row is the header.
+/// Parse a complete CSV document (the rest of a stream, or a text).
+/// Handles quoted cells with embedded commas/newlines/doubled quotes.  The
+/// first row is the header.
 CsvDocument read_csv(std::istream& is);
+CsvDocument read_csv(std::string_view text);
 
 }  // namespace ash

@@ -1,8 +1,11 @@
 #pragma once
 
 /// \file double_codec.h
-/// The one text codec for doubles that cross a process boundary: the fleet
-/// wire protocol, the fleet journal records and the fleet state snapshot.
+/// The one text codec for doubles: `fmt_double` writes the fleet wire
+/// protocol, journal records and state snapshot; `parse_double` is the
+/// number grammar of every text reader (`util/text_reader.h`: the fleet
+/// formats, fpga and campaign checkpoints, DataLog CSV cells, flight dumps
+/// and flag values), whatever wrote the text.
 ///
 /// `fmt_double` writes the shortest decimal text that reads back to the
 /// same bits (`std::to_chars`, no format string), so two processes that

@@ -24,7 +24,9 @@ class Flags {
   bool has(const std::string& name) const;
 
   /// Typed accessors with defaults.  Throw std::invalid_argument when the
-  /// flag is present but not parseable as the requested type.
+  /// flag is present but not parseable as the requested type: a number is
+  /// a whole finite `ash::parse_double` token and an int a whole decimal
+  /// token (util/text_reader.h), so " 5", "+5", "nan" and "inf" are refused.
   std::string get(const std::string& name,
                   const std::string& default_value) const;
   double get(const std::string& name, double default_value) const;

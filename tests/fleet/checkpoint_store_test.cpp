@@ -201,6 +201,24 @@ TEST_F(CheckpointStoreTest, MisfiledFrameIsSkipped) {
   EXPECT_EQ(loaded->corrupt_skipped, 1);
 }
 
+TEST_F(CheckpointStoreTest, SequenceBeyondU64IsSkippedNotNewest) {
+  // 21 digits do not fit a u64; such a name is malformed like any other,
+  // never saturated to the largest sequence and tried first.
+  const CheckpointStore store(dir_);
+  const std::string valid = store.save(0, 5, "five");
+  util::atomic_write_file(dir_ + "/shard-00000.seq-184467440737095516160.ckpt",
+                          util::read_file(valid));
+  util::atomic_write_file(dir_ + "/shard-00000.seq-18446744073709551615.ckpt",
+                          "garbage");
+  const auto files = store.shard_files(0);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0], valid);
+  const auto loaded = store.load_newest_valid(0);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->sequence, 5u);
+  EXPECT_EQ(loaded->corrupt_skipped, 1);  // the UINT64_MAX name, nothing else
+}
+
 TEST_F(CheckpointStoreTest, PruneKeepsNewest) {
   const CheckpointStore store(dir_);
   for (std::uint64_t seq = 0; seq < 6; ++seq) {

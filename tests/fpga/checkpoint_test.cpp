@@ -121,6 +121,35 @@ TEST(Checkpoint, RejectsCorruptedStreams) {
   }
 }
 
+TEST(Checkpoint, RefusesTokensTheWriterNeverWritesAndLeavesTheChip) {
+  FpgaChip chip(small_chip_config());
+  chip.evolve(RoMode::kDcFrozen, bti::dc_stress(Volts{1.2}, Celsius{110.0}),
+              Seconds{hours(3.0)});
+  const std::string good = checkpoint_string(chip);
+  FpgaChip target(small_chip_config(9));
+  const std::string before = checkpoint_string(target);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string out = good;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return out.replace(at, from.size(), to);
+  };
+  const std::size_t row_end = good.find('\n', good.find("\nD ") + 1);
+  for (const std::string& bad :
+       {with("\n", " junk=1\n"),
+        std::string(good).insert(row_end, " 0.5"),
+        std::string(good).insert(row_end, " "),
+        with("\nD ", "\nD  "), with("\nD ", "\nD +"),
+        good + "D 0\n", good.substr(0, good.size() - 1)}) {
+    EXPECT_THROW(restore_checkpoint(bad, target), std::runtime_error);
+    std::istringstream is(bad);
+    EXPECT_THROW(load_checkpoint(is, target), std::runtime_error);
+    EXPECT_EQ(checkpoint_string(target), before);
+  }
+  restore_checkpoint(good, target);
+  EXPECT_EQ(checkpoint_string(target), good);
+}
+
 TEST(Checkpoint, FailedLoadLeavesObjectUntouched) {
   FpgaChip chip(small_chip_config());
   chip.evolve(RoMode::kDcFrozen, bti::dc_stress(Volts{1.2}, Celsius{110.0}), Seconds{hours(3.0)});

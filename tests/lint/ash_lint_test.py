@@ -38,6 +38,8 @@ CASES = {
     "unchecked-io": ("unchecked_io", "{case}.cpp", 1),
     "eintr": ("eintr", "src/fleet/{case}.cpp", 1),
     "metric-name": ("metric_name", "{case}.cpp", 1),
+    # std::stod + strtoull + atoi + std::istringstream.
+    "lenient-parse": ("lenient_parse", "src/tb/{case}.cpp", 4),
     # printf via a callee plus operator new in the handler itself.
     "signal-safety": ("signal_safety", "{case}.cpp", 2),
     # static local + file-scope global + non-util RNG.
@@ -138,6 +140,18 @@ def _add_cases():
 _add_cases()
 
 
+class AshLintLenientParseScopeTest(unittest.TestCase):
+    """lenient-parse polices src/ only, and exempts the text reader."""
+
+    def test_reader_and_tools_are_exempt(self):
+        root = os.path.join(FIXTURES, "lenient_parse")
+        code, payload = run_lint(
+            root, ["src/util/text_reader.cpp", "tools/dashboard.cpp"],
+            "lenient-parse")
+        self.assertEqual(payload["findings"], [])
+        self.assertEqual(code, 0)
+
+
 class AshLintMetricHotPathTest(unittest.TestCase):
     """The metric-name rule's second half: any registration in an
     instrumented hot-path kernel file is a finding, even a well-named one."""
@@ -213,7 +227,7 @@ class AshLintRepoTest(unittest.TestCase):
             proc.stdout.split(),
             ["wall-clock", "rng", "unordered-iter", "float-physics",
              "raw-double-api", "unchecked-io", "eintr", "metric-name",
-             "signal-safety", "shard-purity", "unit-flow",
+             "lenient-parse", "signal-safety", "shard-purity", "unit-flow",
              "protocol-exhaustiveness"])
 
 

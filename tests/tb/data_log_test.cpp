@@ -141,6 +141,36 @@ TEST(DataLog, ReadsLegacyCsvWithoutQualityColumns) {
   EXPECT_EQ(log.records()[0].retries, 0);
 }
 
+TEST(DataLog, ReadCsvRefusesCellsOutsideTheWriterGrammar) {
+  // A cell loads only when its whole text is a number (an int for the
+  // integer columns): "5x" is not chip 5, "1.5 junk" is not 1.5 s, and a
+  // stray carriage return is no CRLF ("1\r5" is not 15 s).
+  const std::string header =
+      "test_case,chip_id,phase,t_campaign_s,t_phase_s,chamber_c,supply_v,"
+      "counts,frequency_hz,delay_s,quality,retries\n";
+  const std::string good =
+      "chip2,5,AS110DC24,1.5,0.000000,110.0,1.2,3300.0,3300000.0,1.5e-7,"
+      "good,0\n";
+  std::istringstream good_is(header + good);
+  ASSERT_EQ(DataLog::read_csv(good_is).size(), 1u);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string row = good;
+    return header + row.replace(row.find(from), from.size(), to);
+  };
+  for (const std::string& bad :
+       {with(",5,", ",5x,"), with(",1.5,", ",1.5 junk,"),
+        with(",1.5,", ", 1.5,"), with(",1.5,", ",nan,"),
+        with(",1.5,", ",inf,"), with(",1.5,", ",+1.5,"),
+        with(",1.5,", ",1\r5,"),
+        with(",5,", ",5.0,"), with(",0\n", ",-1\n"),
+        with(",0\n", ",0x1\n"), with("good", "fine"),
+        header.substr(header.find(',') + 1) + good.substr(good.find(',') + 1)}) {
+    std::istringstream is(bad);
+    EXPECT_THROW((void)DataLog::read_csv(is), std::runtime_error)
+        << "accepted '" << bad << "'";
+  }
+}
+
 TEST(SampleQuality, NamesRoundTrip) {
   for (const auto q : {SampleQuality::kGood, SampleQuality::kRetried,
                        SampleQuality::kSuspect, SampleQuality::kLost}) {

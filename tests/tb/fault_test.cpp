@@ -74,6 +74,19 @@ TEST(FaultReport, SerializeRoundTripsAndMerges) {
   EXPECT_THROW(FaultReport::deserialize("1 2 three"), std::runtime_error);
 }
 
+TEST(FaultReport, DeserializeRefusesNegativeCountsAndExtraTokens) {
+  const std::string good = FaultReport{}.serialize();
+  ASSERT_EQ(good, "0 0 0 0 0 0 0 0 0 0 0 0 0");
+  EXPECT_NO_THROW((void)FaultReport::deserialize(good));
+  for (const std::string& bad :
+       {std::string("-1 0 0 0 0 0 0 0 0 0 0 0 0"), good + " 0",
+        good + " junk", std::string("+1 0 0 0 0 0 0 0 0 0 0 0 0"),
+        std::string("0  0 0 0 0 0 0 0 0 0 0 0 0"), " " + good}) {
+    EXPECT_THROW((void)FaultReport::deserialize(bad), std::runtime_error)
+        << "accepted '" << bad << "'";
+  }
+}
+
 TEST(FaultInjector, DeterministicPerPhaseAndAttempt) {
   const auto plan = FaultPlan::harsh();
   FaultInjector a(plan, /*phase=*/1, /*attempt=*/0, Seconds{7200.0});
@@ -312,6 +325,65 @@ TEST(CampaignCheckpoint, LoadNamesTheMangledField) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("t_campaign"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(CampaignCheckpoint, HarshCampaignCheckpointAndCsvRoundTripByteForByte) {
+  // Every byte string the current writers emit loads: a harsh lab's
+  // checkpoint (flagged rows, nonzero fault tallies) and its CSV both come
+  // back to the same bytes.  Table 1's chip 1 on a 15-stage RO.
+  const RunnerConfig config = tolerant_runner_config(FaultPlan::harsh());
+  const TestCase tc = paper_campaign().front();
+  fpga::FpgaChip chip(paper_chip_config(tc.chip_id, 15));
+  const auto full = ExperimentRunner(config).run_campaign(chip, tc);
+  ASSERT_TRUE(full.completed);
+  for (const auto q : {SampleQuality::kGood, SampleQuality::kRetried,
+                       SampleQuality::kSuspect, SampleQuality::kLost}) {
+    EXPECT_GT(full.log.count_quality(q), 0u) << to_string(q);
+  }
+  std::ostringstream csv;
+  full.log.write_csv(csv);
+  std::istringstream is(csv.str());
+  std::ostringstream again;
+  DataLog::read_csv(is).write_csv(again);
+  EXPECT_EQ(again.str(), csv.str());
+
+  RunnerConfig killing = config;
+  killing.abort_at_campaign_s = Seconds{tc.total_duration_s().value() / 2};
+  fpga::FpgaChip chip_kill(paper_chip_config(tc.chip_id, 15));
+  const auto killed = ExperimentRunner(killing).run_campaign(chip_kill, tc);
+  ASSERT_FALSE(killed.completed);
+  ASSERT_FALSE(killed.checkpoint.faults.clean());
+  ASSERT_GT(killed.checkpoint.log.size(), 0u);
+  const std::string bytes = killed.checkpoint.serialize();
+  EXPECT_EQ(CampaignCheckpoint::deserialize(bytes).serialize(), bytes);
+}
+
+TEST(CampaignCheckpoint, LoadRefusesWhatTheWriterCannotProduce) {
+  auto chip = small_chip();
+  const std::string good =
+      initial_checkpoint(chip, short_case(), RunnerConfig{}).serialize();
+  ASSERT_NO_THROW((void)CampaignCheckpoint::deserialize(good));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string out = good;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return out.replace(at, from.size(), to);
+  };
+  for (const std::string& bad :
+       {with("t_campaign 0\n", "t_campaign  0\n"),
+        with("t_campaign 0\n", "t_campaign 0x0\n"),
+        with("chamber_c ", "chamber_c +"),
+        with("faults 0 0 0 0 0 0 0 0 0 0 0 0 0\n",
+             "faults 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"),
+        with("faults 0 ", "faults -1 ")}) {
+    try {
+      (void)CampaignCheckpoint::deserialize(bad);
+      ADD_FAILURE() << "accepted:\n" << bad.substr(0, 200);
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("campaign checkpoint: ", 0), 0u)
+          << e.what();
+    }
   }
 }
 

@@ -51,6 +51,19 @@ TEST(Flags, TypeErrorsThrow) {
   EXPECT_THROW(f.get("temp", false), std::invalid_argument);
 }
 
+TEST(Flags, NumbersAreReadWhole) {
+  const auto f = parse({"--temp", "nan", "--hours", "inf", "--pad", " 5",
+                        "--plus", "+5", "--hex", "0x10", "--big",
+                        "99999999999", "--ok", "-40.5"});
+  for (const char* name : {"temp", "hours", "pad", "plus", "hex"}) {
+    EXPECT_THROW(f.get(name, 0.0), std::invalid_argument) << name;
+  }
+  EXPECT_THROW(f.get("pad", 0), std::invalid_argument);
+  EXPECT_THROW(f.get("plus", 0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(f.get("big", 0.0), 99999999999.0);
+  EXPECT_DOUBLE_EQ(f.get("ok", 0.0), -40.5);
+}
+
 TEST(Flags, UnknownFlagCheck) {
   const auto f = parse({"--chp", "5"});
   EXPECT_THROW(f.check_known({"chip", "out"}), std::invalid_argument);

@@ -75,6 +75,12 @@ both.  Token rules scan each file's comment- and string-stripped text:
                   reference.  Computed names elsewhere are skipped (they
                   are validated at runtime by what they render into).
 
+  lenient-parse   std::sto*, strto*, ato* or std::istringstream in src/
+                  outside src/util/text_reader.cpp.  Each decides its own
+                  text grammar (whitespace, '+', hex, inf/nan, partial
+                  tokens, saturation); persisted and wire text is read
+                  through util/text_reader.h only.
+
 Declaration and call-graph rules read the same stripped text through a
 declaration parser:
 
@@ -167,6 +173,7 @@ RULES = (
     "unchecked-io",
     "eintr",
     "metric-name",
+    "lenient-parse",
     "signal-safety",
     "shard-purity",
     "unit-flow",
@@ -862,6 +869,30 @@ def rule_eintr(sf: SourceFile, report: Report) -> None:
 
 
 # --------------------------------------------------------------------------
+# Rule: lenient-parse
+# --------------------------------------------------------------------------
+
+LENIENT_PARSE_RE = re.compile(
+    r"\bstd::sto(?:d|f|i|l|ll|ld|ul|ull)\s*\("
+    r"|(?<![\w.])(?:std::|::)?(?:strto(?:d|f|l|ld|ll|ul|ull)|ato(?:f|i|l|ll))"
+    r"\s*\(|\bistringstream\b")
+
+
+def rule_lenient_parse(sf: SourceFile, report: Report) -> None:
+    if not sf.rel.startswith("src/") or sf.rel == "src/util/text_reader.cpp":
+        return
+    for no, line in enumerate(sf.code_lines, start=1):
+        m = LENIENT_PARSE_RE.search(line)
+        if m:
+            report.add(
+                "lenient-parse", sf, no,
+                f"'{m.group(0).rstrip('( ')}' decides its own text grammar "
+                "(whitespace, '+', hex, inf/nan, partial tokens, overflow); "
+                "read through util/text_reader.h so one module owns what "
+                "persisted and wire text may spell")
+
+
+# --------------------------------------------------------------------------
 # Rule: metric-name
 # --------------------------------------------------------------------------
 
@@ -1315,6 +1346,7 @@ FILE_RULES = {
     "unchecked-io": rule_unchecked_io,
     "eintr": rule_eintr,
     "metric-name": rule_metric_name,
+    "lenient-parse": rule_lenient_parse,
     "unit-flow": rule_unit_flow,
 }
 CALL_GRAPH_RULES = ("signal-safety", "shard-purity")
