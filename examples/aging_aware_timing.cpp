@@ -8,13 +8,15 @@
 /// by how much, and what one deep-rejuvenation sleep buys back.
 ///
 /// Usage: ./build/examples/aging_aware_timing [days]
+/// (default 30; a malformed argument prints the usage and exits 2)
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "ash/fpga/fabric.h"
 #include "ash/util/constants.h"
+#include "ash/util/double_codec.h"
 #include "ash/util/table.h"
 
 namespace {
@@ -40,7 +42,13 @@ void report(const char* label, const ash::fpga::Fabric& fab, double fresh_s) {
 
 int main(int argc, char** argv) {
   using namespace ash;
-  const double days = argc > 1 ? std::atof(argv[1]) : 30.0;
+  const std::optional<double> days_arg =
+      argc > 1 ? parse_double(argv[1]) : 30.0;
+  if (argc > 2 || !days_arg) {
+    std::fprintf(stderr, "usage: aging_aware_timing [days]\n");
+    return 2;
+  }
+  const double days = *days_arg;
 
   fpga::FabricConfig cfg;
   cfg.seed = 7;

@@ -8,19 +8,31 @@
 ///
 /// Usage:
 ///   ./build/examples/multicore_circadian [years] [cores_needed]
-/// defaults: 3 years, 6-of-8 cores demanded.
+/// defaults: 3 years, 6-of-8 cores demanded.  A malformed argument prints
+/// the usage and exits 2.
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "ash/mc/system.h"
+#include "ash/util/double_codec.h"
 #include "ash/util/table.h"
+#include "ash/util/text_reader.h"
 
 int main(int argc, char** argv) {
   using namespace ash;
-  const double years = argc > 1 ? std::atof(argv[1]) : 3.0;
-  const int cores_needed = argc > 2 ? std::atoi(argv[2]) : 6;
+  const std::optional<double> years_arg =
+      argc > 1 ? parse_double(argv[1]) : 3.0;
+  const std::optional<int> cores_arg =
+      argc > 2 ? util::parse_int(argv[2]) : 6;
+  if (argc > 3 || !years_arg || !cores_arg) {
+    std::fprintf(stderr,
+                 "usage: multicore_circadian [years] [cores_needed]\n");
+    return 2;
+  }
+  const double years = *years_arg;
+  const int cores_needed = *cores_arg;
 
   mc::SystemConfig cfg;
   cfg.horizon_s = Seconds{years * 365.25 * 86400.0};

@@ -9,14 +9,16 @@
 ///
 /// Usage:
 ///   ./build/examples/recovery_policy_explorer [target_fraction] [max_sleep_h]
-/// defaults: 0.9 recovered, 6 h budget.
+/// defaults: 0.9 recovered, 6 h budget.  A malformed argument prints the
+/// usage and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "ash/core/lifetime.h"
 #include "ash/core/planner.h"
 #include "ash/util/constants.h"
+#include "ash/util/double_codec.h"
 #include "ash/util/table.h"
 
 namespace {
@@ -39,8 +41,18 @@ void show_plan(const char* regime, const ash::core::PlannerConfig& cfg) {
 
 int main(int argc, char** argv) {
   using namespace ash;
-  const double target = argc > 1 ? std::atof(argv[1]) : 0.9;
-  const double max_sleep_h = argc > 2 ? std::atof(argv[2]) : 6.0;
+  const std::optional<double> target_arg =
+      argc > 1 ? parse_double(argv[1]) : 0.9;
+  const std::optional<double> max_sleep_arg =
+      argc > 2 ? parse_double(argv[2]) : 6.0;
+  if (argc > 3 || !target_arg || !max_sleep_arg) {
+    std::fprintf(stderr,
+                 "usage: recovery_policy_explorer [target_fraction] "
+                 "[max_sleep_h]\n");
+    return 2;
+  }
+  const double target = *target_arg;
+  const double max_sleep_h = *max_sleep_arg;
 
   std::printf("goal: recover %.0f%% of a 24 h reference stress within %.1f h\n\n",
               target * 100.0, max_sleep_h);

@@ -9,9 +9,10 @@
 /// cumulative and irreversible; thermally accelerated with a large
 /// activation energy.  Modeling it alongside BTI answers the natural
 /// question about accelerated self-healing: does hot rejuvenation burn EM
-/// lifetime?  (Answer, quantified by bench_ablation_em: no — power-gated
-/// sleep carries no current, so EM stops during recovery; sleep schedules
-/// actually *extend* EM life through their duty-cycle reduction.)
+/// lifetime?  (Answer, quantified by Ablation D of `ash_lab reproduce`:
+/// no — power-gated sleep carries no current, so EM stops during
+/// recovery; sleep schedules actually *extend* EM life through their
+/// duty-cycle reduction.)
 ///
 /// The model integrates Black's-equation-consistent damage:
 ///   d(drift)/dt = rate_ref * (J/J_ref)^n * exp(-(Ea/k)(1/T - 1/Tref))

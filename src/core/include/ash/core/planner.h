@@ -72,7 +72,7 @@ struct RecoveryPlan {
   double achieved_fraction = 0.0;
 };
 
-/// Sleep-cost of a candidate (exposed for tests and ablation benches).
+/// Sleep-cost of a candidate (exposed for tests and the ablations).
 double plan_cost(const PlannerConfig& config, Volts voltage, Celsius temp,
                  Seconds sleep);
 

@@ -43,7 +43,7 @@ struct TransistorSpec {
 /// important reliability issue with the introduction of high-k and metal
 /// gates".  The default calibration treats the 40 nm parts' NBTI and PBTI
 /// alike (ratio 1); pass a ratio < 1 to study SiON-era asymmetry (see
-/// bench_ablation_pbti).
+/// Ablation J of `ash_lab reproduce`).
 inline bti::TdParameters td_for_device(DeviceType type,
                                        const bti::TdParameters& base,
                                        double pbti_amplitude_ratio) {

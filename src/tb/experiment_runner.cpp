@@ -578,29 +578,60 @@ fpga::ChipConfig paper_chip_config(int chip_id, int ro_stages,
   return cc;
 }
 
-std::vector<CampaignResult> run_paper_campaign(util::ThreadPool& pool,
-                                               const RunnerConfig& config,
-                                               int ro_stages,
-                                               std::uint64_t seed_base) {
+std::vector<std::future<CampaignResult>> submit_paper_campaign(
+    util::ThreadPool& pool, const RunnerConfig& config, int ro_stages,
+    std::uint64_t seed_base) {
   const std::vector<TestCase> cases = paper_campaign();
   // Longest schedule first: chip 5's re-stress makes it the critical path,
-  // and on a pool smaller than the campaign it must not queue behind a
+  // and on a pool smaller than the task list it must not queue behind a
   // short chip.
   std::vector<std::size_t> order(cases.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
     return cases[a].total_duration_s() > cases[b].total_duration_s();
   });
-  auto started = pool.parallel_for(static_cast<int>(cases.size()), [&](int k) {
-    const TestCase& tc = cases[order[static_cast<std::size_t>(k)]];
-    fpga::FpgaChip chip(paper_chip_config(tc.chip_id, ro_stages, seed_base));
-    return ExperimentRunner(config).run_campaign(chip, tc);
-  });
-  std::vector<CampaignResult> results(cases.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    results[order[k]] = std::move(started[k]);
+  std::vector<std::future<CampaignResult>> futures(cases.size());
+  for (const std::size_t i : order) {
+    futures[i] = pool.submit([tc = cases[i], config, ro_stages, seed_base] {
+      fpga::FpgaChip chip(paper_chip_config(tc.chip_id, ro_stages, seed_base));
+      return ExperimentRunner(config).run_campaign(chip, tc);
+    });
   }
+  return futures;
+}
+
+std::vector<CampaignResult> run_paper_campaign(util::ThreadPool& pool,
+                                               const RunnerConfig& config,
+                                               int ro_stages,
+                                               std::uint64_t seed_base) {
+  auto futures = submit_paper_campaign(pool, config, ro_stages, seed_base);
+  // Every chip finishes before a failure is rethrown.
+  for (auto& f : futures) f.wait();
+  std::vector<CampaignResult> results;
+  results.reserve(futures.size());
+  for (auto& f : futures) results.push_back(f.get());
   return results;
+}
+
+std::vector<fpga::ChipConfig> variation_population() {
+  std::vector<fpga::ChipConfig> chips(20);
+  for (std::size_t i = 0; i < chips.size(); ++i) {
+    chips[i].chip_id = static_cast<int>(i) + 1;
+    chips[i].seed = 0x7A0 + i;
+    chips[i].ro_stages = 25;
+  }
+  return chips;
+}
+
+TestCase variation_case(int chip_id) {
+  TestCase tc;
+  tc.name = "variation";
+  tc.chip_id = chip_id;
+  tc.phases = {burn_in_phase(),
+               dc_stress_phase("AS110DC24", Celsius{110.0}, units::hours(24.0)),
+               recovery_phase("AR110N6", Volts{-0.3}, Celsius{110.0},
+                              units::hours(6.0))};
+  return tc;
 }
 
 }  // namespace ash::tb

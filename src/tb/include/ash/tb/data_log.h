@@ -3,8 +3,8 @@
 /// \file data_log.h
 /// Campaign sample log.  Every measurement the runner takes lands here with
 /// full provenance (case, chip, phase, schedule time, environment), so the
-/// analysis layer (ash::core metrics, the figure benches and the CSV
-/// exports) can slice it any way the paper does.
+/// analysis layer (ash::core metrics, the `ash_lab reproduce` sections and
+/// the CSV exports) can slice it any way the paper does.
 
 #include <iosfwd>
 #include <string>

@@ -28,6 +28,7 @@
 /// kill + checkpoint resume.
 
 #include <cstdint>
+#include <future>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -203,14 +204,29 @@ RunnerConfig naive_runner_config(const FaultPlan& plan);
 fpga::ChipConfig paper_chip_config(int chip_id, int ro_stages,
                                    std::uint64_t seed_base = 0x40A0);
 
-/// Run the whole Table 1 campaign (`paper_campaign()`), one task per chip
-/// on `pool`: each task builds its `paper_chip_config` chip and runs it
-/// under its own ExperimentRunner(`config`).  Results come back in chip
-/// order and are bit-identical to the serial loop at any pool size, since
+/// Queue the whole Table 1 campaign (`paper_campaign()`) on `pool` without
+/// waiting: one task per chip, longest schedule (chip 5) first, each
+/// building its `paper_chip_config` chip and running it under its own
+/// ExperimentRunner(`config`).  The futures come back in chip order.  The
 /// tasks share no state and instrument noise derives from (runner seed,
-/// phase, attempt) alone.
+/// phase, attempt) alone, so the results are bit-identical to the serial
+/// loop at any pool size and whatever else the pool runs.
+std::vector<std::future<CampaignResult>> submit_paper_campaign(
+    util::ThreadPool& pool, const RunnerConfig& config, int ro_stages,
+    std::uint64_t seed_base = 0x40A0);
+
+/// `submit_paper_campaign`, waited for: the results in chip order.
 std::vector<CampaignResult> run_paper_campaign(
     util::ThreadPool& pool, const RunnerConfig& config, int ro_stages,
     std::uint64_t seed_base = 0x40A0);
+
+/// Ablation F's chip-variation population (DESIGN.md Sec. 4): 20 chips,
+/// chip i (0-based) with id i + 1, seed 0x7A0 + i and a 25-stage CUT (more
+/// per-chip spread, faster run).
+std::vector<fpga::ChipConfig> variation_population();
+
+/// The population's schedule: burn-in, 24 h DC stress at 110 degC
+/// (AS110DC24), 6 h recovery at 110 degC and -0.3 V (AR110N6).
+TestCase variation_case(int chip_id);
 
 }  // namespace ash::tb

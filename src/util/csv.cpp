@@ -7,13 +7,6 @@
 
 namespace ash {
 
-std::size_t CsvDocument::column(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw std::out_of_range("CsvDocument: no column named '" + name + "'");
-}
-
 std::string csv_escape(const std::string& cell) {
   const bool needs_quoting =
       cell.find_first_of(",\"\n\r") != std::string::npos;

@@ -2,9 +2,9 @@
 
 /// \file csv.h
 /// Minimal CSV emission/ingestion for experiment logs.  The virtual lab
-/// (`ash::tb::DataLog`) records every RO-frequency sample of a campaign; the
-/// examples dump these to CSV for offline plotting, and tests round-trip
-/// them.
+/// (`ash::tb::DataLog`) records every RO-frequency sample of a campaign;
+/// `ash_lab campaign` dumps these to CSV for offline plotting, and tests
+/// round-trip them.
 
 #include <iosfwd>
 #include <string>
@@ -17,9 +17,6 @@ namespace ash {
 struct CsvDocument {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
-
-  /// Index of a header column; throws std::out_of_range if absent.
-  std::size_t column(const std::string& name) const;
 };
 
 /// Quote a cell if it contains a comma, quote or newline (RFC 4180 style).

@@ -56,7 +56,7 @@ std::string fmt_fixed(double v, int decimals);
 std::string fmt_percent(double fraction, int decimals);
 
 /// Render a crude ASCII chart of one or more series sampled on a shared
-/// uniform grid — the bench binaries use it to show figure *shapes* inline.
+/// uniform grid — `ash_lab reproduce` uses it to show figure *shapes* inline.
 /// `labels` and `rows` must be the same length; each row is a vector of
 /// y-values on the shared x grid.
 std::string ascii_chart(const std::vector<std::string>& labels,

@@ -1,11 +1,14 @@
 #include "ash/fleet/supervisor.h"
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ash/obs/metrics.h"
+#include "ash/tb/experiment_runner.h"
 #include "ash/util/crc32.h"
 
 namespace ash::fleet {
@@ -175,6 +178,31 @@ TEST_F(FleetSupervisorTest, SecondRunResumesFromDurableState) {
   EXPECT_EQ(after.stats.workers_launched, 2);
   EXPECT_EQ(after.stats.restarts, 0);
   EXPECT_EQ(after.payload(), before.payload());
+}
+
+TEST_F(FleetSupervisorTest, ChipVariationPopulationMatchesThreadedRun) {
+  // Ablation F's 20-chip population, one forked worker per chip with
+  // durable checkpoints, must reproduce the sample logs of the in-process
+  // run bit for bit: `ash_lab reproduce` prints crc32 28983703 for those.
+  std::vector<ShardSpec> shards;
+  for (const fpga::ChipConfig& chip : tb::variation_population()) {
+    ShardSpec spec;
+    spec.shard_id = static_cast<int>(shards.size());
+    spec.chip = chip;
+    spec.test_case = tb::variation_case(chip.chip_id);
+    shards.push_back(spec);
+  }
+  FleetConfig config = fast_config(fresh_dir("variation"));
+  // Workers beat only at phase boundaries, and a 24 h stress phase of 20
+  // concurrent workers takes far longer than 5 s under a sanitizer.
+  config.heartbeat_timeout_ms = 120000;
+  const FleetReport report = FleetSupervisor(config, shards).run();
+  ASSERT_TRUE(report.all_completed());
+  std::ostringstream csv;
+  for (const ShardOutcome& shard : report.shards) {
+    shard.state.log.write_csv(csv);
+  }
+  EXPECT_EQ(util::crc32(csv.str()), 0x28983703u);
 }
 
 TEST_F(FleetSupervisorTest, StatsPublishMirrorsTheStruct) {

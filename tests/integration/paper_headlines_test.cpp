@@ -2,7 +2,7 @@
 ///
 /// These run the virtual lab through (reduced) Table 1 schedules and assert
 /// the quantitative claims of the paper's abstract and evaluation — the
-/// same checks the bench binaries print, but enforced.  A 15-stage RO keeps
+/// same checks `ash_lab reproduce` prints, but enforced.  A 15-stage RO keeps
 /// the suite fast; the physics is per-device, so ratios match the 75-stage
 /// CUT up to averaging noise.
 

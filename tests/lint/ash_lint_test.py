@@ -141,7 +141,8 @@ _add_cases()
 
 
 class AshLintLenientParseScopeTest(unittest.TestCase):
-    """lenient-parse polices src/ only, and exempts the text reader."""
+    """lenient-parse polices src/ and examples/, and exempts the text
+    reader."""
 
     def test_reader_and_tools_are_exempt(self):
         root = os.path.join(FIXTURES, "lenient_parse")
@@ -150,6 +151,19 @@ class AshLintLenientParseScopeTest(unittest.TestCase):
             "lenient-parse")
         self.assertEqual(payload["findings"], [])
         self.assertEqual(code, 0)
+
+    def test_example_arguments_are_policed(self):
+        root = os.path.join(FIXTURES, "lenient_parse")
+        code, payload = run_lint(root, ["examples/cli_args.cpp"],
+                                 "lenient-parse")
+        self.assertEqual(code, 1)
+        self.assertEqual([f["line"] for f in payload["findings"]], [8, 9])
+
+    def test_default_paths_include_examples(self):
+        proc = run_cli("--help")
+        self.assertEqual(proc.returncode, 0)
+        self.assertIn("default: src tools bench tests examples",
+                      " ".join(proc.stdout.split()))
 
 
 class AshLintMetricHotPathTest(unittest.TestCase):
@@ -207,7 +221,8 @@ class AshLintRepoTest(unittest.TestCase):
     the same."""
 
     def test_repo_is_clean(self):
-        code, payload = run_lint(REPO, ["src", "tools", "bench", "tests"])
+        code, payload = run_lint(REPO, ["src", "tools", "bench", "tests",
+                                        "examples"])
         self.assertEqual(
             payload["findings"], [],
             "ash_lint findings on the tree:\n" +

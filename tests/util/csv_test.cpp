@@ -29,13 +29,6 @@ TEST(Csv, RoundTripSimpleDocument) {
   ASSERT_EQ(doc.header.size(), 3u);
   ASSERT_EQ(doc.rows.size(), 2u);
   EXPECT_EQ(doc.rows[1][2], "after 1h, \"hot\"");
-  EXPECT_EQ(doc.column("freq_hz"), 1u);
-}
-
-TEST(Csv, ColumnLookupThrowsOnMissing) {
-  std::istringstream is("a,b\n1,2\n");
-  const CsvDocument doc = read_csv(is);
-  EXPECT_THROW(doc.column("missing"), std::out_of_range);
 }
 
 TEST(Csv, ReadsCrlfAndMissingTrailingNewline) {

@@ -1,9 +1,9 @@
 /// ash_lab — command-line front end to the virtual aging laboratory.
 ///
 /// Subcommands:
-///   reproduce — run the paper's Table 1 campaign once (chips in parallel)
-///       and print every section derived from it: Figs. 4-8, Tables 2-5
-///       and Ablation L, PAPER vs MEASURED (tools/reproduce.cpp)
+///   reproduce — the paper reproduction: every figure, table and ablation
+///       of DESIGN.md Sec. 4, PAPER vs MEASURED, its heavy work run in
+///       parallel on one thread pool (tools/reproduce.cpp)
 ///       ash_lab reproduce
 ///   campaign  — run the paper's Table 1 five-chip campaign, CSV per chip
 ///       ash_lab campaign [--stages 75] [--out DIR] [--seed N]
@@ -173,13 +173,10 @@ int cmd_campaign(const Flags& flags) {
   return 0;
 }
 
-/// The paper reproduction: the Table 1 campaign at 75 stages under the
-/// default runner, once, then every section printed from its logs.
+/// The paper reproduction: every section of DESIGN.md Sec. 4.
 int cmd_reproduce(const Flags& flags) {
   flags.check_known(with_obs({}));
-  util::ThreadPool pool(util::recommended_pool_size(5));
-  lab::print_paper_reproduction(
-      tb::run_paper_campaign(pool, tb::RunnerConfig{}, 75));
+  lab::print_paper_reproduction();
   return 0;
 }
 

@@ -76,10 +76,11 @@ both.  Token rules scan each file's comment- and string-stripped text:
                   are validated at runtime by what they render into).
 
   lenient-parse   std::sto*, strto*, ato* or std::istringstream in src/
-                  outside src/util/text_reader.cpp.  Each decides its own
-                  text grammar (whitespace, '+', hex, inf/nan, partial
-                  tokens, saturation); persisted and wire text is read
-                  through util/text_reader.h only.
+                  (outside src/util/text_reader.cpp) or examples/.  Each
+                  decides its own text grammar (whitespace, '+', hex,
+                  inf/nan, partial tokens, saturation); persisted and wire
+                  text and the examples' arguments are read through
+                  util/text_reader.h and ash::parse_double only.
 
 Declaration and call-graph rules read the same stripped text through a
 declaration parser:
@@ -156,7 +157,7 @@ import sys
 from dataclasses import dataclass, asdict
 
 CXX_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc", ".cxx")
-DEFAULT_PATHS = ("src", "tools", "bench", "tests")
+DEFAULT_PATHS = ("src", "tools", "bench", "tests", "examples")
 
 # The analyzer's own test fixtures intentionally violate every rule.
 EXCLUDED_PARTS = ("lint/fixtures", "build")
@@ -879,7 +880,8 @@ LENIENT_PARSE_RE = re.compile(
 
 
 def rule_lenient_parse(sf: SourceFile, report: Report) -> None:
-    if not sf.rel.startswith("src/") or sf.rel == "src/util/text_reader.cpp":
+    if (not sf.rel.startswith(("src/", "examples/"))
+            or sf.rel == "src/util/text_reader.cpp"):
         return
     for no, line in enumerate(sf.code_lines, start=1):
         m = LENIENT_PARSE_RE.search(line)

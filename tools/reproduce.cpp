@@ -1,25 +1,51 @@
-/// `ash_lab reproduce` — every section the paper derives from its Table 1
-/// campaign (Figs. 4-8, Tables 2-5) plus Ablation L, printed as PAPER vs
-/// MEASURED rows from one run of the five chips.  Each section opens with
-/// a banner naming the figure or table and the paper's claim.
+/// `ash_lab reproduce` — the paper reproduction: every experiment of
+/// DESIGN.md Sec. 4 as a section of PAPER vs MEASURED rows, each opening
+/// with a banner naming the figure, table or ablation and the paper's
+/// claim.  This file schedules the run and holds the sections built on
+/// pool work: Figs. 4-8, Tables 2-5 and Ablation L from one run of the
+/// five Table 1 chips, Ablations F and K, and the fault-tolerance
+/// ablation.  The rest run inline (tools/reproduce_models.cpp).
 
 #include "reproduce.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <future>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ash/bti/closed_form.h"
 #include "ash/bti/reaction_diffusion.h"
+#include "ash/core/lifetime.h"
 #include "ash/core/metrics.h"
 #include "ash/core/model_fit.h"
+#include "ash/core/statistical.h"
+#include "ash/fpga/chip.h"
+#include "ash/obs/metrics.h"
+#include "ash/tb/experiment_runner.h"
+#include "ash/tb/fault.h"
+#include "ash/tb/test_case.h"
 #include "ash/util/constants.h"
-#include "ash/util/series.h"
+#include "ash/util/crc32.h"
+#include "ash/util/random.h"
+#include "ash/util/stats.h"
 #include "ash/util/table.h"
+#include "ash/util/thread_pool.h"
 
 namespace ash::lab {
+
+std::vector<double> chart_row(const Series& series, std::size_t n) {
+  const Series resampled = series.resampled(n);
+  std::vector<double> row;
+  row.reserve(resampled.size());
+  for (const auto& p : resampled.samples()) row.push_back(p.value);
+  return row;
+}
+
 namespace {
 
 using Campaign = std::vector<tb::CampaignResult>;
@@ -29,10 +55,14 @@ const tb::DataLog& chip(const Campaign& campaign, int id) {
   return campaign.at(static_cast<std::size_t>(id - 1)).log;
 }
 
-/// A chip's first measurement is its fresh reference, as in the paper: all
-/// later metrics are relative to it.
+/// A chip's first usable measurement is its fresh reference, as in the
+/// paper: all later metrics are relative to it.  In a clean lab that is the
+/// first record.
 double fresh_delay_s(const tb::DataLog& log) {
-  return log.records().front().delay_s.value();
+  for (const auto& r : log.records()) {
+    if (r.usable()) return r.delay_s.value();
+  }
+  return 0.0;
 }
 
 /// DeltaTd(t) series (in ns) for one phase, relative to the fresh delay.
@@ -67,15 +97,6 @@ core::RecoveryFit fit_recovery(const tb::DataLog& run, int chip_id,
   const double afc =
       chip_id == 4 ? prior.capture_acceleration(Volts{1.2}, Kelvin{celsius(100.0)}) : 1.0;
   return fitter.fit_recovery(remaining, hours(24.0) * afc);
-}
-
-/// `n` evenly resampled values of a series: one row of an ASCII chart.
-std::vector<double> chart_row(const Series& series, std::size_t n) {
-  const Series resampled = series.resampled(n);
-  std::vector<double> row;
-  row.reserve(resampled.size());
-  for (const auto& p : resampled.samples()) row.push_back(p.value);
-  return row;
 }
 
 /// Figure 4, "AC/DC stress test results": RO frequency degradation over
@@ -611,13 +632,321 @@ void ablation_model_selection(const Campaign& campaign) {
       "physics whose recovery responds to voltage and temperature knobs.\n");
 }
 
+/// Ablation F, chip-to-chip statistics of aging and recovery.  The paper
+/// notes "the effects of chip to chip variations on aging are also ignored
+/// for now".  The virtual fab makes the study cheap: run the
+/// stress+recovery experiment on a population of chips (distinct trap
+/// populations, process corners and mismatch) and report the spread of the
+/// metrics the paper quotes as single numbers.  `logs` are the
+/// `tb::variation_population()` sample logs in chip order; the CRC-32 of
+/// their CSVs is the one `fleet_supervisor_test` pins for the same
+/// population sharded across supervised worker processes, so process
+/// isolation, checkpoints and resume provably leave the science payload
+/// alone.
+void ablation_chip_variation(const std::vector<tb::DataLog>& logs) {
+  print_banner(
+      "Ablation F — chip-to-chip variation of aging and recovery",
+      "population statistics behind the paper's single-chip numbers");
+
+  std::ostringstream csv;
+  for (const tb::DataLog& log : logs) log.write_csv(csv);
+  std::printf("threaded sample logs: crc32 %08x\n\n",
+              util::crc32(csv.str()));
+
+  std::vector<double> fresh_mhz;
+  std::vector<double> degradation_pct;
+  std::vector<double> recovered_pct;
+  for (const tb::DataLog& log : logs) {
+    const double fresh_hz = log.records().front().frequency_hz.value();
+    fresh_mhz.push_back(fresh_hz / 1e6);
+    degradation_pct.push_back(
+        100.0 * (1.0 - log.frequency_series("AS110DC24").back().value /
+                           fresh_hz));
+    recovered_pct.push_back(
+        100.0 * core::recovered_fraction(log.delay_series("AR110N6"),
+                                         fresh_delay_s(log)));
+  }
+
+  const auto row = [&](const char* name, std::vector<double> xs) {
+    return std::vector<std::string>{
+        name,
+        fmt_fixed(mean(xs), 2),
+        fmt_fixed(stddev(xs), 2),
+        fmt_fixed(percentile(xs, 5.0), 2),
+        fmt_fixed(percentile(xs, 95.0), 2),
+    };
+  };
+  Table t({"metric (20 chips)", "mean", "sigma", "p5", "p95"});
+  t.add_row(row("fresh frequency (MHz)", fresh_mhz));
+  t.add_row(row("24 h DC degradation (%)", degradation_pct));
+  t.add_row(row("AR110N6 recovered (%)", recovered_pct));
+  std::printf("%s\n", t.render().c_str());
+
+  Table s({"observation", "implication"});
+  s.add_row({"fresh-frequency spread >> degradation spread",
+             "absolute frequency is a bad aging metric"});
+  s.add_row({"recovered-fraction spread is small",
+             "the paper's Eq. (16) normalization transfers across chips"});
+  std::printf("%s\n", s.render().c_str());
+}
+
+/// Ablation K's recovery policies, one 200-chip population each.
+const std::vector<core::Policy> kPopulationPolicies = {
+    core::Policy::kNoRecovery, core::Policy::kPassiveSleep,
+    core::Policy::kReactive, core::Policy::kProactive};
+
+/// Ablation K, population-level design margins.  Ref. [15] built the TD
+/// model for *statistical* aging prediction; design margins are set for
+/// the p99 chip.  `populations` are the kPopulationPolicies results in
+/// order; the percentile margins are the number a product team actually
+/// signs off on, and the self-healing payoff is largest exactly at the
+/// tail.
+void ablation_statistical(
+    const std::vector<core::PopulationResult>& populations) {
+  print_banner(
+      "Ablation K — statistical design margins over a 200-chip population",
+      "healing compresses the tail, not just the mean");
+
+  Table t({"policy", "p50 (mV)", "p95 (mV)", "p99 (mV)", "worst (mV)",
+           "p99 margin saved"});
+  const double baseline_p99 = populations.front().p99_v.value();
+  for (std::size_t i = 0; i < populations.size(); ++i) {
+    const auto& r = populations[i];
+    t.add_row({to_string(kPopulationPolicies[i]),
+               fmt_fixed(r.p50_v.value() * 1e3, 2),
+               fmt_fixed(r.p95_v.value() * 1e3, 2),
+               fmt_fixed(r.p99_v.value() * 1e3, 2),
+               fmt_fixed(r.worst_v.value() * 1e3, 2),
+               fmt_percent(1.0 - r.p99_v.value() / baseline_p99, 0)});
+  }
+  std::printf("%s\n", t.render().c_str());
+  std::printf(
+      "reading: the proactive row is the paper's design-margin-relaxation\n"
+      "argument restated at population scale — the guardband a designer\n"
+      "must carry for the p99 chip shrinks by the 'p99 margin saved'\n"
+      "column when scheduled deep rejuvenation is part of the system\n"
+      "contract.  (At these generous 30 h cycles warm passive idle already\n"
+      "heals most of the reversible damage — the deep-sleep knobs earn\n"
+      "their keep when sleep windows are scarce; see ablations B and H.)\n");
+}
+
+constexpr int kFaultSeeds = 10;
+
+/// The fault-tolerance ablation's lab: the chip-5 schedule head (burn-in,
+/// AS110DC24, AR110N6) on the 75-stage Table 1 chip 5.
+tb::CampaignResult run_chip5_head(const tb::RunnerConfig& config) {
+  tb::TestCase tc = tb::campaign_case("AR110N6");  // the chip-5 schedule
+  tc.phases.resize(3);
+  fpga::FpgaChip chip(tb::paper_chip_config(5, 75));
+  return tb::ExperimentRunner(config).run_campaign(chip, tc);
+}
+
+/// The fault-tolerance ablation's 2 + 2 x kFaultSeeds runner configs, in
+/// print order: the ideal lab, the ideal lab with reseeded instrument
+/// noise, then a (tolerant, naive) pair per representative-plan fault seed.
+std::vector<tb::RunnerConfig> fault_labs() {
+  std::vector<tb::RunnerConfig> labs(2);
+  labs[1].seed = derive_seed(labs[1].seed, 1);
+  for (int k = 0; k < kFaultSeeds; ++k) {
+    tb::FaultPlan plan = tb::FaultPlan::representative();
+    plan.seed = derive_seed(plan.seed, static_cast<std::uint64_t>(k));
+    labs.push_back(tb::tolerant_runner_config(plan));
+    labs.push_back(tb::naive_runner_config(plan));
+  }
+  return labs;
+}
+
+double margin_relaxed(const tb::DataLog& log) {
+  return core::design_margin_relaxed(log.delay_series("AR110N6"),
+                                     fresh_delay_s(log));
+}
+
+std::vector<double> usable_delays(const tb::DataLog& log) {
+  std::vector<double> out;
+  for (const auto& r : log.records()) {
+    if (r.usable()) out.push_back(r.delay_s.value());
+  }
+  return out;
+}
+
+/// Worst fractional per-sample delay error of a lab's trajectory against
+/// the ideal lab's, index-aligned.  The margin headline only looks at the
+/// endpoints of the recovery series; this is what the rest of the campaign
+/// data — everything a recovery-dynamics fit would consume — looks like.
+double worst_sample_error(const tb::DataLog& log, const tb::DataLog& ideal) {
+  const auto a = usable_delays(log);
+  const auto b = usable_delays(ideal);
+  const std::size_t n = std::min(a.size(), b.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    worst = std::max(worst, std::abs(a[i] / b[i] - 1.0));
+  }
+  return worst;
+}
+
+/// The Table 4 headline under a dirty lab.  `labs` are the `fault_labs()`
+/// runs in order: the ideal lab, its reseeded noise floor, then the
+/// representative fault plan run with the fault-tolerant campaign runner
+/// (retries, robust reading estimator, watchdog + checkpoint rewind) and
+/// with a naive runner (single-shot samples, plain mean, no plausibility
+/// checks).  A single fault scenario can be lucky for either side, so the
+/// pair is swept over kFaultSeeds seeds: the tolerant runner should stay
+/// within ~2 % of the ideal margin-relaxed value on every scenario, while
+/// the naive runner drifts further on average and in the worst case.
+void ablation_faults(const std::vector<tb::CampaignResult>& labs) {
+  print_banner(
+      "Ablation — fault injection vs. fault tolerance (Table 4 headline)",
+      "tolerant runner reproduces the 72.4% margin-relaxed headline at the "
+      "instrument-noise floor under a representative dirty lab and keeps "
+      "the whole recovery trajectory clean; a naive runner records "
+      "corrupted samples every campaign and risks the headline itself");
+
+  const tb::CampaignResult& ideal = labs[0];
+  const double m_ideal = margin_relaxed(ideal.log);
+
+  // Noise floor: the same ideal lab with reseeded instrument noise.  Any
+  // dirty-lab deviation of this size is indistinguishable from an honest
+  // re-run of the campaign.
+  const tb::CampaignResult& reseeded_run = labs[1];
+  const double noise_floor =
+      std::abs(margin_relaxed(reseeded_run.log) - m_ideal);
+  const double floor_traj = worst_sample_error(reseeded_run.log, ideal.log);
+
+  Table t({"fault seed", "lab", "margin relaxed", "|delta| vs ideal",
+           "worst sample err", "usable", "phase aborts"});
+  double sum_tol = 0.0;
+  double sum_naive = 0.0;
+  double worst_tol = 0.0;
+  double worst_naive = 0.0;
+  double traj_tol = 0.0;
+  double traj_naive = 0.0;
+  tb::FaultReport faults_tol;
+  tb::FaultReport faults_naive;
+  for (int k = 0; k < kFaultSeeds; ++k) {
+    const auto& tolerant = labs[static_cast<std::size_t>(2 + 2 * k)];
+    const auto& naive = labs[static_cast<std::size_t>(3 + 2 * k)];
+    faults_tol.merge(tolerant.faults);
+    faults_naive.merge(naive.faults);
+
+    const struct {
+      const char* label;
+      const tb::CampaignResult* result;
+      double* sum;
+      double* worst;
+      double* traj;
+    } rows[] = {{"tolerant", &tolerant, &sum_tol, &worst_tol, &traj_tol},
+                {"naive", &naive, &sum_naive, &worst_naive, &traj_naive}};
+    for (const auto& row : rows) {
+      const double m = margin_relaxed(row.result->log);
+      const double delta = std::abs(m - m_ideal);
+      const double traj = worst_sample_error(row.result->log, ideal.log);
+      *row.sum += delta;
+      *row.worst = std::max(*row.worst, delta);
+      *row.traj += traj;
+      const auto yield = core::campaign_yield(row.result->log);
+      t.add_row({strformat("%d", k), row.label, fmt_percent(m, 1),
+                 fmt_percent(delta, 2), fmt_percent(traj, 2),
+                 fmt_percent(yield.usable_fraction(), 1),
+                 strformat("%d", row.result->faults.phase_aborts)});
+    }
+  }
+  std::printf("%s\n", t.render().c_str());
+
+  Table s({"lab", "mean |delta margin|", "worst |delta margin|",
+           "mean worst sample err"});
+  s.add_row({"reseeded ideal (noise floor)", fmt_percent(noise_floor, 2),
+             fmt_percent(noise_floor, 2),
+             fmt_percent(floor_traj, 2)});
+  s.add_row({"tolerant", fmt_percent(sum_tol / kFaultSeeds, 2),
+             fmt_percent(worst_tol, 2),
+             fmt_percent(traj_tol / kFaultSeeds, 2)});
+  s.add_row({"naive", fmt_percent(sum_naive / kFaultSeeds, 2),
+             fmt_percent(worst_naive, 2),
+             fmt_percent(traj_naive / kFaultSeeds, 2)});
+  std::printf("ideal-lab margin relaxed: %s\n\n%s\n",
+              fmt_percent(m_ideal, 1).c_str(), s.render().c_str());
+
+  std::printf("tolerant (all scenarios) %s",
+              faults_tol.render().c_str());
+  std::printf("naive    (all scenarios) %s",
+              faults_naive.render().c_str());
+
+  // Machine-readable end-of-run dump (one line, key=value) for CI diffing.
+  obs::Registry registry;
+  faults_tol.publish(registry, "tolerant.");
+  faults_naive.publish(registry, "naive.");
+  std::printf("metrics: %s\n", registry.snapshot().one_line().c_str());
+}
+
+/// Queue `fn(item)` for every item on `pool` without waiting; the futures
+/// come back in item order.  Each task owns copies of `fn` and its item, so
+/// no task touches this thread's state or waits on another task.
+template <typename T, typename Fn>
+auto submit_each(util::ThreadPool& pool, const std::vector<T>& items, Fn fn) {
+  std::vector<std::future<std::invoke_result_t<Fn, const T&>>> futures;
+  futures.reserve(items.size());
+  for (const T& item : items) {
+    futures.push_back(pool.submit([fn, item] { return fn(item); }));
+  }
+  return futures;
+}
+
+/// The task results, in submission order.
+template <typename T>
+std::vector<T> collect(std::vector<std::future<T>>& futures) {
+  std::vector<T> results;
+  results.reserve(futures.size());
+  for (auto& f : futures) results.push_back(f.get());
+  return results;
+}
+
 }  // namespace
 
-void print_paper_reproduction(const Campaign& campaign) {
-  for (const auto section : {fig4, fig5, fig6, fig7, fig8, table2, table3,
-                             table4, table5, ablation_model_selection}) {
+void print_paper_reproduction() {
+  // One flat task list, longest tasks first: the Table 1 chips (chip 5
+  // first), the fault-tolerance labs, Ablation F's chips, Ablation K's
+  // populations.  Tasks own their inputs and never wait on each other.
+  util::ThreadPool pool;
+  auto campaign_tasks =
+      tb::submit_paper_campaign(pool, tb::RunnerConfig{}, 75);
+  auto fault_tasks = submit_each(pool, fault_labs(), &run_chip5_head);
+  auto variation_tasks = submit_each(
+      pool, tb::variation_population(), [](const fpga::ChipConfig& cc) {
+        fpga::FpgaChip chip(cc);
+        return tb::ExperimentRunner(tb::RunnerConfig{})
+            .run(chip, tb::variation_case(cc.chip_id));
+      });
+  auto population_tasks =
+      submit_each(pool, kPopulationPolicies, [](core::Policy policy) {
+        core::PopulationConfig cfg;
+        cfg.chips = 200;
+        cfg.policy = policy;
+        return core::simulate_population(cfg);
+      });
+
+  // Every section prints here, in DESIGN.md Sec. 4 order.
+  fig1();
+  const Campaign campaign = collect(campaign_tasks);
+  for (const auto section : {fig4, fig5, fig6, fig7, fig8}) section(campaign);
+  fig9();
+  fig10();
+  for (const auto section : {table2, table3, table4, table5}) {
     section(campaign);
   }
+  ablation_policies();
+  ablation_alpha_sweep();
+  ablation_gnomo();
+  ablation_em();
+  ablation_circadian();
+  ablation_chip_variation(collect(variation_tasks));
+  ablation_sensor();
+  ablation_workload();
+  ablation_abb();
+  ablation_pbti();
+  ablation_statistical(collect(population_tasks));
+  ablation_model_selection(campaign);
+  ablation_mc_faults();
+  ablation_faults(collect(fault_tasks));
 }
 
 }  // namespace ash::lab

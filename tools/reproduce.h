@@ -1,18 +1,42 @@
 #pragma once
 
 /// \file reproduce.h
-/// The paper's campaign sections, printed from one Table 1 campaign.
+/// `ash_lab reproduce`: every experiment of DESIGN.md Sec. 4, one section
+/// each, PAPER vs MEASURED.
 
+#include <cstddef>
 #include <vector>
 
-#include "ash/tb/experiment_runner.h"
+#include "ash/util/series.h"
 
 namespace ash::lab {
 
-/// Print every section derived from the five-chip Table 1 campaign, in
-/// DESIGN.md Sec. 4 index order: Figs. 4-8, Tables 2-5, Ablation L.
-/// `campaign` holds the 75-stage `tb::run_paper_campaign` results in chip
-/// order under the default runner.
-void print_paper_reproduction(const std::vector<tb::CampaignResult>& campaign);
+/// Run every experiment and print its section in DESIGN.md Sec. 4 index
+/// order: Fig. 1, Figs. 4-8, Fig. 9, Fig. 10, Tables 2-5, Ablations A-M,
+/// then the fault-tolerance ablation.  The heavy work (the Table 1
+/// campaign, the fault-tolerance labs, Ablation F's chips and Ablation K's
+/// populations) is one flat task list on a thread pool; this thread
+/// computes the light sections, merges results by index and prints
+/// everything, so the output is independent of scheduling.
+void print_paper_reproduction();
+
+/// `n` evenly resampled values of a series: one row of an ASCII chart.
+std::vector<double> chart_row(const Series& series, std::size_t n);
+
+// Sections that run their model inline on the printing thread
+// (tools/reproduce_models.cpp).
+void fig1();
+void fig9();
+void fig10();
+void ablation_policies();
+void ablation_alpha_sweep();
+void ablation_gnomo();
+void ablation_em();
+void ablation_circadian();
+void ablation_sensor();
+void ablation_workload();
+void ablation_abb();
+void ablation_pbti();
+void ablation_mc_faults();
 
 }  // namespace ash::lab
