@@ -60,6 +60,8 @@ int main(int argc, char** argv) {
       perm_lo = std::min(perm_lo, v.value());
       perm_hi = std::max(perm_hi, v.value());
     }
+    const std::string horizon_days =
+        fmt_fixed(cfg.horizon_s.value() / 86400.0, 0);
     t.add_row({r.scheduler,
                std::isnan(r.mean_sleep_temp_c.value())
                    ? std::string("-")
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
                strformat("%d", r.tdp_violations),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_first_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0)});
+                   : ">" + horizon_days});
   }
   std::printf("%s\n", t.render().c_str());
 

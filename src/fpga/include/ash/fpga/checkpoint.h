@@ -1,50 +1,56 @@
 #pragma once
 
 /// \file checkpoint.h
-/// Save/restore of aging state.
+/// A chip's aging state as a value, and its on-disk text form.
 ///
 /// The paper's campaign runs for days of wall-clock time per chip; a
 /// virtual campaign wants the same operational affordance real labs have —
-/// stop, power down, resume.  A checkpoint captures every trap occupancy
-/// of a ring oscillator / chip / fabric as a line-oriented text document
-/// (versioned header, one device per line), so campaigns resume bit-exact
-/// and checkpoints diff cleanly under version control.
+/// stop, power down, resume.  `ChipState` holds every trap occupancy of a
+/// chip's ring oscillator, one vector per device in canonical order (stage
+/// by stage, LUT devices then routing devices).  The campaign engine keeps
+/// its phase-boundary snapshots in this form; the text form exists only
+/// where bytes are persisted (the campaign checkpoint document and
+/// `ash_lab stress --checkpoint`): a versioned header, one device per line,
+/// every occupancy in `%.17g`, so campaigns resume bit-exact and
+/// checkpoints diff cleanly under version control.
 ///
-/// The checkpoint stores *state*, not structure: restoring requires an
-/// identically-constructed object (same netlist/stages, same seeds — the
+/// It holds *state*, not structure: restoring requires an
+/// identically-constructed chip (same stages, same seeds — the
 /// construction parameters are the schema).  A device-count/trap-count
 /// mismatch is detected and rejected.
 
 #include <iosfwd>
-#include <string>
+#include <string_view>
+#include <vector>
 
 #include "ash/fpga/chip.h"
-#include "ash/fpga/fabric.h"
-#include "ash/fpga/ring_oscillator.h"
 
 namespace ash::fpga {
 
 /// Format version written to the header.
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr std::string_view kCheckpointVersion = "v1";
 
-/// Serialize the aging state (all trap occupancies).
-void save_checkpoint(std::ostream& os, const RingOscillator& ro);
-void save_checkpoint(std::ostream& os, const FpgaChip& chip);
-void save_checkpoint(std::ostream& os, const Fabric& fabric);
+/// Every trap occupancy of a chip, one vector per device.
+struct ChipState {
+  std::vector<std::vector<double>> devices;
 
-/// Restore previously saved state into an identically-constructed object.
-/// The rest of the stream must be one document as save_checkpoint writes
-/// it (util/text_reader.h grammar, nothing after "end").  Throws
-/// std::runtime_error on malformed input, version mismatch, or a structure
-/// mismatch (device/trap counts), and then leaves the object untouched.
-void load_checkpoint(std::istream& is, RingOscillator& ro);
-void load_checkpoint(std::istream& is, FpgaChip& chip);
-void load_checkpoint(std::istream& is, Fabric& fabric);
+  friend bool operator==(const ChipState&, const ChipState&) = default;
+};
 
-/// String-form convenience used by in-memory snapshotting (the fault-
-/// tolerant campaign runner snapshots the chip at every phase boundary so a
-/// watchdog abort or a killed campaign can rewind to a known-good state).
-std::string checkpoint_string(const FpgaChip& chip);
-void restore_checkpoint(const std::string& state, FpgaChip& chip);
+/// The chip's current aging state.
+ChipState snapshot(const FpgaChip& chip);
+
+/// Overwrite the chip's aging state.  Throws std::runtime_error when the
+/// device count, a device's trap count or an occupancy outside [0, 1] does
+/// not fit the chip, and then leaves the chip untouched.
+void restore(const ChipState& state, FpgaChip& chip);
+
+/// Write the `ash-checkpoint v1 chip` document of a state.
+void save_checkpoint(std::ostream& os, const ChipState& state);
+
+/// Read one whole document as save_checkpoint writes it (util/
+/// text_reader.h grammar, nothing after "end").  Throws std::runtime_error
+/// on malformed input or a version mismatch.
+ChipState load_checkpoint(std::string_view document);
 
 }  // namespace ash::fpga

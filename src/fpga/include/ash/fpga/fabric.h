@@ -104,23 +104,6 @@ class Fabric {
   const PassTransistorLut2& lut_of(const std::string& instance) const;
   const RoutingBlock& routing_of(const std::string& instance) const;
 
-  /// Index-based access (node order = netlist declaration order); used by
-  /// checkpointing.
-  const PassTransistorLut2& lut_at(int index) const {
-    return luts_.at(static_cast<std::size_t>(index));
-  }
-  PassTransistorLut2& lut_at(int index) {
-    return luts_.at(static_cast<std::size_t>(index));
-  }
-  const RoutingBlock& routing_at(int index) const {
-    return routings_.at(static_cast<std::size_t>(index));
-  }
-  RoutingBlock& routing_at(int index) {
-    return routings_.at(static_cast<std::size_t>(index));
-  }
-
-  int node_count() const { return static_cast<int>(luts_.size()); }
-
  private:
   std::size_t index_of(const std::string& instance) const;
 

@@ -98,11 +98,12 @@ Netlist inverter_chain(int stages) {
   nl.primary_inputs = {"in"};
   std::string prev = "in";
   for (int i = 0; i < stages; ++i) {
+    const std::string index = std::to_string(i);
     LutNode node;
-    node.name = "u" + std::to_string(i);
+    node.name = "u" + index;
     node.config = lut_not_a();
     node.inputs = {prev, prev};
-    node.output = i + 1 == stages ? "out" : "n" + std::to_string(i);
+    node.output = i + 1 == stages ? "out" : "n" + index;
     prev = node.output;
     nl.nodes.push_back(std::move(node));
   }

@@ -57,7 +57,7 @@ class CampaignEngine {
       : cfg_(config), chip_(chip), tc_(test_case) {}
 
   CampaignResult run(const CampaignCheckpoint& from, int max_phases = -1) {
-    fpga::restore_checkpoint(from.chip_state, chip_);
+    fpga::restore(from.chip_state, chip_);
     t_campaign_ = from.t_campaign_s.value();
     log_ = from.log;
     report_ = from.faults;
@@ -83,15 +83,10 @@ class CampaignEngine {
             tc_.phases[static_cast<std::size_t>(pi)].label, "tb.campaign",
             {{"phase_index", std::to_string(pi)}});
       }
-      // The phase-start snapshot is the boundary checkpoint we already
-      // hold: at the first phase it is the restore source itself, and
-      // checkpoint round-trips are byte-exact (canonical %.17g), so
-      // re-serializing the untouched chip here would produce the same
-      // bytes at ~70 KB of string building per phase.
       if (kill_due() || !run_phase(pi, prev_c, result.checkpoint.chip_state)) {
         // Killed: roll the chip (and clock) back to the last boundary so
         // the caller's chip matches the resumable checkpoint.
-        fpga::restore_checkpoint(result.checkpoint.chip_state, chip_);
+        fpga::restore(result.checkpoint.chip_state, chip_);
         result.log = result.checkpoint.log;
         result.faults = result.checkpoint.faults;
         result.completed = false;
@@ -100,7 +95,7 @@ class CampaignEngine {
       result.checkpoint.next_phase = pi + 1;
       result.checkpoint.t_campaign_s = Seconds{t_campaign_};
       result.checkpoint.chamber_c = tc_.phases[pi].chamber_c;
-      result.checkpoint.chip_state = fpga::checkpoint_string(chip_);
+      result.checkpoint.chip_state = fpga::snapshot(chip_);
       result.checkpoint.log = log_;
       result.checkpoint.faults = report_;
       if (obs::tracing()) {
@@ -129,7 +124,7 @@ class CampaignEngine {
   /// fired (the current attempt's work is discarded; the chip is left
   /// mid-attempt and the caller restores the boundary checkpoint).
   bool run_phase(int phase_index, Celsius prev_chamber_c,
-                 const std::string& snapshot) {
+                 const fpga::ChipState& snapshot) {
     // `snapshot` is the phase-start chip state — the rewind target for
     // watchdog aborts — supplied by the caller's boundary checkpoint.
     const Phase& phase = tc_.phases[static_cast<std::size_t>(phase_index)];
@@ -141,7 +136,7 @@ class CampaignEngine {
 
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       if (attempt > 0) {
-        fpga::restore_checkpoint(snapshot, chip_);
+        fpga::restore(snapshot, chip_);
         t_campaign_ = t_phase_start;
         obs::set_sim_now(t_campaign_);
         if (obs::tracing()) {
@@ -452,7 +447,8 @@ void CampaignCheckpoint::save(std::ostream& os) const {
   os << "t_campaign " << t_campaign_s.value() << "\n";
   os << "chamber_c " << chamber_c.value() << "\n";
   os << "faults " << faults.serialize() << "\n";
-  os << "chip\n" << chip_state;  // the fpga checkpoint ends with "end\n"
+  os << "chip\n";
+  fpga::save_checkpoint(os, chip_state);  // ends with "end\n"
   // v2 declares the record count so a stream cut at a CSV row boundary is
   // detected as truncation, not silently loaded as a shorter log.
   os << "log " << log.size() << "\n";
@@ -492,12 +488,12 @@ CampaignCheckpoint CampaignCheckpoint::deserialize(const std::string& bytes) {
     if (cursor.next_line() != "chip") {
       util::throw_parse_error("field 'chip' section missing");
     }
-    // The chip's own checkpoint, kept as text through its "end" trailer;
-    // restore_checkpoint reads it against the chip it belongs to.
+    // The chip's own checkpoint document, through its "end" trailer.
     const std::size_t chip_begin = cursor.offset();
     while (cursor.next_line() != "end") {
     }
-    ckpt.chip_state = bytes.substr(chip_begin, cursor.offset() - chip_begin);
+    ckpt.chip_state = fpga::load_checkpoint(std::string_view(bytes).substr(
+        chip_begin, cursor.offset() - chip_begin));
     const int log_size = cursor.keyed("log").integer(0, kMaxCount);
     ckpt.log = DataLog::read_csv(cursor.take(bytes.size() - cursor.offset()));
     if (ckpt.log.size() != static_cast<std::size_t>(log_size)) {
@@ -529,7 +525,7 @@ CampaignCheckpoint initial_checkpoint(const fpga::FpgaChip& chip,
   start.chamber_c = test_case.phases.empty()
                         ? config.chamber.initial_c
                         : test_case.phases.front().chamber_c;
-  start.chip_state = fpga::checkpoint_string(chip);
+  start.chip_state = fpga::snapshot(chip);
   return start;
 }
 

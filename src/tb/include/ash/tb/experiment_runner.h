@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "ash/fpga/checkpoint.h"
 #include "ash/fpga/chip.h"
 #include "ash/tb/data_log.h"
 #include "ash/tb/fault.h"
@@ -109,16 +110,18 @@ struct RunnerConfig {
   Seconds abort_at_campaign_s{-1.0};
 };
 
-/// Resumable campaign state at a phase boundary.  Serializes as a versioned
-/// text document embedding the fpga chip checkpoint and the sample log CSV.
+/// Resumable campaign state at a phase boundary.  Held as values; only
+/// save/serialize write text: a versioned document embedding the fpga chip
+/// checkpoint and the sample log CSV, which load/deserialize read back
+/// whole, chip section included.
 struct CampaignCheckpoint {
   /// Index of the next phase to run (== phase count when complete).
   int next_phase = 0;
   Seconds t_campaign_s{0.0};
   /// Chamber base temperature at the boundary (the previous setpoint).
   Celsius chamber_c{0.0};
-  /// fpga::checkpoint document of the chip's aging state.
-  std::string chip_state;
+  /// The chip's aging state at the boundary.
+  fpga::ChipState chip_state;
   DataLog log;
   FaultReport faults;
 

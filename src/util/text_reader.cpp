@@ -13,8 +13,9 @@ namespace {
 
 /// `text` quoted for an error message, cut at 40 bytes.
 std::string quoted(std::string_view text) {
-  return "'" + std::string(text.substr(0, 40)) +
-         (text.size() > 40 ? "...'" : "'");
+  std::string out = "'";
+  out.append(text.substr(0, 40)).append(text.size() > 40 ? "...'" : "'");
+  return out;
 }
 
 [[noreturn]] void report(Fail fail, const std::string& detail) {

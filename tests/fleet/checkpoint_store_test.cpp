@@ -222,7 +222,8 @@ TEST_F(CheckpointStoreTest, SequenceBeyondU64IsSkippedNotNewest) {
 TEST_F(CheckpointStoreTest, PruneKeepsNewest) {
   const CheckpointStore store(dir_);
   for (std::uint64_t seq = 0; seq < 6; ++seq) {
-    store.save(0, seq, "p" + std::to_string(seq));
+    const std::string index = std::to_string(seq);
+    store.save(0, seq, "p" + index);
   }
   store.prune(0, 2);
   const auto files = store.shard_files(0);

@@ -125,8 +125,9 @@ TEST(ProbabilisticAging, TimingDriftFollowsWorkloadBias) {
   const double fresh = fab.timing(Volts{1.2}, Kelvin{celsius(60.0)}).worst_arrival_s.value();
   NetProbabilities pi{{"cin", 0.1}};
   for (int i = 0; i < 2; ++i) {
-    pi["a" + std::to_string(i)] = 0.5;
-    pi["b" + std::to_string(i)] = 0.9;
+    const std::string index = std::to_string(i);
+    pi["a" + index] = 0.5;
+    pi["b" + index] = 0.9;
   }
   fab.age_probabilistic(pi, bti::dc_stress(Volts{1.2}, Celsius{80.0}), Seconds{hours(24.0 * 30)});
   const double aged = fab.timing(Volts{1.2}, Kelvin{celsius(60.0)}).worst_arrival_s.value();

@@ -22,6 +22,7 @@
 #include "ash/tb/fault.h"
 #include "ash/tb/test_case.h"
 #include "ash/util/constants.h"
+#include "ash/util/crc32.h"
 #include "support/fuzz.h"
 
 namespace ash {
@@ -53,43 +54,70 @@ tb::TestCase short_case() {
   return tc;
 }
 
-TEST(FormatFuzz, ChipCheckpointRejectsOrRoundTripsAndLeavesTheChip) {
+std::string text_of(const fpga::FpgaChip& chip) {
+  std::ostringstream os;
+  fpga::save_checkpoint(os, fpga::snapshot(chip));
+  return os.str();
+}
+
+tb::CampaignResult killed_short_case() {
+  tb::RunnerConfig config =
+      tb::tolerant_runner_config(tb::FaultPlan::representative());
+  config.abort_at_campaign_s = Seconds{hours(2.2)};  // in RECOVER
+  fpga::FpgaChip chip(tiny_chip_config());
+  return tb::ExperimentRunner(config).run_campaign(chip, short_case());
+}
+
+TEST(FormatFuzz, WritersKeepTheirBytes) {
+  // The corpora below, pinned: the chip document fresh and after 3 h of
+  // DC stress, and the killed campaign's document.
   fpga::FpgaChip aged(tiny_chip_config());
-  std::vector<std::string> corpus = {fpga::checkpoint_string(aged)};
+  const std::string fresh = text_of(aged);
+  EXPECT_EQ(fresh.size(), 13730u);
+  EXPECT_EQ(util::crc32(fresh), 0x07c4531fu);
   aged.evolve(fpga::RoMode::kDcFrozen,
               bti::dc_stress(Volts{1.2}, Celsius{110.0}), Seconds{hours(3.0)});
-  corpus.push_back(fpga::checkpoint_string(aged));
+  const std::string stressed = text_of(aged);
+  EXPECT_EQ(stressed.size(), 69510u);
+  EXPECT_EQ(util::crc32(stressed), 0x059d4a34u);
+  const std::string campaign = killed_short_case().checkpoint.serialize();
+  EXPECT_EQ(campaign.size(), 150864u);
+  EXPECT_EQ(util::crc32(campaign), 0x1e238ffbu);
+}
+
+TEST(FormatFuzz, ChipCheckpointRejectsOrRoundTripsAndLeavesTheChip) {
+  fpga::FpgaChip aged(tiny_chip_config());
+  std::vector<std::string> corpus = {text_of(aged)};
+  aged.evolve(fpga::RoMode::kDcFrozen,
+              bti::dc_stress(Volts{1.2}, Celsius{110.0}), Seconds{hours(3.0)});
+  corpus.push_back(text_of(aged));
 
   fpga::FpgaChip target(tiny_chip_config());
   fuzz::expect_both_outcomes(
       fuzz::sweep(corpus, 6, kChipMutants, [&](const std::string& b) {
-        const std::string before = fpga::checkpoint_string(target);
+        const std::string before = text_of(target);
         const Outcome outcome = fuzz::reject_or_round_trip<std::runtime_error>(
             b,
             [&](const std::string& d) {
-              fpga::restore_checkpoint(d, target);
-              return fpga::checkpoint_string(target);
+              fpga::restore(fpga::load_checkpoint(d), target);
+              return text_of(target);
             },
             [](const std::string& saved) { return saved; });
         if (outcome == Outcome::kRejected) {
-          EXPECT_EQ(fpga::checkpoint_string(target), before);
+          EXPECT_EQ(text_of(target), before);
         }
         return outcome;
       }));
 }
 
 TEST(FormatFuzz, CampaignCheckpointRejectsOrRoundTrips) {
-  tb::RunnerConfig config =
-      tb::tolerant_runner_config(tb::FaultPlan::representative());
-  config.abort_at_campaign_s = Seconds{hours(2.2)};  // in RECOVER
-  fpga::FpgaChip chip(tiny_chip_config());
-  const auto killed = tb::ExperimentRunner(config).run_campaign(chip,
-                                                                short_case());
+  const auto killed = killed_short_case();
   ASSERT_GT(killed.checkpoint.log.size(), 0u);
   fpga::FpgaChip fresh(tiny_chip_config());
   const std::vector<std::string> corpus = {
       killed.checkpoint.serialize(),
-      tb::initial_checkpoint(fresh, short_case(), config).serialize()};
+      tb::initial_checkpoint(fresh, short_case(), tb::RunnerConfig{})
+          .serialize()};
   fuzz::expect_both_outcomes(
       fuzz::sweep(corpus, 7, kMutantsPerTarget, [](const std::string& b) {
         return fuzz::reject_or_round_trip<std::runtime_error>(

@@ -121,7 +121,7 @@ TEST(CacheInvalidation, CheckpointRewindThenMeasure) {
   bti::OperatingCondition env = stress_condition();
   chip.evolve(fpga::RoMode::kDcFrozen, env, Seconds{3600.0});
   const double f_mid = chip.ro_frequency_hz(Volts{vdd}, Kelvin{temp}).value();
-  const std::string snapshot = fpga::checkpoint_string(chip);
+  const fpga::ChipState snapshot = fpga::snapshot(chip);
 
   chip.evolve(fpga::RoMode::kDcFrozen, env, Seconds{48.0 * 3600.0});
   const double f_late = chip.ro_frequency_hz(Volts{vdd}, Kelvin{temp}).value();
@@ -129,7 +129,7 @@ TEST(CacheInvalidation, CheckpointRewindThenMeasure) {
 
   // Rewind to the snapshot and measure immediately: every cached delay on
   // the chip must reflect the restored occupancies, bit-for-bit.
-  fpga::restore_checkpoint(snapshot, chip);
+  fpga::restore(snapshot, chip);
   EXPECT_EQ(chip.ro_frequency_hz(Volts{vdd}, Kelvin{temp}).value(), f_mid);
 
   // Aging forward from the restored state diverges again (the caches do

@@ -376,7 +376,10 @@ TEST(CampaignCheckpoint, LoadRefusesWhatTheWriterCannotProduce) {
         with("chamber_c ", "chamber_c +"),
         with("faults 0 0 0 0 0 0 0 0 0 0 0 0 0\n",
              "faults 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"),
-        with("faults 0 ", "faults -1 ")}) {
+        with("faults 0 ", "faults -1 "),
+        // The chip section is read whole, not carried as opaque text.
+        with(" 0\nD ", " 0 0.5\nD "), with(" 0\nD ", " 1.5\nD "),
+        with("\nD ", "\n")}) {
     try {
       (void)CampaignCheckpoint::deserialize(bad);
       ADD_FAILURE() << "accepted:\n" << bad.substr(0, 200);

@@ -286,7 +286,7 @@ int cmd_stress(const Flags& flags) {
     // Atomic temp-file + rename: a crash mid-write can tear the temp file,
     // never a checkpoint someone might later resume from.
     std::ostringstream doc;
-    fpga::save_checkpoint(doc, chip);
+    fpga::save_checkpoint(doc, fpga::snapshot(chip));
     try {
       util::atomic_write_file(ckpt, doc.str());
     } catch (const std::system_error& e) {
@@ -441,11 +441,13 @@ int cmd_multicore(const Flags& flags) {
            "deficit (core-days)", "core deaths"});
   for (const auto& out : outcomes) {
     const auto& r = out.result;
+    const std::string horizon_days =
+        fmt_fixed(cfg.horizon_s.value() / 86400.0, 0);
     t.add_row({r.scheduler,
                fmt_fixed(r.mean_end_delta_vth_v.value() * 1e3, 2),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_first_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0),
+                   : ">" + horizon_days,
                fmt_fixed(r.demand_deficit_core_s.value() / 86400.0, 1),
                strformat("%d", out.report.permanent_deaths)});
     total.merge(out.report);

@@ -209,6 +209,8 @@ void fig10() {
     const auto r = simulate_system(cfg, *s);
     if (s == &all_active) baseline_ttm = r.time_to_first_margin_s.value();
     if (s == &circadian) circadian_ttm = r.time_to_first_margin_s.value();
+    const std::string horizon_days =
+        fmt_fixed(cfg.horizon_s.value() / 86400.0, 0);
     t.add_row({r.scheduler,
                std::isnan(r.mean_sleep_temp_c.value())
                    ? std::string("-")
@@ -218,8 +220,7 @@ void fig10() {
                strformat("%d", r.tdp_violations),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_first_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0) +
-                         " (censored)",
+                   : ">" + horizon_days + " (censored)",
                fmt_fixed(r.throughput_core_s.value() / (365.25 * 86400.0), 1)});
   }
   std::printf("%s\n", t.render().c_str());
@@ -258,10 +259,12 @@ void ablation_policies() {
     double mean_mv = 0.0;
     for (const auto& s : r.trace.samples()) mean_mv += s.value;
     mean_mv = mean_mv / static_cast<double>(r.trace.size()) * 1e3;
+    const std::string horizon_days =
+        fmt_fixed(cfg.horizon_s.value() / 86400.0, 0);
     t.add_row({to_string(policy),
                r.margin_exceeded
                    ? fmt_fixed(r.time_to_margin_s.value() / 86400.0, 0)
-                   : ">" + fmt_fixed(cfg.horizon_s.value() / 86400.0, 0),
+                   : ">" + horizon_days,
                fmt_percent(r.availability, 1),
                strformat("%d", r.recovery_events), fmt_fixed(mean_mv, 2),
                fmt_fixed(r.worst_delta_vth_v.value() * 1e3, 2),
@@ -458,8 +461,9 @@ void ablation_em() {
         em.time_to_failure(p.alpha > 0.0 ? p.alpha / (1.0 + p.alpha) : 1.0,
                              Kelvin{celsius(mission_temp_c)}).value() /
         kYear;
+    const std::string horizon_years = fmt_fixed(horizon / kYear, 0);
     const auto fmt_hit = [&](double hit) {
-      return hit < 0.0 ? ">" + fmt_fixed(horizon / kYear, 0) + " y"
+      return hit < 0.0 ? ">" + horizon_years + " y"
                        : fmt_fixed(hit / kYear, 1) + " y";
     };
     const double system_hit =
