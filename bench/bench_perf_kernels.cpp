@@ -303,13 +303,14 @@ int run_workload(const std::string& path) {
     char line[256];
     std::snprintf(line, sizeof(line),
                   "    {\"name\": \"%s\", \"calls\": %llu, \"total_ns\": "
-                  "%llu, \"ns_per_call\": %.1f}%s\n",
+                  "%llu, \"ns_per_call\": %.1f, \"p50_ns\": %.1f, "
+                  "\"p99_ns\": %.1f}%s\n",
                   obs::to_string(p.kernel),
                   static_cast<unsigned long long>(p.calls),
                   static_cast<unsigned long long>(p.total_ns),
                   static_cast<double>(p.total_ns) /
                       static_cast<double>(p.calls),
-                  i + 1 < profiles.size() ? "," : "");
+                  p.p50_ns, p.p99_ns, i + 1 < profiles.size() ? "," : "");
     os << line;
   }
   char tail[640];

@@ -73,7 +73,8 @@ void BatchEnsemble::apply_members(int lo, int hi) {
 }
 
 void BatchEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
-  const obs::ScopedKernelTimer timer(obs::Kernel::kBtiBatchEvolve);
+  const obs::ScopedTimer timer(
+      obs::kernel_histogram(obs::Kernel::kBtiBatchEvolve));
   // Validate against every class before mutating anything: a throwing
   // evolve leaves the whole population untouched.  dt == 0 is a no-op.
   for (const auto& cls : classes_) {

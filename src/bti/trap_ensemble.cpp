@@ -65,7 +65,8 @@ bool TrapEnsemble::recurring_miss(const OperatingCondition& c) {
 }
 
 void TrapEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
-  const obs::ScopedKernelTimer timer(obs::Kernel::kTrapEnsembleEvolve);
+  const obs::ScopedTimer timer(
+      obs::kernel_histogram(obs::Kernel::kTrapEnsembleEvolve));
   if (!core_.check_step(c, dt)) return;
   // A condition missing twice in a row is recurring (a fixed-step sweep, a
   // benchmark, a multicore mission): it is promoted into the rate cache,

@@ -8,11 +8,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "ash/obs/clock.h"
 #include "ash/obs/metrics.h"
 #include "ash/util/syscall.h"
 #include "ash/util/table.h"
@@ -21,11 +21,7 @@ namespace ash::fleet {
 
 namespace {
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+double now_ms() { return static_cast<double>(obs::monotonic_ns()) / 1e6; }
 
 void sleep_ms(double ms) {
   if (ms <= 0.0) return;
@@ -428,12 +424,6 @@ MetricsResponse Client::metrics(const std::string& prefix) {
   return unwrap<MetricsResponse>(
       scrape(MessageType::kMetricsRequest, request.encode()),
       MessageType::kMetricsResponse);
-}
-
-ProfileResponse Client::profile() {
-  return unwrap<ProfileResponse>(
-      scrape(MessageType::kProfileRequest, ProfileRequest{}.encode()),
-      MessageType::kProfileResponse);
 }
 
 HealthResponse Client::health() {

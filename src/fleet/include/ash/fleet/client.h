@@ -134,7 +134,6 @@ class Client {
 
   /// Typed scrape conveniences (throw on terminal error answers).
   MetricsResponse metrics(const std::string& prefix = "");
-  ProfileResponse profile();
   HealthResponse health();
 
   /// Canonical (request, response) frame bytes of every completed call.

@@ -135,8 +135,9 @@ ProtocolTallies& protocol_tallies();
 /// Message types.  Requests are odd, their responses even (request + 1).
 /// Types 13..18 are the *volatile scrape channel*: their responses carry
 /// operational telemetry that chaos legitimately perturbs, so clients keep
-/// them out of the replay/idempotency and transcript-identity machinery
-/// (12 is left unassigned to preserve the odd/even pairing).  Types 19+
+/// them out of the replay/idempotency and transcript-identity machinery.
+/// 12 (kept free for the odd/even pairing) and 15/16 (a retired scrape)
+/// are unassigned, and `known_message_type` refuses them.  Types 19+
 /// return to the deterministic query space — the margin batch is science
 /// payload, transcript-comparable like its single-device sibling.
 enum class MessageType : std::uint32_t {
@@ -153,8 +154,6 @@ enum class MessageType : std::uint32_t {
   kErrorResponse = 11,
   kMetricsRequest = 13,
   kMetricsResponse = 14,
-  kProfileRequest = 15,
-  kProfileResponse = 16,
   kHealthRequest = 17,
   kHealthResponse = 18,
   kMarginBatchRequest = 19,
@@ -164,7 +163,7 @@ enum class MessageType : std::uint32_t {
 const char* to_string(MessageType type);
 /// True when `raw` encodes a known MessageType.
 bool known_message_type(std::uint32_t raw);
-/// True for the volatile scrape channel (metrics/profile/health): excluded
+/// True for the volatile scrape channel (metrics/health): excluded
 /// from idempotent replay and from drill transcript comparisons.
 bool volatile_message_type(MessageType type);
 
@@ -394,7 +393,7 @@ struct ErrorResponse {
 };
 
 // ---------------------------------------------------------------------------
-// Volatile scrape channel (kMetrics / kProfile / kHealth).  These payloads
+// Volatile scrape channel (kMetrics / kHealth).  These payloads
 // are operational telemetry — chaos legitimately changes them, so they are
 // served fresh on every call (no replay) and never enter transcripts.
 // ---------------------------------------------------------------------------
@@ -417,28 +416,6 @@ struct MetricsResponse {
 
   std::string encode() const;
   static MetricsResponse parse(std::string_view payload);
-};
-
-struct ProfileRequest {
-  std::string encode() const;
-  static ProfileRequest parse(std::string_view payload);
-};
-
-/// One kernel row of the daemon's `obs::profile_snapshot()`.
-struct ProfileEntry {
-  std::string kernel;
-  std::uint64_t calls = 0;
-  std::uint64_t total_ns = 0;
-};
-
-struct ProfileResponse {
-  Status status = Status::kOk;
-  /// Whether kernel profiling is even enabled daemon-side.
-  bool profiling = false;
-  std::vector<ProfileEntry> kernels;
-
-  std::string encode() const;
-  static ProfileResponse parse(std::string_view payload);
 };
 
 struct HealthRequest {

@@ -119,7 +119,7 @@ struct ServiceConfig {
 
   /// Request-path instrumentation switch: per-verb latency and queue-wait
   /// histograms.  Off, the request path performs no clock reads at all
-  /// (null histogram pointers; see obs::ScopedLatencyTimer).
+  /// (null histogram pointers; see obs::ScopedTimer).
   bool instrument = true;
   /// When nonempty, the flight recorder persists here: at startup, after
   /// each poll tick's acks are sent when the tick recorded an event (reads
@@ -290,7 +290,6 @@ class Service {
   Frame respond_schedule_sleep(const Frame& request);
   Frame respond_status(const Frame& request);
   Frame respond_metrics(const Frame& request);
-  Frame respond_profile(const Frame& request);
   Frame respond_health(const Frame& request);
   /// Write-ahead half of a mutation: fdatasync its journal record, then
   /// compact when the journal has outgrown the last snapshot.

@@ -165,8 +165,6 @@ const char* to_string(MessageType type) {
     case MessageType::kErrorResponse: return "error-response";
     case MessageType::kMetricsRequest: return "metrics-request";
     case MessageType::kMetricsResponse: return "metrics-response";
-    case MessageType::kProfileRequest: return "profile-request";
-    case MessageType::kProfileResponse: return "profile-response";
     case MessageType::kHealthRequest: return "health-request";
     case MessageType::kHealthResponse: return "health-response";
     case MessageType::kMarginBatchRequest: return "margin-batch-request";
@@ -176,12 +174,14 @@ const char* to_string(MessageType type) {
 }
 
 bool known_message_type(std::uint32_t raw) {
-  // 12 is deliberately unassigned (the odd/even request/response pairing
-  // skips over kErrorResponse = 11).
-  return (raw >= static_cast<std::uint32_t>(MessageType::kPingRequest) &&
-          raw <= static_cast<std::uint32_t>(MessageType::kErrorResponse)) ||
-         (raw >= static_cast<std::uint32_t>(MessageType::kMetricsRequest) &&
-          raw <= static_cast<std::uint32_t>(MessageType::kMarginBatchResponse));
+  // 12, 15 and 16 are unassigned (see MessageType).
+  const auto in = [raw](MessageType lo, MessageType hi) {
+    return raw >= static_cast<std::uint32_t>(lo) &&
+           raw <= static_cast<std::uint32_t>(hi);
+  };
+  return in(MessageType::kPingRequest, MessageType::kErrorResponse) ||
+         in(MessageType::kMetricsRequest, MessageType::kMetricsResponse) ||
+         in(MessageType::kHealthRequest, MessageType::kMarginBatchResponse);
 }
 
 bool volatile_message_type(MessageType type) {
@@ -639,51 +639,6 @@ MetricsResponse MetricsResponse::parse(std::string_view payload) {
   MetricsResponse out;
   out.status = parse_status(cursor.keyed("status"));
   out.text = std::string(cursor.take(cursor.keyed("bytes").u64()));
-  cursor.expect_done();
-  return out;
-}
-
-std::string ProfileRequest::encode() const { return {}; }
-
-ProfileRequest ProfileRequest::parse(std::string_view payload) {
-  (void)doc_of(payload, {});
-  return {};
-}
-
-std::string ProfileResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "profiling", profiling ? "1" : "0");
-  put_field(out, "kernels", std::to_string(kernels.size()));
-  for (const ProfileEntry& k : kernels) {
-    // Kernel names are dotted identifiers without spaces, so the row
-    // tokenizes unambiguously.
-    put_field(out, "kernel",
-              k.kernel + ' ' + std::to_string(k.calls) + ' ' +
-                  std::to_string(k.total_ns));
-  }
-  return out;
-}
-
-ProfileResponse ProfileResponse::parse(std::string_view payload) {
-  util::LineCursor cursor(payload, payload_error);
-  ProfileResponse out;
-  out.status = parse_status(cursor.keyed("status"));
-  out.profiling = cursor.keyed("profiling").flag();
-  const std::uint64_t rows = cursor.keyed("kernels").u64();
-  if (rows > 4096) {
-    throw ProtocolError("hostile kernel row count " + std::to_string(rows));
-  }
-  out.kernels.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    util::Tokens row(cursor.keyed("kernel").text(), payload_error);
-    ProfileEntry entry;
-    entry.kernel = std::string(row.next("kernel").text());
-    entry.calls = row.next("calls").u64();
-    entry.total_ns = row.next("total_ns").u64();
-    row.expect_end("kernel");
-    out.kernels.push_back(std::move(entry));
-  }
   cursor.expect_done();
   return out;
 }

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -20,8 +19,8 @@
 #include <utility>
 
 #include "ash/mc/margin.h"
+#include "ash/obs/clock.h"
 #include "ash/obs/metrics.h"
-#include "ash/obs/profile.h"
 #include "ash/obs/trace.h"
 #include "ash/tb/experiment_runner.h"
 #include "ash/util/atomic_file.h"
@@ -45,11 +44,7 @@ constexpr std::uint64_t kMinCompactionBytes = 4096;
 
 /// Monotonic host milliseconds for I/O deadlines (supervision-layer wall
 /// clock, never part of the deterministic payload).
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+double now_ms() { return static_cast<double>(obs::monotonic_ns()) / 1e6; }
 
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop(int) { g_stop = 1; }
@@ -355,7 +350,6 @@ Service::Service(ServiceConfig config)
          "fleet.service.latency.schedule_sleep");
     slot(MessageType::kStatusRequest, "fleet.service.latency.status");
     slot(MessageType::kMetricsRequest, "fleet.service.latency.metrics");
-    slot(MessageType::kProfileRequest, "fleet.service.latency.profile");
     slot(MessageType::kHealthRequest, "fleet.service.latency.health");
     queue_wait_ = &reg.histogram("fleet.service.queue_wait", lat);
   }
@@ -489,7 +483,7 @@ void Service::publish_volatile(obs::Registry& registry) const {
 Frame Service::respond(const Frame& request) {
   // Uninstrumented, the timer holds a null pointer and performs no clock
   // read; without a trace sink the span allocates nothing.
-  const obs::ScopedLatencyTimer timer(latency_histogram(request.type));
+  const obs::ScopedTimer timer(latency_histogram(request.type));
   obs::Span span(obs::EventKind::kFleetRequest, to_string(request.type),
                  "fleet.service");
   if (span.active()) {
@@ -513,8 +507,6 @@ Frame Service::respond(const Frame& request) {
         return respond_status(request);
       case MessageType::kMetricsRequest:
         return respond_metrics(request);
-      case MessageType::kProfileRequest:
-        return respond_profile(request);
       case MessageType::kHealthRequest:
         return respond_health(request);
       default:
@@ -716,22 +708,6 @@ Frame Service::respond_metrics(const Frame& request) {
   resp.status = Status::kOk;
   resp.text = obs::registry().snapshot().filtered(req.prefix).render();
   return Frame{MessageType::kMetricsResponse, request.request_id,
-               resp.encode()};
-}
-
-Frame Service::respond_profile(const Frame& request) {
-  (void)ProfileRequest::parse(request.payload);  // validate only
-  ProfileResponse resp;
-  resp.status = Status::kOk;
-  resp.profiling = obs::profiling();
-  for (const obs::KernelProfile& k : obs::profile_snapshot()) {
-    ProfileEntry entry;
-    entry.kernel = obs::to_string(k.kernel);
-    entry.calls = k.calls;
-    entry.total_ns = k.total_ns;
-    resp.kernels.push_back(std::move(entry));
-  }
-  return Frame{MessageType::kProfileResponse, request.request_id,
                resp.encode()};
 }
 

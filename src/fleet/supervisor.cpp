@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -18,6 +17,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ash/obs/clock.h"
 #include "ash/obs/metrics.h"
 #include "ash/obs/trace.h"
 #include "ash/util/crc32.h"
@@ -33,9 +33,7 @@ namespace {
 /// backoffs pace real processes, and nothing here feeds the physics (the
 /// payload determinism test pins that).
 std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+  return static_cast<std::int64_t>(obs::monotonic_ns() / 1000000);
 }
 
 /// Pipe protocol, worker -> supervisor: any byte refreshes the heartbeat
@@ -58,8 +56,8 @@ void heartbeat(int fd) { send_byte(fd, 'h'); }
 /// returns; exits 0 when the campaign is complete.
 [[noreturn]] void run_worker(const FleetConfig& config, const ShardSpec& spec,
                              int attempt, int heartbeat_fd) {
-  // The child inherited the parent's trace sink / profiling pointers;
-  // detach so two processes never interleave writes into one file.
+  // The child inherited the parent's trace sink; detach so two processes
+  // never interleave writes into one file.
   obs::set_trace_sink(nullptr);
   try {
     const CheckpointStore store(config.checkpoint_dir);

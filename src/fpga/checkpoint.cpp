@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ash/util/double_codec.h"
 #include "ash/util/text_reader.h"
 
 namespace ash::fpga {
@@ -72,15 +73,21 @@ void restore(const ChipState& state, FpgaChip& chip) {
 }
 
 void save_checkpoint(std::ostream& os, const ChipState& state) {
-  os << "ash-checkpoint " << kCheckpointVersion
-     << " chip devices=" << state.devices.size() << "\n";
-  os.precision(17);
+  std::string out = "ash-checkpoint ";
+  out.append(kCheckpointVersion)
+      .append(" chip devices=")
+      .append(std::to_string(state.devices.size()))
+      .append("\n");
   for (const std::vector<double>& occ : state.devices) {
-    os << "D " << occ.size();
-    for (const double v : occ) os << ' ' << v;
-    os << '\n';
+    out.append("D ").append(std::to_string(occ.size()));
+    for (const double v : occ) {
+      out += ' ';
+      append_g17(out, v);
+    }
+    out += '\n';
   }
-  os << "end\n";
+  out += "end\n";
+  os << out;
 }
 
 ChipState load_checkpoint(std::string_view document) {

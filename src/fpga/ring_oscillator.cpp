@@ -52,7 +52,8 @@ Seconds RingOscillator::traversal_delay_s(bool in0_phase, Volts vdd,
 }
 
 Seconds RingOscillator::period_s(Volts vdd, Kelvin temp) const {
-  const obs::ScopedKernelTimer timer(obs::Kernel::kRoDelayEval);
+  const obs::ScopedTimer timer(
+      obs::kernel_histogram(obs::Kernel::kRoDelayEval));
   return traversal_delay_s(false, vdd, temp) +
          traversal_delay_s(true, vdd, temp);
 }

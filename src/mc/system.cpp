@@ -71,14 +71,16 @@ SystemResult run(const SystemConfig& config, Scheduler& scheduler,
   std::vector<double> true_vth(static_cast<std::size_t>(cores), 0.0);
 
   for (long k = 0; k < intervals; ++k) {
-    const obs::ScopedKernelTimer interval_timer(obs::Kernel::kMcInterval);
+    const obs::ScopedTimer interval_timer(
+        obs::kernel_histogram(obs::Kernel::kMcInterval));
     const double t_now = static_cast<double>(k) * config.interval_s.value();
     obs::set_sim_now(t_now);
     const int requested = workload.cores_needed(k, Seconds{t_now});
 
     SchedulerContext ctx;
     {
-      const obs::ScopedKernelTimer fault_timer(obs::Kernel::kMcFaultSample);
+      const obs::ScopedTimer fault_timer(
+          obs::kernel_histogram(obs::Kernel::kMcFaultSample));
       for (int i = 0; i < cores; ++i) {
         true_vth[static_cast<std::size_t>(i)] =
             agers[static_cast<std::size_t>(i)].delta_vth();
@@ -105,7 +107,8 @@ SystemResult run(const SystemConfig& config, Scheduler& scheduler,
 
     Assignment assignment;
     {
-      const obs::ScopedKernelTimer sched_timer(obs::Kernel::kMcSchedDecide);
+      const obs::ScopedTimer sched_timer(
+          obs::kernel_histogram(obs::Kernel::kMcSchedDecide));
       assignment = scheduler.assign(ctx);
     }
     if (static_cast<int>(assignment.size()) != cores) {
@@ -127,8 +130,8 @@ SystemResult run(const SystemConfig& config, Scheduler& scheduler,
     if (total_power > config.tdp_w) ++result.tdp_violations;
     std::vector<double> temps;
     {
-      const obs::ScopedKernelTimer thermal_timer(
-          obs::Kernel::kMcThermalSolve);
+      const obs::ScopedTimer thermal_timer(
+          obs::kernel_histogram(obs::Kernel::kMcThermalSolve));
       temps = thermal.solve_steady_state(powers);
     }
     prev_core_temps.assign(temps.begin(), temps.begin() + cores);
@@ -190,7 +193,8 @@ SystemResult run(const SystemConfig& config, Scheduler& scheduler,
     }
 
     // Margin bookkeeping and trace over the alive fleet.
-    const obs::ScopedKernelTimer telemetry_timer(obs::Kernel::kMcTelemetry);
+    const obs::ScopedTimer telemetry_timer(
+        obs::kernel_histogram(obs::Kernel::kMcTelemetry));
     double worst = 0.0;
     for (int i = 0; i < cores; ++i) {
       if (faults && faults->dead(i)) continue;

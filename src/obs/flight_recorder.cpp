@@ -3,10 +3,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
+#include "ash/obs/clock.h"
 #include "ash/util/table.h"
 #include "ash/util/text_reader.h"
 
@@ -15,13 +15,6 @@ namespace ash::obs {
 namespace {
 
 constexpr char kHeader[] = "ash-flight-recorder v1";
-
-std::uint64_t host_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // --- Async-signal-safe line formatting ----------------------------------
 // The fatal-signal dump path may not allocate or call printf, so every
@@ -144,10 +137,10 @@ FlightEventKind parse_flight_event(std::string_view name) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : slots_(capacity), epoch_ns_(host_now_ns()) {}
+    : slots_(capacity), epoch_ns_(monotonic_ns()) {}
 
 double FlightRecorder::elapsed_ms() const {
-  return static_cast<double>(host_now_ns() - epoch_ns_) * 1e-6;
+  return static_cast<double>(monotonic_ns() - epoch_ns_) * 1e-6;
 }
 
 void FlightRecorder::record(FlightEventKind kind, std::uint64_t a,

@@ -15,7 +15,7 @@
 /// event.  The dump survives a kill, not a power cut; after a kill, the
 /// newest dump on disk explains the run.
 ///
-/// Cost model, mirroring ScopedKernelTimer: a recorder constructed with
+/// Cost model, mirroring obs::ScopedTimer: a recorder constructed with
 /// capacity 0 is *disabled* — `record()` is one branch, no clock read, no
 /// store (enforced by tests/obs/overhead_test.cpp).  An enabled record()
 /// is a relaxed fetch_add to claim a slot plus plain stores — lock-free

@@ -17,7 +17,6 @@
 /// are the same integers.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -26,6 +25,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "ash/obs/clock.h"
 
 namespace ash::obs {
 
@@ -94,6 +95,8 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   std::vector<std::uint64_t> bucket_counts() const;
   const HistogramOptions& options() const { return options_; }
+  /// Forget every observation (relaxed stores; not atomic as a whole).
+  void reset();
 
   /// Log-interpolated quantile estimate of the observed values (NaN when
   /// empty).  See histogram_quantile for the exact semantics.
@@ -167,29 +170,28 @@ class Registry {
 /// The process-wide default registry (what `ash_lab --metrics` snapshots).
 Registry& registry();
 
-/// RAII latency timer feeding a histogram in *seconds*.  The histogram
-/// pointer is the on/off switch: constructed with nullptr the timer does
-/// nothing — no clock read, one branch (enforced by
-/// tests/obs/overhead_test.cpp), which is how uninstrumented request paths
-/// stay free.
-class ScopedLatencyTimer {
+/// The one RAII timer: observes the scope's host duration, in *seconds*,
+/// into a histogram.  The histogram pointer is the on/off switch: with
+/// nullptr the timer does nothing — no clock read, one branch (enforced by
+/// tests/obs/overhead_test.cpp) — which is how uninstrumented request
+/// paths and unprofiled kernels (`kernel_histogram`, profile.h) stay free.
+class ScopedTimer {
  public:
-  explicit ScopedLatencyTimer(Histogram* histogram) : histogram_(histogram) {
-    if (histogram_ != nullptr) begin_ = std::chrono::steady_clock::now();
+  explicit ScopedTimer(Histogram* histogram) : histogram_(histogram) {
+    if (histogram_ != nullptr) begin_ns_ = monotonic_ns();
   }
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-  ~ScopedLatencyTimer() {
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+  ~ScopedTimer() {
     if (histogram_ != nullptr) {
-      histogram_->observe(std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - begin_)
-                              .count());
+      histogram_->observe(static_cast<double>(monotonic_ns() - begin_ns_) *
+                          1e-9);
     }
   }
 
  private:
   Histogram* histogram_;
-  std::chrono::steady_clock::time_point begin_{};
+  std::uint64_t begin_ns_ = 0;
 };
 
 }  // namespace ash::obs

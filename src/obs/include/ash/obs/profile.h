@@ -1,16 +1,16 @@
 #pragma once
 
 /// \file profile.h
-/// Scoped kernel timers aggregated per hot-path kernel.
+/// Per-kernel timing histograms for the hot-path kernels.
 ///
 /// The ROADMAP north star ("as fast as the hardware allows") needs to
 /// know where simulated wall-clock time actually goes before any perf PR
-/// can be honest.  Each instrumented kernel owns one fixed slot — an
-/// atomic (calls, nanoseconds) pair — so recording is two relaxed
-/// fetch_adds and *checking* whether to record is a single relaxed load:
-/// with profiling off (the default) a `ScopedKernelTimer` costs one load
-/// and a predictable branch, no clock reads (enforced by
-/// tests/obs/overhead_test.cpp).
+/// can be honest.  Each instrumented kernel owns one fixed, enum-indexed
+/// `Histogram` (seconds, default log layout) that an `obs::ScopedTimer`
+/// feeds, so every row carries a call count, a total and p50/p99.  With
+/// profiling off (the default) `kernel_histogram` returns nullptr after
+/// one relaxed load, and the timer costs that load and a predictable
+/// branch, no clock reads (enforced by tests/obs/overhead_test.cpp).
 ///
 /// Enable with `enable_profiling(true)` (or `ash_lab --profile` /
 /// `bench_perf_kernels`), read back with `profile_snapshot()` or the
@@ -18,10 +18,11 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "ash/obs/metrics.h"
 
 namespace ash::obs {
 
@@ -44,68 +45,37 @@ const char* to_string(Kernel kernel);
 inline constexpr int kKernelCount = static_cast<int>(Kernel::kCount);
 
 namespace detail {
-struct KernelSlot {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> total_ns{0};
-};
 inline std::atomic<bool> g_profiling{false};
-inline std::array<KernelSlot, kKernelCount> g_kernel_slots{};
-
-inline std::uint64_t profile_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+extern std::array<Histogram, kKernelCount> g_kernel_histograms;
 }  // namespace detail
-
-inline bool profiling() {
-  return detail::g_profiling.load(std::memory_order_relaxed);
-}
 
 void enable_profiling(bool on);
 void reset_profile();
 
-/// RAII per-kernel timer.  Free (one relaxed load + branch) when
-/// profiling is off at construction.
-class ScopedKernelTimer {
- public:
-  explicit ScopedKernelTimer(Kernel kernel) {
-    if (profiling()) {
-      kernel_ = kernel;
-      begin_ns_ = detail::profile_now_ns();
-      active_ = true;
-    }
-  }
-  ScopedKernelTimer(const ScopedKernelTimer&) = delete;
-  ScopedKernelTimer& operator=(const ScopedKernelTimer&) = delete;
-  ~ScopedKernelTimer() {
-    if (active_) {
-      auto& slot = detail::g_kernel_slots[static_cast<std::size_t>(kernel_)];
-      slot.calls.fetch_add(1, std::memory_order_relaxed);
-      slot.total_ns.fetch_add(detail::profile_now_ns() - begin_ns_,
-                              std::memory_order_relaxed);
-    }
-  }
-
- private:
-  bool active_ = false;
-  Kernel kernel_ = Kernel::kTrapEnsembleEvolve;
-  std::uint64_t begin_ns_ = 0;
-};
+/// The kernel's histogram while profiling is on, nullptr (a free
+/// `ScopedTimer`) while it is off:
+///   const obs::ScopedTimer timer(obs::kernel_histogram(Kernel::kX));
+inline Histogram* kernel_histogram(Kernel kernel) {
+  return detail::g_profiling.load(std::memory_order_relaxed)
+             ? &detail::g_kernel_histograms[static_cast<std::size_t>(kernel)]
+             : nullptr;
+}
 
 /// One kernel's aggregate.
 struct KernelProfile {
   Kernel kernel = Kernel::kTrapEnsembleEvolve;
   std::uint64_t calls = 0;
   std::uint64_t total_ns = 0;
+  /// Per-call quantile estimates from the kernel's histogram.
+  double p50_ns = 0.0;
+  double p99_ns = 0.0;
 };
 
 /// Aggregates of every kernel that recorded at least one call.
 std::vector<KernelProfile> profile_snapshot();
 
-/// Rendered per-kernel table (calls, total ms, ns/call, share of the
-/// instrumented total) — what `ash_lab --profile` prints.
+/// Rendered per-kernel table (calls, total ms, ns/call, p50, p99, share of
+/// the instrumented total) — what `ash_lab --profile` prints.
 std::string profile_table();
 
 }  // namespace ash::obs

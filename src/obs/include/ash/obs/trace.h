@@ -167,7 +167,6 @@ inline std::atomic<TraceSink*> g_trace_sink{nullptr};
 inline thread_local double g_sim_now_s = 0.0;
 inline thread_local int g_span_depth = 0;
 void emit(TraceEvent&& event);
-std::uint64_t wall_now_ns();
 }  // namespace detail
 
 /// Attach a sink (nullptr detaches; the default is detached).  The sink

@@ -51,6 +51,12 @@ void Histogram::observe(double value) {
   }
 }
 
+void Histogram::reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+}
+
 double histogram_quantile(const HistogramOptions& options,
                           const std::vector<std::uint64_t>& buckets,
                           double p) {

@@ -1,5 +1,7 @@
 #include "ash/obs/profile.h"
 
+#include <cmath>
+
 #include "ash/util/table.h"
 
 namespace ash::obs {
@@ -20,26 +22,31 @@ const char* to_string(Kernel kernel) {
   return "unknown";
 }
 
+namespace detail {
+std::array<Histogram, kKernelCount> g_kernel_histograms;
+}  // namespace detail
+
 void enable_profiling(bool on) {
   detail::g_profiling.store(on, std::memory_order_relaxed);
 }
 
 void reset_profile() {
-  for (auto& slot : detail::g_kernel_slots) {
-    slot.calls.store(0, std::memory_order_relaxed);
-    slot.total_ns.store(0, std::memory_order_relaxed);
-  }
+  for (Histogram& h : detail::g_kernel_histograms) h.reset();
 }
 
 std::vector<KernelProfile> profile_snapshot() {
   std::vector<KernelProfile> out;
   for (int k = 0; k < kKernelCount; ++k) {
-    const auto& slot = detail::g_kernel_slots[static_cast<std::size_t>(k)];
+    const Histogram& h =
+        detail::g_kernel_histograms[static_cast<std::size_t>(k)];
+    if (h.count() == 0) continue;
     KernelProfile p;
     p.kernel = static_cast<Kernel>(k);
-    p.calls = slot.calls.load(std::memory_order_relaxed);
-    p.total_ns = slot.total_ns.load(std::memory_order_relaxed);
-    if (p.calls > 0) out.push_back(p);
+    p.calls = h.count();
+    p.total_ns = static_cast<std::uint64_t>(std::llround(h.sum() * 1e9));
+    p.p50_ns = h.quantile(0.50) * 1e9;
+    p.p99_ns = h.quantile(0.99) * 1e9;
+    out.push_back(p);
   }
   return out;
 }
@@ -52,13 +59,15 @@ std::string profile_table() {
   double total_ns = 0.0;
   for (const auto& p : profiles) total_ns += static_cast<double>(p.total_ns);
 
-  Table t({"kernel", "calls", "total (ms)", "ns/call", "share"});
+  Table t({"kernel", "calls", "total (ms)", "ns/call", "p50 (ns)", "p99 (ns)",
+           "share"});
   for (const auto& p : profiles) {
     const double ns = static_cast<double>(p.total_ns);
     t.add_row({to_string(p.kernel), strformat("%llu",
                    static_cast<unsigned long long>(p.calls)),
                fmt_fixed(ns / 1e6, 2),
                fmt_fixed(ns / static_cast<double>(p.calls), 0),
+               fmt_fixed(p.p50_ns, 0), fmt_fixed(p.p99_ns, 0),
                fmt_percent(total_ns > 0.0 ? ns / total_ns : 0.0, 1)});
   }
   return t.render();

@@ -1,11 +1,11 @@
 #include "ash/obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <fstream>
 #include <ostream>
 
+#include "ash/obs/clock.h"
 #include "ash/util/table.h"
 
 namespace ash::obs {
@@ -76,13 +76,6 @@ const char* to_string(EventKind kind) {
 
 namespace detail {
 
-std::uint64_t wall_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 void emit(TraceEvent&& event) {
   TraceSink* sink = g_trace_sink.load(std::memory_order_acquire);
   if (sink != nullptr) sink->record(std::move(event));
@@ -106,7 +99,7 @@ void instant(EventKind kind, std::string_view name, std::string_view category,
   e.name.assign(name);
   e.category.assign(category);
   e.sim_begin_s = e.sim_end_s = Seconds{sim_now()};
-  e.wall_begin_ns = e.wall_end_ns = detail::wall_now_ns();
+  e.wall_begin_ns = e.wall_end_ns = monotonic_ns();
   e.span = false;
   e.depth = detail::g_span_depth;
   e.args = std::move(args);
@@ -124,7 +117,7 @@ Span::Span(EventKind kind, std::string_view name, std::string_view category,
   event_.name.assign(name);
   event_.category.assign(category);
   event_.sim_begin_s = Seconds{sim_begin_s};
-  event_.wall_begin_ns = detail::wall_now_ns();
+  event_.wall_begin_ns = monotonic_ns();
   event_.span = true;
   event_.depth = detail::g_span_depth++;
 }
@@ -144,7 +137,7 @@ Span::~Span() {
   if (!active_) return;
   --detail::g_span_depth;
   event_.sim_end_s = Seconds{have_end_ ? sim_end_s_ : sim_now()};
-  event_.wall_end_ns = detail::wall_now_ns();
+  event_.wall_end_ns = monotonic_ns();
   detail::emit(std::move(event_));
 }
 

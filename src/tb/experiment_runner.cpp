@@ -15,6 +15,7 @@
 #include "ash/obs/profile.h"
 #include "ash/obs/trace.h"
 #include "ash/util/constants.h"
+#include "ash/util/double_codec.h"
 #include "ash/util/random.h"
 #include "ash/util/stats.h"
 #include "ash/util/table.h"
@@ -160,7 +161,8 @@ class CampaignEngine {
   /// report have been merged into the campaign log/report.
   SampleStatus run_attempt(const Phase& phase, int phase_index, int attempt,
                            bool allow_trip, Celsius prev_chamber_c) {
-    const obs::ScopedKernelTimer timer(obs::Kernel::kTbPhaseAttempt);
+    const obs::ScopedTimer timer(
+        obs::kernel_histogram(obs::Kernel::kTbPhaseAttempt));
     obs::set_sim_now(t_campaign_);
     obs::Span phase_span(obs::EventKind::kPhase, phase.label, "tb.phase");
     phase_span.arg("attempt", std::to_string(attempt));
@@ -443,9 +445,11 @@ class CampaignEngine {
 void CampaignCheckpoint::save(std::ostream& os) const {
   os << "ash-campaign v2\n";
   os << "next_phase " << next_phase << "\n";
-  os.precision(17);
-  os << "t_campaign " << t_campaign_s.value() << "\n";
-  os << "chamber_c " << chamber_c.value() << "\n";
+  std::string clocks = "t_campaign ";
+  append_g17(clocks, t_campaign_s.value());
+  clocks += "\nchamber_c ";
+  append_g17(clocks, chamber_c.value());
+  os << clocks << "\n";
   os << "faults " << faults.serialize() << "\n";
   os << "chip\n";
   fpga::save_checkpoint(os, chip_state);  // ends with "end\n"

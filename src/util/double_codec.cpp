@@ -13,6 +13,14 @@ std::string fmt_double(double v) {
   return std::string(buf, r.ptr);
 }
 
+void append_g17(std::string& out, double v) {
+  // 24 characters hold the longest "%.17g" ("-2.2250738585072014e-308").
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
 std::optional<double> parse_double(std::string_view text) {
   double v = 0.0;
   const char* const last = text.data() + text.size();

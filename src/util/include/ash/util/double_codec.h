@@ -29,6 +29,11 @@ namespace ash {
 /// which parse_double refuses).
 std::string fmt_double(double v);
 
+/// Appends `v` as printf's "%.17g" spells it (`std::to_chars`, general
+/// format, 17 significant digits): the chip and campaign checkpoints'
+/// spelling, which round-trips but is not the shortest.
+void append_g17(std::string& out, double v);
+
 /// The finite double that `text` spells in full; nullopt otherwise.
 std::optional<double> parse_double(std::string_view text);
 

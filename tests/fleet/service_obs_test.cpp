@@ -1,6 +1,6 @@
 /// Observability acceptance for the fleet service (`ctest -L faults`):
 ///
-///   * the volatile scrape channel (metrics / profile / health) answers
+///   * the volatile scrape channel (metrics / health) answers
 ///     over the real wire with the daemon's live tallies;
 ///   * scrapes interleaved mid-session stay out of the client transcript,
 ///     so the chaos transcript-identity gate is unperturbed by watching;
@@ -118,12 +118,6 @@ TEST_F(ServiceObsTest, InProcessScrapesAnswerLiveTallies) {
   EXPECT_EQ(metrics.text.find("fleet.protocol."), std::string::npos)
       << "prefix filter leaked foreign metrics";
 
-  const Frame profile_frame = service.respond(
-      {MessageType::kProfileRequest, 4, ProfileRequest{}.encode()});
-  ASSERT_EQ(profile_frame.type, MessageType::kProfileResponse);
-  EXPECT_EQ(ProfileResponse::parse(profile_frame.payload).status,
-            Status::kOk);
-
   // Scrapes are reads: no mutation applied, no durable sequence advance.
   EXPECT_EQ(service.state().sequence, 1u);
 }
@@ -198,10 +192,6 @@ TEST_F(ServiceObsTest, WireScrapesReportTheDaemonsLife) {
             1.0);
   EXPECT_TRUE(found);
 
-  const ProfileResponse profile = client.profile();
-  EXPECT_EQ(profile.status, Status::kOk);
-  EXPECT_FALSE(profile.profiling) << "profiling defaults off daemon-side";
-
   EXPECT_EQ(daemon.terminate(), 0);
 }
 
@@ -232,7 +222,6 @@ TEST_F(ServiceObsTest, ScrapesStayOutOfTheTranscript) {
       if (session == 1) {
         (void)client.health();
         (void)client.metrics("fleet.service.");
-        (void)client.profile();
       }
     }
     transcripts[session] = client.transcript();

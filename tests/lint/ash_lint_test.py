@@ -180,6 +180,21 @@ class AshLintMetricHotPathTest(unittest.TestCase):
         self.assertIn("hot-path", payload["findings"][0]["message"])
 
 
+class AshLintWallClockScopeTest(unittest.TestCase):
+    """wall-clock: src/obs owns the one host clock; the fleet layer reads
+    it through obs::monotonic_ns, so its own clock read is a finding."""
+
+    def test_fleet_clock_read_is_flagged_obs_is_not(self):
+        root = os.path.join(FIXTURES, "wall_clock")
+        code, payload = run_lint(
+            root, ["src/fleet/deadline.cpp", "src/obs/clock.h"],
+            "wall-clock")
+        self.assertEqual(code, 1)
+        self.assertEqual([f["path"] for f in payload["findings"]],
+                         ["src/fleet/deadline.cpp"])
+        self.assertIn("obs::monotonic_ns", payload["findings"][0]["message"])
+
+
 class AshLintApproxExpScopeTest(unittest.TestCase):
     """float-physics' exponential half: an approximate exponential is a
     finding everywhere in scope, and the scope reaches src/util (where one

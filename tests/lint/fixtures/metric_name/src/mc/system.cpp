@@ -1,6 +1,6 @@
 // Fixture: a registration inside an instrumented hot-path kernel file.
 // The name is perfectly well-formed — the finding is about *where* the
-// registration happens: inside the region ScopedKernelTimer measures,
+// registration happens: inside the region the kernel's ScopedTimer measures,
 // where the registry mutex and map lookup bill the kernel under test.
 #include <string>
 

@@ -59,6 +59,10 @@ TEST(Histogram, ObserveAccumulatesCountSumAndBuckets) {
   const auto buckets = h.bucket_counts();
   EXPECT_EQ(buckets[static_cast<std::size_t>(h.bucket_index(1.0))], 2u);
   EXPECT_EQ(buckets[static_cast<std::size_t>(h.bucket_index(100.0))], 1u);
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0.0);
+  for (const std::uint64_t b : h.bucket_counts()) EXPECT_EQ(b, 0u);
 }
 
 TEST(Histogram, QuantileInterpolatesInLogSpace) {
@@ -337,17 +341,23 @@ TEST(Trace, ChromeJsonIsWellFormed) {
 TEST(Profile, TimersAggregateWhenEnabled) {
   obs::reset_profile();
   obs::enable_profiling(true);
-  {
-    obs::ScopedKernelTimer t(obs::Kernel::kTrapEnsembleEvolve);
-  }
-  {
-    obs::ScopedKernelTimer t(obs::Kernel::kTrapEnsembleEvolve);
+  for (int i = 0; i < 2; ++i) {
+    const obs::ScopedTimer t(
+        obs::kernel_histogram(obs::Kernel::kTrapEnsembleEvolve));
   }
   obs::enable_profiling(false);
   const auto snap = obs::profile_snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].kernel, obs::Kernel::kTrapEnsembleEvolve);
   EXPECT_EQ(snap[0].calls, 2u);
+  // Quantiles come from the kernel's seconds histogram (default layout):
+  // finite, ordered, and inside its [min, max] range.
+  const obs::HistogramOptions range;
+  EXPECT_TRUE(std::isfinite(snap[0].p50_ns));
+  EXPECT_TRUE(std::isfinite(snap[0].p99_ns));
+  EXPECT_LE(snap[0].p50_ns, snap[0].p99_ns);
+  EXPECT_GE(snap[0].p50_ns, range.min * 1e9);
+  EXPECT_LE(snap[0].p99_ns, range.max * 1e9);
   EXPECT_FALSE(obs::profile_table().empty());
   obs::reset_profile();
   EXPECT_TRUE(obs::profile_snapshot().empty());
@@ -356,8 +366,9 @@ TEST(Profile, TimersAggregateWhenEnabled) {
 TEST(Profile, TimersIdleWhenDisabled) {
   obs::reset_profile();
   obs::enable_profiling(false);
+  EXPECT_EQ(obs::kernel_histogram(obs::Kernel::kMcInterval), nullptr);
   {
-    obs::ScopedKernelTimer t(obs::Kernel::kMcInterval);
+    const obs::ScopedTimer t(obs::kernel_histogram(obs::Kernel::kMcInterval));
   }
   EXPECT_TRUE(obs::profile_snapshot().empty());
 }

@@ -101,7 +101,8 @@ TEST(Overhead, DisabledPrimitivesAreBranchCheap) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 100000; ++i) {
     obs::set_sim_now(static_cast<double>(i));
-    obs::ScopedKernelTimer timer(obs::Kernel::kMcInterval);
+    const obs::ScopedTimer timer(
+        obs::kernel_histogram(obs::Kernel::kMcInterval));
     obs::Span span(obs::EventKind::kPhase, "p", "c");
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -122,7 +123,7 @@ TEST(Overhead, DisabledFlightRecorderAndNullTimersAreBranchCheap) {
   for (int i = 0; i < 100000; ++i) {
     recorder.record(obs::FlightEventKind::kConnectionAccepted,
                     static_cast<std::uint64_t>(i));
-    const obs::ScopedLatencyTimer timer(nullptr);
+    const obs::ScopedTimer timer(nullptr);
   }
   const auto t1 = std::chrono::steady_clock::now();
   const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();

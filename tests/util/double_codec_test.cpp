@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -85,6 +86,26 @@ TEST(DoubleCodec, WritesTheShortestRoundTripForm) {
   EXPECT_EQ(fmt_double(std::numeric_limits<double>::denorm_min()), "5e-324");
   EXPECT_EQ(fmt_double(-std::numeric_limits<double>::min()),
             "-2.2250738585072014e-308");
+}
+
+TEST(DoubleCodec, AppendG17SpellsLikePrintf) {
+  // The checkpoint writers' spelling: byte-equal to "%.17g" on zeros,
+  // subnormals, the extremes and seeded occupancy-like values, and read
+  // back by parse_double.
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0, -0.0, 0.1, 1.0, 3600.0, 1e18,
+                                limits::denorm_min(), -limits::min(),
+                                limits::max(), 1e-300};
+  Rng rng(23);
+  for (int i = 0; i < 10000; ++i) values.push_back(rng.uniform());
+  for (const double v : values) {
+    char want[40];
+    std::snprintf(want, sizeof want, "%.17g", v);
+    std::string got;
+    append_g17(got, v);
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(parse_double(got).has_value()) << got;
+  }
 }
 
 TEST(DoubleCodec, RefusesSpellingsStrtodAccepted) {

@@ -11,7 +11,7 @@
 ///             [--phases-per-ckpt 1] [--max-restarts 3]
 ///             [--heartbeat-ms 5000] [--backoff-ms 10] [--backoff-max-ms 500]
 ///             [--chaos none|kill|torn|full] [--chaos-seed N]
-///             [--payload FILE] [--metrics FILE] [--profile] [--quiet]
+///             [--payload FILE] [--metrics FILE] [--quiet]
 ///
 /// --dir must name an existing writable directory; it holds the durable
 /// snapshots and is how a re-run of the same command resumes after a kill
@@ -24,13 +24,15 @@
 /// logs) is deterministic in (--shards, --stages, --seed, chaos plan); the
 /// printed payload CRC is the one-line fingerprint two runs can compare.
 /// Exit status: 0 all shards completed, 1 some shard quarantined, 2 usage.
+/// The kernels run in the forked workers, out of this process's sight, so
+/// there is no kernel profile here: `ash_lab campaign --profile` times the
+/// same chips in-process.
 
 #include <cstdio>
 #include <string>
 
 #include "ash/fleet/supervisor.h"
 #include "ash/obs/metrics.h"
-#include "ash/obs/profile.h"
 #include "ash/util/atomic_file.h"
 #include "ash/util/flags.h"
 
@@ -46,8 +48,7 @@ int usage() {
       "                 [--heartbeat-ms N] [--backoff-ms N] "
       "[--backoff-max-ms N]\n"
       "                 [--chaos none|kill|torn|full] [--chaos-seed N]\n"
-      "                 [--payload FILE] [--metrics FILE] [--profile] "
-      "[--quiet]\n"
+      "                 [--payload FILE] [--metrics FILE] [--quiet]\n"
       "--dir must be an existing writable directory (holds durable "
       "snapshots)\n");
   return 2;
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
     flags.check_known({"dir", "shards", "stages", "seed", "phases-per-ckpt",
                        "max-restarts", "heartbeat-ms", "backoff-ms",
                        "backoff-max-ms", "chaos", "chaos-seed", "payload",
-                       "metrics", "profile", "quiet"});
+                       "metrics", "quiet"});
     if (!flags.positional().empty()) return usage();
 
     const std::string dir = flags.get("dir", std::string());
@@ -95,8 +96,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get("seed", 0x40A0)),
         flags.get("stages", 75));
 
-    if (flags.get("profile", false)) obs::enable_profiling(true);
-
     fleet::FleetSupervisor supervisor(config, shards);
     const fleet::FleetReport report = supervisor.run();
 
@@ -120,9 +119,6 @@ int main(int argc, char** argv) {
       util::atomic_write_file(metrics_path,
                               obs::registry().snapshot().render());
       std::printf("metrics written to %s\n", metrics_path.c_str());
-    }
-    if (flags.get("profile", false)) {
-      std::printf("%s", obs::profile_table().c_str());
     }
     return report.all_completed() ? 0 : 1;
   } catch (const std::invalid_argument& e) {

@@ -13,7 +13,7 @@
 ///              [--devices N] [--margin-mv F] [--seed N] [--queue N]
 ///              [--io-timeout-ms N] [--max-conns N] [--metrics FILE]
 ///              [--flight FILE] [--flight-capacity N] [--no-instrument]
-///              [--profile] [--trace FILE]
+///              [--trace FILE]
 ///     Run the daemon.  --run-fleet first shards the paper campaign across
 ///     supervised worker processes (ash_fleet's machinery) so the
 ///     rejuvenation query has durable shard snapshots to rank.  SIGTERM
@@ -23,8 +23,8 @@
 ///     --flight keeps a flight recorder whose dump survives a kill of the
 ///     daemon, not a power cut: it is rewritten (temp file + rename, no
 ///     fsync) after the acks of each poll tick that recorded an event, so
-///     read-only traffic writes nothing; --profile turns on kernel profiling (served by the profile
-///     scrape); --trace streams request-path spans as JSONL.
+///     read-only traffic writes nothing; --trace streams request-path
+///     spans as JSONL.
 ///
 ///   ash_fleetd query --socket PATH (ping|status|margin|rejuvenation|sleep)
 ///              [--device N] [--duty F] [--vdd F] [--temp F] [--horizon-h F]
@@ -33,14 +33,13 @@
 ///
 ///   ash_fleetd top --socket PATH [--interval-ms N] [--iterations N]
 ///              [--prefix STR]
-///     Live dashboard: polls the health/metrics/profile scrape channel and
-///     renders uptime, load, per-verb latency quantiles and kernel hot
-///     spots.  Scrapes are volatile — watching a daemon never perturbs its
-///     durable state or transcripts.
+///     Live dashboard: polls the health/metrics scrape channel and renders
+///     uptime, load and per-verb latency quantiles.  Scrapes are volatile —
+///     watching a daemon never perturbs its durable state or transcripts.
 ///
 ///   ash_fleetd stats --socket PATH [--prefix STR] [--json]
 ///     One-shot scrape of the same channel; --json emits a machine-readable
-///     object (health + metrics + profile).
+///     object (health + metrics).
 ///
 ///   ash_fleetd flight --file PATH
 ///     Load and render a flight-recorder dump (tolerates torn tails from
@@ -74,7 +73,6 @@
 #include "ash/fleet/supervisor.h"
 #include "ash/obs/flight_recorder.h"
 #include "ash/obs/metrics.h"
-#include "ash/obs/profile.h"
 #include "ash/obs/trace.h"
 #include "ash/util/atomic_file.h"
 #include "ash/util/crc32.h"
@@ -98,7 +96,7 @@ int usage() {
       "[--metrics FILE]\n"
       "                  [--flight FILE] [--flight-capacity N] "
       "[--no-instrument]\n"
-      "                  [--profile] [--trace FILE]\n"
+      "                  [--trace FILE]\n"
       "                  (--flight: dump written after the ack, only when "
       "changed;\n"
       "                  survives a kill, not a power cut)\n"
@@ -189,7 +187,6 @@ int run_serve(const Flags& flags) {
                        flags.get("stages", 11),
                        static_cast<std::uint64_t>(flags.get("seed", 0x40A0)));
   }
-  if (flags.get("profile", false)) obs::enable_profiling(true);
   std::unique_ptr<obs::TraceWriter> trace_writer;
   const std::string trace_path = flags.get("trace", std::string());
   if (!trace_path.empty()) {
@@ -355,26 +352,6 @@ std::string render_latency_table(const std::map<std::string, double>& m) {
   return out;
 }
 
-std::string render_profile(const fleet::ProfileResponse& resp) {
-  if (!resp.profiling) {
-    return "profile: disabled (serve with --profile)\n";
-  }
-  if (resp.kernels.empty()) {
-    return "profile: enabled, no kernel calls yet\n";
-  }
-  std::string out = strformat("  %-24s %12s %14s %10s\n", "kernel",
-                                    "calls", "total_ms", "ns/call");
-  for (const auto& k : resp.kernels) {
-    out += strformat(
-        "  %-24s %12llu %14.3f %10.0f\n", k.kernel.c_str(),
-        static_cast<unsigned long long>(k.calls), k.total_ns / 1e6,
-        k.calls > 0 ? static_cast<double>(k.total_ns) /
-                          static_cast<double>(k.calls)
-                    : 0.0);
-  }
-  return out;
-}
-
 int run_top(const Flags& flags) {
   const std::string socket_path = flags.get("socket", std::string());
   if (socket_path.empty()) {
@@ -391,12 +368,10 @@ int run_top(const Flags& flags) {
   for (int i = 0; iterations <= 0 || i < iterations; ++i) {
     const auto health = client.health();
     const auto metrics = client.metrics(prefix);
-    const auto profile = client.profile();
     std::printf("── ash_fleetd top · tick %d ──\n", i + 1);
     std::printf("%s", render_health(health).c_str());
     const auto values = parse_metric_lines(metrics.text);
     std::printf("%s", render_latency_table(values).c_str());
-    std::printf("%s", render_profile(profile).c_str());
     std::fflush(stdout);
     if (iterations > 0 && i + 1 >= iterations) break;
     sleep_ms(interval_ms);
@@ -404,7 +379,7 @@ int run_top(const Flags& flags) {
   return 0;
 }
 
-/// JSON string escape for metric/kernel names (conservative).
+/// JSON string escape for metric names (conservative).
 std::string json_escape(const std::string& s) {
   std::string out;
   for (const char c : s) {
@@ -433,11 +408,9 @@ int run_stats(const Flags& flags) {
   fleet::Client client(cc);
   const auto health = client.health();
   const auto metrics = client.metrics(prefix);
-  const auto profile = client.profile();
   if (!flags.get("json", false)) {
     std::printf("%s", render_health(health).c_str());
     std::printf("%s", metrics.text.c_str());
-    std::printf("%s", render_profile(profile).c_str());
     return 0;
   }
   std::string out = "{\"health\":{";
@@ -463,19 +436,7 @@ int run_stats(const Flags& flags) {
     out += std::isfinite(value) ? strformat("%.17g", value)
                                 : std::string("null");
   }
-  out += strformat("},\"profiling\":%s,\"profile\":[",
-                         profile.profiling ? "true" : "false");
-  first = true;
-  for (const auto& k : profile.kernels) {
-    if (!first) out += ',';
-    first = false;
-    out += strformat(
-        "{\"kernel\":\"%s\",\"calls\":%llu,\"total_ns\":%llu}",
-        json_escape(k.kernel).c_str(),
-        static_cast<unsigned long long>(k.calls),
-        static_cast<unsigned long long>(k.total_ns));
-  }
-  out += "]}\n";
+  out += "}}\n";
   std::printf("%s", out.c_str());
   return 0;
 }
@@ -613,8 +574,8 @@ int main(int argc, char** argv) {
          "stages", "devices", "margin-mv", "seed", "queue", "io-timeout-ms",
          "max-conns", "metrics", "device", "duty", "vdd", "temp", "horizon-h",
          "start-s", "duration-s", "client", "dir", "requests", "chaos",
-         "quiet", "flight", "flight-capacity", "no-instrument", "profile",
-         "trace", "interval-ms", "iterations", "prefix", "json", "file"});
+         "quiet", "flight", "flight-capacity", "no-instrument", "trace",
+         "interval-ms", "iterations", "prefix", "json", "file"});
     if (flags.positional().empty()) return usage();
     const std::string& mode = flags.positional()[0];
     if (mode == "serve") return run_serve(flags);

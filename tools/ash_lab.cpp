@@ -112,11 +112,24 @@ tb::RunnerConfig campaign_runner_config(const Flags& flags,
   return rc;
 }
 
+/// `--out DIR` (default "."), checked before any simulation: a campaign
+/// into a missing directory must fail in milliseconds, not after every
+/// chip has run.  Empty when unusable (the error is printed).
+std::string out_dir_flag(const Flags& flags) {
+  const std::string dir = flags.get("out", std::string("."));
+  if (util::writable_directory(dir)) return dir;
+  std::fprintf(stderr,
+               "ash_lab: --out %s: not an existing writable directory\n",
+               dir.c_str());
+  return {};
+}
+
 int cmd_campaign(const Flags& flags) {
   flags.check_known(with_obs({"stages", "out", "seed", "fault-plan", "retry",
                               "no-watchdog", "jobs"}));
+  const std::string out_dir = out_dir_flag(flags);
+  if (out_dir.empty()) return usage();
   const int stages = flags.get("stages", 75);
-  const std::string out_dir = flags.get("out", std::string("."));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", 0x40A0));
   const auto plan =
       tb::FaultPlan::by_name(flags.get("fault-plan", std::string("none")));
@@ -185,6 +198,8 @@ int cmd_reproduce(const Flags& flags) {
 int cmd_chip(const Flags& flags, const std::string& name) {
   flags.check_known(with_obs(
       {"stages", "out", "seed", "fault-plan", "retry", "no-watchdog"}));
+  const std::string out_dir = out_dir_flag(flags);
+  if (out_dir.empty()) return usage();
   const tb::TestCase* tc = nullptr;
   const auto campaign = tb::paper_campaign();
   for (const auto& candidate : campaign) {
@@ -205,9 +220,8 @@ int cmd_chip(const Flags& flags, const std::string& name) {
       static_cast<std::uint64_t>(flags.get("seed", 0x40A0))));
 
   const auto result = runner.run_campaign(chip, *tc);
-  const std::string path = flags.get("out", std::string(".")) +
-                           "/campaign_chip" + std::to_string(tc->chip_id) +
-                           ".csv";
+  const std::string path =
+      out_dir + "/campaign_chip" + std::to_string(tc->chip_id) + ".csv";
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "ash_lab: cannot write %s\n", path.c_str());

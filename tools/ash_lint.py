@@ -11,8 +11,9 @@ both.  Token rules scan each file's comment- and string-stripped text:
   wall-clock      Wall-clock/time sources (std::chrono::*_clock, time(),
                   gettimeofday, ...) in simulation code.  Simulated time is
                   the only clock the models may read; host time is allowed
-                  only in the observability layer (src/obs/) and in bench
-                  harness timers (bench/, tests/obs/).
+                  only in the observability layer (src/obs/, whose
+                  obs::monotonic_ns also paces the fleet's deadlines) and
+                  in bench harness timers (bench/, tests/obs/).
 
   rng             Unseeded or global RNG: rand(), srand(), drand48(),
                   std::random_device.  All randomness must flow through
@@ -69,8 +70,8 @@ both.  Token rules scan each file's comment- and string-stripped text:
                   underscores separate words; anything else breaks the
                   scrape-prefix filter and the key=value dump grammar.
                   Additionally, *any* registration call inside one of the
-                  instrumented hot-path kernel files (the ScopedKernelTimer
-                  sites) is flagged: registration takes the registry mutex
+                  instrumented hot-path kernel files (the kernel_histogram
+                  timer sites) is flagged: registration takes the registry mutex
                   per call — register once at setup and reuse the returned
                   reference.  Computed names elsewhere are skipped (they
                   are validated at runtime by what they render into).
@@ -585,12 +586,10 @@ WALL_CLOCK_PATTERNS = (
     (re.compile(r"(?<![\w:.])clock\s*\(\s*\)"), "clock()"),
 )
 
-# src/fleet/ is process supervision: heartbeat deadlines and restart
-# backoffs pace real worker processes, so host time is the correct clock
-# there.  Nothing in fleet feeds the simulated physics (the payload
-# determinism tests pin that).
-WALL_CLOCK_ALLOWED_PREFIXES = ("src/obs/", "src/fleet/", "bench/",
-                               "tests/obs/")
+# src/obs/ owns the one host clock (obs::monotonic_ns, obs/clock.h); the
+# fleet's deadlines and heartbeats read it through that call, so a direct
+# clock read anywhere else in src/ is a finding.
+WALL_CLOCK_ALLOWED_PREFIXES = ("src/obs/", "bench/", "tests/obs/")
 
 
 def rule_wall_clock(sf: SourceFile, report: Report) -> None:
@@ -601,8 +600,9 @@ def rule_wall_clock(sf: SourceFile, report: Report) -> None:
             if pat.search(line):
                 report.add(
                     "wall-clock", sf, no,
-                    f"{what} in simulation code: models must use simulated "
-                    "time (obs::set_sim_now / phase clocks), not host time")
+                    f"{what} outside src/obs: models must use simulated "
+                    "time (obs::set_sim_now / phase clocks); host-time "
+                    "pacing reads obs::monotonic_ns (obs/clock.h)")
                 break
 
 
@@ -903,12 +903,13 @@ METRIC_LITERAL_RE = re.compile(
     r"\.\s*(?:counter|gauge|histogram)\s*\(\s*\"([^\"]*)\"")
 METRIC_NAME_OK_RE = re.compile(r"^[a-z0-9_.]+$")
 
-# The ScopedKernelTimer sites: per-sample hot paths whose cost is exactly
-# what the profiler measures.  A registration there takes the registry
+# The kernel-histogram ScopedTimer sites: per-sample hot paths whose cost
+# is exactly what the profiler measures.  A registration there takes the registry
 # mutex inside the timed region — register at setup, dereference in the
 # kernel (see fleet::Service's latency_ array for the pattern).
 METRIC_HOT_KERNEL_FILES = (
     "src/bti/trap_ensemble.cpp",
+    "src/bti/batch_ensemble.cpp",
     "src/fpga/ring_oscillator.cpp",
     "src/tb/experiment_runner.cpp",
     "src/mc/system.cpp",
