@@ -58,20 +58,6 @@ std::string ClientStats::render() const {
   return out;
 }
 
-void ClientStats::publish(obs::Registry& registry,
-                          const std::string& prefix) const {
-  registry.counter(prefix + "calls").set(calls);
-  registry.counter(prefix + "attempts").set(attempts);
-  registry.counter(prefix + "reconnects").set(reconnects);
-  registry.counter(prefix + "io_failures").set(io_failures);
-  registry.counter(prefix + "overloaded_retries").set(overloaded_retries);
-  registry.counter(prefix + "chaos.drops").set(drops_injected);
-  registry.counter(prefix + "chaos.truncations").set(truncations_injected);
-  registry.counter(prefix + "chaos.stalls").set(stalls_injected);
-  registry.counter(prefix + "chaos.daemon_kills").set(daemon_kills_injected);
-  registry.gauge(prefix + "backoff_total_ms").set(backoff_total_ms);
-}
-
 Client::Client(ClientConfig config) : config_(std::move(config)) {
   if (config_.max_attempts < 1) {
     throw std::invalid_argument("client: max_attempts must be >= 1");
@@ -424,81 +410,6 @@ MetricsResponse Client::metrics(const std::string& prefix) {
   return unwrap<MetricsResponse>(
       scrape(MessageType::kMetricsRequest, request.encode()),
       MessageType::kMetricsResponse);
-}
-
-HealthResponse Client::health() {
-  return unwrap<HealthResponse>(
-      scrape(MessageType::kHealthRequest, HealthRequest{}.encode()),
-      MessageType::kHealthResponse);
-}
-
-std::vector<Frame> Client::burst(MessageType type,
-                                 const std::vector<std::string>& payloads) {
-  if (payloads.empty()) return {};
-  if (!ensure_connected()) {
-    throw std::runtime_error("fleet client: burst: cannot connect");
-  }
-  std::string wire;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(payloads.size());
-  for (const std::string& payload : payloads) {
-    const std::uint64_t id = next_request_id_++;
-    ids.push_back(id);
-    wire += frame_message(type, id, payload);
-  }
-  ++request_index_;  // keep chaos streams aligned call-for-call
-  if (!send_all(wire)) {
-    disconnect();
-    throw std::runtime_error("fleet client: burst: send failed");
-  }
-  // One shared reader: responses come back in request order on the one
-  // connection, shed ones as kErrorResponse frames.
-  std::vector<Frame> responses;
-  responses.reserve(ids.size());
-  FrameReader reader;
-  const double deadline = now_ms() + config_.io_timeout_ms;
-  char buf[65536];
-  while (responses.size() < ids.size()) {
-    bool progressed = false;
-    try {
-      while (auto frame = reader.next()) {
-        if (frame->request_id != ids[responses.size()]) {
-          disconnect();
-          throw std::runtime_error("fleet client: burst: response id skew");
-        }
-        responses.push_back(std::move(*frame));
-        progressed = true;
-        if (responses.size() == ids.size()) break;
-      }
-    } catch (const ProtocolError& e) {
-      disconnect();
-      throw std::runtime_error(std::string("fleet client: burst: ") +
-                               e.what());
-    }
-    if (responses.size() == ids.size()) break;
-    if (progressed) continue;
-    if (now_ms() > deadline) {
-      disconnect();
-      throw std::runtime_error("fleet client: burst: response timeout");
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    (void)util::retry_eintr([&] { return ::poll(&pfd, 1, 20); });
-    const ssize_t n =
-        util::retry_eintr([&] { return ::recv(fd_, buf, sizeof buf, 0); });
-    if (n > 0) {
-      try {
-        reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-      } catch (const ProtocolError& e) {
-        disconnect();
-        throw std::runtime_error(std::string("fleet client: burst: ") +
-                                 e.what());
-      }
-    } else if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
-      disconnect();
-      throw std::runtime_error("fleet client: burst: connection lost");
-    }
-  }
-  return responses;
 }
 
 }  // namespace ash::fleet

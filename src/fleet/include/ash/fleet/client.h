@@ -29,13 +29,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "ash/fleet/fault.h"
 #include "ash/fleet/protocol.h"
 
 namespace ash::obs {
-class Registry;
 class Histogram;
 }  // namespace ash::obs
 
@@ -78,10 +76,6 @@ struct ClientStats {
   double backoff_total_ms = 0.0;
 
   std::string render() const;
-  /// Set one `prefix`-named metric per field — the client side of the
-  /// telemetry loop lands in the same registry as the daemon's.
-  void publish(obs::Registry& registry,
-               const std::string& prefix = "fleet.client.") const;
 };
 
 /// Scrape request ids carry the top bit so they can never collide with
@@ -115,14 +109,15 @@ class Client {
   ScheduleSleepResponse schedule_sleep(ScheduleSleepRequest request);
   StatusResponse status();
 
-  /// Send `payloads.size()` requests of one type in a single write (one
-  /// burst, no waiting between them) and read every response — the
-  /// deterministic way to observe the daemon's bounded-queue backpressure.
-  /// No chaos, no retries; shed responses come back as kErrorResponse
-  /// frames.  Burst calls do not enter the transcript.
-  std::vector<Frame> burst(MessageType type,
-                           const std::vector<std::string>& payloads);
+  /// The metrics scrape, on the volatile channel (see scrape()); throws on
+  /// a terminal error answer.
+  MetricsResponse metrics(const std::string& prefix = "");
 
+  /// Canonical (request, response) frame bytes of every completed call.
+  const std::string& transcript() const { return transcript_; }
+  const ClientStats& stats() const { return stats_; }
+
+ private:
   /// Send one request on the volatile scrape channel and return the
   /// verified response.  Same retry/backoff machinery as call(), but no
   /// chaos injection, no chaos stream index consumed, the frames never
@@ -131,16 +126,6 @@ class Client {
   /// transcript-identity gate by construction, no matter how the two
   /// drill sessions interleave their scrapes.
   Frame scrape(MessageType type, const std::string& payload);
-
-  /// Typed scrape conveniences (throw on terminal error answers).
-  MetricsResponse metrics(const std::string& prefix = "");
-  HealthResponse health();
-
-  /// Canonical (request, response) frame bytes of every completed call.
-  const std::string& transcript() const { return transcript_; }
-  const ClientStats& stats() const { return stats_; }
-
- private:
   bool ensure_connected();
   void disconnect();
   bool send_all(std::string_view bytes);

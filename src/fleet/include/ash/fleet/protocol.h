@@ -133,10 +133,10 @@ class ProtocolTallies {
 ProtocolTallies& protocol_tallies();
 
 /// Message types.  Requests are odd, their responses even (request + 1).
-/// Types 13..18 are the *volatile scrape channel*: their responses carry
+/// 13/14 is the *volatile scrape channel*: its response carries
 /// operational telemetry that chaos legitimately perturbs, so clients keep
-/// them out of the replay/idempotency and transcript-identity machinery.
-/// 12 (kept free for the odd/even pairing) and 15/16 (a retired scrape)
+/// it out of the replay/idempotency and transcript-identity machinery.
+/// 12 (kept free for the odd/even pairing) and 15..18 (retired scrapes)
 /// are unassigned, and `known_message_type` refuses them.  Types 19+
 /// return to the deterministic query space — the margin batch is science
 /// payload, transcript-comparable like its single-device sibling.
@@ -154,8 +154,6 @@ enum class MessageType : std::uint32_t {
   kErrorResponse = 11,
   kMetricsRequest = 13,
   kMetricsResponse = 14,
-  kHealthRequest = 17,
-  kHealthResponse = 18,
   kMarginBatchRequest = 19,
   kMarginBatchResponse = 20,
 };
@@ -163,9 +161,6 @@ enum class MessageType : std::uint32_t {
 const char* to_string(MessageType type);
 /// True when `raw` encodes a known MessageType.
 bool known_message_type(std::uint32_t raw);
-/// True for the volatile scrape channel (metrics/health): excluded
-/// from idempotent replay and from drill transcript comparisons.
-bool volatile_message_type(MessageType type);
 
 /// Response status.  kOverloaded is the backpressure signal: the request
 /// was *not* processed and may be retried after a backoff.
@@ -393,9 +388,9 @@ struct ErrorResponse {
 };
 
 // ---------------------------------------------------------------------------
-// Volatile scrape channel (kMetrics / kHealth).  These payloads
-// are operational telemetry — chaos legitimately changes them, so they are
-// served fresh on every call (no replay) and never enter transcripts.
+// Volatile scrape channel (kMetrics).  These payloads are operational
+// telemetry — chaos legitimately changes them, so they are served fresh on
+// every call (no replay) and never enter transcripts.
 // ---------------------------------------------------------------------------
 
 /// "Send me your live metrics snapshot", optionally filtered by prefix.
@@ -416,30 +411,6 @@ struct MetricsResponse {
 
   std::string encode() const;
   static MetricsResponse parse(std::string_view payload);
-};
-
-struct HealthRequest {
-  std::string encode() const;
-  static HealthRequest parse(std::string_view payload);
-};
-
-/// Liveness summary the dashboard polls: how long the daemon has run (in
-/// poll iterations — its only notion of time), how loaded it is, and how
-/// far its durable snapshot lags the in-memory sequence.
-struct HealthResponse {
-  Status status = Status::kOk;
-  std::uint64_t poll_iterations = 0;
-  std::uint64_t connections = 0;
-  std::uint64_t connections_high_water = 0;
-  std::uint64_t queue_depth_high_water = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t shed = 0;
-  /// Mutations applied since the last durable snapshot write.
-  std::uint64_t snapshot_lag = 0;
-  bool draining = false;
-
-  std::string encode() const;
-  static HealthResponse parse(std::string_view payload);
 };
 
 }  // namespace ash::fleet

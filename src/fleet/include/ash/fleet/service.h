@@ -221,12 +221,15 @@ struct ServiceStats {
   std::uint64_t replays = 0;               ///< idempotent re-acks
   std::uint64_t snapshots_saved = 0;
   std::uint64_t flight_dumps = 0;          ///< flight-ring files written
+  // Poll-loop liveness, published under `fleet.service.health.`.
+  std::uint64_t poll_iterations = 0;
+  std::uint64_t connections = 0;  ///< open, counted after each accept pass
+  std::uint64_t connections_high_water = 0;
+  std::uint64_t queue_depth_high_water = 0;
 
-  std::string render() const;
-  /// Set one `prefix`-named counter per field (same integers as the
-  /// struct, so report and metrics can never disagree).
-  void publish(obs::Registry& registry,
-               const std::string& prefix = "fleet.service.") const;
+  /// Set one `fleet.service.`-named counter per field (same integers as
+  /// the struct, so report and metrics can never disagree).
+  void publish(obs::Registry& registry) const;
 };
 
 /// The resident daemon.  Single-threaded poll loop; concurrency comes
@@ -261,15 +264,6 @@ class Service {
   const ServiceStats& stats() const { return stats_; }
   bool draining() const { return draining_; }
 
-  /// Poll-loop liveness tallies behind the kHealthRequest scrape.
-  struct Health {
-    std::uint64_t poll_iterations = 0;
-    std::uint64_t connections = 0;
-    std::uint64_t connections_high_water = 0;
-    std::uint64_t queue_depth_high_water = 0;
-  };
-  const Health& health() const { return health_; }
-
   /// Mutations applied but not yet durable in the journal or a snapshot
   /// (0 at rest: every record is fdatasync'd before its ack).
   std::uint64_t snapshot_lag() const {
@@ -278,9 +272,9 @@ class Service {
 
   const obs::FlightRecorder& flight_recorder() const { return recorder_; }
 
-  /// Mirror every volatile tally (service stats, protocol tallies, health)
-  /// into `registry` — what the metrics scrape and the drain-time metrics
-  /// dump both call, so the two channels can never disagree.
+  /// Mirror every volatile tally (service stats, protocol tallies,
+  /// snapshot lag, draining) into `registry` — what the metrics scrape and
+  /// the drain-time metrics dump both call, so they can never disagree.
   void publish_volatile(obs::Registry& registry) const;
 
  private:
@@ -290,7 +284,6 @@ class Service {
   Frame respond_schedule_sleep(const Frame& request);
   Frame respond_status(const Frame& request);
   Frame respond_metrics(const Frame& request);
-  Frame respond_health(const Frame& request);
   /// Write-ahead half of a mutation: fdatasync its journal record, then
   /// compact when the journal has outgrown the last snapshot.
   void journal_mutation(const SleepMutation& mutation);
@@ -313,7 +306,6 @@ class Service {
   bti::ClosedFormModel model_;
   ServiceState state_;
   ServiceStats stats_;
-  Health health_;
   obs::FlightRecorder recorder_;
   /// recorder_.recorded() at the last dump: the ring is rewritten only
   /// when an event has been recorded since.

@@ -151,8 +151,10 @@ struct FleetReport {
 /// fork(2) and threads do not mix.
 class FleetSupervisor {
  public:
-  /// Throws std::invalid_argument on duplicate shard ids or an empty
-  /// spec list; throws std::runtime_error when checkpoint_dir is unusable.
+  /// Throws std::invalid_argument on duplicate shard ids, an empty spec
+  /// list or a ring-oscillator stage count no chip can be built with
+  /// (before any worker is forked); throws std::runtime_error when
+  /// checkpoint_dir is unusable.
   FleetSupervisor(FleetConfig config, std::vector<ShardSpec> shards);
 
   /// Run every shard to completion (or quarantine) and return the report.

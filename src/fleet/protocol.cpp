@@ -165,8 +165,6 @@ const char* to_string(MessageType type) {
     case MessageType::kErrorResponse: return "error-response";
     case MessageType::kMetricsRequest: return "metrics-request";
     case MessageType::kMetricsResponse: return "metrics-response";
-    case MessageType::kHealthRequest: return "health-request";
-    case MessageType::kHealthResponse: return "health-response";
     case MessageType::kMarginBatchRequest: return "margin-batch-request";
     case MessageType::kMarginBatchResponse: return "margin-batch-response";
   }
@@ -174,23 +172,15 @@ const char* to_string(MessageType type) {
 }
 
 bool known_message_type(std::uint32_t raw) {
-  // 12, 15 and 16 are unassigned (see MessageType).
+  // 12 and 15..18 are unassigned (see MessageType).
   const auto in = [raw](MessageType lo, MessageType hi) {
     return raw >= static_cast<std::uint32_t>(lo) &&
            raw <= static_cast<std::uint32_t>(hi);
   };
   return in(MessageType::kPingRequest, MessageType::kErrorResponse) ||
          in(MessageType::kMetricsRequest, MessageType::kMetricsResponse) ||
-         in(MessageType::kHealthRequest, MessageType::kMarginBatchResponse);
-}
-
-bool volatile_message_type(MessageType type) {
-  // The scrape channel is the explicit 13..18 block, not "13 and up":
-  // types past it (the margin batch) are deterministic science queries
-  // again and must stay inside the transcript-identity machinery.
-  const auto raw = static_cast<std::uint32_t>(type);
-  return raw >= static_cast<std::uint32_t>(MessageType::kMetricsRequest) &&
-         raw <= static_cast<std::uint32_t>(MessageType::kHealthResponse);
+         in(MessageType::kMarginBatchRequest,
+            MessageType::kMarginBatchResponse);
 }
 
 const char* to_string(ProtocolViolation violation) {
@@ -640,47 +630,6 @@ MetricsResponse MetricsResponse::parse(std::string_view payload) {
   out.status = parse_status(cursor.keyed("status"));
   out.text = std::string(cursor.take(cursor.keyed("bytes").u64()));
   cursor.expect_done();
-  return out;
-}
-
-std::string HealthRequest::encode() const { return {}; }
-
-HealthRequest HealthRequest::parse(std::string_view payload) {
-  (void)doc_of(payload, {});
-  return {};
-}
-
-std::string HealthResponse::encode() const {
-  std::string out;
-  put_field(out, "status", to_string(status));
-  put_field(out, "poll_iterations", std::to_string(poll_iterations));
-  put_field(out, "connections", std::to_string(connections));
-  put_field(out, "connections_high_water",
-            std::to_string(connections_high_water));
-  put_field(out, "queue_depth_high_water",
-            std::to_string(queue_depth_high_water));
-  put_field(out, "requests", std::to_string(requests));
-  put_field(out, "shed", std::to_string(shed));
-  put_field(out, "snapshot_lag", std::to_string(snapshot_lag));
-  put_field(out, "draining", draining ? "1" : "0");
-  return out;
-}
-
-HealthResponse HealthResponse::parse(std::string_view payload) {
-  const auto doc = doc_of(payload,
-                          {"status", "poll_iterations", "connections",
-                           "connections_high_water", "queue_depth_high_water",
-                           "requests", "shed", "snapshot_lag", "draining"});
-  HealthResponse out;
-  out.status = parse_status(doc["status"]);
-  out.poll_iterations = doc["poll_iterations"].u64();
-  out.connections = doc["connections"].u64();
-  out.connections_high_water = doc["connections_high_water"].u64();
-  out.queue_depth_high_water = doc["queue_depth_high_water"].u64();
-  out.requests = doc["requests"].u64();
-  out.shed = doc["shed"].u64();
-  out.snapshot_lag = doc["snapshot_lag"].u64();
-  out.draining = doc["draining"].flag();
   return out;
 }
 

@@ -266,43 +266,25 @@ std::uint64_t ServiceState::total_windows() const {
 
 // --- ServiceStats --------------------------------------------------------
 
-std::string ServiceStats::render() const {
-  std::string out = "service stats:\n";
-  out += strformat("  connections accepted   %llu (rejected %llu)\n",
-                   static_cast<unsigned long long>(connections_accepted),
-                   static_cast<unsigned long long>(connections_rejected));
-  out += strformat("  evictions              %llu\n",
-                   static_cast<unsigned long long>(evictions));
-  out += strformat("  frame errors           %llu\n",
-                   static_cast<unsigned long long>(frame_errors));
-  out += strformat("  requests               %llu (shed %llu)\n",
-                   static_cast<unsigned long long>(requests),
-                   static_cast<unsigned long long>(shed));
-  out += strformat("  responses              %llu\n",
-                   static_cast<unsigned long long>(responses));
-  out += strformat("  mutations              %llu (replayed %llu)\n",
-                   static_cast<unsigned long long>(mutations),
-                   static_cast<unsigned long long>(replays));
-  out += strformat("  snapshots saved        %llu\n",
-                   static_cast<unsigned long long>(snapshots_saved));
-  out += strformat("  flight dumps           %llu\n",
-                   static_cast<unsigned long long>(flight_dumps));
-  return out;
-}
-
-void ServiceStats::publish(obs::Registry& registry,
-                           const std::string& prefix) const {
-  registry.counter(prefix + "connections_accepted").set(connections_accepted);
-  registry.counter(prefix + "connections_rejected").set(connections_rejected);
-  registry.counter(prefix + "evictions").set(evictions);
-  registry.counter(prefix + "frame_errors").set(frame_errors);
-  registry.counter(prefix + "requests").set(requests);
-  registry.counter(prefix + "shed").set(shed);
-  registry.counter(prefix + "responses").set(responses);
-  registry.counter(prefix + "mutations").set(mutations);
-  registry.counter(prefix + "replays").set(replays);
-  registry.counter(prefix + "snapshots_saved").set(snapshots_saved);
-  registry.counter(prefix + "flight_dumps").set(flight_dumps);
+void ServiceStats::publish(obs::Registry& registry) const {
+  const auto set = [&registry](const char* name, std::uint64_t value) {
+    registry.counter(std::string("fleet.service.") + name).set(value);
+  };
+  set("connections_accepted", connections_accepted);
+  set("connections_rejected", connections_rejected);
+  set("evictions", evictions);
+  set("frame_errors", frame_errors);
+  set("requests", requests);
+  set("shed", shed);
+  set("responses", responses);
+  set("mutations", mutations);
+  set("replays", replays);
+  set("snapshots_saved", snapshots_saved);
+  set("flight_dumps", flight_dumps);
+  set("health.poll_iterations", poll_iterations);
+  set("health.connections", connections);
+  set("health.connections_high_water", connections_high_water);
+  set("health.queue_depth_high_water", queue_depth_high_water);
 }
 
 // --- Service -------------------------------------------------------------
@@ -350,7 +332,6 @@ Service::Service(ServiceConfig config)
          "fleet.service.latency.schedule_sleep");
     slot(MessageType::kStatusRequest, "fleet.service.latency.status");
     slot(MessageType::kMetricsRequest, "fleet.service.latency.metrics");
-    slot(MessageType::kHealthRequest, "fleet.service.latency.health");
     queue_wait_ = &reg.histogram("fleet.service.queue_wait", lat);
   }
   // Recovery: the newest snapshot that verifies, rolled forward by the
@@ -468,14 +449,6 @@ obs::Histogram* Service::latency_histogram(MessageType type) const {
 void Service::publish_volatile(obs::Registry& registry) const {
   stats_.publish(registry);
   protocol_tallies().publish(registry);
-  registry.counter("fleet.service.health.poll_iterations")
-      .set(health_.poll_iterations);
-  registry.counter("fleet.service.health.connections")
-      .set(health_.connections);
-  registry.counter("fleet.service.health.connections_high_water")
-      .set(health_.connections_high_water);
-  registry.counter("fleet.service.health.queue_depth_high_water")
-      .set(health_.queue_depth_high_water);
   registry.counter("fleet.service.health.snapshot_lag").set(snapshot_lag());
   registry.counter("fleet.service.health.draining").set(draining_ ? 1 : 0);
 }
@@ -507,8 +480,6 @@ Frame Service::respond(const Frame& request) {
         return respond_status(request);
       case MessageType::kMetricsRequest:
         return respond_metrics(request);
-      case MessageType::kHealthRequest:
-        return respond_health(request);
       default:
         throw ProtocolError(std::string("not a request type: ") +
                             to_string(request.type));
@@ -711,22 +682,6 @@ Frame Service::respond_metrics(const Frame& request) {
                resp.encode()};
 }
 
-Frame Service::respond_health(const Frame& request) {
-  (void)HealthRequest::parse(request.payload);  // validate only
-  HealthResponse resp;
-  resp.status = Status::kOk;
-  resp.poll_iterations = health_.poll_iterations;
-  resp.connections = health_.connections;
-  resp.connections_high_water = health_.connections_high_water;
-  resp.queue_depth_high_water = health_.queue_depth_high_water;
-  resp.requests = stats_.requests;
-  resp.shed = stats_.shed;
-  resp.snapshot_lag = snapshot_lag();
-  resp.draining = draining_;
-  return Frame{MessageType::kHealthResponse, request.request_id,
-               resp.encode()};
-}
-
 std::vector<Frame> Service::process_tick(const std::vector<Frame>& requests) {
   std::vector<Frame> responses;
   responses.reserve(requests.size());
@@ -817,7 +772,7 @@ void Service::run() {
   std::vector<double> tick_decode_ms;
 
   while (g_stop == 0) {
-    ++health_.poll_iterations;
+    ++stats_.poll_iterations;
     fds.clear();
     fds.push_back(pollfd{listen_fd, POLLIN, 0});
     for (const Conn& c : conns) {
@@ -860,9 +815,11 @@ void Service::run() {
                      {{"connections", std::to_string(conns.size())}});
       }
     }
-    health_.connections_high_water =
-        std::max(health_.connections_high_water,
-                 static_cast<std::uint64_t>(conns.size()));
+    // Counted again after the accepts, so a scrape answered this tick
+    // sees its own connection, as the high-water mark does.
+    stats_.connections = conns.size();
+    stats_.connections_high_water =
+        std::max(stats_.connections_high_water, stats_.connections);
 
     // Read: drain every readable connection into its frame reader; a
     // framing violation poisons the reader and the connection dies —
@@ -908,8 +865,8 @@ void Service::run() {
         }
       }
     }
-    health_.queue_depth_high_water =
-        std::max(health_.queue_depth_high_water,
+    stats_.queue_depth_high_water =
+        std::max(stats_.queue_depth_high_water,
                  static_cast<std::uint64_t>(tick_requests.size()));
 
     // Process this tick's admitted requests; shed the overflow.
@@ -974,7 +931,7 @@ void Service::run() {
         conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
       }
     }
-    health_.connections = conns.size();
+    stats_.connections = conns.size();
 
     // The tick's acks are on the wire; now, and only if the tick recorded
     // an event (reads record none), refresh the flight dump before the

@@ -238,6 +238,8 @@ FleetSupervisor::FleetSupervisor(FleetConfig config,
       throw std::invalid_argument("fleet supervisor: duplicate shard id " +
                                   std::to_string(s.shard_id));
     }
+    // A chip that cannot be built would crash every worker forked for it.
+    fpga::check_ring_stages(s.chip.ro_stages);
   }
   // Validate the store up front (throws on a missing/unwritable dir).
   (void)CheckpointStore(config_.checkpoint_dir);

@@ -40,6 +40,10 @@ struct RoStage {
   RoutingBlock routing;
 };
 
+/// Throws std::invalid_argument unless `stages` can oscillate: an odd
+/// count of at least 3 inverting stages.
+void check_ring_stages(int stages);
+
 /// A 75-stage (configurable) LUT ring oscillator with per-device aging.
 class RingOscillator {
  public:

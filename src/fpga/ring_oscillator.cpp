@@ -1,11 +1,20 @@
 #include "ash/fpga/ring_oscillator.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "ash/obs/profile.h"
 #include "ash/util/random.h"
 
 namespace ash::fpga {
+
+void check_ring_stages(int stages) {
+  if (stages < 3 || stages % 2 == 0) {
+    throw std::invalid_argument(
+        "RingOscillator: stage count must be odd and >= 3 (got " +
+        std::to_string(stages) + ")");
+  }
+}
 
 RingOscillator::RingOscillator(int stages,
                                const std::vector<double>& delay_scales,
@@ -14,10 +23,7 @@ RingOscillator::RingOscillator(int stages,
                                std::uint64_t seed,
                                double pbti_amplitude_ratio)
     : delay_params_(delay_params) {
-  if (stages < 3 || stages % 2 == 0) {
-    throw std::invalid_argument(
-        "RingOscillator: stage count must be odd and >= 3");
-  }
+  check_ring_stages(stages);
   if (delay_scales.size() != static_cast<std::size_t>(stages)) {
     throw std::invalid_argument(
         "RingOscillator: one delay scale per stage required");

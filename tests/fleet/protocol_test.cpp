@@ -136,9 +136,10 @@ TEST(WireFrame, UnknownMessageTypeIsRejected) {
 
 TEST(WireFrame, UnassignedTypesAreRejectedAsUnknown) {
   // 12 pads the odd/even pairing; 15/16 were the retired kernel-profile
-  // scrape.  A verified envelope of any of them is refused at decode,
-  // by decode_frame and by the stream reader alike.
-  for (const int type : {12, 15, 16}) {
+  // scrape and 17/18 the retired health scrape.  A verified envelope of
+  // any of them is refused at decode, by decode_frame and by the stream
+  // reader alike.
+  for (const int type : {12, 15, 16, 17, 18}) {
     EXPECT_FALSE(known_message_type(static_cast<std::uint32_t>(type)))
         << type;
     try {
@@ -148,13 +149,14 @@ TEST(WireFrame, UnassignedTypesAreRejectedAsUnknown) {
       EXPECT_EQ(e.violation(), ProtocolViolation::kUnknownType) << type;
     }
     FrameReader reader;
-    EXPECT_THROW(
-        {
-          reader.feed(frame_of_type(type));
-          (void)reader.next();
-        },
-        ProtocolError)
-        << type;
+    reader.feed(frame_of_type(type));
+    try {
+      (void)reader.next();
+      ADD_FAILURE() << "type " << type << " read";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.violation(), ProtocolViolation::kUnknownType) << type;
+    }
+    EXPECT_TRUE(reader.poisoned()) << type;
   }
 }
 
@@ -474,26 +476,21 @@ TEST(PayloadCodec, MessageTypeNamesAreStable) {
   EXPECT_TRUE(known_message_type(11));
   EXPECT_FALSE(known_message_type(0));
   EXPECT_FALSE(known_message_type(12));
-  // The volatile scrape channel: metrics 13/14 and health 17/18.
+  // The volatile scrape channel is metrics 13/14 alone; 15..18 are
+  // retired scrapes.
+  EXPECT_STREQ(to_string(MessageType::kMetricsRequest), "metrics-request");
   EXPECT_TRUE(known_message_type(13));
   EXPECT_TRUE(known_message_type(14));
-  EXPECT_FALSE(known_message_type(15));
-  EXPECT_FALSE(known_message_type(16));
-  EXPECT_TRUE(known_message_type(17));
-  EXPECT_TRUE(known_message_type(18));
-  // The margin batch (19/20) follows the scrape block and is known but
-  // NOT volatile: it is deterministic science payload, transcripted like
-  // its single-device sibling.
+  for (std::uint32_t raw = 15; raw <= 18; ++raw) {
+    EXPECT_FALSE(known_message_type(raw)) << raw;
+  }
+  // The margin batch (19/20) follows the retired block: deterministic
+  // science payload, transcripted like its single-device sibling.
   EXPECT_STREQ(to_string(MessageType::kMarginBatchRequest),
                "margin-batch-request");
   EXPECT_TRUE(known_message_type(19));
   EXPECT_TRUE(known_message_type(20));
   EXPECT_FALSE(known_message_type(21));
-  EXPECT_FALSE(volatile_message_type(MessageType::kStatusRequest));
-  EXPECT_TRUE(volatile_message_type(MessageType::kMetricsRequest));
-  EXPECT_TRUE(volatile_message_type(MessageType::kHealthResponse));
-  EXPECT_FALSE(volatile_message_type(MessageType::kMarginBatchRequest));
-  EXPECT_FALSE(volatile_message_type(MessageType::kMarginBatchResponse));
 }
 
 TEST(PayloadCodec, MarginBatchRequestRoundTripAndRejection) {
@@ -590,34 +587,6 @@ TEST(ScrapeCodec, MetricsRoundTripIncludingRawText) {
   // A lying length prefix is rejected, not buffered past the payload.
   EXPECT_THROW(MetricsResponse::parse("status ok\nbytes 9999\nshort"),
                ProtocolError);
-}
-
-TEST(ScrapeCodec, HealthRoundTrip) {
-  HealthResponse resp;
-  resp.status = Status::kOk;
-  resp.poll_iterations = 4096;
-  resp.connections = 3;
-  resp.connections_high_water = 9;
-  resp.queue_depth_high_water = 8;
-  resp.requests = 512;
-  resp.shed = 4;
-  resp.snapshot_lag = 0;
-  resp.draining = true;
-  const auto resp2 = HealthResponse::parse(resp.encode());
-  EXPECT_EQ(resp2.poll_iterations, 4096u);
-  EXPECT_EQ(resp2.connections, 3u);
-  EXPECT_EQ(resp2.connections_high_water, 9u);
-  EXPECT_EQ(resp2.queue_depth_high_water, 8u);
-  EXPECT_EQ(resp2.requests, 512u);
-  EXPECT_EQ(resp2.shed, 4u);
-  EXPECT_EQ(resp2.snapshot_lag, 0u);
-  EXPECT_TRUE(resp2.draining);
-  // The strict-document grammar still applies: duplicate keys reject.
-  EXPECT_THROW(HealthResponse::parse(resp.encode() + "shed 1\n"),
-               ProtocolError);
-  // Empty-payload requests round-trip and reject junk.
-  EXPECT_NO_THROW(HealthRequest::parse(HealthRequest{}.encode()));
-  EXPECT_THROW(HealthRequest::parse("junk 1\n"), ProtocolError);
 }
 
 TEST(ProtocolTalliesTest, SweepRejectionsMatchPublishedMetricsBitForBit) {

@@ -1,7 +1,7 @@
 /// Observability acceptance for the fleet service (`ctest -L faults`):
 ///
-///   * the volatile scrape channel (metrics / health) answers
-///     over the real wire with the daemon's live tallies;
+///   * the volatile scrape channel (the metrics scrape) answers over the
+///     real wire with the daemon's live tallies, liveness included;
 ///   * scrapes interleaved mid-session stay out of the client transcript,
 ///     so the chaos transcript-identity gate is unperturbed by watching;
 ///   * a SIGKILLed daemon leaves a loadable flight-recorder dump whose
@@ -95,13 +95,6 @@ TEST_F(ServiceObsTest, InProcessScrapesAnswerLiveTallies) {
   ASSERT_EQ(ack.type, MessageType::kScheduleSleepResponse);
   EXPECT_EQ(ScheduleSleepResponse::parse(ack.payload).windows, 1u);
 
-  const Frame health_frame = service.respond(
-      {MessageType::kHealthRequest, 2, HealthRequest{}.encode()});
-  ASSERT_EQ(health_frame.type, MessageType::kHealthResponse);
-  const HealthResponse health = HealthResponse::parse(health_frame.payload);
-  EXPECT_EQ(health.snapshot_lag, service.snapshot_lag());
-  EXPECT_FALSE(health.draining);
-
   MetricsRequest metrics_req;
   metrics_req.prefix = "fleet.service.";
   const Frame metrics_frame = service.respond(
@@ -114,6 +107,14 @@ TEST_F(ServiceObsTest, InProcessScrapesAnswerLiveTallies) {
   bool found = false;
   EXPECT_EQ(metric_value(metrics.text, "fleet.service.mutations", &found),
             1.0);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(
+      metric_value(metrics.text, "fleet.service.health.snapshot_lag", &found),
+      static_cast<double>(service.snapshot_lag()));
+  EXPECT_TRUE(found);
+  EXPECT_EQ(
+      metric_value(metrics.text, "fleet.service.health.draining", &found),
+      0.0);
   EXPECT_TRUE(found);
   EXPECT_EQ(metrics.text.find("fleet.protocol."), std::string::npos)
       << "prefix filter leaked foreign metrics";
@@ -156,25 +157,41 @@ TEST_F(ServiceObsTest, WireScrapesReportTheDaemonsLife) {
   cc.client_id = 5;
   Client client(cc);
 
+  // The first scrape over a fresh connection already counts it.
+  EXPECT_GE(metric_value(client.metrics("fleet.service.health.").text,
+                         "fleet.service.health.connections"),
+            1.0);
+
   ScheduleSleepRequest req;
   req.client_id = cc.client_id;
   req.device_id = 3;
   EXPECT_EQ(client.schedule_sleep(req).windows, 1u);
   EXPECT_TRUE(client.ping());
 
-  const HealthResponse health = client.health();
-  EXPECT_EQ(health.status, Status::kOk);
-  EXPECT_GE(health.requests, 2u);
-  EXPECT_GE(health.connections, 1u);
-  EXPECT_GE(health.connections_high_water, health.connections);
-  EXPECT_EQ(health.snapshot_lag, 0u) << "write-ahead means no lag at rest";
-  EXPECT_FALSE(health.draining);
-
   const MetricsResponse metrics = client.metrics("fleet.");
   ASSERT_EQ(metrics.status, Status::kOk);
   bool found = false;
   EXPECT_GE(metric_value(metrics.text, "fleet.service.requests", &found),
             2.0);
+  EXPECT_TRUE(found);
+  // Liveness rides the same scrape.
+  const double connections =
+      metric_value(metrics.text, "fleet.service.health.connections", &found);
+  EXPECT_TRUE(found);
+  EXPECT_GE(connections, 1.0);
+  EXPECT_GE(metric_value(metrics.text,
+                         "fleet.service.health.connections_high_water",
+                         &found),
+            connections);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(
+      metric_value(metrics.text, "fleet.service.health.snapshot_lag", &found),
+      0.0)
+      << "write-ahead means no lag at rest";
+  EXPECT_TRUE(found);
+  EXPECT_EQ(
+      metric_value(metrics.text, "fleet.service.health.draining", &found),
+      0.0);
   EXPECT_TRUE(found);
   EXPECT_EQ(metric_value(metrics.text, "fleet.service.mutations", &found),
             1.0);
@@ -219,10 +236,7 @@ TEST_F(ServiceObsTest, ScrapesStayOutOfTheTranscript) {
         req.device_id = static_cast<std::uint64_t>(i);
         (void)client.schedule_sleep(req);
       }
-      if (session == 1) {
-        (void)client.health();
-        (void)client.metrics("fleet.service.");
-      }
+      if (session == 1) (void)client.metrics("fleet.service.");
     }
     transcripts[session] = client.transcript();
     EXPECT_EQ(daemon.terminate(), 0);

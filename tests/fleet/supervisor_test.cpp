@@ -1,6 +1,7 @@
 #include "ash/fleet/supervisor.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -236,6 +237,28 @@ TEST_F(FleetSupervisorTest, ConstructorRejectsBadFleets) {
   EXPECT_THROW(FleetSupervisor(fast_config(dir + "/missing"),
                                paper_fleet_shards(1, kSeed, kStages)),
                std::runtime_error);
+}
+
+TEST_F(FleetSupervisorTest, ImpossibleRingIsRefusedBeforeAnyFork) {
+  // A chip whose ring cannot oscillate would crash every worker forked
+  // for it, restart after restart, until quarantine.  The constructor
+  // refuses it instead, so run() — the only forking call — never starts.
+  const std::string dir = fresh_dir("stages");
+  for (const int stages : {4, 2, 1, 0, -3}) {
+    EXPECT_THROW(FleetSupervisor(fast_config(dir),
+                                 paper_fleet_shards(2, kSeed, stages)),
+                 std::invalid_argument)
+        << stages;
+  }
+  // One bad shard among good ones is enough.
+  auto shards = paper_fleet_shards(3, kSeed, kStages);
+  shards[2].chip.ro_stages = 74;
+  EXPECT_THROW(FleetSupervisor(fast_config(dir), shards),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      FleetSupervisor(fast_config(dir), paper_fleet_shards(1, kSeed, 3)));
+  EXPECT_TRUE(std::filesystem::is_empty(dir))
+      << "a refused fleet wrote into its checkpoint dir";
 }
 
 TEST(PaperFleetShards, CyclesThePaperCampaign) {

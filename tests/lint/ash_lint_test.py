@@ -8,9 +8,7 @@ that must produce nothing.  The token rules also have a bare case whose
 escape omits the mandatory reason (and therefore still reports).  The
 fixtures mirror the repo layout where a rule is path-scoped; the
 protocol-exhaustiveness cases are whole mini-repo roots, since that rule
-cross-checks protocol.h, protocol.cpp and tests/fleet/.  The suite pins
-the deterministic fallback frontend (`--frontend fallback`) so results do
-not depend on an optional libclang wheel.
+cross-checks protocol.h, protocol.cpp and tests/fleet/.
 
 Run directly or via ctest (`ctest -L lint`).
 """
@@ -57,8 +55,7 @@ WITHOUT_BARE_CASE = {"signal-safety", "shard-purity", "unit-flow",
 
 
 def run_lint(root, paths, rule=None):
-    cmd = [sys.executable, LINT, "--root", root, "--json",
-           "--frontend", "fallback"]
+    cmd = [sys.executable, LINT, "--root", root, "--json"]
     if rule:
         cmd += ["--rule", rule]
     cmd += list(paths)
@@ -248,7 +245,8 @@ class AshLintRepoTest(unittest.TestCase):
         # The four reasoned escapes: two harness timers in ash_lab and two
         # deliberately torn writes in checkpoint_store_test.
         self.assertEqual(payload["suppressed"], 4)
-        self.assertEqual(payload["frontend"], "fallback")
+        # One frontend: the report no longer names it.
+        self.assertNotIn("frontend", payload)
 
     def test_list_rules(self):
         proc = run_cli("--list-rules")

@@ -14,12 +14,15 @@
 ///              [--io-timeout-ms N] [--max-conns N] [--metrics FILE]
 ///              [--flight FILE] [--flight-capacity N] [--no-instrument]
 ///              [--trace FILE]
-///     Run the daemon.  --run-fleet first shards the paper campaign across
-///     supervised worker processes (ash_fleet's machinery) so the
-///     rejuvenation query has durable shard snapshots to rank.  SIGTERM
-///     drains gracefully (final durable state snapshot); SIGKILL is safe —
-///     the next start resumes from the newest valid snapshot plus the
-///     journal's valid prefix, so every acknowledged mutation survives.
+///     Run the daemon; on exit it prints the `fleet.service.` metrics it
+///     published at drain.  --run-fleet first shards the paper campaign
+///     across supervised worker processes (ash_fleet's machinery) so the
+///     rejuvenation query has durable shard snapshots to rank; a --stages
+///     no ring oscillator can have (even, or below 3) is refused first.
+///     SIGTERM drains gracefully (final durable state snapshot); SIGKILL
+///     is safe — the next start resumes from the newest valid snapshot
+///     plus the journal's valid prefix, so every acknowledged mutation
+///     survives.
 ///     --flight keeps a flight recorder whose dump survives a kill of the
 ///     daemon, not a power cut: it is rewritten (temp file + rename, no
 ///     fsync) after the acks of each poll tick that recorded an event, so
@@ -33,13 +36,15 @@
 ///
 ///   ash_fleetd top --socket PATH [--interval-ms N] [--iterations N]
 ///              [--prefix STR]
-///     Live dashboard: polls the health/metrics scrape channel and renders
-///     uptime, load and per-verb latency quantiles.  Scrapes are volatile —
-///     watching a daemon never perturbs its durable state or transcripts.
+///     Live dashboard: one metrics scrape per tick, rendered as a health
+///     line (uptime, load, snapshot lag, built from the scrape's
+///     `fleet.service.` values) and per-verb latency quantiles.  Scrapes
+///     are volatile — watching a daemon never perturbs its durable state
+///     or transcripts.
 ///
 ///   ash_fleetd stats --socket PATH [--prefix STR] [--json]
-///     One-shot scrape of the same channel; --json emits a machine-readable
-///     object (health + metrics).
+///     One scrape: the health line, then the metric lines; --json emits
+///     {"metrics": {name: value, ...}} instead.
 ///
 ///   ash_fleetd flight --file PATH
 ///     Load and render a flight-recorder dump (tolerates torn tails from
@@ -52,15 +57,17 @@
 ///     undisturbed, once under the protocol chaos preset (dropped
 ///     connections, mid-frame tears, stalled writes, daemon SIGKILL +
 ///     restart between requests) — and require the two transcripts to be
-///     byte-identical.  Both sessions interleave metrics/health scrapes
+///     byte-identical.  Both sessions interleave metrics scrapes
 ///     mid-session, pinning that observation does not perturb the
 ///     transcript.  Exit 0 on identical transcripts, 1 otherwise.
 
 #include <time.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -97,6 +104,7 @@ int usage() {
       "                  [--flight FILE] [--flight-capacity N] "
       "[--no-instrument]\n"
       "                  [--trace FILE]\n"
+      "                  (prints its fleet.service. metrics on exit)\n"
       "                  (--flight: dump written after the ack, only when "
       "changed;\n"
       "                  survives a kill, not a power cut)\n"
@@ -111,6 +119,9 @@ int usage() {
       "       ash_fleetd top --socket PATH [--interval-ms N] "
       "[--iterations N] [--prefix STR]\n"
       "       ash_fleetd stats --socket PATH [--prefix STR] [--json]\n"
+      "                  (one metrics scrape per tick; the health line is "
+      "built from\n"
+      "                  its fleet.service. values)\n"
       "       ash_fleetd flight --file PATH\n"
       "       ash_fleetd drill --dir DIR [--requests N] [--devices N]\n"
       "                  [--shards N] [--stages N] [--seed N] "
@@ -121,9 +132,11 @@ int usage() {
 /// Make DIR/name, failing loudly.
 std::string make_subdir(const std::string& dir, const std::string& name) {
   const std::string path = dir + "/" + name;
-  const std::string cmd = "mkdir -p '" + path + "'";
-  if (std::system(cmd.c_str()) != 0) {
-    throw std::runtime_error("cannot create directory " + path);
+  std::error_code ec;
+  std::filesystem::create_directories(path, ec);
+  if (ec) {
+    throw std::runtime_error("cannot create directory " + path + ": " +
+                             ec.message());
   }
   return path;
 }
@@ -139,10 +152,13 @@ void run_fleet_campaign(const std::string& campaign_dir, int shards,
   fleet::FleetSupervisor supervisor(
       config, fleet::paper_fleet_shards(shards, seed, stages));
   const fleet::FleetReport report = supervisor.run();
-  if (!report.all_completed()) {
-    std::fprintf(stderr, "ash_fleetd: warning: campaign left %zu shard(s) "
+  const auto incomplete =
+      std::count_if(report.shards.begin(), report.shards.end(),
+                    [](const fleet::ShardOutcome& s) { return !s.completed; });
+  if (incomplete > 0) {
+    std::fprintf(stderr, "ash_fleetd: warning: campaign left %td shard(s) "
                          "incomplete; serving anyway\n",
-                 report.shards.size());
+                 incomplete);
   }
 }
 
@@ -205,7 +221,8 @@ int run_serve(const Flags& flags) {
               static_cast<unsigned long long>(service.state().sequence));
   std::fflush(stdout);
   service.run();
-  std::printf("%s", service.stats().render().c_str());
+  const auto published = obs::registry().snapshot().filtered("fleet.service.");
+  std::printf("%s", published.render().c_str());
   if (trace_writer) {
     obs::set_trace_sink(nullptr);
     trace_writer->flush();
@@ -307,18 +324,22 @@ std::map<std::string, double> parse_metric_lines(const std::string& text) {
   return out;
 }
 
-std::string render_health(const fleet::HealthResponse& health) {
-  return strformat(
-      "health: polls %llu conns %llu (hw %llu) queue-hw %llu "
-      "requests %llu shed %llu snapshot-lag %llu%s\n",
-      static_cast<unsigned long long>(health.poll_iterations),
-      static_cast<unsigned long long>(health.connections),
-      static_cast<unsigned long long>(health.connections_high_water),
-      static_cast<unsigned long long>(health.queue_depth_high_water),
-      static_cast<unsigned long long>(health.requests),
-      static_cast<unsigned long long>(health.shed),
-      static_cast<unsigned long long>(health.snapshot_lag),
-      health.draining ? " DRAINING" : "");
+/// The daemon's liveness at a glance, from the `fleet.service.` values of
+/// one scrape; a value the scrape's prefix filtered out shows as "-".
+std::string health_line(const std::map<std::string, double>& m) {
+  const auto value = [&m](const char* name) {
+    const auto it = m.find(std::string("fleet.service.") + name);
+    return it == m.end() ? std::string("-") : strformat("%.0f", it->second);
+  };
+  const auto draining = m.find("fleet.service.health.draining");
+  return "health: polls " + value("health.poll_iterations") + " conns " +
+         value("health.connections") + " (hw " +
+         value("health.connections_high_water") + ") queue-hw " +
+         value("health.queue_depth_high_water") + " requests " +
+         value("requests") + " shed " + value("shed") + " snapshot-lag " +
+         value("health.snapshot_lag") +
+         (draining != m.end() && draining->second != 0.0 ? " DRAINING\n"
+                                                          : "\n");
 }
 
 /// Histogram rows of a metric map: every `<base>.count` with a matching
@@ -366,11 +387,9 @@ int run_top(const Flags& flags) {
   cc.client_id = 0xA5;  // dashboards are clients too, just volatile ones
   fleet::Client client(cc);
   for (int i = 0; iterations <= 0 || i < iterations; ++i) {
-    const auto health = client.health();
-    const auto metrics = client.metrics(prefix);
+    const auto values = parse_metric_lines(client.metrics(prefix).text);
     std::printf("── ash_fleetd top · tick %d ──\n", i + 1);
-    std::printf("%s", render_health(health).c_str());
-    const auto values = parse_metric_lines(metrics.text);
+    std::printf("%s", health_line(values).c_str());
     std::printf("%s", render_latency_table(values).c_str());
     std::fflush(stdout);
     if (iterations > 0 && i + 1 >= iterations) break;
@@ -406,30 +425,16 @@ int run_stats(const Flags& flags) {
   cc.socket_path = socket_path;
   cc.client_id = 0xA5;
   fleet::Client client(cc);
-  const auto health = client.health();
-  const auto metrics = client.metrics(prefix);
+  const std::string text = client.metrics(prefix).text;
+  const auto values = parse_metric_lines(text);
   if (!flags.get("json", false)) {
-    std::printf("%s", render_health(health).c_str());
-    std::printf("%s", metrics.text.c_str());
+    std::printf("%s", health_line(values).c_str());
+    std::printf("%s", text.c_str());
     return 0;
   }
-  std::string out = "{\"health\":{";
-  out += strformat(
-      "\"poll_iterations\":%llu,\"connections\":%llu,"
-      "\"connections_high_water\":%llu,\"queue_depth_high_water\":%llu,"
-      "\"requests\":%llu,\"shed\":%llu,\"snapshot_lag\":%llu,"
-      "\"draining\":%s},",
-      static_cast<unsigned long long>(health.poll_iterations),
-      static_cast<unsigned long long>(health.connections),
-      static_cast<unsigned long long>(health.connections_high_water),
-      static_cast<unsigned long long>(health.queue_depth_high_water),
-      static_cast<unsigned long long>(health.requests),
-      static_cast<unsigned long long>(health.shed),
-      static_cast<unsigned long long>(health.snapshot_lag),
-      health.draining ? "true" : "false");
-  out += "\"metrics\":{";
+  std::string out = "{\"metrics\":{";
   bool first = true;
-  for (const auto& [name, value] : parse_metric_lines(metrics.text)) {
+  for (const auto& [name, value] : values) {
     if (!first) out += ',';
     first = false;
     out += '"' + json_escape(name) + "\":";
@@ -494,10 +499,7 @@ std::string run_session(fleet::ForkedDaemon& daemon, const std::string& socket_p
     // Volatile scrapes interleaved mid-session, identically in the clean
     // and chaos runs: watching the daemon must never show up in the
     // transcript, and the identity gate pins exactly that.
-    if (i % 3 == 2) {
-      (void)client.health();
-      (void)client.metrics("fleet.service.");
-    }
+    if (i % 3 == 2) (void)client.metrics("fleet.service.");
   }
   (void)client.status();  // final durable-state fingerprint
   if (!quiet) std::printf("%s", client.stats().render().c_str());

@@ -126,15 +126,12 @@ declaration parser:
                   hostile-input test.  Cross-checks protocol.h,
                   protocol.cpp and tests/fleet/.
 
-Frontend: `clang.cindex` (libclang) resolves the call targets of
-signal-safety and shard-purity precisely when it is importable and compile
-commands are available; otherwise the self-contained declaration parser's
-call graph is used, so CI never depends on an optional wheel.
-`--frontend fallback` forces the self-contained parser (what the
-self-tests pin).  The fallback parser resolves calls by name, not by
-overload: its call graph is an over-approximation, and it does not see
-through function pointers other than the signal-registration idioms above
-(see DESIGN.md sec. 9 for the full limits).
+Frontend: one self-contained declaration parser feeds every rule, so the
+lint depends on nothing beyond the Python standard library.  It resolves
+calls by name, not by overload: its call graph is an over-approximation,
+and it does not see through function pointers other than the
+signal-registration idioms above (see DESIGN.md sec. 9 for the full
+limits).
 
 Any finding can be suppressed on its line with a trailing
 `// ash-lint: allow(<rule>): <reason>` (comma-separate several rules).
@@ -945,57 +942,6 @@ def rule_metric_name(sf: SourceFile, report: Report) -> None:
 
 
 # --------------------------------------------------------------------------
-# Optional libclang frontend
-# --------------------------------------------------------------------------
-
-
-def load_libclang():
-    """Return the clang.cindex module, or None when unavailable.
-
-    When present, calls inside handler/shard bodies are resolved through
-    the AST (precise receiver types) instead of by name.  The analysis
-    below only consumes the (function -> callee names) map, so both
-    frontends feed the same checkers.
-    """
-    try:
-        import clang.cindex as cindex  # type: ignore
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def clang_call_graph(cindex, compile_commands, root):
-    """Best-effort (function -> callee simple names) map via libclang."""
-    graph: dict[str, set] = {}
-    try:
-        for entry in compile_commands:
-            path = entry.get("file", "")
-            if not path.startswith(root):
-                continue
-            tu = cindex.Index.create().parse(
-                path, args=[a for a in entry.get("command", "").split()[1:]
-                            if a.startswith(("-I", "-D", "-std"))])
-            stack = [tu.cursor]
-            while stack:
-                cur = stack.pop()
-                if cur.kind.name in ("FUNCTION_DECL", "CXX_METHOD") and \
-                        cur.is_definition():
-                    callees = graph.setdefault(cur.spelling, set())
-                    inner = [cur]
-                    while inner:
-                        c = inner.pop()
-                        if c.kind.name == "CALL_EXPR" and c.spelling:
-                            callees.add(c.spelling)
-                        inner.extend(c.get_children())
-                else:
-                    stack.extend(cur.get_children())
-    except Exception:
-        return None  # fall back silently: the deterministic parser rules
-    return graph
-
-
-# --------------------------------------------------------------------------
 # Rule: signal-safety
 # --------------------------------------------------------------------------
 
@@ -1047,7 +993,7 @@ def find_handler_roots(files):
     return roots
 
 
-def check_signal_safety(files, report, call_graph=None):
+def check_signal_safety(files, report):
     by_name: dict[str, list] = {}
     for sf in files:
         for func in sf.functions:
@@ -1072,16 +1018,7 @@ def check_signal_safety(files, report, call_graph=None):
                         f"'{func.qualified}' is reachable from a signal "
                         f"handler but {why}; only AS-safe operations may "
                         "run on this path")
-            callees = body_calls(func.body)
-            if call_graph is not None and name in call_graph:
-                # libclang resolved this body: drop textual matches it
-                # does not confirm (template/type-name noise), keeping
-                # the textual offsets for line numbers.
-                confirmed = call_graph[name]
-                callees = [(c, o) for c, o in callees
-                           if c.split("::")[-1] in confirmed
-                           or c in confirmed]
-            for callee, off in callees:
+            for callee, off in body_calls(func.body):
                 simple = callee.split("::")[-1]
                 line = line_base + func.body.count("\n", 0, off)
                 if simple in AS_SAFE_CALLS:
@@ -1143,7 +1080,7 @@ def shard_lambda_spans(sf):
     return spans
 
 
-def check_shard_purity(files, report, call_graph=None):
+def check_shard_purity(files, report):
     by_name: dict[str, list] = {}
     for sf in files:
         for func in sf.functions:
@@ -1352,7 +1289,6 @@ FILE_RULES = {
     "lenient-parse": rule_lenient_parse,
     "unit-flow": rule_unit_flow,
 }
-CALL_GRAPH_RULES = ("signal-safety", "shard-purity")
 
 
 def iter_source_files(root: str, paths):
@@ -1392,11 +1328,7 @@ def main(argv=None) -> int:
                         help="compile_commands.json (default: "
                         "<root>/build/compile_commands.json when present); "
                         "warns about src/ translation units the build does "
-                        "not compile, and feeds the libclang frontend")
-    parser.add_argument("--frontend", choices=("auto", "clang", "fallback"),
-                        default="auto",
-                        help="auto prefers libclang when importable; "
-                        "fallback forces the self-contained parser")
+                        "not compile")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -1465,26 +1397,15 @@ def main(argv=None) -> int:
         print("ash_lint: no source files matched", file=sys.stderr)
         return 2
 
-    call_graph = None
-    if args.frontend != "fallback" and \
-            any(r in CALL_GRAPH_RULES for r in rules):
-        cindex = load_libclang()
-        if cindex is not None and compile_commands is not None:
-            call_graph = clang_call_graph(cindex, compile_commands, root)
-        elif args.frontend == "clang":
-            print("ash_lint: --frontend clang requested but clang.cindex "
-                  "is not importable", file=sys.stderr)
-            return 2
-
     report = Report()
     for sf in files:
         for rule in rules:
             if rule in FILE_RULES:
                 FILE_RULES[rule](sf, report)
     if "signal-safety" in rules:
-        check_signal_safety(files, report, call_graph)
+        check_signal_safety(files, report)
     if "shard-purity" in rules:
-        check_shard_purity(files, report, call_graph)
+        check_shard_purity(files, report)
     if "protocol-exhaustiveness" in rules:
         check_protocol(files, report, root)
 
@@ -1500,7 +1421,6 @@ def main(argv=None) -> int:
             "counts": counts,
             "files_scanned": len(files),
             "suppressed": suppressed,
-            "frontend": "clang" if call_graph is not None else "fallback",
         }, indent=2))
     else:
         for f in findings:
