@@ -965,22 +965,21 @@ void Service::run() {
   for (Conn& c : conns) ::close(c.fd);
   conns.clear();
 
-  // The final durable checkpoint of the drain contract.
+  // The final durable checkpoint of the drain contract, then the drain's
+  // one flight dump, already holding kDrainEnd.
   save_snapshot();
+  recorder_.record(obs::FlightEventKind::kDrainEnd);
   persist_flight();
 
-  // Crash-consistent metrics dump: every volatile tally published, then
-  // one atomic write — a kill mid-drain leaves the previous complete
-  // file, never a torn one.
+  // Crash-consistent metrics dump: every volatile tally published, the
+  // flight dump above included, then one atomic write — a kill mid-drain
+  // leaves the previous complete file, never a torn one.
   publish_volatile(obs::registry());
   if (!config_.metrics_path.empty()) {
     std::ostringstream os;
     obs::registry().snapshot().write(os);
     util::atomic_write_file(config_.metrics_path, os.str());
   }
-
-  recorder_.record(obs::FlightEventKind::kDrainEnd);
-  persist_flight();
 
   ::unlink(config_.socket_path.c_str());
   ::sigaction(SIGTERM, &old_term, nullptr);

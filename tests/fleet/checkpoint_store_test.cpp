@@ -5,11 +5,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ash/util/atomic_file.h"
 #include "ash/util/crc32.h"
+#include "ash/util/random.h"
+#include "support/fuzz.h"
 
 namespace ash::fleet {
 namespace {
@@ -240,6 +243,72 @@ TEST_F(CheckpointStoreTest, SaveIsAtomicNoTempFilesRemain) {
   const auto files = store.shard_files(0);
   ASSERT_EQ(files.size(), 1u);
   EXPECT_NE(files[0].find(".ckpt"), std::string::npos);
+}
+
+constexpr int kFrameMutants = 3000;
+
+std::string reframe(const DecodedSnapshot& d) {
+  return frame_snapshot(d.shard_id, d.sequence, d.payload);
+}
+
+/// Single frames and a three-record journal, 8-bit payloads included.
+std::vector<std::string> frame_corpus() {
+  return {frame_snapshot(0, 0, ""), frame_snapshot(7, 42, binary_payload()),
+          frame_snapshot(3, 0x100000001u, "device 2 windows 1\n"),
+          frame_snapshot(0, 2, "a b\n") + frame_snapshot(0, 3, "c d e\n") +
+              frame_snapshot(0, 4, binary_payload())};
+}
+
+/// decode_snapshot: refused with CorruptSnapshot, or a round trip.
+fuzz::Outcome decode_whole(const std::string& bytes) {
+  return fuzz::reject_or_round_trip<CorruptSnapshot>(
+      bytes, [](const std::string& b) { return decode_snapshot(b); }, reframe);
+}
+
+/// decode_snapshot_prefix never throws (the sweep fails on any exception)
+/// and yields only whole records; taking the whole input is a round trip.
+fuzz::Outcome decode_prefix(const std::string& bytes) {
+  const SnapshotPrefix prefix = decode_snapshot_prefix(bytes);
+  std::string covered;
+  for (const DecodedSnapshot& frame : prefix.frames) covered += reframe(frame);
+  EXPECT_EQ(prefix.valid_bytes, covered.size());
+  EXPECT_EQ(bytes.compare(0, covered.size(), covered), 0)
+      << "a record not wholly in the input";
+  return prefix.valid_bytes == bytes.size() ? fuzz::Outcome::kRoundTripped
+                                            : fuzz::Outcome::kRejected;
+}
+
+TEST(SnapshotFuzz, SplicedFramesAreRejectedOrYieldWholeRecords) {
+  fuzz::expect_both_outcomes(
+      fuzz::sweep(frame_corpus(), 1, kFrameMutants, decode_whole));
+  fuzz::expect_both_outcomes(
+      fuzz::sweep(frame_corpus(), 2, kFrameMutants, decode_prefix));
+}
+
+TEST(SnapshotFuzz, DuplicatedRecordsYieldOnlyWholeRecords) {
+  // Copy one whole record of the journal back in, at a record boundary
+  // (every copy still verifies) or at any byte.  The frame decoder refuses
+  // every such document; the prefix decoder keeps whole records only.
+  const std::string doc = frame_corpus().back();
+  std::vector<std::size_t> bounds{0};
+  for (const DecodedSnapshot& frame : decode_snapshot_prefix(doc).frames) {
+    bounds.push_back(bounds.back() + reframe(frame).size());
+  }
+  Rng rng(derive_seed(0xF0221u, 3));
+  fuzz::Tally prefix;
+  for (int i = 0; i < kFrameMutants; ++i) {
+    const std::size_t k = rng.uniform_index(bounds.size() - 1);
+    const std::size_t at = rng.bernoulli(0.5)
+                               ? bounds[rng.uniform_index(bounds.size())]
+                               : rng.uniform_index(doc.size() + 1);
+    std::string mutant = doc;
+    mutant.insert(at, doc, bounds[k], bounds[k + 1] - bounds[k]);
+    EXPECT_EQ(decode_whole(mutant), fuzz::Outcome::kRejected);
+    ++(decode_prefix(mutant) == fuzz::Outcome::kRejected
+           ? prefix.rejected
+           : prefix.round_tripped);
+  }
+  fuzz::expect_both_outcomes(prefix);
 }
 
 TEST(CheckpointStoreNames, FileNamesSortBySequence) {

@@ -10,14 +10,19 @@
 ///   * the dump is rewritten only after a tick that recorded an event:
 ///     reads cost no dump, a mutation at most one;
 ///   * the SIGTERM drain's metrics dump is atomic: complete content, no
-///     temp-file debris, readable while torn-write chaos reigns elsewhere.
+///     temp-file debris, readable while torn-write chaos reigns elsewhere;
+///     written last, it counts every flight dump.
 ///
 /// The daemon runs as a forked child (real sockets, real signals) under
 /// `fleet::ForkedDaemon`, the same harness the chaos suite and
-/// `ash_fleetd drill` use.
+/// `ash_fleetd drill` use; the drain test runs it on a thread instead.
+
+#include <pthread.h>
+#include <signal.h>
 
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -289,10 +294,12 @@ TEST_F(ServiceObsTest, SigkilledDaemonLeavesALoadableFlightDump) {
 }
 
 TEST_F(ServiceObsTest, DrainMetricsDumpIsAtomicAndComplete) {
+  // run() on a thread, SIGTERMed there, so its stats() can be read after
+  // the drain (ServiceChaosTest checks a forked daemon's SIGTERM exit).
   const ServiceConfig config = daemon_config("drain");
-  {
-    ForkedDaemon daemon(config);
-    daemon.start();
+  Service service(config);
+  std::thread serving([&] { service.run(); });
+  try {
     ClientConfig cc;
     cc.socket_path = config.socket_path;
     cc.client_id = 3;
@@ -300,10 +307,13 @@ TEST_F(ServiceObsTest, DrainMetricsDumpIsAtomicAndComplete) {
     ScheduleSleepRequest req;
     req.client_id = cc.client_id;
     req.device_id = 2;
-    (void)client.schedule_sleep(req);
+    (void)client.schedule_sleep(req);  // answered: run()'s handler is set
     EXPECT_TRUE(client.ping());
-    EXPECT_EQ(daemon.terminate(), 0);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
   }
+  ::pthread_kill(serving.native_handle(), SIGTERM);
+  serving.join();
 
   // The dump went through atomic_write_file: full content, trailing
   // newline, and no temp-file debris anywhere in the daemon's directory.
@@ -315,6 +325,10 @@ TEST_F(ServiceObsTest, DrainMetricsDumpIsAtomicAndComplete) {
   EXPECT_TRUE(found);
   EXPECT_GE(metric_value(metrics, "fleet.protocol.frames_decoded", &found),
             2.0);
+  EXPECT_TRUE(found);
+  // Written last, it counts every flight dump, the drain's own included.
+  EXPECT_EQ(metric_value(metrics, "fleet.service.flight_dumps", &found),
+            static_cast<double>(service.stats().flight_dumps));
   EXPECT_TRUE(found);
   const std::string root = dir_ + "/drain";
   const std::string find_cmd =

@@ -88,8 +88,8 @@ TEST(FaultTolerance, TolerantRunnerReproducesHeadlineUnderFaults) {
   const double m_tolerant = margin_relaxed(tolerant.log);
   const double m_naive = margin_relaxed(naive.log);
 
-  // The ideal lab reproduces the Table 4 ballpark (the precise window is
-  // asserted by paper_headlines_test on the full 75-stage chip).
+  // The ideal lab reproduces the Table 4 ballpark (`ash_lab reproduce`
+  // checks the claim's band, table4.best_relaxed, on the 75-stage chip).
   EXPECT_GT(m_ideal, 0.6);
   EXPECT_LT(m_ideal, 0.85);
 

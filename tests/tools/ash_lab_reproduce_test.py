@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Pins `ash_lab reproduce`: all 26 sections of the paper reproduction.
+"""Pins `ash_lab reproduce`: all 27 sections of the paper reproduction.
 
 The sections come in DESIGN.md Sec. 4 index order, each pinned byte for
-byte by its CRC-32, so a mismatch names the section that moved.  Ablation
-F prints the CRC-32 of its threaded sample logs (28983703);
-`fleet_supervisor_test` checks that the same population, run as forked
-worker processes, reproduces it.
+byte by its CRC-32, so a mismatch names the section that moved.  Every
+verdict of the last, Claims, must be "holds" or "deviation (recorded)",
+and EXPERIMENTS.md must quote that section verbatim.  Ablation F prints
+the CRC-32 of its threaded sample logs (28983703); `fleet_supervisor_test`
+checks that the same population, run as forked worker processes,
+reproduces it.  The stdout is saved as ./ash_lab_reproduce.stdout, where
+the headline tests (ctest PaperCampaign.*, the fixture's users) read their
+claim rows.
 
-Usage: ash_lab_reproduce_test.py PATH/TO/ash_lab   (also via `ctest -L perf`)
+Usage: ash_lab_reproduce_test.py ASH_LAB EXPERIMENTS_MD  (or ctest -L perf)
 """
 
 import re
@@ -17,26 +21,25 @@ import unittest
 import zlib
 
 ASH_LAB = None
+EXPERIMENTS_MD = None
 
-TOTAL_BYTES = 56858
-TOTAL_CRC32 = 0xBF3BCB38
 # (title prefix, CRC-32), in DESIGN.md Sec. 4 order.
 SECTION_CRC32 = [
-    ("Figure 1 —", 0x7DE2425E),
-    ("Figure 4 —", 0x013F27FB),
-    ("Figure 5 —", 0x7CBBE48E),
-    ("Figure 6 —", 0xDC2CC991),
-    ("Figure 7 —", 0xF6B19B7C),
-    ("Figure 8 —", 0xF8A1FC9A),
-    ("Figure 9 —", 0xFAE00F84),
-    ("Figure 10 —", 0x163F88C5),
-    ("Table 2 —", 0x9F92BC0E),
+    ("Figure 1 —", 0xB9599464),
+    ("Figure 4 —", 0x9982C829),
+    ("Figure 5 —", 0xF55C8C22),
+    ("Figure 6 —", 0x49D654BC),
+    ("Figure 7 —", 0x2DD12764),
+    ("Figure 8 —", 0x09FDCDA2),
+    ("Figure 9 —", 0xFF61A53F),
+    ("Figure 10 —", 0x0BAE25F5),
+    ("Table 2 —", 0x8F7CCBF0),
     ("Table 3 —", 0x8336BA5D),
-    ("Table 4 —", 0x19D08EF9),
-    ("Table 5 —", 0x53434A45),
+    ("Table 4 —", 0x652931CB),
+    ("Table 5 —", 0xD6C687BE),
     ("Ablation A —", 0x4D66A988),
     ("Ablation B —", 0x79269903),
-    ("Ablation C —", 0xC673B15E),
+    ("Ablation C —", 0x980D840E),
     ("Ablation D —", 0x96E25AB9),
     ("Ablation E —", 0x32A85366),
     ("Ablation F —", 0x7CCDABDD),
@@ -48,10 +51,15 @@ SECTION_CRC32 = [
     ("Ablation L —", 0x4E6BD135),
     ("Ablation — multi-core self-healing under core faults", 0x17FEA7D2),
     ("Ablation — fault injection vs. fault tolerance", 0x47667269),
+    ("Claims —", 0xAA2627E0),
 ]
 
 # A section starts at its banner: a rule, the title, then "paper: ...".
 BANNER = re.compile(rb"^={64}\n[^\n]*\npaper: ", re.M)
+# A Claims row: | id | source | paper | measured | band | verdict |
+CLAIM_ROW = re.compile(r"^\| ([A-Za-z0-9]+\.\S+) .*\| (\S[^|]*?) +\|$", re.M)
+# EXPERIMENTS.md's quote of the Claims section, a fenced block.
+QUOTED_CLAIMS = re.compile(r"^```text\n(={64}\nClaims —.*?)^```$", re.M | re.S)
 
 
 def sections(out):
@@ -64,30 +72,37 @@ class ReproduceTest(unittest.TestCase):
     def setUpClass(cls):
         cls.result = subprocess.run([ASH_LAB, "reproduce"],
                                     capture_output=True, timeout=600)
+        with open("ash_lab_reproduce.stdout", "wb") as f:
+            f.write(cls.result.stdout)
+
+    def claims(self):
+        return sections(self.result.stdout)[-1].decode()
 
     def test_exits_zero(self):
         self.assertEqual(self.result.returncode, 0,
                          self.result.stderr.decode())
 
-    def test_titles_follow_the_index(self):
-        titles = [text.split(b"\n")[1].decode()
-                  for text in sections(self.result.stdout)]
-        self.assertEqual(len(titles), len(SECTION_CRC32))
-        for title, (prefix, _) in zip(titles, SECTION_CRC32):
-            self.assertTrue(title.startswith(prefix),
-                            f"expected {prefix!r}, got {title!r}")
-
-    def test_sections_are_pinned(self):
+    def test_sections_follow_the_index_and_are_pinned(self):
         got = sections(self.result.stdout)
+        self.assertEqual(b"".join(got), self.result.stdout)  # all pinned
         self.assertEqual(len(got), len(SECTION_CRC32))
-        for text, (title, crc) in zip(got, SECTION_CRC32):
+        for text, (prefix, crc) in zip(got, SECTION_CRC32):
+            title = text.split(b"\n")[1].decode()
+            self.assertTrue(title.startswith(prefix), f"{prefix!r}: {title!r}")
             self.assertEqual(zlib.crc32(text), crc,
                              f"{title} differs:\n{text.decode()}")
 
-    def test_stdout_is_pinned(self):
-        out = self.result.stdout
-        self.assertEqual(len(out), TOTAL_BYTES)
-        self.assertEqual(zlib.crc32(out), TOTAL_CRC32)
+    def test_every_claim_holds(self):
+        rows = CLAIM_ROW.findall(self.claims())
+        self.assertGreater(len(rows), 0)
+        for claim, verdict in rows:
+            self.assertIn(verdict, ("holds", "deviation (recorded)"), claim)
+
+    def test_experiments_quotes_the_claims(self):
+        with open(EXPERIMENTS_MD, encoding="utf-8") as f:
+            quotes = QUOTED_CLAIMS.findall(f.read())
+        self.assertEqual(len(quotes), 1, "one fenced Claims block expected")
+        self.assertEqual(quotes[0], self.claims())
 
     def test_no_hidden_options(self):
         r = subprocess.run([ASH_LAB, "reproduce", "--stages", "15"],
@@ -97,7 +112,8 @@ class ReproduceTest(unittest.TestCase):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    if len(sys.argv) < 3:
         sys.exit(__doc__)
     ASH_LAB = sys.argv.pop(1)
+    EXPERIMENTS_MD = sys.argv.pop(1)
     unittest.main()

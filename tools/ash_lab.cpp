@@ -2,8 +2,9 @@
 ///
 /// Subcommands:
 ///   reproduce — the paper reproduction: every figure, table and ablation
-///       of DESIGN.md Sec. 4, PAPER vs MEASURED, its heavy work run in
-///       parallel on one thread pool (tools/reproduce.cpp)
+///       of DESIGN.md Sec. 4, its heavy work run in parallel on one thread
+///       pool (tools/reproduce.cpp), then every paper claim against its
+///       band; exits 1 when one fails
 ///       ash_lab reproduce
 ///   campaign  — run the paper's Table 1 five-chip campaign, CSV per chip
 ///       ash_lab campaign [--stages 75] [--out DIR] [--seed N]
@@ -189,8 +190,7 @@ int cmd_campaign(const Flags& flags) {
 /// The paper reproduction: every section of DESIGN.md Sec. 4.
 int cmd_reproduce(const Flags& flags) {
   flags.check_known(with_obs({}));
-  lab::print_paper_reproduction();
-  return 0;
+  return lab::print_paper_reproduction() ? 0 : 1;
 }
 
 /// Run ONE chip of the Table 1 campaign (`ash_lab chip5 ...`) — the

@@ -1,10 +1,10 @@
 /// `ash_lab reproduce` — the paper reproduction: every experiment of
-/// DESIGN.md Sec. 4 as a section of PAPER vs MEASURED rows, each opening
-/// with a banner naming the figure, table or ablation and the paper's
-/// claim.  This file schedules the run and holds the sections built on
-/// pool work: Figs. 4-8, Tables 2-5 and Ablation L from one run of the
-/// five Table 1 chips, Ablations F and K, and the fault-tolerance
-/// ablation.  The rest run inline (tools/reproduce_models.cpp).
+/// DESIGN.md Sec. 4 as a section opening with a banner that names the
+/// figure, table or ablation and the paper's claim, then the Claims section
+/// (tools/reproduce_claims.cpp).  This file schedules the run and holds the
+/// sections built on pool work: Figs. 4-8, Tables 2-5 and Ablation L from
+/// one run of the five Table 1 chips, Ablations F and K, and the
+/// fault-tolerance ablation; the rest run inline (reproduce_models.cpp).
 
 #include "reproduce.h"
 
@@ -100,10 +100,9 @@ core::RecoveryFit fit_recovery(const tb::DataLog& run, int chip_id,
 }
 
 /// Figure 4, "AC/DC stress test results": RO frequency degradation over
-/// 24 h of accelerated stress at 110 degC, AC (chip 1) vs DC (chip 2).  The
-/// paper's shape: fast degradation in the first ~3 hours, then slowing; AC
-/// ends at about half of DC (~1.1 % vs ~2.2 %).
-void fig4(const Campaign& campaign) {
+/// 24 h of accelerated stress at 110 degC, AC (chip 1) vs DC (chip 2):
+/// fast degradation in the first ~3 hours, then slowing.
+void fig4(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Figure 4 — AC vs DC accelerated stress (24 h @ 110 degC)",
       "fast-then-slow degradation; AC ~ half of DC (~1.1 % vs ~2.2 %)");
@@ -118,15 +117,8 @@ void fig4(const Campaign& campaign) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  const double ratio = ac.back().value / dc.back().value;
-  const double dc_first3h = dc.at(hours(3.0));
-  Table s({"metric", "paper", "measured"});
-  s.add_row({"DC degradation @24 h", "~2.2%", fmt_fixed(dc.back().value, 2) + "%"});
-  s.add_row({"AC degradation @24 h", "~1.1%", fmt_fixed(ac.back().value, 2) + "%"});
-  s.add_row({"AC/DC ratio", "~0.5", fmt_fixed(ratio, 2)});
-  s.add_row({"DC share done in first 3 h", "large (fast start)",
-             fmt_percent(dc_first3h / dc.back().value, 0)});
-  std::printf("%s\n", s.render().c_str());
+  claims["fig4.ac_over_dc"] = ac.back().value / dc.back().value;
+  claims["fig4.dc_share_3h"] = dc.at(hours(3.0)) / dc.back().value;
 
   std::printf("%s\n", ascii_chart({"DC stress", "AC stress"},
                                   {chart_row(dc, 48), chart_row(ac, 48)})
@@ -138,7 +130,7 @@ void fig4(const Campaign& campaign) {
 /// with the extracted first-order model (Eq. (10)) overlaid.  Shape: fast
 /// initial degradation, then logarithmic slowing; higher temperature
 /// degrades more; model tracks measurement.
-void fig5(const Campaign& campaign) {
+void fig5(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Figure 5 — accelerated wearout at 110 vs 100 degC (24 h DC)",
       "log-like delay growth; 110 degC > 100 degC; model matches measurement");
@@ -162,16 +154,10 @@ void fig5(const Campaign& campaign) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  Table s({"metric", "paper", "measured"});
-  s.add_row({"delay change @110C, 24 h", "~2.2% of Td0",
-             fmt_fixed(d110.back().value, 2) + " ns"});
-  s.add_row({"100C/110C end ratio", "~0.77 (Table 2)",
-             fmt_fixed(d100.back().value / d110.back().value, 2)});
-  s.add_row({"model fit R^2 (110C)", "close match",
-             fmt_fixed(fit110.r_squared, 4)});
-  s.add_row({"model fit R^2 (100C)", "close match",
-             fmt_fixed(fit100.r_squared, 4)});
-  std::printf("%s\n", s.render().c_str());
+  claims["fig5.dc110_delay"] =
+      d110.back().value * 1e-9 / fresh_delay_s(chip(campaign, 5));
+  claims["fig5.delay_100_over_110"] = d100.back().value / d110.back().value;
+  claims["fig5.fit_r2"] = std::min(fit110.r_squared, fit100.r_squared);
 
   std::printf("%s\n", ascii_chart({"110C measurement", "100C measurement"},
                                   {chart_row(d110, 64), chart_row(d100, 64)})
@@ -184,13 +170,16 @@ struct RecoveryCase {
   Series rd_ns;  // recovered delay, measured
   core::RecoveryFit fit;
   double damage_ns;  // DeltaTd(t1)
+  double recovered;  // share of the damage healed by the end (Table 4's)
 };
 
 RecoveryCase recovery_case(const Campaign& campaign, int chip_id,
                            const char* phase) {
   const tb::DataLog& run = chip(campaign, chip_id);
+  const auto delay = run.delay_series(phase);
   return {recovered_delay_ns(run, phase), fit_recovery(run, chip_id, phase),
-          (run.delay_series(phase).front().value - fresh_delay_s(run)) * 1e9};
+          (delay.front().value - fresh_delay_s(run)) * 1e9,
+          core::recovered_fraction(delay, fresh_delay_s(run))};
 }
 
 void print_pane(const char* title, const RecoveryCase& zero,
@@ -214,7 +203,7 @@ void print_pane(const char* title, const RecoveryCase& zero,
 /// (Eq. (16)) over 6 h of sleep, comparing 0 V vs -0.3 V at each
 /// temperature, with the fitted recovery model overlaid.  Shape: the
 /// negative rail accelerates recovery markedly at both temperatures.
-void fig6(const Campaign& campaign) {
+void fig6(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Figure 6 — recovery with negative voltage at (a) 20 degC (b) 110 degC",
       "-0.3 V markedly accelerates recovery at both temperatures");
@@ -227,34 +216,16 @@ void fig6(const Campaign& campaign) {
   print_pane("(a) 20 degC", r20z, r20n);
   print_pane("(b) 110 degC", r110z, r110n);
 
-  Table s({"case", "paper expectation", "recovered fraction", "model R^2"});
-  const auto frac = [](const RecoveryCase& c) {
-    return c.rd_ns.back().value / c.damage_ns;
-  };
-  s.add_row({"R20Z6 (passive)", "clearly partial", fmt_percent(frac(r20z), 0),
-             fmt_fixed(r20z.fit.r_squared, 3)});
-  s.add_row({"AR20N6", "most of the damage", fmt_percent(frac(r20n), 0),
-             fmt_fixed(r20n.fit.r_squared, 3)});
-  s.add_row({"AR110Z6", "most of the damage", fmt_percent(frac(r110z), 0),
-             fmt_fixed(r110z.fit.r_squared, 3)});
-  s.add_row({"AR110N6", "fastest / deepest", fmt_percent(frac(r110n), 0),
-             fmt_fixed(r110n.fit.r_squared, 3)});
-  std::printf("%s\n", s.render().c_str());
-
-  Table v({"comparison", "paper", "measured"});
-  v.add_row({"-0.3V beats 0V at 20 degC", "yes",
-             frac(r20n) > frac(r20z) ? "yes" : "NO"});
-  v.add_row({"-0.3V beats 0V at 110 degC", "yes",
-             r110n.rd_ns.at(hours(0.3)) >= r110z.rd_ns.at(hours(0.3)) - 0.05
-                 ? "yes"
-                 : "NO"});
-  std::printf("%s\n", v.render().c_str());
+  claims["fig6.passive_partial"] = r20z.recovered;
+  claims["fig6.neg_beats_zero_20C"] = r20n.recovered - r20z.recovered;
+  claims["fig6.neg_beats_zero_110C"] =
+      r110n.rd_ns.at(hours(0.3)) - r110z.rd_ns.at(hours(0.3));
 }
 
 /// Figure 7, "Recover under (a) 0 V (b) -0.3 V": the same four recovery
 /// cases as Fig. 6 re-sliced by supply rail, showing that high temperature
 /// accelerates recovery at either rail.
-void fig7(const Campaign& campaign) {
+void fig7(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Figure 7 — recovery at high temperature under (a) 0 V (b) -0.3 V",
       "110 degC recovers faster than 20 degC at either supply rail");
@@ -283,19 +254,17 @@ void fig7(const Campaign& campaign) {
   // Compare early-time recovery speed (before saturation) — the paper's
   // "high temperature not only accelerates wearout, but also accelerates
   // recovery".
-  Table s({"comparison (recovered @ 1 h)", "paper", "measured"});
-  s.add_row({"110C vs 20C at 0 V", "faster",
-             rd_110z.at(hours(1.0)) > rd_20z.at(hours(1.0)) ? "yes" : "NO"});
-  s.add_row({"110C vs 20C at -0.3 V", "faster",
-             rd_110n.at(hours(1.0)) > rd_20n.at(hours(1.0)) ? "yes" : "NO"});
-  std::printf("%s\n", s.render().c_str());
+  claims["fig7.hot_beats_cold_0V"] =
+      rd_110z.at(hours(1.0)) - rd_20z.at(hours(1.0));
+  claims["fig7.hot_beats_cold_neg"] =
+      rd_110n.at(hours(1.0)) - rd_20n.at(hours(1.0));
 }
 
 /// Figure 8, "Delay change over time during recovery": DeltaTd(t) for all
 /// four recovery conditions on one axis, with the closed-form model
 /// overlaid.  Ordering at every time: (110 degC, -0.3 V) heals deepest,
 /// then (110 degC, 0 V), then (20 degC, -0.3 V), then (20 degC, 0 V).
-void fig8(const Campaign& campaign) {
+void fig8(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Figure 8 — delay change during recovery, four conditions + model",
       "ordering: 110C/-0.3V < 110C/0V < 20C/-0.3V < 20C/0V remaining");
@@ -344,25 +313,20 @@ void fig8(const Campaign& campaign) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  // Ordering check at the 1 h mark (before saturation), normalized to the
-  // per-case starting damage so chip-to-chip variation cancels.
-  std::vector<double> remaining_frac;
-  for (std::size_t i = 0; i < 4; ++i) {
-    remaining_frac.push_back(measured[i].at(hours(1.0)) /
-                             measured[i].front().value);
+  // The ordering at every sample after the sleep starts, normalized to the
+  // per-case starting damage so chip-to-chip variation cancels: the
+  // smallest gap between neighbouring conditions must stay positive.
+  double smallest_gap = INFINITY;
+  for (const auto& sample : measured[0].samples()) {
+    if (sample.t <= measured[0].front().t) continue;
+    for (std::size_t i = 0; i + 1 < 4; ++i) {
+      smallest_gap = std::min(
+          smallest_gap,
+          measured[i + 1].at(sample.t) / measured[i + 1].front().value -
+              measured[i].at(sample.t) / measured[i].front().value);
+    }
   }
-  Table s({"check", "paper", "measured"});
-  bool ordered = remaining_frac[0] <= remaining_frac[1] + 0.02 &&
-                 remaining_frac[1] <= remaining_frac[2] + 0.02 &&
-                 remaining_frac[2] <= remaining_frac[3] + 0.02;
-  s.add_row({"remaining-damage ordering @1 h", "hot+neg < hot < neg < passive",
-             ordered ? "yes" : "NO"});
-  for (std::size_t i = 0; i < 4; ++i) {
-    s.add_row({std::string("remaining fraction @6 h, ") + cases[i].label, "-",
-               fmt_percent(measured[i].back().value / measured[i].front().value,
-                           0)});
-  }
-  std::printf("%s\n", s.render().c_str());
+  claims["fig8.ordering"] = smallest_gap;
 
   std::vector<std::vector<double>> chart_rows;
   std::vector<std::string> labels;
@@ -375,9 +339,8 @@ void fig8(const Campaign& campaign) {
 
 /// Table 2, "Delay change (%) for different temperature conditions":
 /// end-of-stress frequency/delay degradation for the accelerated-stress
-/// cases.  Paper values: AS110DC24 ~2.2 %, AS100DC24 ~1.7 %, AS110AC24
-/// ~1.1 %.
-void table2(const Campaign& campaign) {
+/// cases.
+void table2(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Table 2 — delay change (%) per stress condition (24 h)",
       "110C DC ~2.2%; 100C DC ~1.7%; 110C AC ~1.1%");
@@ -397,20 +360,26 @@ void table2(const Campaign& campaign) {
   };
 
   Table t({"case", "chip", "paper", "measured"});
-  double dc110 = 0.0;
-  double dc100 = 0.0;
   for (const auto& r : rows) {
     const auto deg = degradation_percent(chip(campaign, r.chip), r.phase);
-    if (std::string(r.case_label) == "AS110DC24") dc110 = deg.back().value;
-    if (std::string(r.case_label) == "AS100DC24") dc100 = deg.back().value;
     t.add_row({r.case_label, strformat("%d", r.chip), r.paper,
                fmt_fixed(deg.back().value, 2) + "%"});
   }
   std::printf("%s\n", t.render().c_str());
 
-  Table s({"derived", "paper", "measured"});
-  s.add_row({"100C/110C ratio", "~0.77", fmt_fixed(dc100 / dc110, 2)});
-  std::printf("%s\n", s.render().c_str());
+  const auto end = [&](int id, const char* phase) {
+    return degradation_percent(chip(campaign, id), phase).back().value / 100;
+  };
+  claims["table2.dc110"] = end(2, "AS110DC24");
+  claims["table2.dc100"] = end(4, "AS100DC24");
+  claims["table2.ac110"] = end(1, "AS110AC24");
+  claims["table2.dc100_over_dc110"] =
+      end(4, "AS100DC24") / end(2, "AS110DC24");
+  // Every chip's stress starts from burn-in, which must barely age it.
+  std::vector<double> burn_in;
+  for (int id = 1; id <= 5; ++id) burn_in.push_back(end(id, "BURNIN"));
+  claims["table1.burnin_most"] = std::ranges::max(burn_in);
+  claims["table1.burnin_least"] = std::ranges::min(burn_in);
 }
 
 /// Table 3, "Extracted parameters": Eq. (10)'s fitting parameters
@@ -468,52 +437,29 @@ void table3(const Campaign& campaign) {
 
 /// Table 4, "Design margin relaxed parameter" per recovery condition.
 /// Definition (see ash::core::metrics.h): RD(end) / M with the design
-/// margin M = 1.25 x DeltaTd(stress end).  The paper's headline pair falls
-/// out of this one definition: the best case (110 degC, -0.3 V) recovers
-/// ~90 % of the damage = margin relaxed ~72.4 %.
-void table4(const Campaign& campaign) {
+/// margin M = 1.25 x DeltaTd(stress end), so the recovered fraction and the
+/// margin relaxed of the paper's headline pair come from one definition.
+void table4(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Table 4 — design-margin-relaxed parameter per recovery condition",
       "best case 72.4%; all accelerated cases within ~90% of original margin");
 
-  struct Row {
-    const char* phase;
-    int chip;
-    const char* paper_note;
-  };
-  const Row rows[] = {
-      {"R20Z6", 2, "passive baseline (low)"},
-      {"AR20N6", 3, ">= ~90% recovered"},
-      {"AR110Z6", 4, ">= ~90% recovered"},
-      {"AR110N6", 5, "best: 72.4% margin relaxed"},
-  };
-
-  Table t({"case", "recovered fraction", "margin relaxed (paper)",
-           "margin relaxed (measured)"});
-  for (const auto& r : rows) {
-    const tb::DataLog& run = chip(campaign, r.chip);
-    const auto delay = run.delay_series(r.phase);
+  // Chips 2-5 run the four recovery cases in this order.
+  const char* const phases[] = {"R20Z6", "AR20N6", "AR110Z6", "AR110N6"};
+  Table t({"case", "recovered fraction", "margin relaxed"});
+  for (int id = 2; id <= 5; ++id) {
+    const std::string phase = phases[id - 2];
+    const tb::DataLog& run = chip(campaign, id);
+    const auto delay = run.delay_series(phase);
     const double frac = core::recovered_fraction(delay, fresh_delay_s(run));
     const double relaxed =
         core::design_margin_relaxed(delay, fresh_delay_s(run));
-    t.add_row({r.phase, fmt_percent(frac, 1),
-               std::string(r.paper_note),
-               fmt_percent(relaxed, 1)});
+    t.add_row({phase, fmt_percent(frac, 1), fmt_percent(relaxed, 1)});
+    // The accelerated (AR*) cases carry the abstract's ~90 % claim.
+    if (id > 2) claims["table4.recovered_" + phase] = frac;
+    if (id == 5) claims["table4.best_relaxed"] = relaxed;
   }
   std::printf("%s\n", t.render().c_str());
-
-  const tb::DataLog& best = chip(campaign, 5);
-  const auto best_delay = best.delay_series("AR110N6");
-  Table s({"headline", "paper", "measured"});
-  s.add_row({"best-case margin relaxed", "72.4%",
-             fmt_percent(core::design_margin_relaxed(best_delay,
-                                                     fresh_delay_s(best)),
-                         1)});
-  s.add_row({"best-case recovered (within original margin)", "~90%",
-             fmt_percent(core::recovered_fraction(best_delay,
-                                                  fresh_delay_s(best)),
-                         1)});
-  std::printf("%s\n", s.render().c_str());
 }
 
 /// Table 5, "Ratio of active vs. sleep time": chip 5 is recovered after
@@ -521,7 +467,7 @@ void table4(const Campaign& campaign) {
 /// (AR110N12).  Both rounds use alpha = 4; the paper's finding is that the
 /// same design-margin-relaxed parameter is achieved despite the different
 /// absolute stress — the ratio, not the duration, is what matters.
-void table5(const Campaign& campaign) {
+void table5(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Table 5 — same alpha = 4, different stress durations (chip 5)",
       "AR110N6 and AR110N12 achieve the same margin-relaxed parameter");
@@ -546,12 +492,7 @@ void table5(const Campaign& campaign) {
              fmt_percent(relaxed12, 1)});
   std::printf("%s\n", t.render().c_str());
 
-  Table s({"check", "paper", "measured"});
-  s.add_row({"same margin relaxed across rounds", "yes (Table 5)",
-             std::abs(relaxed6 - relaxed12) < 0.04 ? "yes" : "NO"});
-  s.add_row({"difference", "-",
-             fmt_percent(std::abs(relaxed6 - relaxed12), 1)});
-  std::printf("%s\n", s.render().c_str());
+  claims["table5.same_relaxed"] = std::abs(relaxed6 - relaxed12);
 }
 
 /// Ablation L, "Physics Matters": TD vs RD.  Ref. [15], the device model
@@ -902,7 +843,7 @@ std::vector<T> collect(std::vector<std::future<T>>& futures) {
 
 }  // namespace
 
-void print_paper_reproduction() {
+bool print_paper_reproduction() {
   // One flat task list, longest tasks first: the Table 1 chips (chip 5
   // first), the fault-tolerance labs, Ablation F's chips, Ablation K's
   // populations.  Tasks own their inputs and never wait on each other.
@@ -925,17 +866,21 @@ void print_paper_reproduction() {
       });
 
   // Every section prints here, in DESIGN.md Sec. 4 order.
-  fig1();
+  Claims claims;
+  fig1(claims);
   const Campaign campaign = collect(campaign_tasks);
-  for (const auto section : {fig4, fig5, fig6, fig7, fig8}) section(campaign);
-  fig9();
-  fig10();
-  for (const auto section : {table2, table3, table4, table5}) {
-    section(campaign);
+  for (const auto section : {fig4, fig5, fig6, fig7, fig8}) {
+    section(campaign, claims);
   }
+  fig9(claims);
+  fig10(claims);
+  table2(campaign, claims);
+  table3(campaign);
+  table4(campaign, claims);
+  table5(campaign, claims);
   ablation_policies();
   ablation_alpha_sweep();
-  ablation_gnomo();
+  ablation_gnomo(claims);
   ablation_em();
   ablation_circadian();
   ablation_chip_variation(collect(variation_tasks));
@@ -947,6 +892,7 @@ void print_paper_reproduction() {
   ablation_model_selection(campaign);
   ablation_mc_faults();
   ablation_faults(collect(fault_tasks));
+  return print_claims(claims);
 }
 
 }  // namespace ash::lab
