@@ -212,7 +212,7 @@ int run_workload(const std::string& path) {
 
     // Pass 2: batch engine (this is the bti.batch.evolve row).
     {
-      bti::BatchEnsemble batch(specs, {});
+      bti::BatchEnsemble batch(specs);
       const auto t0 = clock::now();
       double acc = 0.0;
       for (const auto& step : schedule) {

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file batch_ensemble.h
-/// The batch-of-chips SoA engine: one fused aging pass over a whole
-/// population of devices (DESIGN.md Sec. 13).
+/// The batch-of-chips engine: a whole population of devices aged in
+/// lockstep (DESIGN.md Sec. 13).
 ///
 /// The paper's fleet-scale story (Fig. 10, Table 5) needs population
 /// sweeps over 10^4..10^6 chips, but a `TrapEnsemble` per chip repays the
@@ -12,40 +12,35 @@
 /// *across* devices: members are grouped into **trap classes** (identical
 /// kinetics draws — same seed and same kinetics parameters; members of a
 /// class may still differ in their per-trap DeltaVth contributions, which
-/// is how per-chip corner/mismatch scales enter), and the per-condition
-/// rates, equilibrium occupancies and decay factors are computed once per
-/// (condition, trap-class) instead of once per chip.  What remains per
-/// member is the fused occupancy update
+/// is how per-chip corner/mismatch scales enter).  Members of a class
+/// start empty and see the same conditions, so their occupancies are
+/// equal at every step: the class keeps **one occupancy row**, advanced
+/// once per step the way a solo ensemble advances its own, and what stays
+/// per member is its contributions vector.  An evolve costs O(classes),
+/// not O(chips).
 ///
-///     occ[i] = p_inf[i] + (occ[i] - p_inf[i]) * decay[i]
+/// The row is shared copy-on-write: `set_occupancies` on a member whose
+/// row others share moves it to a private row (a *group* of one), and
+/// `reset` merges every class back into one row.
 ///
-/// over contiguous per-field arrays — one multiply-add sweep for the whole
-/// population, optionally sharded over disjoint member ranges by a
-/// `util::ThreadPool` (elementwise-independent, so bit-identical under any
-/// scheduling; pinned by the tsan job).
-///
-/// Exactness contract: each trap class is a `TrapKinetics` core copied
-/// from a member's solo ensemble, and its rates and decay factors come
-/// from the same `entry_for` the solo ensemble's cache uses — the one rate
-/// routine of the model — so a batch trajectory is bit-for-bit equal to N
+/// Exactness contract: each group is a `TrapKinetics` core copied from a
+/// member's solo ensemble plus an occupancy row, under the solo
+/// ensemble's policy (6 rate slots; a condition missing twice in a row is
+/// promoted into the cache, a one-shot condition takes the store-free
+/// transient step), and a member's DeltaVth is the dot product of its
+/// group's row with its own contributions in `TrapEnsemble::delta_vth`'s
+/// order.  A batch trajectory is therefore bit-for-bit equal to N
 /// independent `TrapEnsemble` runs (asserted for seeded 64-chip
-/// populations, rate-cache eviction and pool sharding in
-/// tests/bti/batch_ensemble_test.cpp).  Unlike the solo ensemble there is
-/// no miss-twice promotion: a rate computation amortizes over every member
-/// of its class, so every condition fills a slot of the 16-deep per-class
-/// cache.
+/// populations, rate-cache eviction and copy-on-write divergence in
+/// tests/bti/batch_ensemble_test.cpp).
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ash/bti/condition.h"
 #include "ash/bti/parameters.h"
-#include "ash/bti/trap_ensemble.h"
 #include "ash/bti/trap_kinetics.h"
-
-namespace ash::util {
-class ThreadPool;
-}
 
 namespace ash::bti {
 
@@ -56,94 +51,86 @@ struct BatchMemberSpec {
   std::uint64_t seed = 0;
 };
 
-/// Per-batch knobs.
-struct BatchConfig {
-  /// Optional worker pool for the occupancy apply sweep.  Null (or an
-  /// inline pool) runs the sweep on the calling thread; results are
-  /// bit-identical either way.
-  util::ThreadPool* pool = nullptr;
-};
-
-/// A population of trap ensembles evolved in lockstep, one fused pass per
-/// interval.  Value-semantic and deterministic like `TrapEnsemble`.
+/// A population of trap ensembles evolved in lockstep, one occupancy row
+/// per kinetics class.  Value-semantic and deterministic like
+/// `TrapEnsemble`.
 class BatchEnsemble {
  public:
   /// Build a fresh population.  Equivalent to constructing
   /// `TrapEnsemble(specs[m].params, specs[m].seed)` for every member (and
   /// bit-identical to doing so — the members *are* those populations).
-  explicit BatchEnsemble(const std::vector<BatchMemberSpec>& specs,
-                         const BatchConfig& config = {});
+  explicit BatchEnsemble(const std::vector<BatchMemberSpec>& specs);
 
   /// Advance every member by dt under one shared operating condition.
-  /// Validation is the core's `check_step`, run against every trap class
+  /// Validation is the core's `check_step`, run against every group
   /// before any state changes, so a throwing call leaves the population
   /// untouched.
   void evolve(const OperatingCondition& condition, Seconds dt);
 
-  int member_count() const { return static_cast<int>(member_params_.size()); }
-  /// Number of distinct trap classes (rate computations per condition).
-  /// A homogeneous-kinetics population has class_count() == 1 no matter
-  /// how many members it holds.
-  int class_count() const { return static_cast<int>(classes_.size()); }
+  int member_count() const { return static_cast<int>(members_.size()); }
+  /// Number of distinct trap classes.  A homogeneous-kinetics population
+  /// has class_count() == 1 no matter how many members it holds.
+  int class_count() const { return class_count_; }
+  /// Number of occupancy rows an evolve advances: class_count() plus one
+  /// per member that `set_occupancies` split off its class's row.
+  int group_count() const { return static_cast<int>(groups_.size()); }
   /// Every per-member accessor throws std::out_of_range for a member
   /// outside [0, member_count()).
   int trap_count(int member) const;
   const TdParameters& parameters(int member) const;
 
-  /// Member m's threshold-voltage shift, computed with the exact reduction
-  /// order of `TrapEnsemble::delta_vth` and cached per member between
-  /// state changes.
+  /// Member m's threshold-voltage shift: the dot product of its group's
+  /// row with its contributions, in `TrapEnsemble::delta_vth`'s order.
   double delta_vth(int member) const;
-  /// All members' shifts, ordered by member index.
+  /// All members' shifts, ordered by member index: four members of one
+  /// group per pass over its row, each with its own accumulator, so every
+  /// value equals `delta_vth(m)` bit for bit.
   std::vector<double> delta_vth_all() const;
 
   /// Snapshot / restore of one member's occupancies (the checkpoint
   /// currency shared with `TrapEnsemble`).  `set_occupancies` validates
-  /// size and [0, 1] range and bumps the state version.
+  /// size and [0, 1] range, gives the member a private row when others
+  /// share its row, and bumps the state version.
   std::vector<double> occupancies(int member) const;
   void set_occupancies(int member, const std::vector<double>& occ);
 
-  /// Restore the factory-fresh state (all traps of all members empty).
+  /// Restore the factory-fresh state (all traps of all members empty):
+  /// every class is one shared row again.
   void reset();
 
   /// Monotonic population state version (same contract as
   /// `TrapEnsemble::state_version`).
   std::uint64_t state_version() const { return version_; }
 
-  const BatchConfig& config() const { return config_; }
-
  private:
-  /// One kinetics equivalence class: members sharing identical kinetics
-  /// draws and kinetics parameters, and the core that computes their rates.
-  struct TrapClass {
+  /// One occupancy row and the core that advances it.  Groups
+  /// [0, class_count_) are the trap classes; later ones are private rows.
+  struct Group {
     TrapKinetics kinetics;
+    std::vector<double> occupancy;
     std::vector<int> members;
+    /// The most recent rate-cache miss, unless it was just promoted (the
+    /// solo ensemble's miss-twice rule).
+    std::optional<OperatingCondition> last_miss;
+
+    void advance(const OperatingCondition& condition, Seconds dt);
   };
 
-  static constexpr int kRateCacheSlots = 16;
+  struct Member {
+    TdParameters params;
+    std::vector<double> contributions;
+    int trap_class;  ///< the group reset() returns it to
+    int group;
+  };
 
-  void adopt_member(const TrapEnsemble& source);
-  std::size_t index_of(int member) const;
-  void apply_members(int lo, int hi);
+  static constexpr int kRateCacheSlots = 6;
 
-  BatchConfig config_;
+  const Member& member_at(int member) const;
 
-  std::vector<TrapClass> classes_;
-  std::vector<TdParameters> member_params_;
-
-  // --- population state, structure-of-arrays across members --------------
-  /// Member m's traps live at [offsets_[m], offsets_[m + 1]).
-  std::vector<std::size_t> offsets_{0};
-  std::vector<double> delta_vth_v_;
-  std::vector<double> occupancy_;
-
-  /// Per-member pointers into the active rate entries, rebuilt each evolve
-  /// before the apply sweep (kept as a member to avoid per-call allocs).
-  std::vector<const TrapKinetics::RateEntry*> active_entry_;
-
+  std::vector<Group> groups_;
+  std::vector<Member> members_;
+  int class_count_ = 0;
   std::uint64_t version_ = 0;
-  mutable std::vector<double> cached_delta_;
-  mutable std::vector<std::uint64_t> cached_delta_version_;
 };
 
 }  // namespace ash::bti

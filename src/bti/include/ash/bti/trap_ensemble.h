@@ -69,7 +69,7 @@ class TrapEnsemble {
   const TdParameters& parameters() const { return core_.parameters(); }
 
   /// The kinetics core (trap draws and rate caches).  `BatchEnsemble`
-  /// adopts members by copying its arrays, so a batch evolves the *same*
+  /// copies it once per kinetics class, so a batch evolves the *same*
   /// drawn population a solo ensemble would (DESIGN.md Sec. 13).
   const TrapKinetics& kinetics() const { return core_; }
   /// Per-trap threshold-voltage contributions (volts), trap_count() long.

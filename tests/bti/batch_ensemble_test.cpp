@@ -10,7 +10,6 @@
 
 #include "ash/bti/trap_ensemble.h"
 #include "ash/util/random.h"
-#include "ash/util/thread_pool.h"
 
 namespace ash::bti {
 namespace {
@@ -69,11 +68,11 @@ std::vector<BatchMemberSpec> one_class_population(int n) {
 }
 
 void expect_bit_identical_trajectories(
-    const std::vector<BatchMemberSpec>& specs, const BatchConfig& config) {
+    const std::vector<BatchMemberSpec>& specs) {
   std::vector<TrapEnsemble> solo;
   solo.reserve(specs.size());
   for (const auto& s : specs) solo.emplace_back(s.params, s.seed);
-  BatchEnsemble batch(specs, config);
+  BatchEnsemble batch(specs);
 
   int step_index = 0;
   for (const auto& step : mixed_schedule()) {
@@ -97,49 +96,31 @@ void expect_bit_identical_trajectories(
 // N independent TrapEnsemble runs for a seeded 64-chip population.
 TEST(BatchEnsemble, ExactModeBitIdenticalDistinctSeeds64) {
   const auto specs = distinct_seed_population(64);
-  BatchEnsemble batch(specs, {});
+  BatchEnsemble batch(specs);
   EXPECT_EQ(batch.member_count(), 64);
   EXPECT_EQ(batch.class_count(), 64);  // distinct seeds: one class each
-  expect_bit_identical_trajectories(specs, {});
+  expect_bit_identical_trajectories(specs);
 }
 
 TEST(BatchEnsemble, ExactModeBitIdenticalOneClass64) {
   const auto specs = one_class_population(64);
-  BatchEnsemble batch(specs, {});
+  BatchEnsemble batch(specs);
   EXPECT_EQ(batch.member_count(), 64);
   // Shared seed + shared kinetics constants: rates are computed once per
   // condition for the whole population.
   EXPECT_EQ(batch.class_count(), 1);
-  expect_bit_identical_trajectories(specs, {});
+  expect_bit_identical_trajectories(specs);
 }
 
-// The tsan-job target: the apply sweep sharded over a ThreadPool must be
-// data-race-free and bit-identical to the serial sweep.
-TEST(BatchEnsemble, ThreadPoolShardingBitIdentical) {
-  const auto specs = one_class_population(48);
-  util::ThreadPool pool(4);
-  BatchConfig threaded;
-  threaded.pool = &pool;
-  BatchEnsemble parallel_batch(specs, threaded);
-  BatchEnsemble serial_batch(specs, {});
-  for (const auto& step : mixed_schedule()) {
-    parallel_batch.evolve(step.condition, Seconds{step.dt_s});
-    serial_batch.evolve(step.condition, Seconds{step.dt_s});
-  }
-  for (int m = 0; m < serial_batch.member_count(); ++m) {
-    ASSERT_EQ(parallel_batch.occupancies(m), serial_batch.occupancies(m));
-  }
-}
-
-// More recurring conditions than either rate cache holds (6 solo slots,
-// 16 batch slots), each applied three times in a row so the solo ensemble
-// promotes it, and the whole cycle run twice with two dts: both caches
-// evict and refill slots that held another condition's arrays.
+// More recurring conditions than the 6-slot rate cache holds (solo and
+// batch group alike), each applied three times in a row so both promote
+// it, and the whole cycle run twice with two dts: the caches evict and
+// refill slots that held another condition's arrays.
 TEST(BatchEnsemble, RateCacheEvictionStaysBitIdentical) {
   const auto specs = one_class_population(8);
   TrapEnsemble solo(specs.front().params, specs.front().seed);
-  BatchEnsemble single({specs.front()}, {});
-  BatchEnsemble batch(specs, {});
+  BatchEnsemble single({specs.front()});
+  BatchEnsemble batch(specs);
   ASSERT_EQ(batch.class_count(), 1);
 
   int step_index = 0;
@@ -168,7 +149,7 @@ TEST(BatchEnsemble, RateCacheEvictionStaysBitIdentical) {
 
 TEST(BatchEnsemble, ValidationMatchesSoloAndLeavesStateUntouched) {
   const auto specs = distinct_seed_population(4);
-  BatchEnsemble batch(specs, {});
+  BatchEnsemble batch(specs);
   const auto stress = dc_stress(Volts{1.2}, Celsius{110.0});
   batch.evolve(stress, Seconds{60.0});
   const auto before = batch.occupancies(2);
@@ -205,7 +186,7 @@ class BatchEnsembleNonFinite : public ::testing::Test {
   }
   static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   static constexpr double kInf = std::numeric_limits<double>::infinity();
-  BatchEnsemble batch_{distinct_seed_population(3), {}};
+  BatchEnsemble batch_{distinct_seed_population(3)};
   OperatingCondition stress_ = dc_stress(Volts{1.2}, Celsius{110.0});
   std::vector<double> before_;
   std::uint64_t version_ = 0;
@@ -261,7 +242,7 @@ class BatchEnsembleMemberIndex : public ::testing::Test {
     EXPECT_EQ(batch_.state_version(), version_);
     EXPECT_EQ(batch_.delta_vth_all(), snapshot_);
   }
-  BatchEnsemble batch_{distinct_seed_population(3), {}};
+  BatchEnsemble batch_{distinct_seed_population(3)};
   std::vector<double> snapshot_;
   std::uint64_t version_ = 0;
 };
@@ -295,7 +276,7 @@ TEST_F(BatchEnsembleMemberIndex, SetOccupancies) {
 
 TEST(BatchEnsemble, SetOccupanciesRoundTripAndReset) {
   const auto specs = distinct_seed_population(3);
-  BatchEnsemble batch(specs, {});
+  BatchEnsemble batch(specs);
   batch.evolve(dc_stress(Volts{1.2}, Celsius{110.0}), Seconds{3600.0});
   const auto snapshot = batch.occupancies(1);
   const double shift = batch.delta_vth(1);
@@ -315,7 +296,7 @@ TEST(BatchEnsemble, SetOccupanciesRoundTripAndReset) {
 }
 
 TEST(BatchEnsemble, RejectsEmptyAndNullPopulations) {
-  EXPECT_THROW(BatchEnsemble(std::vector<BatchMemberSpec>{}, {}),
+  EXPECT_THROW(BatchEnsemble(std::vector<BatchMemberSpec>{}),
                std::invalid_argument);
 }
 
@@ -327,9 +308,140 @@ TEST(BatchEnsemble, ClassGroupingSplitsOnKineticsChanges) {
   TdParameters hot = default_td_parameters();
   hot.emission_ea_mean_ev += 0.01;
   specs.push_back({hot, 7});
-  BatchEnsemble batch(specs, {});
+  BatchEnsemble batch(specs);
   EXPECT_EQ(batch.class_count(), 2);
   EXPECT_EQ(batch.member_count(), 3);
+}
+
+// --- shared occupancy rows ------------------------------------------------
+// A class keeps one occupancy row; `set_occupancies` splits a member off
+// copy-on-write and `reset` merges the class again.  Every check below is
+// bit for bit against solo TrapEnsemble runs over mixed_schedule().
+
+std::vector<TrapEnsemble> solo_runs(const std::vector<BatchMemberSpec>& specs) {
+  std::vector<TrapEnsemble> solo;
+  solo.reserve(specs.size());
+  for (const auto& s : specs) solo.emplace_back(s.params, s.seed);
+  return solo;
+}
+
+// Every member's shift and occupancies against its solo run.  Odd steps
+// read the whole population at once, even steps one member at a time, so
+// both reductions are checked on fresh state.
+void expect_members_match(const BatchEnsemble& batch,
+                          const std::vector<TrapEnsemble>& solo, int step) {
+  const bool whole = step % 2 != 0;
+  const std::vector<double> all =
+      whole ? batch.delta_vth_all() : std::vector<double>{};
+  for (std::size_t m = 0; m < solo.size(); ++m) {
+    const int member = static_cast<int>(m);
+    const double shift = whole ? all[m] : batch.delta_vth(member);
+    ASSERT_EQ(shift, solo[m].delta_vth())
+        << "member " << m << " diverged at step " << step;
+    ASSERT_EQ(batch.occupancies(member), solo[m].occupancies())
+        << "member " << m << " diverged at step " << step;
+  }
+}
+
+// Runs steps [from, to) of mixed_schedule() on the batch and every solo.
+void run_steps(BatchEnsemble& batch, std::vector<TrapEnsemble>& solo,
+               int from, int to) {
+  const auto steps = mixed_schedule();
+  for (int i = from; i < to; ++i) {
+    const Step& step = steps[static_cast<std::size_t>(i)];
+    batch.evolve(step.condition, Seconds{step.dt_s});
+    for (auto& e : solo) e.evolve(step.condition, Seconds{step.dt_s});
+    expect_members_match(batch, solo, i);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Occupancies no classmate reaches under mixed_schedule(): a solo run of
+// `spec` under a hotter, longer stress.
+std::vector<double> foreign_occupancies(const BatchMemberSpec& spec) {
+  TrapEnsemble donor(spec.params, spec.seed);
+  donor.evolve(dc_stress(Volts{1.3}, Celsius{120.0}), Seconds{7200.0});
+  return donor.occupancies();
+}
+
+constexpr int kSplitStep = 12;  // mid-schedule, with cached conditions
+constexpr int kSplitMember = 17;
+
+// Splits kSplitMember off a 64-member one-class population at kSplitStep,
+// restoring its solo run with the same vector, then runs the rest.
+struct SplitPopulation {
+  std::vector<BatchMemberSpec> specs = one_class_population(64);
+  BatchEnsemble batch{specs};
+  std::vector<TrapEnsemble> solo = solo_runs(specs);
+
+  void split() {
+    const int steps = static_cast<int>(mixed_schedule().size());
+    run_steps(batch, solo, 0, kSplitStep);
+    const auto occ = foreign_occupancies(specs[kSplitMember]);
+    batch.set_occupancies(kSplitMember, occ);
+    solo[kSplitMember].set_occupancies(occ);
+    run_steps(batch, solo, kSplitStep, steps);
+  }
+};
+
+TEST(BatchEnsembleSharedRows, SetOccupanciesLeavesClassmatesOnTheirSoloRuns) {
+  SplitPopulation pop;
+  ASSERT_EQ(pop.batch.group_count(), 1);
+  ASSERT_NO_FATAL_FAILURE(pop.split());
+  EXPECT_EQ(pop.batch.class_count(), 1);
+  EXPECT_EQ(pop.batch.group_count(), 2);
+  for (int m = 0; m < pop.batch.member_count(); ++m) {
+    if (m == kSplitMember) continue;
+    EXPECT_EQ(pop.batch.occupancies(m),
+              pop.solo[static_cast<std::size_t>(m)].occupancies())
+        << "member " << m;
+  }
+}
+
+TEST(BatchEnsembleSharedRows, SplitMemberMatchesRestoredSolo) {
+  SplitPopulation pop;
+  ASSERT_NO_FATAL_FAILURE(pop.split());
+  const TrapEnsemble& restored = pop.solo[kSplitMember];
+  EXPECT_EQ(pop.batch.occupancies(kSplitMember), restored.occupancies());
+  EXPECT_EQ(pop.batch.delta_vth(kSplitMember), restored.delta_vth());
+  EXPECT_NE(pop.batch.occupancies(kSplitMember), pop.batch.occupancies(0));
+
+  // Restoring the now-private member again rewrites its own row only.
+  const auto occ = pop.batch.occupancies(0);
+  pop.batch.set_occupancies(kSplitMember, occ);
+  TrapEnsemble rewound(pop.specs[kSplitMember].params,
+                       pop.specs[kSplitMember].seed);
+  rewound.set_occupancies(occ);
+  EXPECT_EQ(pop.batch.group_count(), 2);
+  EXPECT_EQ(pop.batch.delta_vth(kSplitMember), rewound.delta_vth());
+  EXPECT_EQ(pop.batch.occupancies(0), occ);
+}
+
+TEST(BatchEnsembleSharedRows, ResetAfterDivergenceMergesEachClass) {
+  SplitPopulation pop;
+  ASSERT_NO_FATAL_FAILURE(pop.split());
+  ASSERT_EQ(pop.batch.group_count(), 2);
+  pop.batch.reset();
+  EXPECT_EQ(pop.batch.group_count(), 1);
+  for (auto& e : pop.solo) e.reset();
+  expect_members_match(pop.batch, pop.solo, 0);
+  run_steps(pop.batch, pop.solo, 0,
+            static_cast<int>(mixed_schedule().size()));
+}
+
+TEST(BatchEnsembleSharedRows, FourClassesOfSixteenBitIdentical) {
+  std::vector<BatchMemberSpec> specs;
+  for (int c = 0; c < 4; ++c) {
+    for (const auto& spec : one_class_population(16)) {
+      specs.push_back(
+          {spec.params, derive_seed(0xC1A55, static_cast<std::uint64_t>(c))});
+    }
+  }
+  BatchEnsemble batch(specs);
+  EXPECT_EQ(batch.class_count(), 4);
+  EXPECT_EQ(batch.group_count(), 4);
+  auto solo = solo_runs(specs);
+  run_steps(batch, solo, 0, static_cast<int>(mixed_schedule().size()));
 }
 
 }  // namespace

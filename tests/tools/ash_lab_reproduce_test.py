@@ -33,9 +33,9 @@ SECTION_CRC32 = [
     ("Figure 8 —", 0x09FDCDA2),
     ("Figure 9 —", 0xFF61A53F),
     ("Figure 10 —", 0x0BAE25F5),
-    ("Table 2 —", 0x8F7CCBF0),
+    ("Table 2 —", 0x9C8477EF),
     ("Table 3 —", 0x8336BA5D),
-    ("Table 4 —", 0x652931CB),
+    ("Table 4 —", 0x56E9DC4B),
     ("Table 5 —", 0xD6C687BE),
     ("Ablation A —", 0x4D66A988),
     ("Ablation B —", 0x79269903),

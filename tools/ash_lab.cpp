@@ -17,8 +17,8 @@
 ///   plan      — cheapest sleep conditions for a recovery target
 ///       ash_lab plan [--target 0.9] [--budget-hours 6] [--stress-hours 24]
 ///   population — sweep a chip population through the batch engine
-///       ash_lab population [--chips 1024] [--seed N] [--steps 474]
-///                          [--temp 110] [--jobs N]
+///       ash_lab population [--chips 1024] [--seed N] [--steps 360]
+///                          [--temp 110]
 ///       N chips with log-normal corner spread aged in lockstep under a
 ///       drifting DC-stress chamber (the bench_perf_kernels population
 ///       workload); prints the DeltaVth spread and wall time.
@@ -320,8 +320,7 @@ int cmd_stress(const Flags& flags) {
 /// full rate computation per chip per step and the batch engine pays it
 /// once per trap class.
 int cmd_population(const Flags& flags) {
-  flags.check_known(
-      with_obs({"chips", "seed", "steps", "temp", "jobs"}));
+  flags.check_known(with_obs({"chips", "seed", "steps", "temp"}));
   const int chips = flags.get("chips", 1024);
   const int steps = flags.get("steps", 360);
   if (chips < 1 || steps < 1) {
@@ -343,15 +342,7 @@ int cmd_population(const Flags& flags) {
     specs.push_back({p, seed + 1});
   }
 
-  bti::BatchConfig bc;
-  const int jobs = flags.get("jobs", 0);
-  std::unique_ptr<util::ThreadPool> pool;
-  if (flags.has("jobs")) {
-    pool = std::make_unique<util::ThreadPool>(
-        jobs != 0 ? jobs : util::recommended_pool_size(chips));
-    bc.pool = pool.get();
-  }
-  bti::BatchEnsemble batch(specs, bc);
+  bti::BatchEnsemble batch(specs);
   std::printf("population: %d chip(s), %d class(es), %d trap(s)/chip\n",
               batch.member_count(), batch.class_count(), batch.trap_count(0));
 

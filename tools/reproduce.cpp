@@ -341,28 +341,26 @@ void fig8(const Campaign& campaign, Claims& claims) {
 /// end-of-stress frequency/delay degradation for the accelerated-stress
 /// cases.
 void table2(const Campaign& campaign, Claims& claims) {
-  print_banner(
-      "Table 2 — delay change (%) per stress condition (24 h)",
-      "110C DC ~2.2%; 100C DC ~1.7%; 110C AC ~1.1%");
+  print_banner("Table 2 — delay change (%) per stress condition (24 h)",
+               paper_text({"table2.dc110", "table2.dc100", "table2.ac110"}));
 
   struct Row {
     const char* case_label;
     int chip;
     const char* phase;
-    const char* paper;
   };
   const Row rows[] = {
-      {"AS110DC24", 2, "AS110DC24", "~2.2%"},
-      {"AS110DC24 (chip 3)", 3, "AS110DC24", "~2.2%"},
-      {"AS110DC24 (chip 5)", 5, "AS110DC24", "~2.2%"},
-      {"AS100DC24", 4, "AS100DC24", "~1.7%"},
-      {"AS110AC24", 1, "AS110AC24", "~1.1%"},
+      {"AS110DC24", 2, "AS110DC24"},
+      {"AS110DC24 (chip 3)", 3, "AS110DC24"},
+      {"AS110DC24 (chip 5)", 5, "AS110DC24"},
+      {"AS100DC24", 4, "AS100DC24"},
+      {"AS110AC24", 1, "AS110AC24"},
   };
 
-  Table t({"case", "chip", "paper", "measured"});
+  Table t({"case", "chip", "measured"});
   for (const auto& r : rows) {
     const auto deg = degradation_percent(chip(campaign, r.chip), r.phase);
-    t.add_row({r.case_label, strformat("%d", r.chip), r.paper,
+    t.add_row({r.case_label, strformat("%d", r.chip),
                fmt_fixed(deg.back().value, 2) + "%"});
   }
   std::printf("%s\n", t.render().c_str());
@@ -442,7 +440,7 @@ void table3(const Campaign& campaign) {
 void table4(const Campaign& campaign, Claims& claims) {
   print_banner(
       "Table 4 — design-margin-relaxed parameter per recovery condition",
-      "best case 72.4%; all accelerated cases within ~90% of original margin");
+      paper_text({"table4.best_relaxed", "table4.recovered_AR110N6"}));
 
   // Chips 2-5 run the four recovery cases in this order.
   const char* const phases[] = {"R20Z6", "AR20N6", "AR110Z6", "AR110N6"};

@@ -5,6 +5,7 @@
 /// each, PAPER vs MEASURED.
 
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -16,6 +17,10 @@ namespace ash::lab {
 /// The value behind each paper claim, by the claim's id in the claims
 /// table (tools/reproduce_claims.cpp); each section stores its own.
 using Claims = std::map<std::string, double, std::less<>>;
+
+/// The paper texts of the claims table's rows `ids`, joined by "; ", for a
+/// section banner to quote.  Throws std::out_of_range for an unknown id.
+std::string paper_text(std::initializer_list<const char*> ids);
 
 /// Print the Claims section: PAPER, MEASURED, band and verdict per row.
 /// True when every row's value lies inside its band (unmeasured fails).

@@ -3,10 +3,14 @@
 /// EXPERIMENTS.md quotes the Claims section verbatim, and
 /// `tools_ash_lab_reproduce` asserts every verdict at 75 stages.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "ash/util/table.h"
 #include "reproduce.h"
@@ -97,6 +101,21 @@ std::string fmt_band(const Claim& c) {
 }
 
 }  // namespace
+
+std::string paper_text(std::initializer_list<const char*> ids) {
+  std::string out;
+  for (const char* id : ids) {
+    const Claim* row = std::find_if(
+        std::begin(kClaims), std::end(kClaims),
+        [&](const Claim& c) { return std::string_view(c.id) == id; });
+    if (row == std::end(kClaims)) {
+      throw std::out_of_range(std::string("no claim row ") + id);
+    }
+    if (!out.empty()) out += "; ";
+    out += row->paper;
+  }
+  return out;
+}
 
 bool print_claims(const Claims& measured) {
   print_banner(
