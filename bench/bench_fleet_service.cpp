@@ -120,9 +120,9 @@ ScenarioRow run_scenario(const std::string& name, const std::string& root,
   const auto snapshot = obs::registry().snapshot();
   for (const auto& h : snapshot.histograms) {
     if (h.name == "fleet.client.rtt_s") {
-      row.p50_ms = h.quantile(0.50) * 1e3;
-      row.p95_ms = h.quantile(0.95) * 1e3;
-      row.p99_ms = h.quantile(0.99) * 1e3;
+      row.p50_ms = h.quantile_ns(0.50) * 1e-6;
+      row.p95_ms = h.quantile_ns(0.95) * 1e-6;
+      row.p99_ms = h.quantile_ns(0.99) * 1e-6;
     }
   }
   obs::registry().clear();  // fresh rtt histogram for the next scenario

@@ -4,11 +4,11 @@
 /// regressions in simulation throughput are visible.  One deterministic
 /// workload runs with the in-library kernel timers on: trap-ensemble
 /// evolution, RO delay evaluation, the chip-5 campaign and a fixed-condition
-/// drive of the same chip, a multicore month, the 1024-chip population
-/// (independent engines vs the batch engine) and the fleet margin
-/// projection.  The numbers go to the JSON file that
-/// tools/check_perf_regression.py compares against
-/// bench/baselines/BENCH_kernels.json.
+/// drive of the same chip, a multicore month (repeated), the 1024-chip
+/// population (independent engines vs the batch engine), the fleet margin
+/// projection and the enabled timer's own cost against its clock pair.
+/// The numbers go to the JSON file that tools/check_perf_regression.py
+/// compares against bench/baselines/BENCH_kernels.json.
 ///
 /// Usage: bench_perf_kernels [--json FILE]   (FILE defaults to
 /// BENCH_kernels.json).  Exit 0 ok, 1 a cross-check failed or FILE is
@@ -27,6 +27,7 @@
 #include "ash/fpga/chip.h"
 #include "ash/mc/margin.h"
 #include "ash/mc/system.h"
+#include "ash/obs/metrics.h"
 #include "ash/obs/profile.h"
 #include "ash/tb/experiment_runner.h"
 #include "ash/tb/test_case.h"
@@ -123,14 +124,27 @@ int run_workload(const std::string& path) {
     fixed_drive_ms = wall_ms(t0, clock::now());
   }
 
-  // One multicore month exercises the mc.* kernel split.
+  // The multicore month exercises the mc.* kernel split.  One month is
+  // 120 calls per row; kMcMonths repeats give every mc.* row >= 10 ms of
+  // timed work, and every repeat must reach the same mean DeltaVth.
+  constexpr int kMcMonths = 1500;
   double mc_mean_delta_vth = 0.0;
   {
     mc::SystemConfig cfg;
     cfg.horizon_s = Seconds{30.0 * 86400.0};
-    mc::HeaterAwareCircadianScheduler scheduler;
-    mc_mean_delta_vth =
-        mc::simulate_system(cfg, scheduler).mean_end_delta_vth_v.value();
+    for (int month = 0; month < kMcMonths; ++month) {
+      mc::HeaterAwareCircadianScheduler scheduler;
+      const double mean =
+          mc::simulate_system(cfg, scheduler).mean_end_delta_vth_v.value();
+      if (month > 0 && mean != mc_mean_delta_vth) {
+        std::fprintf(stderr,
+                     "bench_perf_kernels: mc month %d reached mean dVth "
+                     "%.9g V, month 0 %.9g V\n",
+                     month, mean, mc_mean_delta_vth);
+        return 1;
+      }
+      mc_mean_delta_vth = mean;
+    }
   }
 
   // Population sweep (the acceptance workload): 1024 chips of one
@@ -288,8 +302,42 @@ int run_workload(const std::string& path) {
     }
   }
 
+  // The timer's own cost (recorded, not gated): an enabled empty
+  // ScopedTimer into a scratch histogram against the bare monotonic_ns()
+  // pair it brackets.  Best of 3 passes, each kTimerScopes long.
+  constexpr int kTimerScopes = 1000000;
+  double timer_scope_ns = 0.0;
+  double clock_pair_ns = 0.0;
+  {
+    obs::Histogram scratch;
+    std::uint64_t clock_sum_ns = 0;
+    const auto per_scope_ns = [](const clock::time_point t0) {
+      return wall_ms(t0, clock::now()) * 1e6 / kTimerScopes;
+    };
+    for (int pass = 0; pass < 3; ++pass) {
+      auto t0 = clock::now();
+      for (int i = 0; i < kTimerScopes; ++i) {
+        const obs::ScopedTimer timer(&scratch);
+      }
+      const double scope_ns = per_scope_ns(t0);
+      t0 = clock::now();
+      for (int i = 0; i < kTimerScopes; ++i) {
+        const std::uint64_t begin_ns = obs::monotonic_ns();
+        clock_sum_ns += obs::monotonic_ns() - begin_ns;
+      }
+      const double pair_ns = per_scope_ns(t0);
+      timer_scope_ns =
+          pass == 0 ? scope_ns : std::min(timer_scope_ns, scope_ns);
+      clock_pair_ns = pass == 0 ? pair_ns : std::min(clock_pair_ns, pair_ns);
+    }
+    if (scratch.count() != 3u * kTimerScopes || clock_sum_ns == 0) {
+      std::fprintf(stderr, "bench_perf_kernels: timer probe lost scopes\n");
+      return 1;
+    }
+  }
+
   // The JSON rows tools/check_perf_regression.py reads: every kernel
-  // timer, then the end-to-end, population and margin summaries.
+  // timer, then the end-to-end, population, margin and timer summaries.
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "bench_perf_kernels: cannot write %s\n",
@@ -323,11 +371,13 @@ int run_workload(const std::string& path) {
                 "  \"population_batch_wall_ms\": %.1f,\n"
                 "  \"population_speedup_exact\": %.2f,\n"
                 "  \"margin_single_us\": %.2f,\n"
-                "  \"margin_batch256_us\": %.1f\n}\n",
+                "  \"margin_batch256_us\": %.1f,\n"
+                "  \"timer_scope_ns\": %.1f,\n"
+                "  \"clock_pair_ns\": %.1f\n}\n",
                 campaign_ms, fixed_drive_ms, kPopChips, pop_steps,
                 pop_independent_ms, pop_batch_ms,
                 pop_independent_ms / pop_batch_ms, margin_single_us,
-                margin_batch_us);
+                margin_batch_us, timer_scope_ns, clock_pair_ns);
   os << tail;
   std::printf("wrote %s\n%s", path.c_str(), obs::profile_table().c_str());
   std::printf("chip5 campaign: %.1f ms   fixed drive: %.1f ms\n",
@@ -339,6 +389,9 @@ int run_workload(const std::string& path) {
       pop_independent_ms / pop_batch_ms);
   std::printf("margin: single %.2f us/query   whole-shard (%d devices) %.1f us\n",
               margin_single_us, kMarginDevices, margin_batch_us);
+  std::printf("timer: enabled empty scope %.1f ns   clock pair %.1f ns   "
+              "(timer above its clocks %.1f ns)\n",
+              timer_scope_ns, clock_pair_ns, timer_scope_ns - clock_pair_ns);
   std::printf(
       "checks: trap dVth %.9g V   RO sum %.9g Hz   campaign records %zu   "
       "drive sum %.9g Hz   mc mean dVth %.9g V   population reads %.9g V\n",

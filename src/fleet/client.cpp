@@ -69,8 +69,7 @@ Client::Client(ClientConfig config) : config_(std::move(config)) {
                                 config_.socket_path + "'");
   }
   if (config_.instrument) {
-    rtt_hist_ = &obs::registry().histogram("fleet.client.rtt_s",
-                                           obs::HistogramOptions{1e-6, 1e2, 4});
+    rtt_hist_ = &obs::registry().histogram("fleet.client.rtt_s");
   }
 }
 
@@ -206,7 +205,8 @@ Frame Client::call(MessageType type, const std::string& payload) {
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     ++stats_.attempts;
-    const double rtt_begin_ms = rtt_hist_ != nullptr ? now_ms() : 0.0;
+    const std::uint64_t rtt_begin_ns =
+        rtt_hist_ != nullptr ? obs::monotonic_ns() : 0;
     const ProtocolChaosAgent agent(config_.chaos, req_index, attempt);
 
     if (agent.kill_daemon_scheduled() && config_.kill_daemon) {
@@ -280,7 +280,7 @@ Frame Client::call(MessageType type, const std::string& payload) {
 
     // Completed: canonical request/response bytes enter the transcript.
     if (rtt_hist_ != nullptr) {
-      rtt_hist_->observe((now_ms() - rtt_begin_ms) * 1e-3);
+      rtt_hist_->observe_ns(obs::monotonic_ns() - rtt_begin_ns);
     }
     transcript_ += frame;
     transcript_ += frame_message(response.type, response.request_id,
@@ -360,7 +360,8 @@ Frame Client::scrape(MessageType type, const std::string& payload) {
   const std::string frame = frame_message(type, id, payload);
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     ++stats_.attempts;
-    const double rtt_begin_ms = rtt_hist_ != nullptr ? now_ms() : 0.0;
+    const std::uint64_t rtt_begin_ns =
+        rtt_hist_ != nullptr ? obs::monotonic_ns() : 0;
     if (!ensure_connected()) {
       ++stats_.io_failures;
       backoff(attempt);
@@ -394,7 +395,7 @@ Frame Client::scrape(MessageType type, const std::string& payload) {
       }
     }
     if (rtt_hist_ != nullptr) {
-      rtt_hist_->observe((now_ms() - rtt_begin_ms) * 1e-3);
+      rtt_hist_->observe_ns(obs::monotonic_ns() - rtt_begin_ns);
     }
     return response;
   }

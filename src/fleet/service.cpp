@@ -315,12 +315,9 @@ Service::Service(ServiceConfig config)
   }
   if (config_.instrument) {
     // Register once here; the request path only dereferences pointers.
-    // 1 µs .. 100 s covers a unix-socket round trip through a snapshot
-    // write at 4 buckets/decade.
-    const obs::HistogramOptions lat{1e-6, 1e2, 4};
     auto& reg = obs::registry();
     const auto slot = [&](MessageType type, const char* name) {
-      latency_[static_cast<std::size_t>(type)] = &reg.histogram(name, lat);
+      latency_[static_cast<std::size_t>(type)] = &reg.histogram(name);
     };
     slot(MessageType::kPingRequest, "fleet.service.latency.ping");
     slot(MessageType::kMarginRequest, "fleet.service.latency.margin");
@@ -332,7 +329,7 @@ Service::Service(ServiceConfig config)
          "fleet.service.latency.schedule_sleep");
     slot(MessageType::kStatusRequest, "fleet.service.latency.status");
     slot(MessageType::kMetricsRequest, "fleet.service.latency.metrics");
-    queue_wait_ = &reg.histogram("fleet.service.queue_wait", lat);
+    queue_wait_ = &reg.histogram("fleet.service.queue_wait");
   }
   // Recovery: the newest snapshot that verifies, rolled forward by the
   // journal records past it in sequence order, up to the first damaged
@@ -769,7 +766,7 @@ void Service::run() {
   std::vector<Conn> conns;
   std::vector<pollfd> fds;
   std::vector<std::pair<std::size_t, Frame>> tick_requests;
-  std::vector<double> tick_decode_ms;
+  std::vector<std::uint64_t> tick_decode_ns;
 
   while (g_stop == 0) {
     ++stats_.poll_iterations;
@@ -825,7 +822,7 @@ void Service::run() {
     // framing violation poisons the reader and the connection dies —
     // resynchronising inside a hostile byte stream is not a thing.
     tick_requests.clear();
-    tick_decode_ms.clear();
+    tick_decode_ns.clear();
     for (std::size_t i = 0; i < conns.size(); ++i) {
       Conn& c = conns[i];
       if (c.dead) continue;
@@ -856,7 +853,9 @@ void Service::run() {
           auto frame = c.reader.next();
           if (!frame) break;
           tick_requests.emplace_back(i, std::move(*frame));
-          if (queue_wait_ != nullptr) tick_decode_ms.push_back(now_ms());
+          if (queue_wait_ != nullptr) {
+            tick_decode_ns.push_back(obs::monotonic_ns());
+          }
         } catch (const ProtocolError& e) {
           ++stats_.frame_errors;
           recorder_.record(obs::FlightEventKind::kFrameError,
@@ -877,11 +876,11 @@ void Service::run() {
         requests.push_back(std::move(frame));
       }
       if (queue_wait_ != nullptr) {
-        // Decode-to-dispatch wait, in seconds: how long a decoded frame
-        // sat behind this tick's socket reads before processing began.
-        const double dispatch_ms = now_ms();
-        for (const double decoded_ms : tick_decode_ms) {
-          queue_wait_->observe((dispatch_ms - decoded_ms) * 1e-3);
+        // Decode-to-dispatch wait: how long a decoded frame sat behind
+        // this tick's socket reads before processing began.
+        const std::uint64_t dispatch_ns = obs::monotonic_ns();
+        for (const std::uint64_t decoded_ns : tick_decode_ns) {
+          queue_wait_->observe_ns(dispatch_ns - decoded_ns);
         }
       }
       const std::vector<Frame> responses = process_tick(requests);

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file metrics.h
-/// Metrics registry: counters, gauges and log-scale histograms.
+/// Metrics registry: counters, gauges and duration histograms.
 ///
 /// Registration (name lookup) takes a mutex and is meant to happen once,
 /// at setup; the returned references are stable for the registry's
@@ -16,7 +16,9 @@
 /// exports and the reports the benches print can never disagree — they
 /// are the same integers.
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -58,58 +60,49 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed log-scale bucket layout: `buckets_per_decade` buckets per decade
-/// between `min` and `max`.  Values below `min` land in bucket 0, values
-/// at or above `max` in the last bucket — nothing is ever dropped.
-struct HistogramOptions {
-  double min = 1e-9;
-  double max = 1e3;
-  int buckets_per_decade = 4;
-};
-
-/// Quantile estimate from a log-scale bucket layout: find the bucket where
-/// the cumulative count crosses `p * total`, then interpolate *in log
-/// space* within it (the buckets are log-uniform, so log interpolation is
-/// the layout-consistent choice).  The estimate is clamped to
-/// [options.min, options.max] — the first bucket also holds values below
-/// `min` and the last also holds values at or above `max`, so the edges
-/// are the tightest honest bounds.  Returns NaN when the histogram is
-/// empty or `p` is NaN; `p` itself is clamped to [0, 1].
-double histogram_quantile(const HistogramOptions& options,
-                          const std::vector<std::uint64_t>& buckets, double p);
-
-/// Lock-free histogram with fixed log-scale buckets.
+/// Lock-free duration histogram in integer nanoseconds, one fixed layout:
+/// 4 linear sub-buckets per power of two.  0-3 ns get buckets 0-3; from
+/// 4 ns on, the exponent bits pick the octave and the two bits below the
+/// leading one pick the sub-bucket, so every bucket is at most 25% wide
+/// relative to its lower edge and every `uint64_t` has one of the 252
+/// buckets — nothing is clamped and nothing allocates.
 class Histogram {
  public:
-  explicit Histogram(HistogramOptions options = {});
+  static constexpr int kBuckets = 252;
 
-  void observe(double value);
+  static constexpr int bucket_index(std::uint64_t ns) {
+    if (ns < 4) return static_cast<int>(ns);
+    const int e = std::bit_width(ns) - 1;
+    return 4 * (e - 1) + static_cast<int>((ns >> (e - 2)) & 3);
+  }
 
-  int bucket_count() const { return static_cast<int>(buckets_.size()); }
-  /// Bucket index `value` falls into (clamped; NaN observes into bucket 0).
-  int bucket_index(double value) const;
-  /// Inclusive lower bound of bucket i.
-  double bucket_lower_bound(int i) const;
+  /// The one observe entry point: two relaxed `fetch_add`s.
+  void observe_ns(std::uint64_t ns) {
+    buckets_[static_cast<std::size_t>(bucket_index(ns))].fetch_add(
+        1, std::memory_order_relaxed);
+    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+  }
 
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// Observations so far (the bucket total).
+  std::uint64_t count() const;
+  std::uint64_t sum_ns() const {
+    return sum_ns_.load(std::memory_order_relaxed);
+  }
   std::vector<std::uint64_t> bucket_counts() const;
-  const HistogramOptions& options() const { return options_; }
   /// Forget every observation (relaxed stores; not atomic as a whole).
   void reset();
 
-  /// Log-interpolated quantile estimate of the observed values (NaN when
-  /// empty).  See histogram_quantile for the exact semantics.
-  double quantile(double p) const {
-    return histogram_quantile(options_, bucket_counts(), p);
-  }
+  /// Quantile estimate in ns: find the bucket where the cumulative count
+  /// crosses rank `max(1, p * count)` and interpolate linearly inside it
+  /// (the sub-buckets are linear).  The estimate never leaves the edges of
+  /// an occupied bucket; a one-sample histogram reports the upper edge of
+  /// its sample's bucket, at most 25% above the sample from 4 ns on.  NaN
+  /// when empty or `p` is NaN; `p` itself is clamped to [0, 1].
+  double quantile_ns(double p) const;
 
  private:
-  HistogramOptions options_;
-  double log10_min_ = 0.0;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> sum_ns_{0};
 };
 
 /// Point-in-time copy of a registry, for rendering and assertions.
@@ -117,13 +110,11 @@ struct MetricsSnapshot {
   struct HistogramData {
     std::string name;
     std::uint64_t count = 0;
-    double sum = 0.0;
-    HistogramOptions options;
+    std::uint64_t sum_ns = 0;
     std::vector<std::uint64_t> buckets;
 
-    double quantile(double p) const {
-      return histogram_quantile(options, buckets, p);
-    }
+    /// Histogram::quantile_ns of these buckets.
+    double quantile_ns(double p) const;
   };
 
   std::vector<std::pair<std::string, std::uint64_t>> counters;  // sorted
@@ -140,7 +131,8 @@ struct MetricsSnapshot {
   MetricsSnapshot filtered(std::string_view prefix) const;
 
   /// Single-line `k=v k=v ...` dump (sorted), for diffable CI logs.
-  /// Non-empty histograms carry .p50/.p95/.p99 quantile estimates.
+  /// Non-empty histograms carry .p50/.p95/.p99 quantile estimates; a
+  /// histogram's .sum and quantiles render in seconds.
   std::string one_line() const;
   /// `key=value` lines, one metric per line (histograms expand to
   /// .count/.sum/.p50/.p95/.p99/.bucketN lines).
@@ -154,7 +146,7 @@ class Registry {
  public:
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, HistogramOptions options = {});
+  Histogram& histogram(std::string_view name);
 
   MetricsSnapshot snapshot() const;
   /// Drop every metric (tests and multi-run tools).
@@ -170,8 +162,8 @@ class Registry {
 /// The process-wide default registry (what `ash_lab --metrics` snapshots).
 Registry& registry();
 
-/// The one RAII timer: observes the scope's host duration, in *seconds*,
-/// into a histogram.  The histogram pointer is the on/off switch: with
+/// The one RAII timer: observes the scope's host duration, in ns, into a
+/// histogram.  The histogram pointer is the on/off switch: with
 /// nullptr the timer does nothing — no clock read, one branch (enforced by
 /// tests/obs/overhead_test.cpp) — which is how uninstrumented request
 /// paths and unprofiled kernels (`kernel_histogram`, profile.h) stay free.
@@ -184,8 +176,7 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
   ~ScopedTimer() {
     if (histogram_ != nullptr) {
-      histogram_->observe(static_cast<double>(monotonic_ns() - begin_ns_) *
-                          1e-9);
+      histogram_->observe_ns(monotonic_ns() - begin_ns_);
     }
   }
 

@@ -5,12 +5,13 @@
 ///
 /// The ROADMAP north star ("as fast as the hardware allows") needs to
 /// know where simulated wall-clock time actually goes before any perf PR
-/// can be honest.  Each instrumented kernel owns one fixed, enum-indexed
-/// `Histogram` (seconds, default log layout) that an `obs::ScopedTimer`
-/// feeds, so every row carries a call count, a total and p50/p99.  With
-/// profiling off (the default) `kernel_histogram` returns nullptr after
-/// one relaxed load, and the timer costs that load and a predictable
-/// branch, no clock reads (enforced by tests/obs/overhead_test.cpp).
+/// can be honest.  Each instrumented kernel owns one enum-indexed duration
+/// `Histogram` (integer ns, the one fixed layout) that an
+/// `obs::ScopedTimer` feeds, so every row carries a call count, an exact
+/// ns total and p50/p99.  With profiling off (the default)
+/// `kernel_histogram` returns nullptr after one relaxed load, and the
+/// timer costs that load and a predictable branch, no clock reads
+/// (enforced by tests/obs/overhead_test.cpp).
 ///
 /// Enable with `enable_profiling(true)` (or `ash_lab --profile` /
 /// `bench_perf_kernels`), read back with `profile_snapshot()` or the

@@ -120,10 +120,6 @@ class TraceBuffer final : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// Serialize one event as a single JSONL line (shared by `TraceBuffer`
-/// and `TraceWriter`, and handy for ad-hoc tooling).
-void write_jsonl_line(std::ostream& os, const TraceEvent& event);
-
 /// Streaming JSONL sink: events flush to disk in bounded chunks instead
 /// of accumulating for the whole run.  A three-year mc mission emits an
 /// event stream whose in-memory form dwarfs the simulator state;
@@ -172,7 +168,6 @@ void emit(TraceEvent&& event);
 /// Attach a sink (nullptr detaches; the default is detached).  The sink
 /// must outlive every emission; detach before destroying it.
 void set_trace_sink(TraceSink* sink);
-TraceSink* trace_sink();
 
 /// True when a sink is attached.  Hot paths guard argument construction
 /// behind this check.

@@ -1,64 +1,35 @@
 #include "ash/obs/metrics.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
+#include <utility>
 
 #include "ash/util/table.h"
 
 namespace ash::obs {
 
-Histogram::Histogram(HistogramOptions options) : options_(options) {
-  if (!(options_.min > 0.0) || !(options_.max > options_.min) ||
-      options_.buckets_per_decade < 1) {
-    throw std::invalid_argument(
-        "HistogramOptions: need 0 < min < max and buckets_per_decade >= 1");
-  }
-  log10_min_ = std::log10(options_.min);
-  const double decades = std::log10(options_.max) - log10_min_;
-  const int n = static_cast<int>(
-      std::ceil(decades * options_.buckets_per_decade - 1e-9));
-  buckets_ = std::vector<std::atomic<std::uint64_t>>(
-      static_cast<std::size_t>(std::max(1, n)));
+namespace {
+
+/// Inclusive lower edge and width of bucket i, in ns (doubles: the last
+/// bucket's upper edge is 2^64).
+double bucket_lower_ns(std::size_t i) {
+  if (i < 4) return static_cast<double>(i);
+  const std::size_t octave = i / 4 - 1;
+  return static_cast<double>((4 + i % 4) * (std::uint64_t{1} << octave));
 }
 
-int Histogram::bucket_index(double value) const {
-  if (!(value > options_.min)) return 0;  // also catches NaN
-  const int idx = static_cast<int>(
-      std::floor((std::log10(value) - log10_min_) *
-                 options_.buckets_per_decade));
-  return std::clamp(idx, 0, bucket_count() - 1);
+double bucket_width_ns(std::size_t i) {
+  return i < 4 ? 1.0 : static_cast<double>(std::uint64_t{1} << (i / 4 - 1));
 }
 
-double Histogram::bucket_lower_bound(int i) const {
-  return std::pow(
-      10.0, log10_min_ + static_cast<double>(i) / options_.buckets_per_decade);
-}
+/// The rendered quantile keys of a non-empty histogram, in seconds.
+constexpr std::pair<const char*, double> kQuantileKeys[] = {
+    {".p50=", 0.50}, {".p95=", 0.95}, {".p99=", 0.99}};
 
-void Histogram::observe(double value) {
-  buckets_[static_cast<std::size_t>(bucket_index(value))].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // Relaxed CAS accumulate (atomic<double>::fetch_add is C++20 but spotty
-  // across standard libraries; the loop is equivalent and portable).
-  double expected = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(expected, expected + value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-double histogram_quantile(const HistogramOptions& options,
-                          const std::vector<std::uint64_t>& buckets,
+double bucket_quantile_ns(const std::vector<std::uint64_t>& buckets,
                           double p) {
   std::uint64_t total = 0;
   for (const std::uint64_t b : buckets) total += b;
@@ -68,28 +39,38 @@ double histogram_quantile(const HistogramOptions& options,
   p = std::clamp(p, 0.0, 1.0);
   // Target rank in [1, total]: p = 0 asks for the smallest observation,
   // p = 1 for the largest, everything else linear in between.
-  const double target =
-      std::max(1.0, p * static_cast<double>(total));
-  const double log10_min = std::log10(options.min);
-  const double log10_max = std::log10(options.max);
+  const double target = std::max(1.0, p * static_cast<double>(total));
   double cum = 0.0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i] == 0) continue;
     const double before = cum;
     cum += static_cast<double>(buckets[i]);
     if (cum + 1e-9 < target) continue;
-    // Log-interpolate within the bucket; the first/last buckets clamp to
-    // [min, max] because they also absorb out-of-range observations.
     const double frac = (target - before) / static_cast<double>(buckets[i]);
-    const double lo = std::min(
-        log10_min + static_cast<double>(i) / options.buckets_per_decade,
-        log10_max);
-    const double hi = std::min(
-        log10_min + static_cast<double>(i + 1) / options.buckets_per_decade,
-        log10_max);
-    return std::pow(10.0, lo + frac * (hi - lo));
+    return bucket_lower_ns(i) + frac * bucket_width_ns(i);
   }
-  return options.max;  // unreachable: cum == total >= target by the end
+  return std::numeric_limits<double>::quiet_NaN();  // unreachable
+}
+
+}  // namespace
+
+std::uint64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+  return total;
+}
+
+void Histogram::reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_ns_.store(0, std::memory_order_relaxed);
+}
+
+double Histogram::quantile_ns(double p) const {
+  return bucket_quantile_ns(bucket_counts(), p);
+}
+
+double MetricsSnapshot::HistogramData::quantile_ns(double p) const {
+  return bucket_quantile_ns(buckets, p);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -118,13 +99,11 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               HistogramOptions options) {
+Histogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<Histogram>(options))
+    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
              .first;
   }
   return *it->second;
@@ -142,10 +121,9 @@ MetricsSnapshot Registry::snapshot() const {
   for (const auto& [name, h] : histograms_) {
     MetricsSnapshot::HistogramData d;
     d.name = name;
-    d.count = h->count();
-    d.sum = h->sum();
-    d.options = h->options();
     d.buckets = h->bucket_counts();
+    for (const std::uint64_t b : d.buckets) d.count += b;
+    d.sum_ns = h->sum_ns();
     snap.histograms.push_back(std::move(d));
   }
   return snap;
@@ -211,11 +189,10 @@ std::string MetricsSnapshot::one_line() const {
   for (const auto& h : histograms) {
     sep();
     os << h.name << ".count=" << h.count << ' ' << h.name
-       << ".sum=" << strformat("%g", h.sum);
-    if (h.count > 0) {
-      os << ' ' << h.name << ".p50=" << strformat("%g", h.quantile(0.50))
-         << ' ' << h.name << ".p95=" << strformat("%g", h.quantile(0.95))
-         << ' ' << h.name << ".p99=" << strformat("%g", h.quantile(0.99));
+       << ".sum=" << strformat("%g", h.sum_ns * 1e-9);
+    if (h.count == 0) continue;
+    for (const auto& [key, p] : kQuantileKeys) {
+      os << ' ' << h.name << key << strformat("%g", h.quantile_ns(p) * 1e-9);
     }
   }
   return os.str();
@@ -228,11 +205,11 @@ void MetricsSnapshot::write(std::ostream& os) const {
   }
   for (const auto& h : histograms) {
     os << h.name << ".count=" << h.count << '\n';
-    os << h.name << ".sum=" << strformat("%.9g", h.sum) << '\n';
-    if (h.count > 0) {
-      os << h.name << ".p50=" << strformat("%.9g", h.quantile(0.50)) << '\n';
-      os << h.name << ".p95=" << strformat("%.9g", h.quantile(0.95)) << '\n';
-      os << h.name << ".p99=" << strformat("%.9g", h.quantile(0.99)) << '\n';
+    os << h.name << ".sum=" << strformat("%.9g", h.sum_ns * 1e-9) << '\n';
+    for (const auto& [key, p] : kQuantileKeys) {
+      if (h.count == 0) break;  // quantile keys only when non-empty
+      os << h.name << key << strformat("%.9g", h.quantile_ns(p) * 1e-9)
+         << '\n';
     }
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (h.buckets[i] == 0) continue;  // sparse: only occupied buckets

@@ -1,7 +1,5 @@
 #include "ash/obs/profile.h"
 
-#include <cmath>
-
 #include "ash/util/table.h"
 
 namespace ash::obs {
@@ -39,13 +37,14 @@ std::vector<KernelProfile> profile_snapshot() {
   for (int k = 0; k < kKernelCount; ++k) {
     const Histogram& h =
         detail::g_kernel_histograms[static_cast<std::size_t>(k)];
-    if (h.count() == 0) continue;
+    const std::uint64_t calls = h.count();
+    if (calls == 0) continue;
     KernelProfile p;
     p.kernel = static_cast<Kernel>(k);
-    p.calls = h.count();
-    p.total_ns = static_cast<std::uint64_t>(std::llround(h.sum() * 1e9));
-    p.p50_ns = h.quantile(0.50) * 1e9;
-    p.p99_ns = h.quantile(0.99) * 1e9;
+    p.calls = calls;
+    p.total_ns = h.sum_ns();
+    p.p50_ns = h.quantile_ns(0.50);
+    p.p99_ns = h.quantile_ns(0.99);
     out.push_back(p);
   }
   return out;

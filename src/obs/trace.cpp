@@ -45,6 +45,22 @@ void write_args_object(std::ostream& os, const TraceEvent& e) {
   os << "}";
 }
 
+/// One event as a single JSONL line (`TraceBuffer` and `TraceWriter`).
+void write_jsonl_line(std::ostream& os, const TraceEvent& e) {
+  os << "{\"kind\":\"" << to_string(e.kind) << "\",\"name\":\""
+     << json_escape(e.name) << "\",\"cat\":\"" << json_escape(e.category)
+     << "\",\"span\":" << (e.span ? "true" : "false")
+     << ",\"depth\":" << e.depth
+     << ",\"sim_begin_s\":" << strformat("%.6f", e.sim_begin_s.value())
+     << ",\"sim_end_s\":" << strformat("%.6f", e.sim_end_s.value())
+     << ",\"wall_begin_ns\":" << strformat("%" PRIu64, e.wall_begin_ns)
+     << ",\"wall_end_ns\":" << strformat("%" PRIu64, e.wall_end_ns);
+  for (const auto& [k, v] : e.args) {
+    os << ",\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
+  }
+  os << "}\n";
+}
+
 }  // namespace
 
 const char* to_string(EventKind kind) {
@@ -85,10 +101,6 @@ void emit(TraceEvent&& event) {
 
 void set_trace_sink(TraceSink* sink) {
   detail::g_trace_sink.store(sink, std::memory_order_release);
-}
-
-TraceSink* trace_sink() {
-  return detail::g_trace_sink.load(std::memory_order_acquire);
 }
 
 void instant(EventKind kind, std::string_view name, std::string_view category,
@@ -186,21 +198,6 @@ void TraceBuffer::write_chrome_json(std::ostream& os) const {
     os << "}";
   }
   os << "\n]}\n";
-}
-
-void write_jsonl_line(std::ostream& os, const TraceEvent& e) {
-  os << "{\"kind\":\"" << to_string(e.kind) << "\",\"name\":\""
-     << json_escape(e.name) << "\",\"cat\":\"" << json_escape(e.category)
-     << "\",\"span\":" << (e.span ? "true" : "false")
-     << ",\"depth\":" << e.depth
-     << ",\"sim_begin_s\":" << strformat("%.6f", e.sim_begin_s.value())
-     << ",\"sim_end_s\":" << strformat("%.6f", e.sim_end_s.value())
-     << ",\"wall_begin_ns\":" << strformat("%" PRIu64, e.wall_begin_ns)
-     << ",\"wall_end_ns\":" << strformat("%" PRIu64, e.wall_end_ns);
-  for (const auto& [k, v] : e.args) {
-    os << ",\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
-  }
-  os << "}\n";
 }
 
 void TraceBuffer::write_jsonl(std::ostream& os) const {

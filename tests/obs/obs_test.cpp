@@ -1,4 +1,4 @@
-/// Tests for the ash::obs observability layer: histogram bucketing, span
+/// Tests for the ash::obs observability layer: duration histograms, span
 /// nesting, registry snapshots, report publishing (metrics == report,
 /// bit-for-bit) and the trace exporters.
 
@@ -7,12 +7,16 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "ash/mc/fault.h"
 #include "ash/obs/metrics.h"
 #include "ash/obs/profile.h"
 #include "ash/obs/trace.h"
 #include "ash/tb/fault.h"
+#include "ash/util/random.h"
+#include "ash/util/table.h"
 
 namespace {
 
@@ -26,89 +30,159 @@ class SinkGuard {
   ~SinkGuard() { obs::set_trace_sink(nullptr); }
 };
 
-TEST(Histogram, BucketsFollowLogScale) {
-  obs::HistogramOptions opt;
-  opt.min = 1e-3;
-  opt.max = 1e3;
-  opt.buckets_per_decade = 2;
-  obs::Histogram h(opt);
-  // 6 decades x 2 buckets.
-  EXPECT_EQ(h.bucket_count(), 12);
-  EXPECT_EQ(h.bucket_index(1e-3), 0);
-  // One bucket spans half a decade: 10^0.5 ~ 3.162.
-  EXPECT_EQ(h.bucket_index(2e-3), 0);
-  EXPECT_EQ(h.bucket_index(4e-3), 1);
-  EXPECT_EQ(h.bucket_index(1.0), 6);
-  EXPECT_EQ(h.bucket_index(5.0), 7);
-  // Clamped at both ends; NaN lands in bucket 0 rather than vanishing.
-  EXPECT_EQ(h.bucket_index(1e-9), 0);
-  EXPECT_EQ(h.bucket_index(1e9), 11);
-  EXPECT_EQ(h.bucket_index(std::nan("")), 0);
-  // Lower bounds are exact decade fractions.
-  EXPECT_NEAR(h.bucket_lower_bound(0), 1e-3, 1e-12);
-  EXPECT_NEAR(h.bucket_lower_bound(6), 1.0, 1e-9);
+TEST(Histogram, BucketsFollowExponentBits) {
+  using H = obs::Histogram;
+  // 0-3 ns get their own buckets; 4-7 ns are the first linear octave.
+  for (const std::uint64_t ns : {0, 1, 3, 4, 5, 7, 8}) {
+    EXPECT_EQ(H::bucket_index(ns), static_cast<int>(ns)) << ns;
+  }
+  // Every power of two opens an octave of 4 sub-buckets, each a quarter
+  // of the octave's lower edge wide; 2^k - 1 closes the octave below.
+  for (int k = 2; k < 64; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << k;
+    const std::uint64_t quarter = edge >> 2;
+    EXPECT_EQ(H::bucket_index(edge), 4 * (k - 1)) << k;
+    EXPECT_EQ(H::bucket_index(edge - 1), 4 * (k - 1) - 1) << k;
+    EXPECT_EQ(H::bucket_index(edge + quarter - 1), 4 * (k - 1)) << k;
+    EXPECT_EQ(H::bucket_index(edge + quarter), 4 * (k - 1) + 1) << k;
+  }
+  // Nothing clamps: the largest duration has the last bucket.
+  EXPECT_EQ(H::bucket_index(UINT64_MAX), H::kBuckets - 1);
+  EXPECT_EQ(obs::Histogram{}.bucket_counts().size(),
+            static_cast<std::size_t>(H::kBuckets));
 }
 
 TEST(Histogram, ObserveAccumulatesCountSumAndBuckets) {
   obs::Histogram h;
-  h.observe(1.0);
-  h.observe(1.0);
-  h.observe(100.0);
+  h.observe_ns(1000);
+  h.observe_ns(1000);
+  h.observe_ns(100000);
   EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 102.0);
+  EXPECT_EQ(h.sum_ns(), 102000u);
   const auto buckets = h.bucket_counts();
-  EXPECT_EQ(buckets[static_cast<std::size_t>(h.bucket_index(1.0))], 2u);
-  EXPECT_EQ(buckets[static_cast<std::size_t>(h.bucket_index(100.0))], 1u);
+  EXPECT_EQ(buckets[static_cast<std::size_t>(h.bucket_index(1000))], 2u);
+  EXPECT_EQ(buckets[static_cast<std::size_t>(h.bucket_index(100000))], 1u);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
+  EXPECT_EQ(h.sum_ns(), 0u);
   for (const std::uint64_t b : h.bucket_counts()) EXPECT_EQ(b, 0u);
 }
 
-TEST(Histogram, QuantileInterpolatesInLogSpace) {
-  obs::HistogramOptions opt;
-  opt.min = 1e-3;
-  opt.max = 1e3;
-  opt.buckets_per_decade = 4;
-  obs::Histogram h(opt);
-  for (int i = 0; i < 100; ++i) h.observe(1.0);
-  // All mass in one bucket: every quantile lands inside that bucket's
-  // log-space range [10^0, 10^0.25).
-  const double p50 = h.quantile(0.50);
-  EXPECT_GE(p50, 1.0);
-  EXPECT_LT(p50, std::pow(10.0, 0.25));
-  // Quantiles are monotone in p.
-  EXPECT_LE(h.quantile(0.10), h.quantile(0.50));
-  EXPECT_LE(h.quantile(0.50), h.quantile(0.99));
+TEST(Histogram, QuantileInterpolatesLinearlyInBucket) {
+  obs::Histogram h;
+  // 1000 ns lies in [896, 1024): all mass in one bucket, and the rank
+  // target walks linearly across it.
+  for (int i = 0; i < 100; ++i) h.observe_ns(1000);
+  EXPECT_DOUBLE_EQ(h.quantile_ns(0.50), 896.0 + 0.50 * 128.0);
+  EXPECT_DOUBLE_EQ(h.quantile_ns(0.99), 896.0 + 0.99 * 128.0);
+  EXPECT_DOUBLE_EQ(h.quantile_ns(1.0), 1024.0);
+  EXPECT_DOUBLE_EQ(h.quantile_ns(0.0), 896.0 + 0.01 * 128.0);  // rank 1
+}
+
+TEST(Histogram, OneSampleReportsItsBucketsUpperEdge) {
+  // Every quantile of a one-sample histogram is the upper edge of the
+  // sample's bucket: at most 25% above the sample, never below it.
+  for (const std::uint64_t ns : {5ULL, 562000ULL, 1000000ULL, 999999999ULL}) {
+    obs::Histogram h;
+    h.observe_ns(ns);
+    for (const double p : {0.0, 0.5, 0.99, 1.0}) {
+      const double q = h.quantile_ns(p);
+      EXPECT_EQ(q, h.quantile_ns(1.0)) << ns;
+      EXPECT_GT(q, static_cast<double>(ns)) << ns;
+      EXPECT_LE(q, 1.25 * static_cast<double>(ns)) << ns;
+    }
+  }
+  obs::Histogram h;
+  h.observe_ns(562000);  // [524288, 655360): upper edge 655360 ns
+  EXPECT_DOUBLE_EQ(h.quantile_ns(0.5), 655360.0);
 }
 
 TEST(Histogram, QuantileBoundariesClampToHonestEdges) {
-  obs::HistogramOptions opt;
-  opt.min = 1e-3;
-  opt.max = 1e3;
-  opt.buckets_per_decade = 4;
-  obs::Histogram h(opt);
-  // Below-min and at/above-max observations live in the clamped edge
-  // buckets; their quantile estimates must not invent values outside
-  // [min, max] — the edges are the tightest honest bounds.
-  for (int i = 0; i < 10; ++i) h.observe(1e-9);
-  for (int i = 0; i < 10; ++i) h.observe(1e9);
-  EXPECT_GE(h.quantile(0.0), opt.min);
-  EXPECT_LE(h.quantile(0.25), std::pow(10.0, -2.75));  // first bucket
-  EXPECT_LE(h.quantile(1.0), opt.max);
-  EXPECT_GE(h.quantile(0.9), std::pow(10.0, 2.75));  // last bucket
+  obs::Histogram h;
+  // Ten samples at 10 ns ([10, 12)) and ten at 1 s ([939524096,
+  // 1073741824)): estimates never leave the occupied buckets' edges.
+  for (int i = 0; i < 10; ++i) h.observe_ns(10);
+  for (int i = 0; i < 10; ++i) h.observe_ns(1000000000);
+  EXPECT_GE(h.quantile_ns(0.0), 10.0);
+  EXPECT_LE(h.quantile_ns(0.5), 12.0);
+  EXPECT_GE(h.quantile_ns(0.55), 939524096.0);
+  EXPECT_DOUBLE_EQ(h.quantile_ns(1.0), 1073741824.0);
   // p itself is clamped, not trusted.
-  EXPECT_GE(h.quantile(-4.0), opt.min);
-  EXPECT_LE(h.quantile(7.0), opt.max);
+  EXPECT_EQ(h.quantile_ns(-4.0), h.quantile_ns(0.0));
+  EXPECT_EQ(h.quantile_ns(7.0), h.quantile_ns(1.0));
+  // Quantiles are monotone in p.
+  double last = h.quantile_ns(0.0);
+  for (int i = 1; i <= 100; ++i) {
+    const double q = h.quantile_ns(i / 100.0);
+    EXPECT_GE(q, last) << i;
+    last = q;
+  }
+}
+
+TEST(Histogram, QuantilesWithinOneBucketOfTheOrderStatistic) {
+  // Seeded log-uniform durations from 100 ns to 10 s: each estimate lies
+  // in the bucket of its exact order statistic, so within 25% of it.
+  Rng rng(0x0B5D);
+  std::vector<std::uint64_t> ns(4000);
+  obs::Histogram h;
+  for (auto& v : ns) {
+    v = static_cast<std::uint64_t>(std::exp(rng.uniform(std::log(1e2),
+                                                        std::log(1e10))));
+    h.observe_ns(v);
+  }
+  std::sort(ns.begin(), ns.end());
+  for (const double p : {0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}) {
+    const double exact = static_cast<double>(
+        ns[static_cast<std::size_t>(std::llround(p * 4000.0)) - 1]);
+    EXPECT_NEAR(h.quantile_ns(p), exact, 0.25 * exact) << p;
+  }
+}
+
+TEST(Histogram, SumIsExactInNs) {
+  obs::Registry reg;
+  obs::Histogram& h = reg.histogram("h");
+  // 1 ns beside 2^53 ns: a double-seconds sum drops the 1 ns.
+  const std::uint64_t big = std::uint64_t{1} << 53;
+  h.observe_ns(1);
+  h.observe_ns(big);
+  h.observe_ns(999999999);
+  EXPECT_EQ(h.sum_ns(), big + 1000000000u);
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].sum_ns, big + 1000000000u);
+  EXPECT_EQ(snap.histograms[0].count, 3u);
+  // .sum renders in seconds.
+  const std::string sum_line = "h.sum=" +
+      strformat("%.9g", static_cast<double>(big + 1000000000u) * 1e-9) + "\n";
+  EXPECT_NE(snap.render().find(sum_line), std::string::npos);
+}
+
+TEST(Histogram, ConcurrentObserveIsExact) {
+  obs::Histogram h;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        h.observe_ns(i * static_cast<std::uint64_t>(t + 1));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  // sum over t of (t + 1) * (0 + 1 + ... + kPerThread - 1).
+  const std::uint64_t triangle = kPerThread * (kPerThread - 1) / 2;
+  EXPECT_EQ(h.count(), kThreads * kPerThread);
+  EXPECT_EQ(h.sum_ns(), (1 + 2 + 3 + 4) * triangle);
 }
 
 TEST(Histogram, QuantileNanPaths) {
   obs::Histogram empty;
-  EXPECT_TRUE(std::isnan(empty.quantile(0.5)));  // no observations
+  EXPECT_TRUE(std::isnan(empty.quantile_ns(0.5)));  // no observations
   obs::Histogram h;
-  h.observe(1.0);
-  EXPECT_TRUE(std::isnan(h.quantile(std::nan(""))));  // NaN p
-  EXPECT_FALSE(std::isnan(h.quantile(0.5)));
+  h.observe_ns(1000);
+  EXPECT_TRUE(std::isnan(h.quantile_ns(std::nan(""))));  // NaN p
+  EXPECT_FALSE(std::isnan(h.quantile_ns(0.5)));
 }
 
 TEST(Registry, SnapshotReadsEverything) {
@@ -116,7 +190,7 @@ TEST(Registry, SnapshotReadsEverything) {
   reg.counter("a").add(3);
   reg.counter("a").add(2);
   reg.gauge("g").set(1.5);
-  reg.histogram("h").observe(0.25);
+  reg.histogram("h").observe_ns(250000000);
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.counter("a"), 5u);
   EXPECT_EQ(snap.counter("missing"), 0u);
@@ -132,8 +206,8 @@ TEST(Registry, FilteredKeepsOnlyThePrefix) {
   reg.counter("fleet.service.requests").add(4);
   reg.counter("fleet.client.calls").add(2);
   reg.gauge("fleet.service.backoff").set(0.5);
-  reg.histogram("fleet.service.latency.ping").observe(1e-4);
-  reg.histogram("mc.rel.margin").observe(1.0);
+  reg.histogram("fleet.service.latency.ping").observe_ns(100000);
+  reg.histogram("mc.rel.margin").observe_ns(1000000000);
   const auto snap = reg.snapshot();
   const auto fleet = snap.filtered("fleet.service.");
   EXPECT_EQ(fleet.counters.size(), 1u);
@@ -150,7 +224,7 @@ TEST(Registry, FilteredKeepsOnlyThePrefix) {
 TEST(Registry, RenderedSnapshotsCarryQuantiles) {
   obs::Registry reg;
   auto& h = reg.histogram("lat");
-  for (int i = 0; i < 32; ++i) h.observe(1e-3);
+  for (int i = 0; i < 32; ++i) h.observe_ns(1000000);
   reg.histogram("empty");  // zero-count: no quantile lines
   const auto snap = reg.snapshot();
   const std::string line = snap.one_line();
@@ -350,17 +424,32 @@ TEST(Profile, TimersAggregateWhenEnabled) {
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].kernel, obs::Kernel::kTrapEnsembleEvolve);
   EXPECT_EQ(snap[0].calls, 2u);
-  // Quantiles come from the kernel's seconds histogram (default layout):
-  // finite, ordered, and inside its [min, max] range.
-  const obs::HistogramOptions range;
+  // Quantiles come from the kernel's ns histogram: finite and ordered.
   EXPECT_TRUE(std::isfinite(snap[0].p50_ns));
   EXPECT_TRUE(std::isfinite(snap[0].p99_ns));
   EXPECT_LE(snap[0].p50_ns, snap[0].p99_ns);
-  EXPECT_GE(snap[0].p50_ns, range.min * 1e9);
-  EXPECT_LE(snap[0].p99_ns, range.max * 1e9);
   EXPECT_FALSE(obs::profile_table().empty());
   obs::reset_profile();
   EXPECT_TRUE(obs::profile_snapshot().empty());
+}
+
+TEST(Profile, TotalNsIsTheExactSum) {
+  obs::reset_profile();
+  obs::enable_profiling(true);
+  obs::Histogram* h = obs::kernel_histogram(obs::Kernel::kMcTelemetry);
+  obs::enable_profiling(false);
+  ASSERT_NE(h, nullptr);
+  std::uint64_t exact = 0;
+  for (std::uint64_t ns = 1; ns < 5000000000ULL; ns = ns * 3 + 7) {
+    h->observe_ns(ns);
+    exact += ns;
+  }
+  const auto snap = obs::profile_snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].kernel, obs::Kernel::kMcTelemetry);
+  EXPECT_EQ(snap[0].calls, h->count());
+  EXPECT_EQ(snap[0].total_ns, exact);
+  obs::reset_profile();
 }
 
 TEST(Profile, TimersIdleWhenDisabled) {

@@ -26,7 +26,7 @@ EXPERIMENTS_MD = None
 # (title prefix, CRC-32), in DESIGN.md Sec. 4 order.
 SECTION_CRC32 = [
     ("Figure 1 —", 0xB9599464),
-    ("Figure 4 —", 0x9982C829),
+    ("Figure 4 —", 0x60CAA47B),
     ("Figure 5 —", 0xF55C8C22),
     ("Figure 6 —", 0x49D654BC),
     ("Figure 7 —", 0x2DD12764),
@@ -50,7 +50,7 @@ SECTION_CRC32 = [
     ("Ablation K —", 0x1CCD71E2),
     ("Ablation L —", 0x4E6BD135),
     ("Ablation — multi-core self-healing under core faults", 0x17FEA7D2),
-    ("Ablation — fault injection vs. fault tolerance", 0x47667269),
+    ("Ablation — fault injection vs. fault tolerance", 0x6ED06A71),
     ("Claims —", 0xAA2627E0),
 ]
 

@@ -103,9 +103,8 @@ core::RecoveryFit fit_recovery(const tb::DataLog& run, int chip_id,
 /// 24 h of accelerated stress at 110 degC, AC (chip 1) vs DC (chip 2):
 /// fast degradation in the first ~3 hours, then slowing.
 void fig4(const Campaign& campaign, Claims& claims) {
-  print_banner(
-      "Figure 4 — AC vs DC accelerated stress (24 h @ 110 degC)",
-      "fast-then-slow degradation; AC ~ half of DC (~1.1 % vs ~2.2 %)");
+  print_banner("Figure 4 — AC vs DC accelerated stress (24 h @ 110 degC)",
+               paper_text({"fig4.dc_share_3h", "fig4.ac_over_dc"}));
 
   const auto ac = degradation_percent(chip(campaign, 1), "AS110AC24");
   const auto dc = degradation_percent(chip(campaign, 2), "AS110DC24");
@@ -733,12 +732,14 @@ double worst_sample_error(const tb::DataLog& log, const tb::DataLog& ideal) {
 /// within ~2 % of the ideal margin-relaxed value on every scenario, while
 /// the naive runner drifts further on average and in the worst case.
 void ablation_faults(const std::vector<tb::CampaignResult>& labs) {
+  const std::string headline = paper_text({"table4.best_relaxed"});
   print_banner(
       "Ablation — fault injection vs. fault tolerance (Table 4 headline)",
-      "tolerant runner reproduces the 72.4% margin-relaxed headline at the "
-      "instrument-noise floor under a representative dirty lab and keeps "
-      "the whole recovery trajectory clean; a naive runner records "
-      "corrupted samples every campaign and risks the headline itself");
+      "Table 4 headline: " + headline +
+          "; the tolerant runner reproduces it at the instrument-noise floor "
+          "under a representative dirty lab and keeps the whole recovery "
+          "trajectory clean; a naive runner records corrupted samples every "
+          "campaign and risks the headline itself");
 
   const tb::CampaignResult& ideal = labs[0];
   const double m_ideal = margin_relaxed(ideal.log);
