@@ -29,7 +29,7 @@ BatchEnsemble::BatchEnsemble(const std::vector<BatchMemberSpec>& specs) {
     const auto c = static_cast<int>(cls - groups_.begin());
     if (cls == groups_.end()) {
       groups_.push_back({TrapKinetics(source.kinetics(), kRateCacheSlots),
-                         source.occupancies(), {}, {}});
+                         source.occupancies(), {}});
     }
     groups_[static_cast<std::size_t>(c)].members.push_back(member_count());
     members_.push_back({source.parameters(), source.contributions(), c, c});
@@ -52,24 +52,6 @@ const TdParameters& BatchEnsemble::parameters(int member) const {
   return member_at(member).params;
 }
 
-void BatchEnsemble::Group::advance(const OperatingCondition& c, Seconds dt) {
-  // TrapEnsemble::evolve's policy, without its kernel timer (the
-  // bti.trap_ensemble.evolve row counts solo steps only): a condition
-  // missing the rate cache twice in a row is recurring and promoted into
-  // it; a one-shot condition takes the store-free transient step.
-  const bool hit = kinetics.cached(c);
-  const bool promote = !hit && last_miss &&
-                       last_miss->voltage_v == c.voltage_v &&
-                       last_miss->temperature_k == c.temperature_k &&
-                       last_miss->gate_stress_duty == c.gate_stress_duty;
-  if (!hit) last_miss = promote ? std::nullopt : std::optional(c);
-  if (hit || promote) {
-    TrapKinetics::apply(kinetics.entry_for(c, dt), occupancy.data());
-  } else {
-    kinetics.transient_step(c, dt, occupancy.data());
-  }
-}
-
 void BatchEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
   const obs::ScopedTimer timer(
       obs::kernel_histogram(obs::Kernel::kBtiBatchEvolve));
@@ -78,7 +60,9 @@ void BatchEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
   for (const Group& g : groups_) {
     if (!g.kinetics.check_step(c, dt)) return;
   }
-  for (Group& g : groups_) g.advance(c, dt);
+  // No solo kernel timer here: the bti.trap_ensemble.evolve row counts
+  // solo steps only.
+  for (Group& g : groups_) g.kinetics.step(c, dt, g.occupancy.data());
   ++version_;
 }
 
@@ -148,8 +132,7 @@ void BatchEnsemble::set_occupancies(int member,
   } else {
     // Copy-on-write: the member leaves the row it shares for a private one.
     std::erase(shared.members, member);
-    Group own{TrapKinetics(shared.kinetics, kRateCacheSlots), occ, {member},
-              {}};
+    Group own{TrapKinetics(shared.kinetics, kRateCacheSlots), occ, {member}};
     members_[static_cast<std::size_t>(member)].group = group_count();
     groups_.push_back(std::move(own));
   }

@@ -24,10 +24,9 @@
 /// `reset` merges every class back into one row.
 ///
 /// Exactness contract: each group is a `TrapKinetics` core copied from a
-/// member's solo ensemble plus an occupancy row, under the solo
-/// ensemble's policy (6 rate slots; a condition missing twice in a row is
-/// promoted into the cache, a one-shot condition takes the store-free
-/// transient step), and a member's DeltaVth is the dot product of its
+/// member's solo ensemble plus an occupancy row, stepped by the core's
+/// one cache policy (`TrapKinetics::step`, 6 rate slots as in the solo
+/// ensemble), and a member's DeltaVth is the dot product of its
 /// group's row with its own contributions in `TrapEnsemble::delta_vth`'s
 /// order.  A batch trajectory is therefore bit-for-bit equal to N
 /// independent `TrapEnsemble` runs (asserted for seeded 64-chip
@@ -35,7 +34,6 @@
 /// tests/bti/batch_ensemble_test.cpp).
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "ash/bti/condition.h"
@@ -109,11 +107,6 @@ class BatchEnsemble {
     TrapKinetics kinetics;
     std::vector<double> occupancy;
     std::vector<int> members;
-    /// The most recent rate-cache miss, unless it was just promoted (the
-    /// solo ensemble's miss-twice rule).
-    std::optional<OperatingCondition> last_miss;
-
-    void advance(const OperatingCondition& condition, Seconds dt);
   };
 
   struct Member {

@@ -13,12 +13,12 @@
 ///
 /// The rate law and its caches live in the shared kinetics core
 /// (`TrapKinetics`, DESIGN.md Sec. 8); an ensemble is a class of one: a
-/// core plus per-trap DeltaVth contributions and occupancies.  Its policy
-/// over the core: a one-shot condition (a drifting chamber, every interval
-/// unique) takes the core's store-free transient step, and a condition
-/// missing twice in a row is recurring and promoted into the 6-slot rate
-/// cache, after which a repeat of the same (condition, dt) is one exp-free
-/// multiply-add sweep.  Trajectories stay bit-identical to the historical
+/// core plus per-trap DeltaVth contributions and occupancies.  The core's
+/// one cache policy (`TrapKinetics::step`) runs every evolve: a one-shot
+/// condition (a drifting chamber, every interval unique) takes the
+/// store-free transient step, and a condition missing twice in a row is
+/// promoted into the 6-slot rate cache, after which a repeat of the same
+/// (condition, dt) is one exp-free multiply-add sweep.  Trajectories stay bit-identical to the historical
 /// per-trap loop (tests/perf/golden_trajectory_test.cpp).
 
 #include <cstdint>
@@ -91,10 +91,6 @@ class TrapEnsemble {
   std::uint64_t state_version() const { return version_; }
 
  private:
-  /// Miss-twice bookkeeping: true when `condition` also missed the rate
-  /// cache on the previous call and should be promoted into it.
-  bool recurring_miss(const OperatingCondition& condition);
-
   static constexpr int kRateCacheSlots = 6;
 
   // Declared before core_: the constructor draws the contributions while
@@ -102,12 +98,6 @@ class TrapEnsemble {
   std::vector<double> delta_vth_v_;
   TrapKinetics core_;
   std::vector<double> occupancy_;
-
-  /// Key of the most recent one-shot miss.
-  Volts last_miss_voltage_{0.0};
-  Kelvin last_miss_temp_{0.0};
-  double last_miss_duty_ = 0.0;
-  bool last_miss_valid_ = false;
 
   std::uint64_t version_ = 0;
   mutable double cached_delta_vth_ = 0.0;

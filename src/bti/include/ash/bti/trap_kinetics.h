@@ -136,13 +136,23 @@ class TrapKinetics {
     return slot_of(condition) >= 0;
   }
 
+  /// Advance `occ` (one value per trap) by dt under the one cache policy
+  /// of both engines.  A condition that misses the rate cache twice in a
+  /// row (a fixed-step sweep, a benchmark, a multicore mission) is
+  /// promoted into it, and later steps with the same dt are one exp-free
+  /// sweep; a one-shot condition (drifting instruments) takes the
+  /// store-free transient step.  Misses are keyed like the cache, on the
+  /// clamped duty.  Both paths apply the same relax(p, p_inf, decay), so
+  /// the policy never changes a bit of the result.
+  void step(const OperatingCondition& condition, Seconds dt, double* occ);
+
+ private:
   /// The cached rates of `condition` with decay factors for dt, computed
   /// on a miss (evicting the oldest slot) or a dt change.  The reference
   /// stays valid until the next entry_for() call.
   const RateEntry& entry_for(const OperatingCondition& condition, Seconds dt);
 
-  /// Advance `occ` (one value per trap) by one cached entry: one
-  /// exp-free multiply-add sweep.
+  /// Advance `occ` by one cached entry: one exp-free multiply-add sweep.
   static void apply(const RateEntry& entry, double* occ);
 
   /// Advance `occ` by dt without writing any memo arrays: the rates live
@@ -151,7 +161,10 @@ class TrapKinetics {
   void transient_step(const OperatingCondition& condition, Seconds dt,
                       double* occ);
 
- private:
+  /// True when `condition` also missed the cache on the previous miss and
+  /// was not promoted then; records it as the latest miss otherwise.
+  bool recurring_miss(const OperatingCondition& condition);
+
   /// Temperature-keyed memo of the per-trap Arrhenius factors
   /// exp(-Ea_i * arr_x).  Voltage and duty enter the rates only through
   /// the scalars, so these arrays are reusable across conditions sharing
@@ -187,6 +200,12 @@ class TrapKinetics {
   /// see one-shot conditions.
   std::vector<RateEntry> rates_;
   int rates_next_ = 0;
+
+  /// Key of the most recent unpromoted miss.
+  Volts last_miss_voltage_{0.0};
+  Kelvin last_miss_temp_{0.0};
+  double last_miss_duty_ = 0.0;
+  bool last_miss_valid_ = false;
 
   FactorCache capture_factors_;
   FactorCache emission_factors_;

@@ -51,32 +51,11 @@ TrapEnsemble::TrapEnsemble(const TdParameters& params, std::uint64_t seed)
     : core_(params, draw_traps(params, seed, delta_vth_v_), kRateCacheSlots),
       occupancy_(delta_vth_v_.size(), 0.0) {}
 
-bool TrapEnsemble::recurring_miss(const OperatingCondition& c) {
-  const double duty = std::clamp(c.gate_stress_duty, 0.0, 1.0);
-  const bool recurring = last_miss_valid_ &&
-                         last_miss_voltage_ == c.voltage_v &&
-                         last_miss_temp_ == c.temperature_k &&
-                         last_miss_duty_ == duty;
-  last_miss_voltage_ = c.voltage_v;
-  last_miss_temp_ = c.temperature_k;
-  last_miss_duty_ = duty;
-  last_miss_valid_ = !recurring;
-  return recurring;
-}
-
 void TrapEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
   const obs::ScopedTimer timer(
       obs::kernel_histogram(obs::Kernel::kTrapEnsembleEvolve));
   if (!core_.check_step(c, dt)) return;
-  // A condition missing twice in a row is recurring (a fixed-step sweep, a
-  // benchmark, a multicore mission): it is promoted into the rate cache,
-  // and later steps with the same dt are one exp-free sweep.  A one-shot
-  // condition (drifting instruments) takes the store-free transient step.
-  if (core_.cached(c) || recurring_miss(c)) {
-    TrapKinetics::apply(core_.entry_for(c, dt), occupancy_.data());
-  } else {
-    core_.transient_step(c, dt, occupancy_.data());
-  }
+  core_.step(c, dt, occupancy_.data());
   ++version_;
 }
 

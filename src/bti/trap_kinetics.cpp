@@ -173,6 +173,28 @@ const TrapKinetics::RateEntry& TrapKinetics::entry_for(
   return *e;
 }
 
+void TrapKinetics::step(const OperatingCondition& c, Seconds dt,
+                        double* occ) {
+  if (cached(c) || recurring_miss(c)) {
+    apply(entry_for(c, dt), occ);
+  } else {
+    transient_step(c, dt, occ);
+  }
+}
+
+bool TrapKinetics::recurring_miss(const OperatingCondition& c) {
+  const double duty = clamped_duty(c);
+  const bool recurring = last_miss_valid_ &&
+                         last_miss_voltage_ == c.voltage_v &&
+                         last_miss_temp_ == c.temperature_k &&
+                         last_miss_duty_ == duty;
+  last_miss_voltage_ = c.voltage_v;
+  last_miss_temp_ = c.temperature_k;
+  last_miss_duty_ = duty;
+  last_miss_valid_ = !recurring;
+  return recurring;
+}
+
 void TrapKinetics::apply(const RateEntry& e, double* occ) {
   const double* p_inf = e.p_inf.data();
   const double* d = e.decay.data();

@@ -21,8 +21,6 @@ namespace ash::fleet {
 
 namespace {
 
-double now_ms() { return static_cast<double>(obs::monotonic_ns()) / 1e6; }
-
 void sleep_ms(double ms) {
   if (ms <= 0.0) return;
   timespec ts;
@@ -119,7 +117,7 @@ bool Client::ensure_connected() {
 
 bool Client::send_all(std::string_view bytes) {
   std::size_t sent = 0;
-  const double deadline = now_ms() + config_.io_timeout_ms;
+  const double deadline = obs::monotonic_ms() + config_.io_timeout_ms;
   while (sent < bytes.size()) {
     const ssize_t n = util::retry_eintr([&] {
       return ::send(fd_, bytes.data() + sent, bytes.size() - sent,
@@ -130,7 +128,7 @@ bool Client::send_all(std::string_view bytes) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (now_ms() > deadline) return false;
+      if (obs::monotonic_ms() > deadline) return false;
       pollfd pfd{fd_, POLLOUT, 0};
       (void)util::retry_eintr([&] { return ::poll(&pfd, 1, 20); });
       continue;
@@ -146,7 +144,7 @@ bool Client::send_all(std::string_view bytes) {
 /// response can bleed into the next attempt.
 bool Client::read_frame(Frame& out, std::uint64_t expect_request_id) {
   FrameReader reader;
-  const double deadline = now_ms() + config_.io_timeout_ms;
+  const double deadline = obs::monotonic_ms() + config_.io_timeout_ms;
   char buf[65536];
   for (;;) {
     try {
@@ -162,7 +160,7 @@ bool Client::read_frame(Frame& out, std::uint64_t expect_request_id) {
       disconnect();
       return false;
     }
-    const double left = deadline - now_ms();
+    const double left = deadline - obs::monotonic_ms();
     if (left <= 0.0) {
       disconnect();  // a late response must not reach the next attempt
       return false;

@@ -42,10 +42,6 @@ constexpr int kStateShard = 0;
 /// three fsyncs and saves no replay work worth having.
 constexpr std::uint64_t kMinCompactionBytes = 4096;
 
-/// Monotonic host milliseconds for I/O deadlines (supervision-layer wall
-/// clock, never part of the deterministic payload).
-double now_ms() { return static_cast<double>(obs::monotonic_ns()) / 1e6; }
-
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop(int) { g_stop = 1; }
 
@@ -782,7 +778,7 @@ void Service::run() {
         }) < 0) {
       break;  // unexpected poll failure: drain and exit
     }
-    const double now = now_ms();
+    const double now = obs::monotonic_ms();
 
     // Accept everything pending — only when poll flagged the listener, so
     // a tick of plain traffic makes no accept4 call; the loop ends at
@@ -942,11 +938,11 @@ void Service::run() {
   draining_ = true;
   recorder_.record(obs::FlightEventKind::kDrainBegin);
   ::close(listen_fd);
-  const double drain_deadline = now_ms() + config_.io_timeout_ms;
+  const double drain_deadline = obs::monotonic_ms() + config_.io_timeout_ms;
   for (;;) {
     bool owed = false;
     for (Conn& c : conns) owed = owed || (!c.dead && !c.outbox.empty());
-    if (!owed || now_ms() > drain_deadline) break;
+    if (!owed || obs::monotonic_ms() > drain_deadline) break;
     for (Conn& c : conns) {
       if (c.dead || c.outbox.empty()) continue;
       const ssize_t n = util::retry_eintr([&] {

@@ -28,14 +28,6 @@ namespace ash::fleet {
 
 namespace {
 
-/// Host-time now, in milliseconds.  Process supervision is the one layer
-/// that legitimately reads the wall clock: heartbeat deadlines and restart
-/// backoffs pace real processes, and nothing here feeds the physics (the
-/// payload determinism test pins that).
-std::int64_t now_ms() {
-  return static_cast<std::int64_t>(obs::monotonic_ns() / 1000000);
-}
-
 /// Pipe protocol, worker -> supervisor: any byte refreshes the heartbeat
 /// deadline; 'c' additionally reports one corrupt snapshot the worker had
 /// to step over during recovery (the worker overwrites the bad file as it
@@ -130,8 +122,8 @@ struct Slot {
   pid_t pid = -1;
   int fd = -1;
   int attempt = 0;  ///< attempt index currently (or next) running
-  std::int64_t last_beat_ms = 0;
-  std::int64_t restart_at_ms = 0;
+  double last_beat_ms = 0.0;
+  double restart_at_ms = 0.0;
   ShardOutcome outcome;
 };
 
@@ -271,7 +263,7 @@ FleetReport FleetSupervisor::run() {
     slot.pid = pid;
     slot.fd = fds[0];
     slot.state = Slot::State::kRunning;
-    slot.last_beat_ms = now_ms();
+    slot.last_beat_ms = obs::monotonic_ms();
     stats.workers_launched++;
   };
 
@@ -309,7 +301,7 @@ FleetReport FleetSupervisor::run() {
                        std::pow(config_.backoff_multiplier,
                                 static_cast<double>(slot.attempt)));
       slot.state = Slot::State::kBackoff;
-      slot.restart_at_ms = now_ms() + static_cast<std::int64_t>(backoff);
+      slot.restart_at_ms = obs::monotonic_ms() + backoff;
       slot.attempt++;
       slot.outcome.restarts++;
       stats.restarts++;
@@ -367,9 +359,9 @@ FleetReport FleetSupervisor::run() {
     // Assemble the poll set and the nearest deadline.
     std::vector<pollfd> pfds;
     std::vector<Slot*> pfd_slots;
-    std::int64_t next_deadline = std::numeric_limits<std::int64_t>::max();
+    double next_deadline = std::numeric_limits<double>::infinity();
     bool live = false;
-    const std::int64_t now = now_ms();
+    const double now = obs::monotonic_ms();
     for (auto& slot : slots) {
       if (slot.state == Slot::State::kRunning) {
         pfds.push_back({slot.fd, POLLIN, 0});
@@ -385,7 +377,7 @@ FleetReport FleetSupervisor::run() {
     if (!live) break;
 
     const int timeout = static_cast<int>(
-        std::clamp<std::int64_t>(next_deadline - now, 0, 60'000));
+        std::ceil(std::clamp(next_deadline - now, 0.0, 60'000.0)));
     const int ready = util::retry_eintr([&] {
       return ::poll(pfds.empty() ? nullptr : pfds.data(),
                     static_cast<nfds_t>(pfds.size()), timeout);
@@ -403,7 +395,7 @@ FleetReport FleetSupervisor::run() {
         const ssize_t n = util::retry_eintr(
             [&] { return ::read(slot.fd, buf, sizeof buf); });
         if (n > 0) {
-          slot.last_beat_ms = now_ms();
+          slot.last_beat_ms = obs::monotonic_ms();
           for (ssize_t b = 0; b < n; ++b) {
             if (buf[b] == 'c') {
               slot.outcome.corrupt_snapshots_skipped++;
@@ -418,7 +410,7 @@ FleetReport FleetSupervisor::run() {
     }
 
     // Deadlines: hung workers and due restarts.
-    const std::int64_t after = now_ms();
+    const double after = obs::monotonic_ms();
     for (auto& slot : slots) {
       if (slot.state == Slot::State::kRunning &&
           after - slot.last_beat_ms >= config_.heartbeat_timeout_ms) {
@@ -428,7 +420,7 @@ FleetReport FleetSupervisor::run() {
                        "shard " + std::to_string(slot.spec->shard_id),
                        "fleet.supervisor",
                        {{"silent_ms",
-                         std::to_string(after - slot.last_beat_ms)}});
+                         fmt_fixed(after - slot.last_beat_ms, 0)}});
         }
         ::kill(slot.pid, SIGKILL);
         // The pipe write end closes when the kill lands; reap right away

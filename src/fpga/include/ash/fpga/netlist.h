@@ -54,7 +54,6 @@ constexpr LutConfig lut_and() { return {false, false, false, true}; }
 constexpr LutConfig lut_or() { return {false, true, true, true}; }
 constexpr LutConfig lut_xor() { return {false, true, true, false}; }
 constexpr LutConfig lut_nand() { return {true, true, true, false}; }
-constexpr LutConfig lut_nor() { return {true, false, false, false}; }
 constexpr LutConfig lut_xnor() { return {true, false, false, true}; }
 constexpr LutConfig lut_not_a() { return {true, false, true, false}; }
 constexpr LutConfig lut_buf_a() { return {false, true, false, true}; }

@@ -19,4 +19,10 @@ inline std::uint64_t monotonic_ns() {
           .count());
 }
 
+/// The same clock in milliseconds, for I/O deadlines, heartbeats and
+/// restart backoffs (supervision-layer time, never part of a payload).
+inline double monotonic_ms() {
+  return static_cast<double>(monotonic_ns()) / 1e6;
+}
+
 }  // namespace ash::obs

@@ -18,9 +18,6 @@ double mean(std::span<const double> xs);
 /// Sample standard deviation (n-1 denominator).  Returns 0 for n < 2.
 double stddev(std::span<const double> xs);
 
-/// Population variance helper (n denominator).  Returns 0 for empty input.
-double variance_population(std::span<const double> xs);
-
 /// Linear-interpolated percentile, p in [0, 100].  Precondition: non-empty.
 double percentile(std::vector<double> xs, double p);
 

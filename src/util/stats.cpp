@@ -22,14 +22,6 @@ double stddev(std::span<const double> xs) {
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
-double variance_population(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size());
-}
-
 double percentile(std::vector<double> xs, double p) {
   assert(!xs.empty());
   p = std::clamp(p, 0.0, 100.0);

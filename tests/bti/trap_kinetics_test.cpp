@@ -90,6 +90,29 @@ TEST(Trap, HugeExponentDoesNotOverflow) {
   EXPECT_NEAR(step(one_trap(), 0.0, 1e6, 0.0, 0.5, Seconds{1e6}), 0.5, 1e-12);
 }
 
+TEST(TrapKinetics, ConditionMissingTwiceInARowIsPromoted) {
+  TrapKinetics k = one_trap();
+  double occ = 0.0;
+  const OperatingCondition a = dc_stress(Volts{1.2}, Celsius{110.0});
+  const OperatingCondition b = dc_stress(Volts{1.2}, Celsius{100.0});
+  k.step(a, Seconds{1.0}, &occ);
+  k.step(b, Seconds{1.0}, &occ);
+  k.step(a, Seconds{1.0}, &occ);
+  EXPECT_FALSE(k.cached(a));  // one-shot misses take the transient step
+  k.step(a, Seconds{1.0}, &occ);
+  EXPECT_TRUE(k.cached(a));  // the second miss in a row is promoted
+
+  // Misses are keyed like the cache, on the clamped duty: duty 1.5 then
+  // 2.0 is one condition missing twice.
+  OperatingCondition over = b;
+  over.gate_stress_duty = 1.5;
+  k.step(over, Seconds{1.0}, &occ);
+  EXPECT_FALSE(k.cached(b));
+  over.gate_stress_duty = 2.0;
+  k.step(over, Seconds{1.0}, &occ);
+  EXPECT_TRUE(k.cached(b));
+}
+
 TEST(TrapKinetics, RejectsRaggedTrapArrays) {
   TrapKinetics::Traps t{{1.0, 2.0}, {1.0}, {0.0}, {0.0}, {0}};
   EXPECT_THROW(TrapKinetics(default_td_parameters(), t, 1),

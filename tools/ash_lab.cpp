@@ -29,11 +29,10 @@
 ///   multicore — schedule comparison on the 8-core system
 ///       ash_lab multicore [--years 2] [--cores 6] [--margin-mv 9]
 ///                         [--fault-plan none|representative|harsh]
-///                         [--fault-seed N] [--raw] [--jobs N]
-///       --jobs N sizes the two-policy fan-out (0 or absent = one worker
-///       per policy, capped at the hardware cores); each system ages its
-///       cores serially, so the tables are bit-identical at any N.
-///       With a fault plan, each policy runs behind the reliability
+///                         [--fault-seed N] [--raw]
+///       The two policies run side by side on a pool of one worker per
+///       policy (capped at the hardware cores); each system ages its
+///       cores serially.  With a fault plan, each policy runs behind the reliability
 ///       manager (quarantine, failover, telemetry filtering) and the
 ///       fault/response report is printed; --raw drops the manager to
 ///       show how an unmanaged policy degrades.
@@ -402,7 +401,7 @@ int cmd_plan(const Flags& flags) {
 
 int cmd_multicore(const Flags& flags) {
   flags.check_known(with_obs({"years", "cores", "margin-mv", "fault-plan",
-                              "fault-seed", "raw", "jobs"}));
+                              "fault-seed", "raw"}));
   mc::SystemConfig cfg;
   cfg.horizon_s = Seconds{flags.get("years", 2.0) * 365.25 * 86400.0};
   cfg.cores_needed = flags.get("cores", 6);
@@ -421,8 +420,7 @@ int cmd_multicore(const Flags& flags) {
     mc::SystemResult result;
     mc::ReliabilityReport report;
   };
-  const int jobs = flags.get("jobs", 0);
-  util::ThreadPool pool(jobs != 0 ? jobs : util::recommended_pool_size(2));
+  util::ThreadPool pool(util::recommended_pool_size(2));
   auto outcomes = pool.parallel_for(2, [&](int i) {
     mc::AllActiveScheduler all;
     mc::HeaterAwareCircadianScheduler circadian;
