@@ -9,7 +9,9 @@
 /// fleet margin projection and the enabled timer's own cost against its
 /// clock pair.  `tools/perf_history.py gate` runs a parent and a change
 /// build of this binary in alternating pairs and judges every timing row
-/// of the JSON by its paired ratio.
+/// of the JSON by its paired ratio.  The `exp:` line names the path of
+/// util::exp_batch on this host (`avx2+fma` or `std::exp`), so a host
+/// whose trap kinetics fall back to the scalar loop is visible.
 ///
 /// Usage: bench_perf_kernels --json FILE.  Exit 0 ok, 1 a cross-check
 /// failed or FILE is unwritable, 2 usage.
@@ -32,6 +34,7 @@
 #include "ash/tb/experiment_runner.h"
 #include "ash/tb/test_case.h"
 #include "ash/util/constants.h"
+#include "ash/util/exp_batch.h"
 #include "ash/util/random.h"
 
 namespace {
@@ -394,6 +397,7 @@ int run_workload(const std::string& path) {
       pop_independent_ms / pop_batch_ms);
   std::printf("margin: single %.2f us/query   whole-shard (%d devices) %.1f us\n",
               margin_single_us, kMarginDevices, margin_batch_us);
+  std::printf("exp: %s\n", util::exp_batch_path());
   std::printf("timer: enabled empty scope %.1f ns   clock pair %.1f ns   "
               "(timer above its clocks %.1f ns)\n",
               timer_scope_ns, clock_pair_ns, timer_scope_ns - clock_pair_ns);

@@ -17,10 +17,12 @@
 ///     lambda = rc + re,  p_inf = rc * phi / lambda,
 ///
 /// which has no time-step error: a 24-hour phase is one update.  `rate()`
-/// is the only place lambda and p_inf are computed, `decay()` the only
-/// place exp(-lambda * dt) is, and `relax()` the only place the update
-/// is applied.  Every evolve path of both engines goes through them, so a
-/// batch trajectory is bit-identical to solo runs by construction.
+/// is the only place lambda and p_inf are computed, the batched `decay()`
+/// the only place exp(-lambda * dt) is (through util::exp_batch, whose
+/// lanes carry the bits of std::exp), and `relax()` the only place the
+/// update is applied.  Every evolve path of both engines goes through
+/// them, so a batch trajectory is bit-identical to solo runs by
+/// construction.
 
 #include <cmath>
 #include <cstddef>
@@ -56,8 +58,8 @@ class TrapKinetics {
   };
 
   /// One trap's total rate lambda = rc + re (1/s) and equilibrium
-  /// occupancy.  lambda <= 0 carries p_inf = 0, and decay() is then 1, so
-  /// the update leaves the occupancy bit-exactly unchanged.
+  /// occupancy.  lambda <= 0 carries p_inf = 0, and its decay is then 1,
+  /// so the update leaves the occupancy bit-exactly unchanged.
   struct Rate {
     double lambda;
     double p_inf;
@@ -120,11 +122,11 @@ class TrapKinetics {
     return {lambda, lambda > 0.0 ? rc * s.phi / lambda : 0.0};
   }
 
-  /// exp(-lambda * dt), short-circuited where exp underflows anyway.
-  static double decay(double lambda, Seconds dt) {
-    const double x = lambda * dt.value();
-    return lambda <= 0.0 ? 1.0 : (x > 700.0 ? 0.0 : std::exp(-x));
-  }
+  /// out[i] = exp(-lambda[i] * dt) for i < n: 1 where lambda <= 0, 0
+  /// where lambda * dt > 700 (exp underflows there anyway), otherwise the
+  /// bits of std::exp.  `out` must not alias `lambda`.
+  static void decay(const double* lambda, Seconds dt, double* out,
+                    std::size_t n);
 
   /// The exact update of one occupancy.
   static double relax(double p, double p_inf, double decay) {

@@ -5,6 +5,7 @@
 
 #include "ash/bti/acceleration.h"
 #include "ash/util/constants.h"
+#include "ash/util/exp_batch.h"
 
 namespace ash::bti {
 namespace {
@@ -94,6 +95,22 @@ TrapKinetics::Scalars TrapKinetics::scalars_for(
   return s;
 }
 
+void TrapKinetics::decay(const double* lambda, Seconds dt, double* out,
+                         std::size_t n) {
+  // The exponents go through exp_batch in one pass; a lane the rules
+  // settle gets the placeholder -1 (a cheap main-path exp) and is
+  // overwritten afterwards.
+  const double t = dt.value();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = lambda[i] * t;
+    out[i] = lambda[i] <= 0.0 || x > 700.0 ? -1.0 : -x;
+  }
+  util::exp_batch(out, out, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = lambda[i] <= 0.0 ? 1.0 : (lambda[i] * t > 700.0 ? 0.0 : out[i]);
+  }
+}
+
 const double* TrapKinetics::arrhenius(FactorCache& cache,
                                       const std::vector<double>& ea,
                                       double arr_x) {
@@ -104,7 +121,8 @@ const double* TrapKinetics::arrhenius(FactorCache& cache,
   cache.next = (cache.next + 1) % FactorCache::kSlots;
   const std::size_t n = ea.size();
   s.f.resize(n);
-  for (std::size_t i = 0; i < n; ++i) s.f[i] = std::exp(-ea[i] * arr_x);
+  for (std::size_t i = 0; i < n; ++i) s.f[i] = -ea[i] * arr_x;
+  util::exp_batch(s.f.data(), s.f.data(), n);
   s.arr_x = arr_x;
   s.valid = true;
   return s.f.data();
@@ -166,9 +184,7 @@ const TrapKinetics::RateEntry& TrapKinetics::entry_for(
   }
 
   // Decay factors for this dt (a fresh entry or a new step size).
-  const double* lambda = e->lambda.data();
-  double* decay_f = e->decay.data();
-  for (std::size_t i = 0; i < n; ++i) decay_f[i] = decay(lambda[i], dt);
+  decay(e->lambda.data(), dt, e->decay.data(), n);
   e->decay_dt = dt;
   return *e;
 }
@@ -213,11 +229,12 @@ void TrapKinetics::transient_step(const OperatingCondition& c, Seconds dt,
   // the avoided memo stores, and their later cache evictions across a
   // thousand-device chip, are the dominant cost.  The division-bound rate
   // arithmetic runs in its own exp-free loop so the compiler can vectorize
-  // it; the exp() calls and the update follow in a second pass.
+  // it; the batched decay and the update follow in their own passes.
   const std::size_t n = traps_.permanent.size();
   constexpr std::size_t kBlock = 128;
   double lam[kBlock];
   double pinf[kBlock];
+  double d[kBlock];
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t len = std::min(kBlock, n - base);
     for (std::size_t j = 0; j < len; ++j) {
@@ -225,8 +242,9 @@ void TrapKinetics::transient_step(const OperatingCondition& c, Seconds dt,
       lam[j] = r.lambda;
       pinf[j] = r.p_inf;
     }
+    decay(lam, dt, d, len);
     for (std::size_t j = 0; j < len; ++j) {
-      occ[base + j] = relax(occ[base + j], pinf[j], decay(lam[j], dt));
+      occ[base + j] = relax(occ[base + j], pinf[j], d[j]);
     }
   }
 }

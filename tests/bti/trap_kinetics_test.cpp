@@ -1,8 +1,11 @@
 #include "ash/bti/trap_kinetics.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,16 +20,18 @@ TrapKinetics one_trap(bool permanent = false) {
 }
 
 // One exact update of occupancy p under effective capture rate rc,
-// emission rate re and amplitude phi, through the core's own rate law,
-// decay and update.  With duty 1/2, unit factors and unit time constants
-// the rate law reduces to rc = capture_field / 2 and
-// re = emission_bias_boost / 2, both exact in binary floating point.
+// emission rate re and amplitude phi, through the core's own rate law and
+// update, with the decay spelled out as std::exp so the core's batched
+// decay is checked against the definition, not against itself.  With duty
+// 1/2, unit factors and unit time constants the rate law reduces to
+// rc = capture_field / 2 and re = emission_bias_boost / 2, both exact in
+// binary floating point.
 double step(const TrapKinetics& k, double p, double rc, double re, double phi,
             Seconds dt) {
   const double unit = 1.0;
   const TrapKinetics::Scalars s{0.5, phi, 2.0 * rc, 0.0, 2.0 * re, 0.0};
   const TrapKinetics::Rate r = k.rate(s, &unit, &unit, 0);
-  return TrapKinetics::relax(p, r.p_inf, TrapKinetics::decay(r.lambda, dt));
+  return TrapKinetics::relax(p, r.p_inf, std::exp(-r.lambda * dt.value()));
 }
 
 TEST(Trap, CaptureApproachesAmplitudeNotOne) {
@@ -88,6 +93,32 @@ TEST(Trap, TwoHalfStepsEqualOneFullStep) {
 
 TEST(Trap, HugeExponentDoesNotOverflow) {
   EXPECT_NEAR(step(one_trap(), 0.0, 1e6, 0.0, 0.5, Seconds{1e6}), 0.5, 1e-12);
+}
+
+TEST(TrapKinetics, BatchedDecayIsStdExpWithItsTwoShortcuts) {
+  // decay() gives 1 for lambda <= 0, 0 where lambda * dt > 700 and the
+  // bits of std::exp(-lambda * dt) elsewhere, at every array position
+  // (the vector lanes and the scalar tail alike).
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> lambda = {
+      0.0, -0.0, -1.0, tiny, 1e-300, 1e-17, 1e-3, 0.5, 1.0, 3.0,
+      std::nextafter(700.0, 0.0), 700.0, std::nextafter(700.0, 1e3), 745.0,
+      1e300, std::numeric_limits<double>::infinity(), 2.5e-2, 17.0, 123.0};
+  for (const double dt : {1.0, 1e-9, 3600.0, 86400.0 * 365.0}) {
+    for (std::size_t start = 0; start < lambda.size(); ++start) {
+      const std::size_t n = lambda.size() - start;
+      std::vector<double> got(n);
+      TrapKinetics::decay(lambda.data() + start, Seconds{dt}, got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double l = lambda[start + i];
+        const double want =
+            l <= 0.0 ? 1.0 : (l * dt > 700.0 ? 0.0 : std::exp(-l * dt));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want))
+            << "lambda " << l << ", dt " << dt;
+      }
+    }
+  }
 }
 
 TEST(TrapKinetics, ConditionMissingTwiceInARowIsPromoted) {

@@ -274,13 +274,19 @@ class TrajectoryTest(ToolTest):
         code, out, err = self.run_tool("trajectory")
         self.assertEqual(code, 0, err)
         lines = out.splitlines()
-        self.assertEqual(len({line.split()[1] for line in lines}), 7)
+        self.assertEqual(len({line.split()[1] for line in lines}), 8)
         self.assertIn("fleet_16k_mixed 2561a89 ", lines[2])
         self.assertIn("wall_s 0.606 ", lines[2])
         self.assertIn("fleet_16k_mixed a84b82d ", lines[5])
         self.assertIn("wall_s 0.702 ", lines[5])
-        self.assertIn("population_batch c8c1fcb ", lines[-1])
-        self.assertIn("wall_s 0.312 ", lines[-1])
+        self.assertIn("population_batch c8c1fcb ", lines[-4])
+        self.assertIn("wall_s 0.312 ", lines[-4])
+        # The first paired-ratio lines: one per workload.
+        self.assertIn("table1_campaign ec44988 ", lines[-3])
+        self.assertIn("wall_s 0.619 ", lines[-3])
+        self.assertIn("population_batch ec44988 ", lines[-2])
+        self.assertIn("wall_s 0.608 ", lines[-2])
+        self.assertIn("fleet_16k_mixed ec44988 ", lines[-1])
 
 
 if __name__ == "__main__":

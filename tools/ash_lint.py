@@ -34,7 +34,9 @@ both.  Token rules scan each file's comment- and string-stripped text:
                   homebrew exponential approximation (a float/double
                   function named like quick_exp / exp_approx) are findings
                   in physics code *and* src/util, with no sanctioned site:
-                  the physics uses std::exp.
+                  the physics uses std::exp, and util::exp_batch is its
+                  one batch path (every lane has the bits of std::exp,
+                  pinned by tests/util/exp_batch_test.cpp).
 
   raw-double-api  A function parameter spelled `double <name>_{s,v,k,c,hz}`
                   in a *public* section of a public header of the physics
