@@ -10,8 +10,10 @@
 /// clock pair.  `tools/perf_history.py gate` runs a parent and a change
 /// build of this binary in alternating pairs and judges every timing row
 /// of the JSON by its paired ratio.  The `exp:` line names the path of
-/// util::exp_batch on this host (`avx2+fma` or `std::exp`), so a host
-/// whose trap kinetics fall back to the scalar loop is visible.
+/// util::exp_batch on this host (`avx2+fma` or `std::exp`) and that of the
+/// trap kinetics' rate law, decay rules and update (`trap pass: avx2` or
+/// `scalar`), so a host whose trap kinetics fall back to the scalar loops
+/// is visible.
 ///
 /// Usage: bench_perf_kernels --json FILE.  Exit 0 ok, 1 a cross-check
 /// failed or FILE is unwritable, 2 usage.
@@ -25,6 +27,7 @@
 #include "ash/bti/batch_ensemble.h"
 #include "ash/bti/closed_form.h"
 #include "ash/bti/trap_ensemble.h"
+#include "ash/bti/trap_kinetics.h"
 #include "ash/fleet/service.h"
 #include "ash/fpga/chip.h"
 #include "ash/mc/margin.h"
@@ -397,7 +400,8 @@ int run_workload(const std::string& path) {
       pop_independent_ms / pop_batch_ms);
   std::printf("margin: single %.2f us/query   whole-shard (%d devices) %.1f us\n",
               margin_single_us, kMarginDevices, margin_batch_us);
-  std::printf("exp: %s\n", util::exp_batch_path());
+  std::printf("exp: %s, trap pass: %s\n", util::exp_batch_path(),
+              bti::trap_pass_path());
   std::printf("timer: enabled empty scope %.1f ns   clock pair %.1f ns   "
               "(timer above its clocks %.1f ns)\n",
               timer_scope_ns, clock_pair_ns, timer_scope_ns - clock_pair_ns);

@@ -16,13 +16,19 @@
 ///     p' = p_inf + (p - p_inf) * exp(-lambda * dt),
 ///     lambda = rc + re,  p_inf = rc * phi / lambda,
 ///
-/// which has no time-step error: a 24-hour phase is one update.  `rate()`
-/// is the only place lambda and p_inf are computed, the batched `decay()`
-/// the only place exp(-lambda * dt) is (through util::exp_batch, whose
-/// lanes carry the bits of std::exp), and `relax()` the only place the
-/// update is applied.  Every evolve path of both engines goes through
-/// them, so a batch trajectory is bit-identical to solo runs by
-/// construction.
+/// which has no time-step error: a 24-hour phase is one update.  The rate
+/// law, the batched decay and the update each exist in two forms: the
+/// scalar `rate()`, `decay()` rules and `relax()`, and the 4-lane AVX2
+/// pass of `detail::rates_avx2`, `decay_avx2` and `relax_avx2`, which runs
+/// the same IEEE operations in the same order (no FMA) and picks the
+/// results of the conditionals with masks.  The pass runs where
+/// util::exp_batch runs its 4-lane exp, once chosen per process
+/// (`trap_pass_path()`); lanes past the last multiple of four and every
+/// other host take the scalar form.  tests/bti/trap_pass_test.cpp holds
+/// the two forms bit-equal.  exp(-lambda * dt) is computed only in
+/// `decay()`, through util::exp_batch, whose lanes carry the bits of
+/// std::exp.  Every evolve path of both engines goes through these, so a
+/// batch trajectory is bit-identical to solo runs by construction.
 
 #include <cmath>
 #include <cstddef>
@@ -124,7 +130,8 @@ class TrapKinetics {
 
   /// out[i] = exp(-lambda[i] * dt) for i < n: 1 where lambda <= 0, 0
   /// where lambda * dt > 700 (exp underflows there anyway), otherwise the
-  /// bits of std::exp.  `out` must not alias `lambda`.
+  /// bits of std::exp.  `out` must not alias `lambda`.  Runs the 4-lane
+  /// pass where trap_pass_path() is "avx2".
   static void decay(const double* lambda, Seconds dt, double* out,
                     std::size_t n);
 
@@ -157,6 +164,17 @@ class TrapKinetics {
   /// Advance `occ` by one cached entry: one exp-free multiply-add sweep.
   static void apply(const RateEntry& entry, double* occ);
 
+  struct Factors {
+    const double* capture;
+    const double* emission;
+  };
+  /// rate() of traps [begin, begin + n) into lambda[0..n) / p_inf[0..n).
+  void rates(const Scalars& s, const Factors& f, std::size_t begin,
+             std::size_t n, double* lambda, double* p_inf) const;
+  /// relax() of occ[i] toward p_inf[i] by decay[i] for i < n.
+  static void relax_all(const double* p_inf, const double* decay,
+                        double* occ, std::size_t n);
+
   /// Advance `occ` by dt without writing any memo arrays: the rates live
   /// in a small L1-resident block buffer.  For one-shot conditions (a
   /// drifting chamber), where the avoided stores dominate the cost.
@@ -182,10 +200,6 @@ class TrapKinetics {
     int next = 0;
   };
 
-  struct Factors {
-    const double* capture;
-    const double* emission;
-  };
   /// The Arrhenius factor arrays of a condition (null where the duty
   /// zeroes the term), memoized per temperature.
   Factors factors_for(const Scalars& s);
@@ -212,5 +226,23 @@ class TrapKinetics {
   FactorCache capture_factors_;
   FactorCache emission_factors_;
 };
+
+/// The path of TrapKinetics' rate law, decay rules and update in this
+/// process: "avx2" (the 4-lane pass) or "scalar".
+const char* trap_pass_path();
+
+namespace detail {
+/// The 4-lane pass, tails included: rates_avx2 is rate() of traps
+/// [begin, begin + n) of `k` into lambda[0..n) / p_inf[0..n), decay_avx2
+/// is TrapKinetics::decay(), relax_avx2 is relax() of occ[i] toward
+/// p_inf[i] by decay[i].  Callable only when trap_pass_path() is "avx2";
+/// exposed for the tests.
+void rates_avx2(const TrapKinetics& k, const TrapKinetics::Scalars& s,
+                const double* exp_c, const double* exp_e, std::size_t begin,
+                std::size_t n, double* lambda, double* p_inf);
+void decay_avx2(const double* lambda, Seconds dt, double* out, std::size_t n);
+void relax_avx2(const double* p_inf, const double* decay, double* occ,
+                std::size_t n);
+}  // namespace detail
 
 }  // namespace ash::bti

@@ -1,11 +1,18 @@
 #include "ash/bti/trap_kinetics.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include "ash/bti/acceleration.h"
 #include "ash/util/constants.h"
 #include "ash/util/exp_batch.h"
+
+#ifdef __x86_64__
+#define ASH_TRAP_PASS_AVX2 1
+#include <immintrin.h>
+#endif
 
 namespace ash::bti {
 namespace {
@@ -14,7 +21,179 @@ double clamped_duty(const OperatingCondition& c) {
   return std::clamp(c.gate_stress_duty, 0.0, 1.0);
 }
 
+bool use_avx2_pass() {
+  // The 4-lane pass runs where exp_batch runs its 4-lane exp.
+  static const bool avx2 =
+      std::string_view(util::exp_batch_path()) == "avx2+fma";
+  return avx2;
+}
+
+// The scalar forms, over elements [from, n): the whole array on the
+// scalar path, the tail past the last multiple of four on the 4-lane one.
+
+void rate_lanes(const TrapKinetics& k, const TrapKinetics::Scalars& s,
+                const double* exp_c, const double* exp_e, std::size_t begin,
+                std::size_t from, std::size_t n, double* lambda,
+                double* p_inf) {
+  for (std::size_t i = from; i < n; ++i) {
+    const TrapKinetics::Rate r = k.rate(s, exp_c, exp_e, begin + i);
+    lambda[i] = r.lambda;
+    p_inf[i] = r.p_inf;
+  }
+}
+
+// decay()'s rules: a lane they settle hands exp_batch the placeholder -1
+// (a cheap main-path exp) and is overwritten afterwards.
+void decay_args(const double* lambda, double t, double* out, std::size_t from,
+                std::size_t n) {
+  for (std::size_t i = from; i < n; ++i) {
+    const double x = lambda[i] * t;
+    out[i] = lambda[i] <= 0.0 || x > 700.0 ? -1.0 : -x;
+  }
+}
+
+void decay_settle(const double* lambda, double t, double* out,
+                  std::size_t from, std::size_t n) {
+  for (std::size_t i = from; i < n; ++i) {
+    out[i] = lambda[i] <= 0.0 ? 1.0 : (lambda[i] * t > 700.0 ? 0.0 : out[i]);
+  }
+}
+
+void relax_lanes(const double* p_inf, const double* d, double* occ,
+                 std::size_t from, std::size_t n) {
+  for (std::size_t i = from; i < n; ++i) {
+    occ[i] = TrapKinetics::relax(occ[i], p_inf[i], d[i]);
+  }
+}
+
 }  // namespace
+
+const char* trap_pass_path() { return use_avx2_pass() ? "avx2" : "scalar"; }
+
+namespace detail {
+
+#ifdef ASH_TRAP_PASS_AVX2
+// Every __m256d stays inside its own target-attributed function, as in
+// exp_batch.cpp.  The target is "avx2" without "fma", so no product and
+// sum below can be contracted: each lane rounds exactly like the scalar
+// rate(), decay() and relax().  Every division runs in every lane and a
+// mask picks the result, as the scalar conditionals do.
+
+__attribute__((target("avx2"))) void rates_avx2(
+    const TrapKinetics& k, const TrapKinetics::Scalars& s, const double* exp_c,
+    const double* exp_e, std::size_t begin, std::size_t n, double* lambda,
+    double* p_inf) {
+  const TrapKinetics::Traps& t = k.traps();
+  const double* tau_c = t.tau_capture.data() + begin;
+  const double* tau_e = t.tau_emission.data() + begin;
+  const std::uint8_t* permanent = t.permanent.data() + begin;
+  const __m256d duty = _mm256_set1_pd(s.duty);
+  const __m256d off_duty = _mm256_set1_pd(1.0 - s.duty);
+  const __m256d field = _mm256_set1_pd(s.capture_field);
+  const __m256d boost = _mm256_set1_pd(s.emission_bias_boost);
+  const __m256d phi = _mm256_set1_pd(s.phi);
+  const __m256d zero = _mm256_setzero_pd();
+
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d rc = zero;
+    if (exp_c != nullptr) {
+      rc = _mm256_div_pd(
+          _mm256_mul_pd(duty, _mm256_mul_pd(
+                                  field, _mm256_loadu_pd(exp_c + begin + i))),
+          _mm256_loadu_pd(tau_c + i));
+    }
+    __m256d re = zero;
+    if (exp_e != nullptr) {
+      std::int32_t flags = 0;
+      std::memcpy(&flags, permanent + i, sizeof flags);
+      const __m256d emits = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+          _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(flags)),
+          _mm256_setzero_si256()));
+      re = _mm256_and_pd(
+          emits,
+          _mm256_div_pd(
+              _mm256_mul_pd(off_duty,
+                            _mm256_mul_pd(boost,
+                                          _mm256_loadu_pd(exp_e + begin + i))),
+              _mm256_loadu_pd(tau_e + i)));
+    }
+    const __m256d lam = _mm256_add_pd(rc, re);
+    const __m256d positive = _mm256_cmp_pd(lam, zero, _CMP_GT_OQ);
+    _mm256_storeu_pd(lambda + i, lam);
+    _mm256_storeu_pd(
+        p_inf + i,
+        _mm256_and_pd(positive, _mm256_div_pd(_mm256_mul_pd(rc, phi), lam)));
+  }
+  rate_lanes(k, s, exp_c, exp_e, begin, i, n, lambda, p_inf);
+}
+
+__attribute__((target("avx2"))) void decay_avx2(const double* lambda,
+                                                Seconds dt, double* out,
+                                                std::size_t n) {
+  const double t = dt.value();
+  const __m256d tv = _mm256_set1_pd(t);
+  const __m256d limit = _mm256_set1_pd(700.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d minus_one = _mm256_set1_pd(-1.0);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const std::size_t n4 = n & ~std::size_t{3};
+
+  for (std::size_t i = 0; i < n4; i += 4) {
+    const __m256d lam = _mm256_loadu_pd(lambda + i);
+    const __m256d x = _mm256_mul_pd(lam, tv);
+    const __m256d settled = _mm256_or_pd(_mm256_cmp_pd(lam, zero, _CMP_LE_OQ),
+                                         _mm256_cmp_pd(x, limit, _CMP_GT_OQ));
+    _mm256_storeu_pd(out + i, _mm256_blendv_pd(_mm256_xor_pd(x, sign),
+                                               minus_one, settled));
+  }
+  decay_args(lambda, t, out, n4, n);
+  util::exp_batch(out, out, n);
+  for (std::size_t i = 0; i < n4; i += 4) {
+    const __m256d lam = _mm256_loadu_pd(lambda + i);
+    const __m256d x = _mm256_mul_pd(lam, tv);
+    __m256d d = _mm256_blendv_pd(_mm256_loadu_pd(out + i), zero,
+                                 _mm256_cmp_pd(x, limit, _CMP_GT_OQ));
+    d = _mm256_blendv_pd(d, one, _mm256_cmp_pd(lam, zero, _CMP_LE_OQ));
+    _mm256_storeu_pd(out + i, d);
+  }
+  decay_settle(lambda, t, out, n4, n);
+}
+
+__attribute__((target("avx2"))) void relax_avx2(const double* p_inf,
+                                                const double* decay,
+                                                double* occ, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d target = _mm256_loadu_pd(p_inf + i);
+    const __m256d p = _mm256_loadu_pd(occ + i);
+    _mm256_storeu_pd(
+        occ + i,
+        _mm256_add_pd(target, _mm256_mul_pd(_mm256_sub_pd(p, target),
+                                            _mm256_loadu_pd(decay + i))));
+  }
+  relax_lanes(p_inf, decay, occ, i, n);
+}
+#else
+void rates_avx2(const TrapKinetics& k, const TrapKinetics::Scalars& s,
+                const double* exp_c, const double* exp_e, std::size_t begin,
+                std::size_t n, double* lambda, double* p_inf) {
+  rate_lanes(k, s, exp_c, exp_e, begin, 0, n, lambda, p_inf);
+}
+
+void decay_avx2(const double* lambda, Seconds dt, double* out,
+                std::size_t n) {
+  TrapKinetics::decay(lambda, dt, out, n);
+}
+
+void relax_avx2(const double* p_inf, const double* decay, double* occ,
+                std::size_t n) {
+  relax_lanes(p_inf, decay, occ, 0, n);
+}
+#endif
+
+}  // namespace detail
 
 TrapKinetics::TrapKinetics(const TdParameters& params, Traps traps,
                            int rate_slots)
@@ -95,19 +274,35 @@ TrapKinetics::Scalars TrapKinetics::scalars_for(
   return s;
 }
 
+void TrapKinetics::rates(const Scalars& s, const Factors& f,
+                         std::size_t begin, std::size_t n, double* lambda,
+                         double* p_inf) const {
+  if (use_avx2_pass()) {
+    detail::rates_avx2(*this, s, f.capture, f.emission, begin, n, lambda,
+                       p_inf);
+  } else {
+    rate_lanes(*this, s, f.capture, f.emission, begin, 0, n, lambda, p_inf);
+  }
+}
+
 void TrapKinetics::decay(const double* lambda, Seconds dt, double* out,
                          std::size_t n) {
-  // The exponents go through exp_batch in one pass; a lane the rules
-  // settle gets the placeholder -1 (a cheap main-path exp) and is
-  // overwritten afterwards.
-  const double t = dt.value();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = lambda[i] * t;
-    out[i] = lambda[i] <= 0.0 || x > 700.0 ? -1.0 : -x;
+  // The exponents go through exp_batch in one pass.
+  if (use_avx2_pass()) {
+    detail::decay_avx2(lambda, dt, out, n);
+    return;
   }
+  decay_args(lambda, dt.value(), out, 0, n);
   util::exp_batch(out, out, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = lambda[i] <= 0.0 ? 1.0 : (lambda[i] * t > 700.0 ? 0.0 : out[i]);
+  decay_settle(lambda, dt.value(), out, 0, n);
+}
+
+void TrapKinetics::relax_all(const double* p_inf, const double* decay,
+                             double* occ, std::size_t n) {
+  if (use_avx2_pass()) {
+    detail::relax_avx2(p_inf, decay, occ, n);
+  } else {
+    relax_lanes(p_inf, decay, occ, 0, n);
   }
 }
 
@@ -172,11 +367,7 @@ const TrapKinetics::RateEntry& TrapKinetics::entry_for(
     e->lambda.resize(n);
     e->p_inf.resize(n);
     e->decay.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Rate r = rate(s, f.capture, f.emission, i);
-      e->lambda[i] = r.lambda;
-      e->p_inf[i] = r.p_inf;
-    }
+    rates(s, f, 0, n, e->lambda.data(), e->p_inf.data());
     e->voltage = c.voltage_v;
     e->temperature = c.temperature_k;
     e->duty = s.duty;
@@ -212,10 +403,7 @@ bool TrapKinetics::recurring_miss(const OperatingCondition& c) {
 }
 
 void TrapKinetics::apply(const RateEntry& e, double* occ) {
-  const double* p_inf = e.p_inf.data();
-  const double* d = e.decay.data();
-  const std::size_t n = e.p_inf.size();
-  for (std::size_t i = 0; i < n; ++i) occ[i] = relax(occ[i], p_inf[i], d[i]);
+  relax_all(e.p_inf.data(), e.decay.data(), occ, e.p_inf.size());
 }
 
 void TrapKinetics::transient_step(const OperatingCondition& c, Seconds dt,
@@ -227,9 +415,9 @@ void TrapKinetics::transient_step(const OperatingCondition& c, Seconds dt,
   // L1-resident block buffer.  Campaigns whose instruments drift (a unique
   // condition every interval) spend their whole evolve budget here, and
   // the avoided memo stores, and their later cache evictions across a
-  // thousand-device chip, are the dominant cost.  The division-bound rate
-  // arithmetic runs in its own exp-free loop so the compiler can vectorize
-  // it; the batched decay and the update follow in their own passes.
+  // thousand-device chip, are the dominant cost.  The rate law, the batched
+  // decay and the update each run as one pass over the block, four lanes
+  // at a time where the CPU allows it.
   const std::size_t n = traps_.permanent.size();
   constexpr std::size_t kBlock = 128;
   double lam[kBlock];
@@ -237,15 +425,9 @@ void TrapKinetics::transient_step(const OperatingCondition& c, Seconds dt,
   double d[kBlock];
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t len = std::min(kBlock, n - base);
-    for (std::size_t j = 0; j < len; ++j) {
-      const Rate r = rate(s, f.capture, f.emission, base + j);
-      lam[j] = r.lambda;
-      pinf[j] = r.p_inf;
-    }
+    rates(s, f, base, len, lam, pinf);
     decay(lam, dt, d, len);
-    for (std::size_t j = 0; j < len; ++j) {
-      occ[base + j] = relax(occ[base + j], pinf[j], d[j]);
-    }
+    relax_all(pinf, d, occ + base, len);
   }
 }
 

@@ -9,8 +9,6 @@
 ///  * `nelder_mead`     — simplex minimizer for smooth low-dimensional
 ///                        objectives (the fits here are 2–5 dimensional);
 ///  * `golden_section`  — 1-D unimodal minimizer;
-///  * `linear_least_squares` — dense normal-equation solver for small
-///                        linear models (log-space prefits seed the simplex);
 ///  * `solve_linear`    — Gaussian elimination with partial pivoting.
 
 #include <functional>
@@ -57,12 +55,5 @@ double golden_section(const std::function<double(double)>& f, double lo,
 /// partial pivoting.  `a` is row-major n*n.  Throws std::runtime_error on a
 /// (numerically) singular matrix.
 std::vector<double> solve_linear(std::vector<double> a, std::vector<double> b);
-
-/// Ordinary least squares: given rows of predictors X (m rows, n columns,
-/// row-major) and targets y (m), returns the n coefficients minimizing
-/// ||X c - y||^2 via the normal equations.  m >= n required.
-std::vector<double> linear_least_squares(const std::vector<double>& x_rows,
-                                         std::size_t n_cols,
-                                         const std::vector<double>& y);
 
 }  // namespace ash

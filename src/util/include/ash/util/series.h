@@ -60,23 +60,13 @@ class Series {
     return out;
   }
 
-  /// Shift all times by dt (e.g. re-zero a recovery phase at its start).
-  Series time_shifted(double dt) const;
-
   double t_begin() const;
   double t_end() const;
   double min_value() const;
   double max_value() const;
 
-  /// Root-mean-square error against another series, evaluated at this
-  /// series' sample times (other is interpolated).  Preconditions: both
-  /// non-empty.
-  double rmse_against(const Series& other) const;
-
   /// True if values never decrease (within tolerance eps) with time.
   bool is_non_decreasing(double eps = 0.0) const;
-  /// True if values never increase (within tolerance eps) with time.
-  bool is_non_increasing(double eps = 0.0) const;
 
  private:
   std::string name_;

@@ -24,16 +24,6 @@ double percentile(std::vector<double> xs, double p);
 /// Median (50th percentile).
 double median(std::vector<double> xs);
 
-/// Symmetrically trimmed mean: drop the lowest and highest
-/// floor(trim_fraction * n) values, average the rest.  trim_fraction in
-/// [0, 0.5); at 0 this is the plain mean.  Precondition: non-empty.
-double trimmed_mean(std::vector<double> xs, double trim_fraction);
-
-/// Median absolute deviation (raw, no consistency factor): median(|x - median|).
-/// The robust spread estimate used for outlier screening.  Precondition:
-/// non-empty.
-double median_abs_deviation(std::vector<double> xs);
-
 /// Location estimators selectable by the measurement pipeline.  The mean is
 /// the classical (fault-sensitive) choice; the median and trimmed mean
 /// reject gross outliers such as corrupted counter readings.
@@ -42,7 +32,9 @@ enum class RobustEstimator { kMean, kMedian, kTrimmedMean };
 const char* to_string(RobustEstimator estimator);
 
 /// Apply the chosen location estimator.  `trim_fraction` only matters for
-/// kTrimmedMean.  Precondition: non-empty.
+/// kTrimmedMean, which drops the lowest and highest
+/// floor(trim_fraction * n) values (trim_fraction clamped to [0, 0.5)) and
+/// averages the rest.  Precondition: non-empty.
 double robust_location(std::vector<double> xs, RobustEstimator estimator,
                        double trim_fraction = 0.25);
 
@@ -53,10 +45,6 @@ double rmse(std::span<const double> a, std::span<const double> b);
 /// 1.0 = perfect fit; can be negative for fits worse than the mean.
 double r_squared(std::span<const double> observed,
                  std::span<const double> model);
-
-/// Pearson correlation coefficient.  Returns 0 when either input has zero
-/// variance.
-double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /// Streaming accumulator for mean/variance (Welford) — used by long
 /// simulations that cannot retain every sample.

@@ -201,25 +201,4 @@ std::vector<double> solve_linear(std::vector<double> a, std::vector<double> b) {
   return x;
 }
 
-std::vector<double> linear_least_squares(const std::vector<double>& x_rows,
-                                         std::size_t n_cols,
-                                         const std::vector<double>& y) {
-  const std::size_t m = y.size();
-  assert(n_cols >= 1 && m >= n_cols);
-  assert(x_rows.size() == m * n_cols);
-  // Normal equations: (X^T X) c = X^T y.
-  std::vector<double> xtx(n_cols * n_cols, 0.0);
-  std::vector<double> xty(n_cols, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t i = 0; i < n_cols; ++i) {
-      const double xi = x_rows[r * n_cols + i];
-      xty[i] += xi * y[r];
-      for (std::size_t j = 0; j < n_cols; ++j) {
-        xtx[i * n_cols + j] += xi * x_rows[r * n_cols + j];
-      }
-    }
-  }
-  return solve_linear(std::move(xtx), std::move(xty));
-}
-
 }  // namespace ash

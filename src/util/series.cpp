@@ -42,12 +42,6 @@ Series Series::resampled(std::size_t n) const {
   return out;
 }
 
-Series Series::time_shifted(double dt) const {
-  Series out(name_);
-  for (const auto& s : samples_) out.append(s.t + dt, s.value);
-  return out;
-}
-
 double Series::t_begin() const {
   assert(!samples_.empty());
   return samples_.front().t;
@@ -76,26 +70,9 @@ double Series::max_value() const {
       ->value;
 }
 
-double Series::rmse_against(const Series& other) const {
-  assert(!samples_.empty() && !other.empty());
-  double acc = 0.0;
-  for (const auto& s : samples_) {
-    const double d = s.value - other.at(s.t);
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(samples_.size()));
-}
-
 bool Series::is_non_decreasing(double eps) const {
   for (std::size_t i = 1; i < samples_.size(); ++i) {
     if (samples_[i].value < samples_[i - 1].value - eps) return false;
-  }
-  return true;
-}
-
-bool Series::is_non_increasing(double eps) const {
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    if (samples_[i].value > samples_[i - 1].value + eps) return false;
   }
   return true;
 }

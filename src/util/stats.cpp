@@ -35,24 +35,6 @@ double percentile(std::vector<double> xs, double p) {
 
 double median(std::vector<double> xs) { return percentile(std::move(xs), 50.0); }
 
-double trimmed_mean(std::vector<double> xs, double trim_fraction) {
-  assert(!xs.empty());
-  trim_fraction = std::clamp(trim_fraction, 0.0, 0.4999);
-  const auto drop = static_cast<std::size_t>(
-      trim_fraction * static_cast<double>(xs.size()));
-  std::sort(xs.begin(), xs.end());
-  const std::span<const double> kept(xs.data() + drop,
-                                     xs.size() - 2 * drop);
-  return mean(kept);
-}
-
-double median_abs_deviation(std::vector<double> xs) {
-  assert(!xs.empty());
-  const double m = median(xs);
-  for (auto& x : xs) x = std::abs(x - m);
-  return median(std::move(xs));
-}
-
 const char* to_string(RobustEstimator estimator) {
   switch (estimator) {
     case RobustEstimator::kMean:
@@ -73,8 +55,14 @@ double robust_location(std::vector<double> xs, RobustEstimator estimator,
       return mean(xs);
     case RobustEstimator::kMedian:
       return median(std::move(xs));
-    case RobustEstimator::kTrimmedMean:
-      return trimmed_mean(std::move(xs), trim_fraction);
+    case RobustEstimator::kTrimmedMean: {
+      trim_fraction = std::clamp(trim_fraction, 0.0, 0.4999);
+      const auto drop = static_cast<std::size_t>(
+          trim_fraction * static_cast<double>(xs.size()));
+      std::sort(xs.begin(), xs.end());
+      return mean(std::span<const double>(xs.data() + drop,
+                                          xs.size() - 2 * drop));
+    }
   }
   return mean(xs);
 }
@@ -101,22 +89,6 @@ double r_squared(std::span<const double> observed,
   }
   if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;
   return 1.0 - ss_res / ss_tot;
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size() && !xs.empty());
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 void RunningStats::add(double x) {

@@ -82,29 +82,5 @@ TEST(SolveLinear, ThrowsOnSingular) {
                std::runtime_error);
 }
 
-TEST(LinearLeastSquares, ExactLineRecovery) {
-  // y = 2 + 3x sampled without noise -> coefficients recovered exactly.
-  std::vector<double> rows;
-  std::vector<double> y;
-  for (int i = 0; i < 10; ++i) {
-    const double x = static_cast<double>(i);
-    rows.push_back(1.0);
-    rows.push_back(x);
-    y.push_back(2.0 + 3.0 * x);
-  }
-  const auto c = linear_least_squares(rows, 2, y);
-  ASSERT_EQ(c.size(), 2u);
-  EXPECT_NEAR(c[0], 2.0, 1e-10);
-  EXPECT_NEAR(c[1], 3.0, 1e-10);
-}
-
-TEST(LinearLeastSquares, OverdeterminedAveragesNoise) {
-  // y = 5 + symmetric noise: intercept-only model recovers 5 exactly.
-  const std::vector<double> rows{1.0, 1.0, 1.0, 1.0};
-  const std::vector<double> y{4.0, 6.0, 5.5, 4.5};
-  const auto c = linear_least_squares(rows, 1, y);
-  EXPECT_NEAR(c[0], 5.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace ash

@@ -53,12 +53,6 @@ TEST(Series, MappedTransformsValuesOnly) {
   EXPECT_DOUBLE_EQ(doubled.t_end(), 10.0);
 }
 
-TEST(Series, TimeShiftedMovesAxis) {
-  const Series shifted = ramp().time_shifted(-5.0);
-  EXPECT_DOUBLE_EQ(shifted.t_begin(), -5.0);
-  EXPECT_DOUBLE_EQ(shifted.at(0.0), 50.0);
-}
-
 TEST(Series, MinMaxValues) {
   Series s;
   s.append(0.0, 3.0);
@@ -68,24 +62,12 @@ TEST(Series, MinMaxValues) {
   EXPECT_DOUBLE_EQ(s.max_value(), 7.0);
 }
 
-TEST(Series, RmseAgainstSelfIsZero) {
-  const Series s = ramp();
-  EXPECT_DOUBLE_EQ(s.rmse_against(s), 0.0);
-}
-
-TEST(Series, RmseAgainstOffsetSeries) {
-  const Series s = ramp();
-  const Series o = ramp().mapped([](double v) { return v + 2.0; });
-  EXPECT_NEAR(s.rmse_against(o), 2.0, 1e-12);
-}
-
 TEST(Series, MonotonicityPredicates) {
   Series up;
   up.append(0.0, 1.0);
   up.append(1.0, 2.0);
   up.append(2.0, 2.0);
   EXPECT_TRUE(up.is_non_decreasing());
-  EXPECT_FALSE(up.is_non_increasing());
 
   Series noisy;
   noisy.append(0.0, 1.0);

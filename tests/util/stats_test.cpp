@@ -70,20 +70,6 @@ TEST(Stats, RSquaredWorseThanMeanIsNegative) {
   EXPECT_LT(r_squared(obs, model), 0.0);
 }
 
-TEST(Stats, PearsonPerfectPositiveAndNegative) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const std::vector<double> up{2.0, 4.0, 6.0};
-  const std::vector<double> down{6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(xs, down), -1.0, 1e-12);
-}
-
-TEST(Stats, PearsonZeroVarianceIsZero) {
-  const std::vector<double> xs{1.0, 1.0, 1.0};
-  const std::vector<double> ys{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(pearson(xs, ys), 0.0);
-}
-
 TEST(RunningStats, MatchesBatchStatistics) {
   const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   RunningStats rs;
@@ -98,14 +84,11 @@ TEST(RunningStats, MatchesBatchStatistics) {
 TEST(Stats, TrimmedMeanDropsTails) {
   const std::vector<double> xs{100.0, 1.0, 2.0, 3.0, -50.0};
   // 20 % trim on n=5 drops one value per tail: mean of {1, 2, 3}.
-  EXPECT_DOUBLE_EQ(trimmed_mean(xs, 0.2), 2.0);
+  EXPECT_DOUBLE_EQ(robust_location(xs, RobustEstimator::kTrimmedMean, 0.2),
+                   2.0);
   // Zero trim is the plain mean.
-  EXPECT_DOUBLE_EQ(trimmed_mean(xs, 0.0), mean(xs));
-}
-
-TEST(Stats, MedianAbsDeviationIgnoresOneOutlier) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 1000.0};
-  EXPECT_DOUBLE_EQ(median_abs_deviation(xs), 1.0);
+  EXPECT_DOUBLE_EQ(robust_location(xs, RobustEstimator::kTrimmedMean, 0.0),
+                   mean(xs));
 }
 
 TEST(Stats, RobustLocationSelectsEstimator) {
