@@ -17,18 +17,25 @@
 ///     lambda = rc + re,  p_inf = rc * phi / lambda,
 ///
 /// which has no time-step error: a 24-hour phase is one update.  The rate
-/// law, the batched decay and the update each exist in two forms: the
-/// scalar `rate()`, `decay()` rules and `relax()`, and the 4-lane AVX2
-/// pass of `detail::rates_avx2`, `decay_avx2` and `relax_avx2`, which runs
-/// the same IEEE operations in the same order (no FMA) and picks the
-/// results of the conditionals with masks.  The pass runs where
-/// util::exp_batch runs its 4-lane exp, once chosen per process
+/// law and the update each exist in two forms: the scalar `rate()` and
+/// `relax()`, and the 4-lane AVX2 pass of `detail::rates_avx2` and
+/// `relax_avx2`, which runs the same IEEE operations in the same order and
+/// picks the results of the conditionals with masks.  FMA only in the
+/// quotient correction; the update is never fused.  The pass divides by
+/// the time constants without a divider: each trap keeps y = RN(1 / tau),
+/// and with q = RN(a y) and r = a - tau q (exact in an FMA), RN(q + r y)
+/// is exactly RN(a / tau) (Markstein's theorem).  Its guard: a lane whose
+/// q lies outside [2^-500, 2^500], or whose tau lies outside
+/// [2^-400, 2^400] (its reciprocal is then NaN), takes the true division;
+/// zero, subnormal, infinite and NaN operands all land there.  The pass
+/// runs where util::exp_batch runs its 4-lane exp, once chosen per process
 /// (`trap_pass_path()`); lanes past the last multiple of four and every
 /// other host take the scalar form.  tests/bti/trap_pass_test.cpp holds
-/// the two forms bit-equal.  exp(-lambda * dt) is computed only in
-/// `decay()`, through util::exp_batch, whose lanes carry the bits of
-/// std::exp.  Every evolve path of both engines goes through these, so a
-/// batch trajectory is bit-identical to solo runs by construction.
+/// the two forms bit-equal.  The exponentials (the Arrhenius factors, and
+/// `decay()`'s exp(-lambda * dt) with its two rules) all run through
+/// util::exp_batch's one kernel, whose lanes carry the bits of std::exp.
+/// Every evolve path of both engines goes through these, so a batch
+/// trajectory is bit-identical to solo runs by construction.
 
 #include <cmath>
 #include <cstddef>
@@ -62,6 +69,15 @@ class TrapKinetics {
     double emission_bias_boost;
     double emission_arr_x;
   };
+
+  /// RN(1 / tau) of every trap, each from one division (NaN for a tau
+  /// outside [2^-400, 2^400]): the 4-lane rate law's exact quotients
+  /// multiply by these.
+  struct Reciprocals {
+    std::vector<double> capture;
+    std::vector<double> emission;
+  };
+  static Reciprocals reciprocals_of(const Traps& traps);
 
   /// One trap's total rate lambda = rc + re (1/s) and equilibrium
   /// occupancy.  lambda <= 0 carries p_inf = 0, and its decay is then 1,
@@ -130,8 +146,8 @@ class TrapKinetics {
 
   /// out[i] = exp(-lambda[i] * dt) for i < n: 1 where lambda <= 0, 0
   /// where lambda * dt > 700 (exp underflows there anyway), otherwise the
-  /// bits of std::exp.  `out` must not alias `lambda`.  Runs the 4-lane
-  /// pass where trap_pass_path() is "avx2".
+  /// bits of std::exp (util::decay_batch).  `out` must not alias
+  /// `lambda`.
   static void decay(const double* lambda, Seconds dt, double* out,
                     std::size_t n);
 
@@ -186,18 +202,14 @@ class TrapKinetics {
   bool recurring_miss(const OperatingCondition& condition);
 
   /// Temperature-keyed memo of the per-trap Arrhenius factors
-  /// exp(-Ea_i * arr_x).  Voltage and duty enter the rates only through
-  /// the scalars, so these arrays are reusable across conditions sharing
-  /// a temperature (a measurement wake and the following aging step).
+  /// exp(-Ea_i * arr_x) of the most recent temperature.  Voltage and duty
+  /// enter the rates only through the scalars, so the array is reusable
+  /// across conditions sharing a temperature (a measurement wake and the
+  /// following aging step).
   struct FactorCache {
-    struct Slot {
-      double arr_x = 0.0;
-      bool valid = false;
-      std::vector<double> f;
-    };
-    static constexpr int kSlots = 2;
-    Slot slots[kSlots];
-    int next = 0;
+    double arr_x = 0.0;
+    bool valid = false;
+    std::vector<double> f;
   };
 
   /// The Arrhenius factor arrays of a condition (null where the duty
@@ -225,6 +237,8 @@ class TrapKinetics {
 
   FactorCache capture_factors_;
   FactorCache emission_factors_;
+  /// Built on the first factors_for(), beside the factor arrays.
+  Reciprocals reciprocals_;
 };
 
 /// The path of TrapKinetics' rate law, decay rules and update in this
@@ -233,14 +247,14 @@ const char* trap_pass_path();
 
 namespace detail {
 /// The 4-lane pass, tails included: rates_avx2 is rate() of traps
-/// [begin, begin + n) of `k` into lambda[0..n) / p_inf[0..n), decay_avx2
-/// is TrapKinetics::decay(), relax_avx2 is relax() of occ[i] toward
-/// p_inf[i] by decay[i].  Callable only when trap_pass_path() is "avx2";
-/// exposed for the tests.
-void rates_avx2(const TrapKinetics& k, const TrapKinetics::Scalars& s,
-                const double* exp_c, const double* exp_e, std::size_t begin,
-                std::size_t n, double* lambda, double* p_inf);
-void decay_avx2(const double* lambda, Seconds dt, double* out, std::size_t n);
+/// [begin, begin + n) of `k` into lambda[0..n) / p_inf[0..n), with `inv`
+/// the reciprocals_of() `k`'s traps; relax_avx2 is relax() of occ[i]
+/// toward p_inf[i] by decay[i].  Callable only when trap_pass_path() is
+/// "avx2"; exposed for the tests.
+void rates_avx2(const TrapKinetics& k, const TrapKinetics::Reciprocals& inv,
+                const TrapKinetics::Scalars& s, const double* exp_c,
+                const double* exp_e, std::size_t begin, std::size_t n,
+                double* lambda, double* p_inf);
 void relax_avx2(const double* p_inf, const double* decay, double* occ,
                 std::size_t n);
 }  // namespace detail

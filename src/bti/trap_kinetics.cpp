@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -42,23 +43,6 @@ void rate_lanes(const TrapKinetics& k, const TrapKinetics::Scalars& s,
   }
 }
 
-// decay()'s rules: a lane they settle hands exp_batch the placeholder -1
-// (a cheap main-path exp) and is overwritten afterwards.
-void decay_args(const double* lambda, double t, double* out, std::size_t from,
-                std::size_t n) {
-  for (std::size_t i = from; i < n; ++i) {
-    const double x = lambda[i] * t;
-    out[i] = lambda[i] <= 0.0 || x > 700.0 ? -1.0 : -x;
-  }
-}
-
-void decay_settle(const double* lambda, double t, double* out,
-                  std::size_t from, std::size_t n) {
-  for (std::size_t i = from; i < n; ++i) {
-    out[i] = lambda[i] <= 0.0 ? 1.0 : (lambda[i] * t > 700.0 ? 0.0 : out[i]);
-  }
-}
-
 void relax_lanes(const double* p_inf, const double* d, double* occ,
                  std::size_t from, std::size_t n) {
   for (std::size_t i = from; i < n; ++i) {
@@ -72,20 +56,54 @@ const char* trap_pass_path() { return use_avx2_pass() ? "avx2" : "scalar"; }
 
 namespace detail {
 
-#ifdef ASH_TRAP_PASS_AVX2
-// Every __m256d stays inside its own target-attributed function, as in
-// exp_batch.cpp.  The target is "avx2" without "fma", so no product and
-// sum below can be contracted: each lane rounds exactly like the scalar
-// rate(), decay() and relax().  Every division runs in every lane and a
-// mask picks the result, as the scalar conditionals do.
+// Markstein's theorem (below) needs every step to stay clear of over- and
+// underflow.  reciprocals_of() keeps RN(1 / tau) only for tau within
+// [2^-400, 2^400] (NaN elsewhere), so a lane whose q = RN(a y) lies within
+// [2^-500, 2^500] has a within [2^-900, 2^900], an exact b q in the FMA
+// and normal results throughout.  Zero, subnormal, infinite and NaN
+// operands all put q outside that range.
+constexpr double kTauLo = 0x1p-400;
+constexpr double kTauHi = 0x1p400;
+constexpr double kQuotientLo = 0x1p-500;
+constexpr double kQuotientHi = 0x1p500;
 
-__attribute__((target("avx2"))) void rates_avx2(
-    const TrapKinetics& k, const TrapKinetics::Scalars& s, const double* exp_c,
-    const double* exp_e, std::size_t begin, std::size_t n, double* lambda,
-    double* p_inf) {
+#ifdef ASH_TRAP_PASS_AVX2
+// Every __m256d stays inside target-attributed functions, as in
+// exp_batch.cpp.  rate_quads runs each lane's products, sum and p_inf
+// division in the scalar rate()'s order; its only FMAs are the two of the
+// exact quotient below.  relax_avx2's target has no "fma", so its product
+// and sum can never be contracted.  Conditionals become masks.
+
+// The lanes where q = RN(a y) lies within [kQuotientLo, kQuotientHi]
+// (false for NaN).
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d in_range(
+    __m256d q) {
+  return _mm256_and_pd(
+      _mm256_cmp_pd(q, _mm256_set1_pd(kQuotientLo), _CMP_GE_OQ),
+      _mm256_cmp_pd(q, _mm256_set1_pd(kQuotientHi), _CMP_LE_OQ));
+}
+
+// RN(a / b) in every in_range(q) lane, from y = RN(1 / b) and
+// q = RN(a y): q is within an ulp of a / b, the FMA gives r = a - b q
+// exactly, and RN(q + r y) is RN(a / b) (Markstein 1990).
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d corrected(
+    __m256d a, __m256d b, __m256d y, __m256d q) {
+  return _mm256_fmadd_pd(_mm256_fnmadd_pd(q, b, a), y, q);
+}
+
+// rates_avx2 over the traps [begin, begin + n4), n4 the last multiple of
+// four, for one combination of the terms: kCapture where exp_c is set,
+// kEmission where exp_e is.
+template <bool kCapture, bool kEmission>
+__attribute__((target("avx2,fma"))) void rate_quads(
+    const TrapKinetics& k, const TrapKinetics::Reciprocals& inv,
+    const TrapKinetics::Scalars& s, const double* exp_c, const double* exp_e,
+    std::size_t begin, std::size_t n4, double* lambda, double* p_inf) {
   const TrapKinetics::Traps& t = k.traps();
   const double* tau_c = t.tau_capture.data() + begin;
   const double* tau_e = t.tau_emission.data() + begin;
+  const double* inv_c = inv.capture.data() + begin;
+  const double* inv_e = inv.emission.data() + begin;
   const std::uint8_t* permanent = t.permanent.data() + begin;
   const __m256d duty = _mm256_set1_pd(s.duty);
   const __m256d off_duty = _mm256_set1_pd(1.0 - s.duty);
@@ -93,72 +111,84 @@ __attribute__((target("avx2"))) void rates_avx2(
   const __m256d boost = _mm256_set1_pd(s.emission_bias_boost);
   const __m256d phi = _mm256_set1_pd(s.phi);
   const __m256d zero = _mm256_setzero_pd();
+  // With capture off, rate() gives p_inf = (+0 * phi) / lambda, which is
+  // +0 in every lane for a finite phi with its sign bit clear.
+  const bool p_inf_zero =
+      !kCapture && std::isfinite(s.phi) && !std::signbit(s.phi);
 
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  for (std::size_t i = 0; i < n4; i += 4) {
+    // Numerators as rate() rounds them, then the quotients.
+    __m256d a_c = zero;
+    __m256d b_c = zero;
     __m256d rc = zero;
-    if (exp_c != nullptr) {
-      rc = _mm256_div_pd(
-          _mm256_mul_pd(duty, _mm256_mul_pd(
-                                  field, _mm256_loadu_pd(exp_c + begin + i))),
-          _mm256_loadu_pd(tau_c + i));
+    __m256d exact = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    if constexpr (kCapture) {
+      a_c = _mm256_mul_pd(
+          duty, _mm256_mul_pd(field, _mm256_loadu_pd(exp_c + begin + i)));
+      b_c = _mm256_loadu_pd(tau_c + i);
+      const __m256d y = _mm256_loadu_pd(inv_c + i);
+      const __m256d q = _mm256_mul_pd(a_c, y);
+      exact = in_range(q);
+      rc = corrected(a_c, b_c, y, q);
     }
+    __m256d a_e = zero;
+    __m256d b_e = zero;
     __m256d re = zero;
-    if (exp_e != nullptr) {
+    if constexpr (kEmission) {
+      a_e = _mm256_mul_pd(
+          off_duty, _mm256_mul_pd(boost, _mm256_loadu_pd(exp_e + begin + i)));
+      b_e = _mm256_loadu_pd(tau_e + i);
+      const __m256d y = _mm256_loadu_pd(inv_e + i);
+      const __m256d q = _mm256_mul_pd(a_e, y);
+      exact = _mm256_and_pd(exact, in_range(q));
+      re = corrected(a_e, b_e, y, q);
+    }
+    if (_mm256_movemask_pd(exact) != 0xF) {
+      // The true division in the lanes outside the theorem's range.
+      if constexpr (kCapture) {
+        rc = _mm256_blendv_pd(_mm256_div_pd(a_c, b_c), rc, exact);
+      }
+      if constexpr (kEmission) {
+        re = _mm256_blendv_pd(_mm256_div_pd(a_e, b_e), re, exact);
+      }
+    }
+    if constexpr (kEmission) {
       std::int32_t flags = 0;
       std::memcpy(&flags, permanent + i, sizeof flags);
-      const __m256d emits = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-          _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(flags)),
-          _mm256_setzero_si256()));
-      re = _mm256_and_pd(
-          emits,
-          _mm256_div_pd(
-              _mm256_mul_pd(off_duty,
-                            _mm256_mul_pd(boost,
-                                          _mm256_loadu_pd(exp_e + begin + i))),
-              _mm256_loadu_pd(tau_e + i)));
+      re = _mm256_and_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                             _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(flags)),
+                             _mm256_setzero_si256())),
+                         re);
     }
     const __m256d lam = _mm256_add_pd(rc, re);
-    const __m256d positive = _mm256_cmp_pd(lam, zero, _CMP_GT_OQ);
     _mm256_storeu_pd(lambda + i, lam);
-    _mm256_storeu_pd(
-        p_inf + i,
-        _mm256_and_pd(positive, _mm256_div_pd(_mm256_mul_pd(rc, phi), lam)));
+    if (p_inf_zero) {
+      _mm256_storeu_pd(p_inf + i, zero);
+    } else {
+      const __m256d positive = _mm256_cmp_pd(lam, zero, _CMP_GT_OQ);
+      _mm256_storeu_pd(
+          p_inf + i,
+          _mm256_and_pd(positive, _mm256_div_pd(_mm256_mul_pd(rc, phi), lam)));
+    }
   }
-  rate_lanes(k, s, exp_c, exp_e, begin, i, n, lambda, p_inf);
 }
 
-__attribute__((target("avx2"))) void decay_avx2(const double* lambda,
-                                                Seconds dt, double* out,
-                                                std::size_t n) {
-  const double t = dt.value();
-  const __m256d tv = _mm256_set1_pd(t);
-  const __m256d limit = _mm256_set1_pd(700.0);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d minus_one = _mm256_set1_pd(-1.0);
-  const __m256d sign = _mm256_set1_pd(-0.0);
+void rates_avx2(const TrapKinetics& k, const TrapKinetics::Reciprocals& inv,
+                const TrapKinetics::Scalars& s, const double* exp_c,
+                const double* exp_e, std::size_t begin, std::size_t n,
+                double* lambda, double* p_inf) {
   const std::size_t n4 = n & ~std::size_t{3};
-
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d lam = _mm256_loadu_pd(lambda + i);
-    const __m256d x = _mm256_mul_pd(lam, tv);
-    const __m256d settled = _mm256_or_pd(_mm256_cmp_pd(lam, zero, _CMP_LE_OQ),
-                                         _mm256_cmp_pd(x, limit, _CMP_GT_OQ));
-    _mm256_storeu_pd(out + i, _mm256_blendv_pd(_mm256_xor_pd(x, sign),
-                                               minus_one, settled));
+  if (exp_c != nullptr && exp_e != nullptr) {
+    rate_quads<true, true>(k, inv, s, exp_c, exp_e, begin, n4, lambda, p_inf);
+  } else if (exp_c != nullptr) {
+    rate_quads<true, false>(k, inv, s, exp_c, exp_e, begin, n4, lambda, p_inf);
+  } else if (exp_e != nullptr) {
+    rate_quads<false, true>(k, inv, s, exp_c, exp_e, begin, n4, lambda, p_inf);
+  } else {
+    rate_quads<false, false>(k, inv, s, exp_c, exp_e, begin, n4, lambda,
+                             p_inf);
   }
-  decay_args(lambda, t, out, n4, n);
-  util::exp_batch(out, out, n);
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d lam = _mm256_loadu_pd(lambda + i);
-    const __m256d x = _mm256_mul_pd(lam, tv);
-    __m256d d = _mm256_blendv_pd(_mm256_loadu_pd(out + i), zero,
-                                 _mm256_cmp_pd(x, limit, _CMP_GT_OQ));
-    d = _mm256_blendv_pd(d, one, _mm256_cmp_pd(lam, zero, _CMP_LE_OQ));
-    _mm256_storeu_pd(out + i, d);
-  }
-  decay_settle(lambda, t, out, n4, n);
+  rate_lanes(k, s, exp_c, exp_e, begin, n4, n, lambda, p_inf);
 }
 
 __attribute__((target("avx2"))) void relax_avx2(const double* p_inf,
@@ -176,15 +206,11 @@ __attribute__((target("avx2"))) void relax_avx2(const double* p_inf,
   relax_lanes(p_inf, decay, occ, i, n);
 }
 #else
-void rates_avx2(const TrapKinetics& k, const TrapKinetics::Scalars& s,
-                const double* exp_c, const double* exp_e, std::size_t begin,
-                std::size_t n, double* lambda, double* p_inf) {
+void rates_avx2(const TrapKinetics& k, const TrapKinetics::Reciprocals&,
+                const TrapKinetics::Scalars& s, const double* exp_c,
+                const double* exp_e, std::size_t begin, std::size_t n,
+                double* lambda, double* p_inf) {
   rate_lanes(k, s, exp_c, exp_e, begin, 0, n, lambda, p_inf);
-}
-
-void decay_avx2(const double* lambda, Seconds dt, double* out,
-                std::size_t n) {
-  TrapKinetics::decay(lambda, dt, out, n);
 }
 
 void relax_avx2(const double* p_inf, const double* decay, double* occ,
@@ -278,8 +304,8 @@ void TrapKinetics::rates(const Scalars& s, const Factors& f,
                          std::size_t begin, std::size_t n, double* lambda,
                          double* p_inf) const {
   if (use_avx2_pass()) {
-    detail::rates_avx2(*this, s, f.capture, f.emission, begin, n, lambda,
-                       p_inf);
+    detail::rates_avx2(*this, reciprocals_, s, f.capture, f.emission, begin,
+                       n, lambda, p_inf);
   } else {
     rate_lanes(*this, s, f.capture, f.emission, begin, 0, n, lambda, p_inf);
   }
@@ -287,14 +313,7 @@ void TrapKinetics::rates(const Scalars& s, const Factors& f,
 
 void TrapKinetics::decay(const double* lambda, Seconds dt, double* out,
                          std::size_t n) {
-  // The exponents go through exp_batch in one pass.
-  if (use_avx2_pass()) {
-    detail::decay_avx2(lambda, dt, out, n);
-    return;
-  }
-  decay_args(lambda, dt.value(), out, 0, n);
-  util::exp_batch(out, out, n);
-  decay_settle(lambda, dt.value(), out, 0, n);
+  util::decay_batch(lambda, dt.value(), out, n);
 }
 
 void TrapKinetics::relax_all(const double* p_inf, const double* decay,
@@ -306,24 +325,44 @@ void TrapKinetics::relax_all(const double* p_inf, const double* decay,
   }
 }
 
+TrapKinetics::Reciprocals TrapKinetics::reciprocals_of(const Traps& traps) {
+  Reciprocals inv;
+  inv.capture.reserve(traps.tau_capture.size());
+  inv.emission.reserve(traps.tau_emission.size());
+  // NaN outside [kTauLo, kTauHi] (and for NaN): those lanes fail the
+  // 4-lane pass's range check and take the true division.
+  const auto reciprocal = [](double tau) {
+    return tau >= detail::kTauLo && tau <= detail::kTauHi
+               ? 1.0 / tau
+               : std::numeric_limits<double>::quiet_NaN();
+  };
+  for (const double tau : traps.tau_capture) {
+    inv.capture.push_back(reciprocal(tau));
+  }
+  for (const double tau : traps.tau_emission) {
+    inv.emission.push_back(reciprocal(tau));
+  }
+  return inv;
+}
+
 const double* TrapKinetics::arrhenius(FactorCache& cache,
                                       const std::vector<double>& ea,
                                       double arr_x) {
-  for (auto& s : cache.slots) {
-    if (s.valid && s.arr_x == arr_x) return s.f.data();
-  }
-  FactorCache::Slot& s = cache.slots[static_cast<std::size_t>(cache.next)];
-  cache.next = (cache.next + 1) % FactorCache::kSlots;
-  const std::size_t n = ea.size();
-  s.f.resize(n);
-  for (std::size_t i = 0; i < n; ++i) s.f[i] = -ea[i] * arr_x;
-  util::exp_batch(s.f.data(), s.f.data(), n);
-  s.arr_x = arr_x;
-  s.valid = true;
-  return s.f.data();
+  if (cache.valid && cache.arr_x == arr_x) return cache.f.data();
+  // ea[i] * -arr_x has the bits of -ea[i] * arr_x.
+  cache.f.resize(ea.size());
+  util::exp_scaled_batch(ea.data(), -arr_x, cache.f.data(), ea.size());
+  cache.arr_x = arr_x;
+  cache.valid = true;
+  return cache.f.data();
 }
 
 TrapKinetics::Factors TrapKinetics::factors_for(const Scalars& s) {
+  // Built on the first evolve, not with the draws: a core that never runs
+  // (a lab kept for its setup) holds no reciprocals.
+  if (reciprocals_.capture.size() != traps_.tau_capture.size()) {
+    reciprocals_ = reciprocals_of(traps_);
+  }
   // A zero duty multiplier zeroes the whole term exactly (`duty * f` is
   // +0.0 for a finite factor), so its factor array is never computed.
   return {s.duty > 0.0 ? arrhenius(capture_factors_, traps_.capture_ea,

@@ -14,8 +14,29 @@
 namespace ash::util {
 namespace {
 
-void exp_loop(const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = std::exp(x[i]);
+// How a lane's argument is formed from its input x and the scalar s, and
+// which results are settled without an exp.
+enum class Form {
+  kPlain,   // exp(x)
+  kScaled,  // exp(x * s)
+  kDecay,   // 1 where x <= 0, 0 where x * s > 700, else exp(-(x * s))
+};
+
+template <Form F>
+double lane(double x, double s) {
+  if constexpr (F == Form::kPlain) {
+    return std::exp(x);
+  } else if constexpr (F == Form::kScaled) {
+    return std::exp(x * s);
+  } else {
+    const double arg = x * s;
+    return x <= 0.0 ? 1.0 : (arg > 700.0 ? 0.0 : std::exp(-arg));
+  }
+}
+
+template <Form F>
+void scalar_loop(const double* x, double s, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = lane<F>(x[i], s);
 }
 
 #ifdef ASH_EXP_BATCH_AVX2_FMA
@@ -170,29 +191,14 @@ constexpr double kC3 = 0x1.555555555543cp-3;
 constexpr double kC4 = 0x1.55555cf172b91p-5;
 constexpr double kC5 = 0x1.1111167a4d017p-7;
 
-bool cpu_has_avx2_fma() {
-  // The condition under which glibc's ifunc picks its FMA exp.
-  static const bool supported = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  }();
-  return supported;
-}
-
-#endif
-
-}  // namespace
-
-namespace detail {
-
-#ifdef ASH_EXP_BATCH_AVX2_FMA
-// Every __m256d stays inside this one target-attributed function: passing
-// one across a non-AVX boundary changes the ABI (g++'s -Wpsabi).  No plain
-// product feeds a plain sum below, so -ffp-contract cannot fuse anything
-// glibc leaves unfused.
-__attribute__((target("avx2,fma"))) void exp_batch_avx2_fma(const double* x,
-                                                            double* y,
-                                                            std::size_t n) {
+// The one kernel body.  Every __m256d stays inside this target-attributed
+// function: passing one across a non-AVX boundary changes the ABI (g++'s
+// -Wpsabi).  No plain product feeds a plain sum below, so -ffp-contract
+// cannot fuse anything glibc leaves unfused; the argument product of
+// kScaled and kDecay is rounded once, as in the scalar lane().
+template <Form F>
+__attribute__((target("avx2,fma"))) void exp_kernel(const double* x, double s,
+                                                    double* y, std::size_t n) {
   const __m256d inv_ln2_n = _mm256_set1_pd(kInvLn2N);
   const __m256d neg_ln2_hi_n = _mm256_set1_pd(kNegLn2HiN);
   const __m256d neg_ln2_lo_n = _mm256_set1_pd(kNegLn2LoN);
@@ -207,15 +213,34 @@ __attribute__((target("avx2,fma"))) void exp_batch_avx2_fma(const double* x,
   const __m256d main_hi = _mm256_set1_pd(512.0);
   const __m256i slot_mask = _mm256_set1_epi64x(127);
   const auto* table = reinterpret_cast<const long long*>(kTable);
+  const __m256d sv = _mm256_set1_pd(s);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d limit = _mm256_set1_pd(700.0);
+  const __m256d sign = _mm256_set1_pd(-0.0);
 
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    // glibc's main path: 2^-54 <= |x| < 512 (false for NaN).
+    const __m256d in = _mm256_loadu_pd(x + i);
+    // The argument, and for kDecay the lanes its two rules settle.
+    __m256d v = in;
+    __m256d nonpositive = zero;
+    __m256d beyond = zero;
+    if constexpr (F == Form::kScaled) {
+      v = _mm256_mul_pd(in, sv);
+    } else if constexpr (F == Form::kDecay) {
+      const __m256d arg = _mm256_mul_pd(in, sv);
+      nonpositive = _mm256_cmp_pd(in, zero, _CMP_LE_OQ);
+      beyond = _mm256_cmp_pd(arg, limit, _CMP_GT_OQ);
+      v = _mm256_xor_pd(arg, sign);
+    }
+    // glibc's main path: 2^-54 <= |x| < 512 (false for NaN).  A settled
+    // lane never reaches the std::exp fallback.
     const __m256d ax = _mm256_and_pd(v, abs_mask);
-    const int main_lanes = _mm256_movemask_pd(
+    const int exact_lanes = _mm256_movemask_pd(_mm256_or_pd(
+        _mm256_or_pd(nonpositive, beyond),
         _mm256_and_pd(_mm256_cmp_pd(ax, main_lo, _CMP_GE_OQ),
-                      _mm256_cmp_pd(ax, main_hi, _CMP_LT_OQ)));
+                      _mm256_cmp_pd(ax, main_hi, _CMP_LT_OQ))));
 
     // x = k ln2 / 128 + r with k = round(x * 128 / ln2).
     __m256d kd = _mm256_fmadd_pd(v, inv_ln2_n, shift);
@@ -238,36 +263,71 @@ __attribute__((target("avx2,fma"))) void exp_batch_avx2_fma(const double* x,
     const __m256d tmp = _mm256_fmadd_pd(
         _mm256_mul_pd(r2, r2), _mm256_fmadd_pd(r, c5, c4),
         _mm256_fmadd_pd(_mm256_fmadd_pd(r, c3, c2), r2, _mm256_add_pd(r, tail)));
-    _mm256_storeu_pd(y + i, _mm256_fmadd_pd(scale, tmp, scale));
+    __m256d e = _mm256_fmadd_pd(scale, tmp, scale);
+    if constexpr (F == Form::kDecay) {
+      e = _mm256_blendv_pd(_mm256_blendv_pd(e, zero, beyond), one,
+                           nonpositive);
+    }
+    _mm256_storeu_pd(y + i, e);
 
-    if (main_lanes != 0xF) {
+    if (exact_lanes != 0xF) {
       // y may be x: the store above has overwritten the inputs, so the
-      // special lanes read the copy held in v.
+      // fallback lanes read the arguments held in v.
       alignas(32) double saved[4];
       _mm256_store_pd(saved, v);
       for (int lane = 0; lane < 4; ++lane) {
-        if ((main_lanes >> lane & 1) == 0) y[i + lane] = std::exp(saved[lane]);
+        if ((exact_lanes >> lane & 1) == 0) y[i + lane] = std::exp(saved[lane]);
       }
     }
   }
-  exp_loop(x + i, y + i, n - i);
+  scalar_loop<F>(x + i, s, y + i, n - i);
 }
-#else
-void exp_batch_avx2_fma(const double* x, double* y, std::size_t n) {
-  exp_loop(x, y, n);
+
+bool cpu_has_avx2_fma() {
+  // The condition under which glibc's ifunc picks its FMA exp.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  }();
+  return supported;
 }
 #endif
+
+template <Form F>
+void dispatch(const double* x, double s, double* y, std::size_t n) {
+#ifdef ASH_EXP_BATCH_AVX2_FMA
+  if (cpu_has_avx2_fma()) {
+    exp_kernel<F>(x, s, y, n);
+    return;
+  }
+#endif
+  scalar_loop<F>(x, s, y, n);
+}
+
+}  // namespace
+
+namespace detail {
+
+void exp_batch_avx2_fma(const double* x, double* y, std::size_t n) {
+#ifdef ASH_EXP_BATCH_AVX2_FMA
+  exp_kernel<Form::kPlain>(x, 0.0, y, n);
+#else
+  scalar_loop<Form::kPlain>(x, 0.0, y, n);
+#endif
+}
 
 }  // namespace detail
 
 void exp_batch(const double* x, double* y, std::size_t n) {
-#ifdef ASH_EXP_BATCH_AVX2_FMA
-  if (cpu_has_avx2_fma()) {
-    detail::exp_batch_avx2_fma(x, y, n);
-    return;
-  }
-#endif
-  exp_loop(x, y, n);
+  dispatch<Form::kPlain>(x, 0.0, y, n);
+}
+
+void exp_scaled_batch(const double* a, double s, double* y, std::size_t n) {
+  dispatch<Form::kScaled>(a, s, y, n);
+}
+
+void decay_batch(const double* lambda, double t, double* y, std::size_t n) {
+  dispatch<Form::kDecay>(lambda, t, y, n);
 }
 
 const char* exp_batch_path() {

@@ -82,9 +82,10 @@ std::string pass_mismatch(const TrapKinetics& k, const Inputs& in, double dt,
   std::vector<double> p_inf(n, -7.0);
   std::vector<double> decay(n, -7.0);
   std::vector<double> occ = start;
-  detail::rates_avx2(k, in.s, in.capture(), in.emission(), begin, n,
-                     lambda.data(), p_inf.data());
-  detail::decay_avx2(lambda.data(), Seconds{dt}, decay.data(), n);
+  detail::rates_avx2(k, TrapKinetics::reciprocals_of(k.traps()), in.s,
+                     in.capture(), in.emission(), begin, n, lambda.data(),
+                     p_inf.data());
+  TrapKinetics::decay(lambda.data(), Seconds{dt}, decay.data(), n);
   detail::relax_avx2(p_inf.data(), decay.data(), occ.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     const Lane want = scalar_lane(k, in, begin + i, dt, start[i]);
@@ -197,7 +198,7 @@ TEST(TrapPass, DecayRulesAtTheirEdges) {
     for (std::size_t start = 0; start < lambda.size(); ++start) {
       const std::size_t n = lambda.size() - start;
       std::vector<double> got(n);
-      detail::decay_avx2(lambda.data() + start, Seconds{dt}, got.data(), n);
+      TrapKinetics::decay(lambda.data() + start, Seconds{dt}, got.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const double l = lambda[start + i];
         const double want =
@@ -221,6 +222,183 @@ TEST(TrapPass, EveryLengthAroundTheLanesAndTheBlock) {
         ASSERT_EQ(pass_mismatch(k, in, dt), "") << "length " << n;
       }
     }
+  }
+}
+
+/// A core over the given time constants: every trap permanent or none,
+/// so that a duty-1 or a duty-0 lambda is a single quotient.
+TrapKinetics with_taus(std::vector<double> tau_c, std::vector<double> tau_e,
+                       bool permanent) {
+  const std::size_t n = tau_c.size();
+  return TrapKinetics(default_td_parameters(),
+                      {std::move(tau_c), std::move(tau_e),
+                       std::vector<double>(n, 0.5), std::vector<double>(n, 0.5),
+                       std::vector<std::uint8_t>(n, permanent ? 1 : 0)},
+                      1);
+}
+
+/// The first trap where rates_avx2 (with the core's reciprocals) differs
+/// from rate() in lambda or p_inf, or "" when every bit matches.
+std::string rates_mismatch(const TrapKinetics& k,
+                           const TrapKinetics::Scalars& s, const double* exp_c,
+                           const double* exp_e) {
+  const std::size_t n = k.traps().permanent.size();
+  std::vector<double> lambda(n, -7.0);
+  std::vector<double> p_inf(n, -7.0);
+  detail::rates_avx2(k, TrapKinetics::reciprocals_of(k.traps()), s, exp_c,
+                     exp_e, 0, n, lambda.data(), p_inf.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const TrapKinetics::Rate want = k.rate(s, exp_c, exp_e, i);
+    if (!same_bits(lambda[i], want.lambda) ||
+        !same_bits(p_inf[i], want.p_inf)) {
+      const TrapKinetics::Traps& t = k.traps();
+      char line[320];
+      std::snprintf(line, sizeof line,
+                    "trap %zu of %zu (duty %a, tau_c %a, tau_e %a, f_c %a, "
+                    "f_e %a): pass %a %a, rate() %a %a",
+                    i, n, s.duty, t.tau_capture[i], t.tau_emission[i],
+                    exp_c != nullptr ? exp_c[i] : 0.0,
+                    exp_e != nullptr ? exp_e[i] : 0.0, lambda[i], p_inf[i],
+                    want.lambda, want.p_inf);
+      return line;
+    }
+  }
+  return "";
+}
+
+TEST(TrapPass, QuotientsAreTheDivisionsOverTheRateLawOperands) {
+  if (!has_avx2_pass()) GTEST_SKIP() << "no AVX2: the pass is scalar here";
+  // 3700 blocks of 4096 seeded traps.  In two blocks of three lambda is
+  // one quotient alone (10,104,832 of them); the third sums both terms
+  // and divides for p_inf.  Numerators are duty * (field * Arrhenius
+  // factor) as rate() forms them; time constants span
+  // [tau_min, tau_max * rho] of the defaults with rho up to four sigma
+  // above its mean.
+  const TdParameters p = default_td_parameters();
+  const double tau_lo = p.tau_capture_min_s.value();
+  const double tau_hi =
+      p.tau_capture_max_s.value() *
+      std::pow(10.0, p.emission_ratio_log10_mu +
+                         4.0 * p.emission_ratio_log10_sigma);
+  Rng rng(0x9A0751E7ULL);
+  constexpr std::size_t kTraps = 4096;
+  std::vector<double> tau_c(kTraps);
+  std::vector<double> tau_e(kTraps);
+  std::vector<double> f_c(kTraps);
+  std::vector<double> f_e(kTraps);
+  for (int block = 0; block < 3700; ++block) {
+    for (std::size_t i = 0; i < kTraps; ++i) {
+      tau_c[i] = rng.loguniform(tau_lo, tau_hi);
+      tau_e[i] = rng.loguniform(tau_lo, tau_hi);
+      // exp(-Ea * arr_x) for Ea near 0.1-1.2 eV and -40..140 C.
+      f_c[i] = std::exp(-rng.uniform(0.05, 1.2) * rng.uniform(-12.0, 25.0));
+      f_e[i] = std::exp(-rng.uniform(0.05, 1.2) * rng.uniform(-12.0, 25.0));
+    }
+    // Capture alone (every trap permanent), emission alone (duty 0), and
+    // both at an AC duty.
+    const int kind = block % 3;
+    TrapKinetics::Scalars s{};
+    s.duty = kind == 1 ? 0.0 : (block % 7 == 0 ? 1.0 : rng.uniform(0.0, 1.0));
+    s.phi = kind == 1 ? 0.0 : rng.uniform(0.1, 1.0);
+    s.capture_field = std::exp(rng.uniform(-3.0, 8.0));
+    s.emission_bias_boost = std::exp(rng.uniform(0.0, 4.0));
+    const TrapKinetics k = with_taus(tau_c, tau_e, kind == 0);
+    ASSERT_EQ(rates_mismatch(k, s, s.duty > 0.0 ? f_c.data() : nullptr,
+                             s.duty < 1.0 ? f_e.data() : nullptr),
+              "")
+        << "block " << block;
+  }
+}
+
+TEST(TrapPass, QuotientsAtTheExtremeSignificands) {
+  if (!has_avx2_pass()) GTEST_SKIP() << "no AVX2: the pass is scalar here";
+  // b with significand 1.0 (an exact reciprocal) and 1.fff...f (the
+  // reciprocal furthest from a power of two) at every exponent from -460
+  // to 460, across the tau bound at +-400, against numerators with
+  // extreme and random significands, a = 0 among them.
+  Rng rng(0x51EC0DULL);
+  std::vector<double> b;
+  for (int e = -460; e <= 460; ++e) {
+    b.push_back(std::ldexp(1.0, e));
+    b.push_back(std::ldexp(std::nextafter(2.0, 0.0), e));
+  }
+  std::vector<double> tau_e(b.size(), 1.0);
+  const TrapKinetics k = with_taus(b, tau_e, true);
+  const TrapKinetics::Scalars s{1.0, 0.5, 1.0, 0.0, 1.0, 0.0};
+  std::vector<double> a(b.size());
+  const double significands[] = {1.0, std::nextafter(2.0, 0.0),
+                                 std::nextafter(1.0, 2.0), 1.5, 0.0};
+  for (const double m : significands) {
+    for (int e : {-30, 0, 30}) {
+      for (double& x : a) x = std::ldexp(m, e);
+      ASSERT_EQ(rates_mismatch(k, s, a.data(), nullptr), "")
+          << "a significand " << m;
+    }
+  }
+  for (int round = 0; round < 64; ++round) {
+    for (double& x : a) x = std::ldexp(rng.uniform(1.0, 2.0), round - 32);
+    ASSERT_EQ(rates_mismatch(k, s, a.data(), nullptr), "");
+  }
+}
+
+TEST(TrapPass, GuardLanesTakeTheTrueDivision) {
+  if (!has_avx2_pass()) GTEST_SKIP() << "no AVX2: the pass is scalar here";
+  // Every operand class on both sides of the quotient, each pair at every
+  // lane position: zeros of both signs, subnormal operands and quotients,
+  // the guard's edges (2^-400 and 2^400 for tau, 2^-500 and 2^500 for
+  // the quotient) and their neighbours, quotients near overflow,
+  // infinities, NaN, negative values and tiny operand pairs.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double big_sub = std::bit_cast<double>(0x000fffffffffffffULL);
+  std::vector<double> values = {
+      0.0, -0.0, sub, big_sub, std::numeric_limits<double>::min(), 1e-300,
+      1e300,
+      std::numeric_limits<double>::max(), inf, -inf, nan, -nan, -3.0, 0.7,
+      1.0, 123.456};
+  for (const double edge : {0x1p-500, 0x1p500, 0x1p-400, 0x1p400, 0x1p-100,
+                            0x1p100}) {
+    values.push_back(std::nextafter(edge, 0.0));
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, inf));
+  }
+  std::vector<double> a;
+  std::vector<double> b;
+  for (const double x : values) {
+    for (const double y : values) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  }
+  // Both operands near the bottom of the exponent range with a quotient
+  // near 1: there b q is not exact in the FMA (its low bits fall below
+  // the subnormals), so only the tau bound keeps these lanes off the
+  // corrected quotient.
+  Rng rng(0x71A7ULL);
+  for (int j = 0; j < 4096; ++j) {
+    a.push_back(std::ldexp(rng.uniform(1.0, 2.0),
+                           -1020 + static_cast<int>(rng() % 60)));
+    b.push_back(std::ldexp(rng.uniform(1.0, 2.0),
+                           -1020 + static_cast<int>(rng() % 60)));
+  }
+  for (std::size_t shift = 0; shift < 4; ++shift) {
+    std::vector<double> as(a.begin() + static_cast<long>(shift), a.end());
+    std::vector<double> bs(b.begin() + static_cast<long>(shift), b.end());
+    // Capture side (duty 1, every trap permanent), then emission side
+    // (duty 0): lambda is a / b itself.
+    const TrapKinetics capture = with_taus(bs, bs, true);
+    ASSERT_EQ(rates_mismatch(capture, {1.0, 0.5, 1.0, 0.0, 1.0, 0.0},
+                             as.data(), nullptr),
+              "");
+    const TrapKinetics emission = with_taus(bs, bs, false);
+    ASSERT_EQ(rates_mismatch(emission, {0.0, 0.0, 1.0, 0.0, 1.0, 0.0},
+                             nullptr, as.data()),
+              "");
+    // Both at once, where p_inf divides too.
+    ASSERT_EQ(rates_mismatch(emission, {0.5, 0.5, 1.0, 0.0, 1.0, 0.0},
+                             as.data(), as.data()),
+              "");
   }
 }
 

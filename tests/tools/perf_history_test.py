@@ -229,6 +229,26 @@ class SummaryTest(ToolTest):
         self.assertEqual(line["commit"], "abc1234")
         self.assertEqual(out.count("\n"), 1)  # one JSONL line
 
+    def test_wins_and_spreads(self):
+        # wall_s: the change reads lower in pairs 1 and 3 and ties pair 2.
+        # Parent 1..4 has quartiles 1.25 and 3.75 (exclusive method) around
+        # a median of 2.5; the change's constant peak_rss_mb has no spread.
+        parent = [1.0, 2.0, 3.0, 4.0]
+        change = [0.5, 2.0, 2.0, 5.0]
+        logs = []
+        for p, c in zip(parent, change):
+            logs += [self.write(f"p{p}.log", run_log(p)),
+                     self.write(f"c{c}-{p}.log", run_log(c))]
+        code, out, err = self.summarize(logs, "1,2,3,4")
+        self.assertEqual(code, 0, err)
+        line = json.loads(out)
+        self.assertEqual(line["wins"], {"wall_s": 2, "peak_rss_mb": 0})
+        self.assertAlmostEqual(line["spread"]["parent"]["wall_s"], 1.0)
+        self.assertEqual(line["spread"]["change"]["peak_rss_mb"], 0.0)
+        # One pair: no spread on either side.
+        code, out, _ = self.summarize(logs[:2], "1")
+        self.assertEqual(json.loads(out)["spread"]["parent"]["wall_s"], 0.0)
+
     def test_an_incorrect_run_marks_the_line(self):
         logs = [self.write("a.log", run_log(1.0)),
                 self.write("b.log", run_log(1.0, correct=False))]

@@ -141,6 +141,51 @@ void expect_exact(Kernel kernel) {
   }
 }
 
+/// An entry point with a scalar operand, and its scalar reference.
+using ScalarKernel = void (*)(const double*, double, double*, std::size_t);
+using Reference = double (*)(double, double);
+
+double scaled_reference(double a, double s) { return std::exp(a * s); }
+
+double decay_reference(double lambda, double t) {
+  const double x = lambda * t;
+  return lambda <= 0.0 ? 1.0 : (x > 700.0 ? 0.0 : std::exp(-x));
+}
+
+/// The first lane where `kernel` over x with scalar s differs from
+/// `reference`, out of place and in place, at every start offset below 4
+/// (so each value meets every lane and the tail), or "" when all match.
+std::string scalar_form_mismatch(ScalarKernel kernel,
+                                 const std::vector<double>& x, double s,
+                                 Reference reference) {
+  for (std::size_t start = 0; start < 4 && start <= x.size(); ++start) {
+    const std::size_t n = x.size() - start;
+    std::vector<double> out(n);
+    kernel(x.data() + start, s, out.data(), n);
+    std::vector<double> in_place(x.begin() + static_cast<long>(start),
+                                 x.end());
+    kernel(in_place.data(), s, in_place.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double want = reference(x[start + i], s);
+      // With two NaN operands, which payload a product keeps is up to
+      // the compiler's operand order: only NaN-ness is asserted there.
+      const bool two_nans = std::isnan(x[start + i]) && std::isnan(s);
+      for (const double got : {out[i], in_place[i]}) {
+        if (two_nans ? !std::isnan(got)
+                     : std::bit_cast<std::uint64_t>(got) !=
+                           std::bit_cast<std::uint64_t>(want)) {
+          char line[160];
+          std::snprintf(line, sizeof line,
+                        "x %a, s %a [lane %zu from %zu]: got %a, want %a",
+                        x[start + i], s, i, start, got, want);
+          return line;
+        }
+      }
+    }
+  }
+  return "";
+}
+
 TEST(ExpBatch, MatchesStdExpBitForBit) {
   expect_exact(&exp_batch);
   EXPECT_EQ(uniform_mismatch(&exp_batch, 10'000'000), "");
@@ -152,6 +197,52 @@ TEST(ExpBatch, VectorKernelMatchesStdExpBitForBit) {
   }
   expect_exact(&detail::exp_batch_avx2_fma);
   EXPECT_EQ(uniform_mismatch(&detail::exp_batch_avx2_fma, 1'000'000), "");
+}
+
+TEST(ExpBatch, ScaledMatchesStdExpOfTheRoundedProduct) {
+  // The Arrhenius factors' form: exp(ea * -arr_x).  Scales from the
+  // condition range, the identity, zeros and non-finite scales; inputs
+  // that land every lane class (main path, tiny, >= 512, inf, NaN).
+  const std::vector<double> edges = edge_values();
+  Rng rng(0x5CA1EDULL);
+  std::vector<double> drawn(4099);
+  for (double& a : drawn) a = rng.uniform(-70.0, 70.0);
+  const std::vector<double> scales = {
+      -10.4, 3.7, -1e-3, 1.0, -1.0, 0.0, -0.0, 0x1p-60, 600.0, -1e300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const double s : scales) {
+    for (const std::vector<double>& a : {edges, drawn}) {
+      ASSERT_EQ(scalar_form_mismatch(&exp_scaled_batch, a, s, scaled_reference),
+                "")
+          << "scale " << s;
+    }
+  }
+}
+
+TEST(ExpBatch, DecayMatchesTheScalarRules) {
+  // 1 where lambda <= 0, 0 where lambda * t > 700, else exp(-(lambda * t)):
+  // at lambda * t = 512 (where glibc's main path ends), at 700 and the
+  // doubles around it, and past it; zeros of both signs, subnormals,
+  // negative, infinite and NaN rates, and the tiny arguments glibc
+  // answers without its table.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> lambda = {
+      0.0, -0.0, -1.0, -inf, tiny, 1e-300, 1e-17, 0x1p-55, 0.5, 1.0,
+      std::nextafter(512.0, 0.0), 512.0, std::nextafter(512.0, 1e3),
+      std::nextafter(700.0, 0.0), 700.0, std::nextafter(700.0, 1e3),
+      700.5, 745.0, 746.0, 1e300, inf,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(0xDECA7ULL);
+  for (int i = 0; i < 4001; ++i) lambda.push_back(rng.uniform(-1.0, 760.0));
+  for (const double t : {1.0, 2.0, 0.5, 1e-9, 86400.0, 0.0, inf}) {
+    ASSERT_EQ(scalar_form_mismatch(&decay_batch, lambda, t, decay_reference),
+              "")
+        << "t " << t;
+  }
 }
 
 }  // namespace

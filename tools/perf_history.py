@@ -28,10 +28,13 @@ summarises saved stdout of ``python3 perfbench/run.py --workload W --seed
 N --seconds S --trace 0`` run in alternating parent/change pairs, one
 seed per pair, into one ledger line: the pair count, whether every run
 read ``"correct": true``, each side's failed operations, nproc, the
-median steal share, each side's median of every end-to-end metric and
-the median paired ratio change/parent.  ID is the parent commit.  Each
-log must hold perfbench's ``host nproc=N ... steal_share=X`` line and end
-with its result JSON.
+median steal share, each side's median of every end-to-end metric, the
+median paired ratio change/parent, the pairs the change won (it read
+lower than its parent: every end-to-end metric of BENCHMARK.json is
+better lower; a tie wins for neither) and each side's spread, its
+interquartile range over its median (0 for a single run).  ID is the
+parent commit.  Each log must hold perfbench's ``host nproc=N ...
+steal_share=X`` line and end with its result JSON.
 
   python3 tools/perf_history.py trajectory [HISTORY]
 
@@ -178,6 +181,14 @@ def read_run(path: str) -> dict:
     }
 
 
+def spread(values: list) -> float:
+    """Interquartile range over the median; 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / statistics.median(values)
+
+
 def summarize(args: argparse.Namespace) -> dict:
     runs = [read_run(p) for p in args.logs]
     nprocs = {r["nproc"] for r in runs}
@@ -204,6 +215,10 @@ def summarize(args: argparse.Namespace) -> dict:
                           for n in names} for side in sides},
         "ratio": {n: statistics.median(c / p for p, c in zip(
             values("parent", n), values("change", n))) for n in names},
+        "wins": {n: sum(c < p for p, c in zip(
+            values("parent", n), values("change", n))) for n in names},
+        "spread": {side: {n: spread(values(side, n)) for n in names}
+                   for side in sides},
     }
 
 
