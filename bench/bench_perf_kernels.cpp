@@ -5,9 +5,9 @@
 /// workload runs with the in-library kernel timers on: trap-ensemble
 /// evolution, RO delay evaluation, the chip-5 campaign and a fixed-condition
 /// drive of the same chip, a multicore month (repeated), the 1024-chip
-/// population (independent engines vs the batch engine, repeated), the
-/// fleet margin projection and the enabled timer's own cost against its
-/// clock pair.  `tools/perf_history.py gate` runs a parent and a change
+/// population (independent engines vs the batch engine and its build,
+/// repeated), the fleet margin projection and the enabled timer's own cost
+/// against its clock pair.  `tools/perf_history.py gate` runs a parent and a change
 /// build of this binary in alternating pairs and judges every timing row
 /// of the JSON by its paired ratio.  The `exp:` line names the path of
 /// util::exp_batch on this host (`avx2+fma` or `std::exp`) and that of the
@@ -163,6 +163,7 @@ int run_workload(const std::string& path) {
   constexpr int kPopChips = 1024;
   double pop_independent_ms = 0.0;
   double pop_batch_ms = 0.0;
+  double pop_build_ms = 0.0;
   int pop_steps = 0;
   double pop_read_sum = 0.0;
   {
@@ -232,11 +233,13 @@ int run_workload(const std::string& path) {
 
     // Pass 2: batch engine (this is the bti.batch.evolve row), repeated
     // kBatchSweeps times from a fresh engine so the row times >= 10 ms;
-    // the wall time is per sweep.  Every sweep must read what the
-    // independent engines read.
+    // the build and sweep wall times are per sweep.  Every sweep must
+    // read what the independent engines read.
     constexpr int kBatchSweeps = 16;
     for (int sweep = 0; sweep < kBatchSweeps; ++sweep) {
+      const auto build_t0 = clock::now();
       bti::BatchEnsemble batch(specs);
+      pop_build_ms += wall_ms(build_t0, clock::now()) / kBatchSweeps;
       const auto t0 = clock::now();
       double acc = 0.0;
       for (const auto& step : schedule) {
@@ -380,13 +383,14 @@ int run_workload(const std::string& path) {
                 "  \"population_steps\": %d,\n"
                 "  \"population_independent_wall_ms\": %.1f,\n"
                 "  \"population_batch_wall_ms\": %.3f,\n"
+                "  \"population_build_ms\": %.4f,\n"
                 "  \"population_speedup_exact\": %.2f,\n"
                 "  \"margin_single_us\": %.2f,\n"
                 "  \"margin_batch256_us\": %.1f,\n"
                 "  \"timer_scope_ns\": %.1f,\n"
                 "  \"clock_pair_ns\": %.1f\n}\n",
                 campaign_ms, fixed_drive_ms, kPopChips, pop_steps,
-                pop_independent_ms, pop_batch_ms,
+                pop_independent_ms, pop_batch_ms, pop_build_ms,
                 pop_independent_ms / pop_batch_ms, margin_single_us,
                 margin_batch_us, timer_scope_ns, clock_pair_ns);
   os << tail;
@@ -395,9 +399,9 @@ int run_workload(const std::string& path) {
               campaign_ms, fixed_drive_ms);
   std::printf(
       "population (%d chips, %d steps): independent %.1f ms   batch %.3f ms "
-      "(%.1fx)\n",
+      "(%.1fx)   batch build %.4f ms\n",
       kPopChips, pop_steps, pop_independent_ms, pop_batch_ms,
-      pop_independent_ms / pop_batch_ms);
+      pop_independent_ms / pop_batch_ms, pop_build_ms);
   std::printf("margin: single %.2f us/query   whole-shard (%d devices) %.1f us\n",
               margin_single_us, kMarginDevices, margin_batch_us);
   std::printf("exp: %s, trap pass: %s\n", util::exp_batch_path(),

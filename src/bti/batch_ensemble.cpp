@@ -1,38 +1,91 @@
 #include "ash/bti/batch_ensemble.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <map>
 #include <stdexcept>
 
 #include "ash/bti/trap_ensemble.h"
 #include "ash/obs/profile.h"
 
 namespace ash::bti {
+namespace {
 
-BatchEnsemble::BatchEnsemble(const std::vector<BatchMemberSpec>& specs) {
-  if (specs.empty()) {
-    throw std::invalid_argument("BatchEnsemble: empty population");
+// 22 doubles and an int: a new TdParameters field must join class_key.
+static_assert(sizeof(TdParameters) == 23 * sizeof(double));
+
+using ClassKey = std::array<std::uint64_t, 23>;
+
+/// The seed and the bits of every kinetics field: everything that decides
+/// a member's traps and rates, without the mean that only scales them.
+ClassKey class_key(const BatchMemberSpec& spec) {
+  const TdParameters& p = spec.params;
+  const auto b = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return {spec.seed, static_cast<std::uint64_t>(p.traps_per_device),
+          b(p.tau_capture_min_s.value()), b(p.tau_capture_max_s.value()),
+          b(p.emission_ratio_log10_mu), b(p.emission_ratio_log10_sigma),
+          b(p.permanent_fraction), b(p.stress_ref_voltage_v.value()),
+          b(p.stress_ref_temp_k.value()), b(p.capture_field_accel_per_v),
+          b(p.capture_ea_mean_ev), b(p.capture_ea_sigma_ev),
+          b(p.capture_threshold_voltage_v.value()), b(p.amp_prefactor),
+          b(p.amp_e0_ev), b(p.amp_b_ev_per_v),
+          b(p.recovery_ref_voltage_v.value()),
+          b(p.recovery_ref_temp_k.value()), b(p.emission_ea_mean_ev),
+          b(p.emission_ea_sigma_ev), b(p.emission_neg_bias_accel_per_v),
+          b(p.min_safe_voltage_v.value()), b(p.max_safe_temp_k.value())};
+}
+
+/// The specs in compact form, one class per key in order of first use.
+BatchPopulation by_class(const std::vector<BatchMemberSpec>& specs) {
+  BatchPopulation pop;
+  std::map<ClassKey, int> index;
+  for (const BatchMemberSpec& spec : specs) {
+    const auto [it, fresh] = index.try_emplace(
+        class_key(spec), static_cast<int>(pop.classes.size()));
+    if (fresh) pop.classes.push_back(spec);
+    pop.means.push_back(spec.params.delta_vth_mean_v);
+    pop.trap_class.push_back(it->second);
   }
-  for (const auto& spec : specs) {
-    // Draw the member's population through the solo constructor: the batch
-    // *is* those ensembles, which is what makes it bit-identical to them.
-    const TrapEnsemble source(spec.params, spec.seed);
-    // Class lookup: identical kinetics parameters *and* identical draws.
-    // Two members built from the same seed and kinetics constants share
-    // every draw (the per-trap DeltaVth scale consumes exactly one uniform
-    // regardless of its mean, so the streams stay aligned); distinct seeds
-    // diverge at the first trap, so the element compare fails fast.
-    const auto cls = std::find_if(groups_.begin(), groups_.end(),
-                                  [&](const Group& g) {
-                                    return g.kinetics.same_kinetics(
-                                        source.kinetics());
-                                  });
-    const auto c = static_cast<int>(cls - groups_.begin());
-    if (cls == groups_.end()) {
-      groups_.push_back({TrapKinetics(source.kinetics(), kRateCacheSlots),
-                         source.occupancies(), {}});
+  return pop;
+}
+
+}  // namespace
+
+BatchEnsemble::BatchEnsemble(const std::vector<BatchMemberSpec>& specs)
+    : BatchEnsemble(by_class(specs)) {}
+
+BatchEnsemble::BatchEnsemble(const BatchPopulation& pop) {
+  const std::size_t n = pop.means.size();
+  if (n == 0 || pop.trap_class.size() != n) {
+    throw std::invalid_argument(
+        n == 0 ? "BatchEnsemble: empty population"
+               : "BatchEnsemble: means and class indices differ in length");
+  }
+  members_.reserve(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const int c = pop.trap_class[m];
+    if (c < 0 || c >= static_cast<int>(pop.classes.size())) {
+      throw std::invalid_argument("BatchEnsemble: class index out of range");
     }
-    groups_[static_cast<std::size_t>(c)].members.push_back(member_count());
-    members_.push_back({source.parameters(), source.contributions(), c, c});
+    // Validated as the member's solo constructor would, before any draw.
+    TdParameters p = pop.classes[static_cast<std::size_t>(c)].params;
+    p.delta_vth_mean_v = pop.means[m];
+    p.validate();
+    members_.push_back({pop.means[m].value(), c, c});
+  }
+  for (const BatchMemberSpec& cls : pop.classes) {
+    TdParameters unit = cls.params;
+    unit.delta_vth_mean_v = Volts{1.0};  // E_i = -1 * log(u_i), exactly
+    std::vector<double> shifts;
+    TrapKinetics::Traps traps = draw_traps(unit, cls.seed, shifts);
+    std::vector<double> empty(shifts.size(), 0.0);
+    groups_.push_back({TrapKinetics(unit, std::move(traps), kRateCacheSlots),
+                       std::move(shifts), std::move(empty), {}});
+  }
+  for (int m = 0; m < member_count(); ++m) {
+    const Member& mem = members_[static_cast<std::size_t>(m)];
+    groups_[static_cast<std::size_t>(mem.trap_class)].members.push_back(m);
   }
   class_count_ = group_count();
 }
@@ -44,12 +97,18 @@ const BatchEnsemble::Member& BatchEnsemble::member_at(int member) const {
   return members_[static_cast<std::size_t>(member)];
 }
 
-int BatchEnsemble::trap_count(int member) const {
-  return static_cast<int>(member_at(member).contributions.size());
+const BatchEnsemble::Group& BatchEnsemble::group_of(int member) const {
+  return groups_[static_cast<std::size_t>(member_at(member).group)];
 }
 
-const TdParameters& BatchEnsemble::parameters(int member) const {
-  return member_at(member).params;
+int BatchEnsemble::trap_count(int member) const {
+  return static_cast<int>(group_of(member).occupancy.size());
+}
+
+TdParameters BatchEnsemble::parameters(int member) const {
+  TdParameters p = group_of(member).kinetics.parameters();
+  p.delta_vth_mean_v = Volts{member_at(member).mean};
+  return p;
 }
 
 void BatchEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
@@ -68,12 +127,11 @@ void BatchEnsemble::evolve(const OperatingCondition& c, Seconds dt) {
 
 double BatchEnsemble::delta_vth(int member) const {
   const Member& mem = member_at(member);
-  const double* occ =
-      groups_[static_cast<std::size_t>(mem.group)].occupancy.data();
-  const double* dv = mem.contributions.data();
+  const Group& g = groups_[static_cast<std::size_t>(mem.group)];
+  // mean * E_i is the solo contribution i, bit for bit.
   double acc = 0.0;
-  for (std::size_t i = 0; i < mem.contributions.size(); ++i) {
-    acc += occ[i] * dv[i];
+  for (std::size_t i = 0; i < g.occupancy.size(); ++i) {
+    acc += g.occupancy[i] * (mem.mean * g.unit_shifts[i]);
   }
   return acc;
 }
@@ -82,20 +140,20 @@ std::vector<double> BatchEnsemble::delta_vth_all() const {
   constexpr std::size_t kLanes = 4;
   std::vector<double> out(members_.size());
   for (const Group& g : groups_) {
-    // One pass over the shared row serves four members.  Each lane keeps
-    // its own accumulator in trap order, so every sum is delta_vth(m)'s.
+    // One pass over the row and its draws serves four members.  Each lane
+    // keeps its own accumulator in trap order, so every sum is
+    // delta_vth(m)'s.
     const std::vector<int>& m = g.members;
     std::size_t k = 0;
     for (; k + kLanes <= m.size(); k += kLanes) {
-      const double* dv[kLanes];
+      double mean[kLanes];
       double acc[kLanes] = {};
       for (std::size_t l = 0; l < kLanes; ++l) {
-        const Member& mem = members_[static_cast<std::size_t>(m[k + l])];
-        dv[l] = mem.contributions.data();
+        mean[l] = members_[static_cast<std::size_t>(m[k + l])].mean;
       }
       for (std::size_t i = 0; i < g.occupancy.size(); ++i) {
         for (std::size_t l = 0; l < kLanes; ++l) {
-          acc[l] += g.occupancy[i] * dv[l][i];
+          acc[l] += g.occupancy[i] * (mean[l] * g.unit_shifts[i]);
         }
       }
       for (std::size_t l = 0; l < kLanes; ++l) {
@@ -110,29 +168,20 @@ std::vector<double> BatchEnsemble::delta_vth_all() const {
 }
 
 std::vector<double> BatchEnsemble::occupancies(int member) const {
-  return groups_[static_cast<std::size_t>(member_at(member).group)].occupancy;
+  return group_of(member).occupancy;
 }
 
 void BatchEnsemble::set_occupancies(int member,
                                     const std::vector<double>& occ) {
-  const Member& mem = member_at(member);
-  if (occ.size() != mem.contributions.size()) {
-    throw std::invalid_argument(
-        "BatchEnsemble::set_occupancies: size mismatch");
-  }
-  for (const double v : occ) {
-    if (v < 0.0 || v > 1.0) {
-      throw std::invalid_argument(
-          "BatchEnsemble::set_occupancies: occupancy outside [0, 1]");
-    }
-  }
-  Group& shared = groups_[static_cast<std::size_t>(mem.group)];
+  Group& shared = groups_[static_cast<std::size_t>(member_at(member).group)];
+  TrapKinetics::check_occupancies(occ, shared.occupancy.size());
   if (shared.members.size() == 1) {
     shared.occupancy = occ;
   } else {
-    // Copy-on-write: the member leaves the row it shares for a private one.
+    // Copy-on-write: the member leaves the row it shares for a private one
+    // with its own copy of the core.
     std::erase(shared.members, member);
-    Group own{TrapKinetics(shared.kinetics, kRateCacheSlots), occ, {member}};
+    Group own{shared.kinetics, shared.unit_shifts, occ, {member}};
     members_[static_cast<std::size_t>(member)].group = group_count();
     groups_.push_back(std::move(own));
   }

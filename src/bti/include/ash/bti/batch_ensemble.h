@@ -6,32 +6,26 @@
 ///
 /// The paper's fleet-scale story (Fig. 10, Table 5) needs population
 /// sweeps over 10^4..10^6 chips, but a `TrapEnsemble` per chip repays the
-/// full rate computation — two exponentials and two divisions per trap —
-/// once *per chip* whenever the operating condition moves (a drifting
-/// chamber, a noisy campaign).  `BatchEnsemble` restructures the work
-/// *across* devices: members are grouped into **trap classes** (identical
-/// kinetics draws — same seed and same kinetics parameters; members of a
-/// class may still differ in their per-trap DeltaVth contributions, which
-/// is how per-chip corner/mismatch scales enter).  Members of a class
-/// start empty and see the same conditions, so their occupancies are
-/// equal at every step: the class keeps **one occupancy row**, advanced
-/// once per step the way a solo ensemble advances its own, and what stays
-/// per member is its contributions vector.  An evolve costs O(classes),
-/// not O(chips).
+/// full rate computation per chip whenever the operating condition moves.
+/// `BatchEnsemble` groups members into **trap classes** keyed by the seed
+/// and the bits of every `TdParameters` field except `delta_vth_mean_v`
+/// (bits, not `==`, so +0.0 / -0.0 and NaN fields never merge classes
+/// that would compute different bits).  Classmates draw the same traps
+/// and see the same conditions, so a class keeps **one occupancy row**,
+/// stepped once per evolve: O(classes), not O(chips).
 ///
-/// The row is shared copy-on-write: `set_occupancies` on a member whose
-/// row others share moves it to a private row (a *group* of one), and
-/// `reset` merges every class back into one row.
+/// A member is one scalar, its mean.  `Rng::exponential(mean)` is
+/// `-mean * log(u)` and its uniforms do not depend on the mean, so a class
+/// draws once at mean 1 and keeps E_i = -log(u_i) (the negation is
+/// exact): `mean * E_i` has the bits of the member's solo contribution i.
 ///
-/// Exactness contract: each group is a `TrapKinetics` core copied from a
-/// member's solo ensemble plus an occupancy row, stepped by the core's
-/// one cache policy (`TrapKinetics::step`, 6 rate slots as in the solo
-/// ensemble), and a member's DeltaVth is the dot product of its
-/// group's row with its own contributions in `TrapEnsemble::delta_vth`'s
-/// order.  A batch trajectory is therefore bit-for-bit equal to N
-/// independent `TrapEnsemble` runs (asserted for seeded 64-chip
-/// populations, rate-cache eviction and copy-on-write divergence in
-/// tests/bti/batch_ensemble_test.cpp).
+/// Exactness contract: classes draw through the solo `draw_traps`, each
+/// row is stepped by a `TrapKinetics` core's one cache policy (6 rate
+/// slots, as solo), and a member's DeltaVth sums occ_i * (mean * E_i) in
+/// `TrapEnsemble::delta_vth`'s order, so a batch trajectory is bit-for-bit
+/// N independent `TrapEnsemble` runs (tests/bti/batch_ensemble_test.cpp).
+/// `set_occupancies` gives a member whose row others share a private row
+/// (a *group* of one), copy-on-write; `reset` merges each class again.
 
 #include <cstdint>
 #include <vector>
@@ -49,6 +43,16 @@ struct BatchMemberSpec {
   std::uint64_t seed = 0;
 };
 
+/// A population in compact form: member m is
+/// `BatchMemberSpec{classes[trap_class[m]].params with delta_vth_mean_v =
+/// means[m], classes[trap_class[m]].seed}`.  Each class spec is one trap
+/// class; its own delta_vth_mean_v is not used.
+struct BatchPopulation {
+  std::vector<BatchMemberSpec> classes;
+  std::vector<Volts> means;
+  std::vector<int> trap_class;
+};
+
 /// A population of trap ensembles evolved in lockstep, one occupancy row
 /// per kinetics class.  Value-semantic and deterministic like
 /// `TrapEnsemble`.
@@ -57,7 +61,12 @@ class BatchEnsemble {
   /// Build a fresh population.  Equivalent to constructing
   /// `TrapEnsemble(specs[m].params, specs[m].seed)` for every member (and
   /// bit-identical to doing so — the members *are* those populations).
+  /// The compact form over one class per class key.
   explicit BatchEnsemble(const std::vector<BatchMemberSpec>& specs);
+  /// Validates every member's parameters as its solo constructor would,
+  /// before any class is drawn.  std::invalid_argument also for an empty
+  /// population, unequal lengths or a class index out of range.
+  explicit BatchEnsemble(const BatchPopulation& population);
 
   /// Advance every member by dt under one shared operating condition.
   /// Validation is the core's `check_step`, run against every group
@@ -75,13 +84,14 @@ class BatchEnsemble {
   /// Every per-member accessor throws std::out_of_range for a member
   /// outside [0, member_count()).
   int trap_count(int member) const;
-  const TdParameters& parameters(int member) const;
+  /// The class's parameters with member m's own delta_vth_mean_v.
+  TdParameters parameters(int member) const;
 
-  /// Member m's threshold-voltage shift: the dot product of its group's
-  /// row with its contributions, in `TrapEnsemble::delta_vth`'s order.
+  /// Member m's threshold-voltage shift: the sum of occ_i * (mean * E_i)
+  /// over its group's row, in `TrapEnsemble::delta_vth`'s order.
   double delta_vth(int member) const;
   /// All members' shifts, ordered by member index: four members of one
-  /// group per pass over its row, each with its own accumulator, so every
+  /// group per pass over the row, each with its own accumulator, so every
   /// value equals `delta_vth(m)` bit for bit.
   std::vector<double> delta_vth_all() const;
 
@@ -105,13 +115,13 @@ class BatchEnsemble {
   /// [0, class_count_) are the trap classes; later ones are private rows.
   struct Group {
     TrapKinetics kinetics;
+    std::vector<double> unit_shifts;  ///< E_i = -log(u_i): draws at mean 1
     std::vector<double> occupancy;
     std::vector<int> members;
   };
 
   struct Member {
-    TdParameters params;
-    std::vector<double> contributions;
+    double mean;     ///< delta_vth_mean_v in volts
     int trap_class;  ///< the group reset() returns it to
     int group;
   };
@@ -119,6 +129,7 @@ class BatchEnsemble {
   static constexpr int kRateCacheSlots = 6;
 
   const Member& member_at(int member) const;
+  const Group& group_of(int member) const;
 
   std::vector<Group> groups_;
   std::vector<Member> members_;

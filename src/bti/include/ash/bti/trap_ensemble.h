@@ -30,6 +30,14 @@
 
 namespace ash::bti {
 
+/// Draw a device's trap population from (params, seed): the kinetics
+/// arrays for the core, and the per-trap DeltaVth contributions (volts)
+/// into `delta_vth_v`, interleaved per trap in the historical draw order
+/// so existing seeds reproduce the same populations.  Validates `params`
+/// first.  The one draw loop of `TrapEnsemble` and `BatchEnsemble`.
+TrapKinetics::Traps draw_traps(const TdParameters& params, std::uint64_t seed,
+                               std::vector<double>& delta_vth_v);
+
 /// Ensemble of traps belonging to one transistor's gate oxide.
 ///
 /// Value-semantic: copying an ensemble snapshots the full degradation state
@@ -67,13 +75,6 @@ class TrapEnsemble {
 
   int trap_count() const { return static_cast<int>(occupancy_.size()); }
   const TdParameters& parameters() const { return core_.parameters(); }
-
-  /// The kinetics core (trap draws and rate caches).  `BatchEnsemble`
-  /// copies it once per kinetics class, so a batch evolves the *same*
-  /// drawn population a solo ensemble would (DESIGN.md Sec. 13).
-  const TrapKinetics& kinetics() const { return core_; }
-  /// Per-trap threshold-voltage contributions (volts), trap_count() long.
-  const std::vector<double>& contributions() const { return delta_vth_v_; }
 
   /// Snapshot / restore of the mutable state (occupancies), for
   /// checkpointing long campaigns.  `set_occupancies` requires a vector of

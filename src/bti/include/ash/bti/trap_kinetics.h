@@ -56,7 +56,6 @@ class TrapKinetics {
     std::vector<double> capture_ea;    ///< activation energy (eV)
     std::vector<double> emission_ea;   ///< activation energy (eV)
     std::vector<std::uint8_t> permanent;  ///< 1: never emits
-    bool operator==(const Traps&) const = default;
   };
 
   /// Condition-level scalars of the rate law, hoisted out of the per-trap
@@ -104,17 +103,9 @@ class TrapKinetics {
   /// conditions.  Throws std::invalid_argument on invalid parameters or on
   /// per-trap arrays of unequal length.
   TrapKinetics(const TdParameters& params, Traps traps, int rate_slots);
-  /// A fresh core over `source`'s parameters and trap arrays (no cached
-  /// rates) with its own cache depth.
-  TrapKinetics(const TrapKinetics& source, int rate_slots);
 
   const TdParameters& parameters() const { return params_; }
   const Traps& traps() const { return traps_; }
-
-  /// Identical kinetics parameters (every field except delta_vth_mean_v,
-  /// which scales only the per-trap shifts) and identical trap draws: the
-  /// two cores compute bit-identical rates for every condition.
-  bool same_kinetics(const TrapKinetics& other) const;
 
   /// The single condition check of every evolve.  Throws
   /// std::invalid_argument for a NaN or negative dt, a non-finite voltage,
@@ -125,6 +116,10 @@ class TrapKinetics {
   bool check_step(const OperatingCondition& condition, Seconds dt) const;
 
   Scalars scalars_for(const OperatingCondition& condition) const;
+
+  /// The check of every `set_occupancies`: throws std::invalid_argument
+  /// unless `occ` holds n values in [0, 1].
+  static void check_occupancies(const std::vector<double>& occ, std::size_t n);
 
   /// The rate law of trap i.  `exp_c` / `exp_e` are the condition's
   /// Arrhenius factor arrays, or null when the duty makes that term

@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "ash/obs/profile.h"
 #include "ash/util/random.h"
 
 namespace ash::bti {
 
-namespace {
-
-/// Draw a device's trap population: the kinetics arrays for the core and
-/// the DeltaVth contributions into `delta_vth_v`, interleaved per trap in
-/// the historical AoS draw order so existing seeds reproduce the same
-/// populations.
 TrapKinetics::Traps draw_traps(const TdParameters& params, std::uint64_t seed,
                                std::vector<double>& delta_vth_v) {
   params.validate();
@@ -44,8 +37,6 @@ TrapKinetics::Traps draw_traps(const TdParameters& params, std::uint64_t seed,
   }
   return t;
 }
-
-}  // namespace
 
 TrapEnsemble::TrapEnsemble(const TdParameters& params, std::uint64_t seed)
     : core_(params, draw_traps(params, seed, delta_vth_v_), kRateCacheSlots),
@@ -93,16 +84,7 @@ void TrapEnsemble::reset() {
 std::vector<double> TrapEnsemble::occupancies() const { return occupancy_; }
 
 void TrapEnsemble::set_occupancies(const std::vector<double>& occ) {
-  if (occ.size() != occupancy_.size()) {
-    throw std::invalid_argument(
-        "TrapEnsemble::set_occupancies: size mismatch");
-  }
-  for (const double v : occ) {
-    if (v < 0.0 || v > 1.0) {
-      throw std::invalid_argument(
-          "TrapEnsemble::set_occupancies: occupancy outside [0, 1]");
-    }
-  }
+  TrapKinetics::check_occupancies(occ, occupancy_.size());
   occupancy_ = occ;
   // A rewind is a state change like any other: bump the version so the
   // delta_vth dot product and every downstream delay cache refresh.

@@ -232,17 +232,16 @@ TrapKinetics::TrapKinetics(const TdParameters& params, Traps traps,
   }
 }
 
-TrapKinetics::TrapKinetics(const TrapKinetics& source, int rate_slots)
-    : params_(source.params_),
-      traps_(source.traps_),
-      rate_slots_(rate_slots) {}
-
-bool TrapKinetics::same_kinetics(const TrapKinetics& other) const {
-  // delta_vth_mean_v scales only the per-trap shifts, the one axis members
-  // of a batch trap class may differ on (chip corners, PBTI ratios).
-  TdParameters theirs = other.params_;
-  theirs.delta_vth_mean_v = params_.delta_vth_mean_v;
-  return theirs == params_ && traps_ == other.traps_;
+void TrapKinetics::check_occupancies(const std::vector<double>& occ,
+                                     std::size_t n) {
+  if (occ.size() != n) {
+    throw std::invalid_argument("set_occupancies: size mismatch");
+  }
+  for (const double v : occ) {
+    if (v < 0.0 || v > 1.0) {
+      throw std::invalid_argument("set_occupancies: occupancy outside [0, 1]");
+    }
+  }
 }
 
 bool TrapKinetics::check_step(const OperatingCondition& c, Seconds dt) const {

@@ -1,9 +1,12 @@
 #include "ash/bti/batch_ensemble.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -440,6 +443,189 @@ TEST(BatchEnsembleSharedRows, FourClassesOfSixteenBitIdentical) {
   BatchEnsemble batch(specs);
   EXPECT_EQ(batch.class_count(), 4);
   EXPECT_EQ(batch.group_count(), 4);
+  auto solo = solo_runs(specs);
+  run_steps(batch, solo, 0, static_cast<int>(mixed_schedule().size()));
+}
+
+
+// --- one scalar per member ---------------------------------------------------
+// A member is its mean; its class (the seed and the bits of every other
+// TdParameters field) is drawn once.
+
+// Classes in spec order A, B, A, B, ... (plus a third every fifth member),
+// each member with its own corner scale.
+std::vector<BatchMemberSpec> interleaved_population(int n) {
+  std::vector<BatchMemberSpec> specs;
+  const auto scaled = one_class_population(n);
+  for (int m = 0; m < n; ++m) {
+    const std::uint64_t cls = m % 5 == 4 ? 2 : static_cast<std::uint64_t>(m % 2);
+    specs.push_back({scaled[static_cast<std::size_t>(m)].params,
+                     derive_seed(0x1E7E4, cls)});
+  }
+  return specs;
+}
+
+TEST(BatchEnsembleScalarMembers, InterleavedClassesBitIdentical) {
+  const auto specs = interleaved_population(40);
+  BatchEnsemble batch(specs);
+  EXPECT_EQ(batch.class_count(), 3);
+  EXPECT_EQ(batch.group_count(), 3);
+  auto solo = solo_runs(specs);
+  run_steps(batch, solo, 0, static_cast<int>(mixed_schedule().size()));
+}
+
+// The message of the solo constructor for `params`, or "" when it builds.
+std::string solo_error(const TdParameters& params) {
+  try {
+    const TrapEnsemble solo(params, 3);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BatchEnsembleScalarMembers, InvalidMeanThrowsLikeSolo) {
+  for (const double mean :
+       {0.0, -765e-6, std::numeric_limits<double>::quiet_NaN()}) {
+    auto specs = interleaved_population(8);
+    specs[5].params.delta_vth_mean_v = Volts{mean};
+    const std::string want = solo_error(specs[5].params);
+    ASSERT_FALSE(want.empty()) << "mean " << mean;
+    try {
+      const BatchEnsemble batch(specs);
+      ADD_FAILURE() << "mean " << mean << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), want) << "mean " << mean;
+    }
+    BatchPopulation pop{{{default_td_parameters(), 3}}, {}, {}};
+    for (int m = 0; m < 4; ++m) {
+      pop.means.push_back(m == 2 ? Volts{mean} : Volts{765e-6});
+      pop.trap_class.push_back(0);
+    }
+    try {
+      const BatchEnsemble batch(pop);
+      ADD_FAILURE() << "mean " << mean << " was accepted in compact form";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), want) << "mean " << mean;
+    }
+  }
+}
+
+TEST(BatchEnsembleScalarMembers, CompactFormRejectsMalformedPopulations) {
+  const BatchMemberSpec cls{default_td_parameters(), 3};
+  const Volts mean{765e-6};
+  EXPECT_THROW(BatchEnsemble(BatchPopulation{{cls}, {}, {}}),
+               std::invalid_argument);
+  EXPECT_THROW(BatchEnsemble(BatchPopulation{{cls}, {mean, mean}, {0}}),
+               std::invalid_argument);
+  EXPECT_THROW(BatchEnsemble(BatchPopulation{{cls}, {mean}, {1}}),
+               std::invalid_argument);
+  EXPECT_THROW(BatchEnsemble(BatchPopulation{{cls}, {mean}, {-1}}),
+               std::invalid_argument);
+}
+
+TEST(BatchEnsembleScalarMembers, CompactFormMatchesSpecForm) {
+  const auto specs = interleaved_population(37);
+  // The same population in compact form, with the classes listed in
+  // another order than the spec form finds them.
+  BatchPopulation pop;
+  for (const std::uint64_t cls : {2, 0, 1}) {
+    TdParameters p = default_td_parameters();
+    p.delta_vth_mean_v = Volts{0.0};  // unused: each member has its own
+    pop.classes.push_back({p, derive_seed(0x1E7E4, cls)});
+  }
+  for (const BatchMemberSpec& spec : specs) {
+    int c = 0;
+    while (pop.classes[static_cast<std::size_t>(c)].seed != spec.seed) ++c;
+    pop.means.push_back(spec.params.delta_vth_mean_v);
+    pop.trap_class.push_back(c);
+  }
+  BatchEnsemble by_spec(specs);
+  BatchEnsemble compact(pop);
+  EXPECT_EQ(compact.class_count(), by_spec.class_count());
+  int step_index = 0;
+  for (const Step& step : mixed_schedule()) {
+    by_spec.evolve(step.condition, Seconds{step.dt_s});
+    compact.evolve(step.condition, Seconds{step.dt_s});
+    const std::vector<double> a = by_spec.delta_vth_all();
+    const std::vector<double> b = compact.delta_vth_all();
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "step " << step_index;
+    ++step_index;
+  }
+}
+
+TEST(BatchEnsembleScalarMembers, ParametersCarryTheMembersOwnMean) {
+  const auto specs = interleaved_population(12);
+  const BatchEnsemble batch(specs);
+  for (int m = 0; m < batch.member_count(); ++m) {
+    const TdParameters p = batch.parameters(m);
+    EXPECT_EQ(p, specs[static_cast<std::size_t>(m)].params) << "member " << m;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.delta_vth_mean_v.value()),
+              std::bit_cast<std::uint64_t>(
+                  specs[static_cast<std::size_t>(m)]
+                      .params.delta_vth_mean_v.value()))
+        << "member " << m;
+  }
+}
+
+// Every TdParameters field but the mean is part of the class key: nudging
+// any one of them (to a value that still validates) makes a second class.
+TEST(BatchEnsembleScalarMembers, EveryKineticsFieldSplitsClasses) {
+  using Nudge = void (*)(TdParameters&);
+  const Nudge nudges[] = {
+      [](TdParameters& p) { p.traps_per_device += 1; },
+      [](TdParameters& p) { p.tau_capture_min_s = p.tau_capture_min_s * 1.01; },
+      [](TdParameters& p) { p.tau_capture_max_s = p.tau_capture_max_s * 1.01; },
+      [](TdParameters& p) { p.emission_ratio_log10_mu += 0.01; },
+      [](TdParameters& p) { p.emission_ratio_log10_sigma += 0.01; },
+      [](TdParameters& p) { p.permanent_fraction += 0.01; },
+      [](TdParameters& p) { p.stress_ref_voltage_v = p.stress_ref_voltage_v * 1.01; },
+      [](TdParameters& p) { p.stress_ref_temp_k = p.stress_ref_temp_k + Kelvin{1.0}; },
+      [](TdParameters& p) { p.capture_field_accel_per_v += 0.01; },
+      [](TdParameters& p) { p.capture_ea_mean_ev += 0.01; },
+      [](TdParameters& p) { p.capture_ea_sigma_ev += 0.01; },
+      [](TdParameters& p) {
+        p.capture_threshold_voltage_v = p.capture_threshold_voltage_v * 1.01;
+      },
+      [](TdParameters& p) { p.amp_prefactor *= 1.01; },
+      [](TdParameters& p) { p.amp_e0_ev += 0.01; },
+      [](TdParameters& p) { p.amp_b_ev_per_v += 0.01; },
+      [](TdParameters& p) { p.recovery_ref_voltage_v = Volts{0.01}; },
+      [](TdParameters& p) { p.recovery_ref_temp_k = p.recovery_ref_temp_k + Kelvin{1.0}; },
+      [](TdParameters& p) { p.emission_ea_mean_ev += 0.01; },
+      [](TdParameters& p) { p.emission_ea_sigma_ev += 0.01; },
+      [](TdParameters& p) { p.emission_neg_bias_accel_per_v += 0.01; },
+      [](TdParameters& p) { p.min_safe_voltage_v = p.min_safe_voltage_v * 0.99; },
+      [](TdParameters& p) { p.max_safe_temp_k = p.max_safe_temp_k + Kelvin{1.0}; },
+  };
+  for (std::size_t f = 0; f < std::size(nudges); ++f) {
+    TdParameters other = default_td_parameters();
+    nudges[f](other);
+    ASSERT_NE(other, default_td_parameters()) << "nudge " << f;
+    const BatchEnsemble batch({{default_td_parameters(), 7}, {other, 7}});
+    EXPECT_EQ(batch.class_count(), 2) << "nudge " << f;
+  }
+  // Only the mean differs: one class.
+  TdParameters scaled = default_td_parameters();
+  scaled.delta_vth_mean_v = scaled.delta_vth_mean_v * 1.3;
+  EXPECT_EQ(BatchEnsemble({{default_td_parameters(), 7}, {scaled, 7}})
+                .class_count(),
+            1);
+}
+
+// +0.0 and -0.0 compare equal but are different bits, and a rate law may
+// tell them apart: they key different classes.
+TEST(BatchEnsembleScalarMembers, SignedZeroFieldsKeyDifferentClasses) {
+  TdParameters plus = default_td_parameters();
+  plus.recovery_ref_voltage_v = Volts{0.0};
+  TdParameters minus = plus;
+  minus.recovery_ref_voltage_v = Volts{-0.0};
+  ASSERT_EQ(plus, minus);
+  const std::vector<BatchMemberSpec> specs = {{plus, 7}, {minus, 7}, {plus, 7}};
+  BatchEnsemble batch(specs);
+  EXPECT_EQ(batch.class_count(), 2);
   auto solo = solo_runs(specs);
   run_steps(batch, solo, 0, static_cast<int>(mixed_schedule().size()));
 }

@@ -111,7 +111,8 @@ std::string pass_mismatch(const TrapKinetics& k, const Inputs& in, double dt,
 TrapKinetics drawn(std::uint64_t seed, double permanent_fraction = 0.04) {
   TdParameters params = default_td_parameters();
   params.permanent_fraction = permanent_fraction;
-  return TrapKinetics(TrapEnsemble(params, seed).kinetics(), 1);
+  std::vector<double> shifts;
+  return TrapKinetics(params, draw_traps(params, seed, shifts), 1);
 }
 
 /// The first n traps of `k`.
@@ -412,7 +413,7 @@ TEST(TrapPass, StepOnEitherPathMatchesScalarForms) {
     for (const OperatingCondition& c : conditions()) {
       const Inputs in = inputs_for(base, base.scalars_for(c));
       for (const double dt : kSteps) {
-        TrapKinetics k(base, 2);
+        TrapKinetics k(base.parameters(), base.traps(), 2);
         std::vector<double> occ = uniform_occupancies(n, 99);
         std::vector<double> want = occ;
         for (int step = 0; step < 2; ++step) {

@@ -242,9 +242,9 @@ class AshLintRepoTest(unittest.TestCase):
                       f"{f['message']}" for f in payload["findings"]))
         self.assertEqual(code, 0)
         self.assertGreater(payload["files_scanned"], 150)
-        # The four reasoned escapes: two harness timers in ash_lab and two
-        # deliberately torn writes in checkpoint_store_test.
-        self.assertEqual(payload["suppressed"], 4)
+        # The two reasoned escapes: deliberately torn writes in
+        # checkpoint_store_test.
+        self.assertEqual(payload["suppressed"], 2)
         # One frontend: the report no longer names it.
         self.assertNotIn("frontend", payload)
 

@@ -5,7 +5,9 @@ summary and the trajectory.
 The gate runs fake benches: small scripts that write bench_perf_kernels
 JSON, with a deterministic per-run jitter, so every case runs in seconds.
 
-Run directly or via ctest (`ctest -L perf`).
+Run directly or via ctest (`ctest -L perf`).  ctest runs GateTest and
+the other classes as two entries (tests/CMakeLists.txt), so a new class
+must join one of them there.
 """
 
 import json

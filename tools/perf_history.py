@@ -63,7 +63,8 @@ HOST_RE = re.compile(r"^host nproc=(\d+) .*steal_share=([0-9.eE+-]+)\s*$")
 PRIMARY = "bti.trap_ensemble.evolve"
 GATED_SCALARS = ("chip5_campaign_wall_ms", "chip5_fixed_drive_wall_ms",
                  "population_independent_wall_ms", "population_batch_wall_ms",
-                 "margin_single_us", "margin_batch256_us", "timer_scope_ns")
+                 "population_build_ms", "margin_single_us",
+                 "margin_batch256_us", "timer_scope_ns")
 RECORDED = ("clock_pair_ns",)
 FLOORS = {"population_speedup_exact": 50.0}
 # Chosen from 20 A/A and 20 injected-slowdown sessions of 15 pairs on a
