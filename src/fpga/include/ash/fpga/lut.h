@@ -128,9 +128,6 @@ class PassTransistorLut2 {
     return devices_.at(static_cast<std::size_t>(index));
   }
 
-  /// Largest threshold shift across the ten devices (diagnostics).
-  double max_delta_vth() const;
-
  private:
   LutConfig config_;
   std::vector<Transistor> devices_;

@@ -151,10 +151,4 @@ void PassTransistorLut2::age_sleep(const bti::OperatingCondition& env,
   for (auto& d : devices_) d.evolve(env, dt);
 }
 
-double PassTransistorLut2::max_delta_vth() const {
-  double worst = 0.0;
-  for (const auto& d : devices_) worst = std::max(worst, d.delta_vth());
-  return worst;
-}
-
 }  // namespace ash::fpga

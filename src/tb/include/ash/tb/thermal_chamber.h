@@ -40,7 +40,6 @@ class ThermalChamber {
 
   /// Command a new setpoint.  The chamber ramps toward it.
   void set_target(Celsius target) { target_c_ = target.value(); }
-  Celsius target_c() const { return Celsius{target_c_}; }
 
   /// Current chamber temperature, including fluctuation.
   Celsius temperature_c() const { return Celsius{base_c_ + noise_.value()}; }

@@ -62,8 +62,6 @@ class Series {
 
   double t_begin() const;
   double t_end() const;
-  double min_value() const;
-  double max_value() const;
 
   /// True if values never decrease (within tolerance eps) with time.
   bool is_non_decreasing(double eps = 0.0) const;

@@ -127,9 +127,6 @@ constexpr Hertz frequency_of(Seconds period) {
   return Hertz{1.0 / period.value()};
 }
 
-/// Frequency -> period (T = 1 / f).
-constexpr Seconds period_of(Hertz f) { return Seconds{1.0 / f.value()}; }
-
 }  // namespace ash::units
 
 namespace ash {

@@ -52,24 +52,6 @@ double Series::t_end() const {
   return samples_.back().t;
 }
 
-double Series::min_value() const {
-  assert(!samples_.empty());
-  return std::min_element(samples_.begin(), samples_.end(),
-                          [](const Sample& a, const Sample& b) {
-                            return a.value < b.value;
-                          })
-      ->value;
-}
-
-double Series::max_value() const {
-  assert(!samples_.empty());
-  return std::max_element(samples_.begin(), samples_.end(),
-                          [](const Sample& a, const Sample& b) {
-                            return a.value < b.value;
-                          })
-      ->value;
-}
-
 bool Series::is_non_decreasing(double eps) const {
   for (std::size_t i = 1; i < samples_.size(); ++i) {
     if (samples_[i].value < samples_[i - 1].value - eps) return false;

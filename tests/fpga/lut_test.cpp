@@ -202,13 +202,5 @@ TEST(Lut, DeviceTypesMatchNetlistRoles) {
   EXPECT_EQ(lut.device(kM7).stress_type(), bti::StressType::kPbti);
 }
 
-TEST(Lut, MaxDeltaVthTracksWorstDevice) {
-  auto lut = make_lut();
-  EXPECT_DOUBLE_EQ(lut.max_delta_vth(), 0.0);
-  lut.age_static(true, true, bti::dc_stress(Volts{1.2}, Celsius{110.0}), Seconds{hours(24.0)});
-  EXPECT_GE(lut.max_delta_vth(), lut.device(kM1).delta_vth());
-  EXPECT_GT(lut.max_delta_vth(), 0.0);
-}
-
 }  // namespace
 }  // namespace ash::fpga

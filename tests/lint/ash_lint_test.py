@@ -7,8 +7,8 @@ carries a full `ash-lint: allow(rule): <reason>` escape, and a clean case
 that must produce nothing.  The token rules also have a bare case whose
 escape omits the mandatory reason (and therefore still reports).  The
 fixtures mirror the repo layout where a rule is path-scoped; the
-protocol-exhaustiveness cases are whole mini-repo roots, since that rule
-cross-checks protocol.h, protocol.cpp and tests/fleet/.
+protocol-exhaustiveness and orphan-header cases are whole mini-repo roots,
+since those rules cross-check files across the tree.
 
 Run directly or via ctest (`ctest -L lint`).
 """
@@ -42,6 +42,8 @@ CASES = {
     "signal-safety": ("signal_safety", "{case}.cpp", 2),
     # static local + file-scope global + non-util RNG.
     "shard-purity": ("shard_purity", "{case}.cpp", 3),
+    # a header only tests/examples/its .cpp include + one only it includes.
+    "orphan-header": ("orphan_header/{case}", "src", 2),
     # double member + vector<double> member + double return.
     "unit-flow": ("unit_flow", "src/{case}.h", 3),
     # an enumerator without a codec + a violation without a test.
@@ -50,8 +52,8 @@ CASES = {
 
 # The declaration rules share the token rules' suppression parser; their
 # fixtures carry no bare case.
-WITHOUT_BARE_CASE = {"signal-safety", "shard-purity", "unit-flow",
-                     "protocol-exhaustiveness"}
+WITHOUT_BARE_CASE = {"signal-safety", "shard-purity", "orphan-header",
+                     "unit-flow", "protocol-exhaustiveness"}
 
 
 def run_lint(root, paths, rule=None):
@@ -228,6 +230,28 @@ class AshLintProtocolTest(unittest.TestCase):
         self.assertEqual(payload["suppressed"], 2, payload)
 
 
+class AshLintOrphanHeaderTest(unittest.TestCase):
+    """orphan-header flags exactly the headers no shipped code includes,
+    and reads includes from the whole root, not just the scanned paths."""
+
+    def test_positive_flags_the_orphan_and_its_chain(self):
+        root = os.path.join(FIXTURES, "orphan_header", "positive")
+        _, payload = run_lint(root, ["src"], "orphan-header")
+        self.assertEqual(
+            sorted(f["path"] for f in payload["findings"]),
+            ["src/util/include/ash/util/chained.h",
+             "src/util/include/ash/util/lonely.h"])
+
+    def test_callers_outside_the_scanned_paths_count(self):
+        root = os.path.join(FIXTURES, "orphan_header", "positive")
+        code, payload = run_lint(
+            root, ["src/util/include/ash/util/used.h",
+                   "src/util/include/ash/util/bench_only.h"],
+            "orphan-header")
+        self.assertEqual(payload["findings"], [])
+        self.assertEqual(code, 0)
+
+
 class AshLintRepoTest(unittest.TestCase):
     """The real tree must be finding-free under every rule — CI enforces
     the same."""
@@ -255,8 +279,8 @@ class AshLintRepoTest(unittest.TestCase):
             proc.stdout.split(),
             ["wall-clock", "rng", "unordered-iter", "float-physics",
              "raw-double-api", "unchecked-io", "eintr", "metric-name",
-             "lenient-parse", "signal-safety", "shard-purity", "unit-flow",
-             "protocol-exhaustiveness"])
+             "lenient-parse", "signal-safety", "shard-purity",
+             "orphan-header", "unit-flow", "protocol-exhaustiveness"])
 
 
 class AshLintExitCodeTest(unittest.TestCase):

@@ -1,0 +1,3 @@
+#include "ash/util/used.h"
+// #include "ash/util/lonely.h"
+/* #include "ash/util/chained.h" */

@@ -53,15 +53,6 @@ TEST(Series, MappedTransformsValuesOnly) {
   EXPECT_DOUBLE_EQ(doubled.t_end(), 10.0);
 }
 
-TEST(Series, MinMaxValues) {
-  Series s;
-  s.append(0.0, 3.0);
-  s.append(1.0, -2.0);
-  s.append(2.0, 7.0);
-  EXPECT_DOUBLE_EQ(s.min_value(), -2.0);
-  EXPECT_DOUBLE_EQ(s.max_value(), 7.0);
-}
-
 TEST(Series, MonotonicityPredicates) {
   Series up;
   up.append(0.0, 1.0);

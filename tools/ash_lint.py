@@ -109,6 +109,12 @@ declaration parser:
                   guarantee: shard bodies may only write state they own by
                   index.
 
+  orphan-header   A public header src/<m>/include/ash/<m>/X.h that nothing
+                  in src/, tools/, bench/ or perfbench/ under --root
+                  includes, whatever paths are scanned.  Its own .cpp,
+                  tests/, examples/ and orphan headers (to a fixed point)
+                  do not count: git history keeps deleted code.
+
   unit-flow       A suffix-named raw double (`_s`, `_v`, `_k`, `_c`, `_hz`)
                   appearing as a *public* struct/class data member
                   (`double x_v;`, `std::vector<double> periods_s;`) or as
@@ -177,6 +183,7 @@ RULES = (
     "lenient-parse",
     "signal-safety",
     "shard-purity",
+    "orphan-header",
     "unit-flow",
     "protocol-exhaustiveness",
 )
@@ -1159,6 +1166,48 @@ def check_shard_purity(files, report):
 
 
 # --------------------------------------------------------------------------
+# Rule: orphan-header
+# --------------------------------------------------------------------------
+
+PUBLIC_HEADER_PATH_RE = re.compile(r"^src/(\w+)/include/(ash/\1/(\w+)\.h)$")
+INCLUDE_RE = re.compile(r'^[ \t]*(#)[ \t]*include[ \t]*[<"]([^">\n]+)[">]',
+                        re.MULTILINE)
+INCLUDER_DIRS = ("src", "tools", "bench", "perfbench")
+
+
+def check_orphan_headers(files, report, root):
+    headers = {}  # include path -> (SourceFile, its own .cpp)
+    for sf in files:
+        m = PUBLIC_HEADER_PATH_RE.match(sf.rel)
+        if m:
+            headers[m.group(2)] = (sf, f"src/{m.group(1)}/{m.group(3)}.cpp")
+    includes = {}  # rel path -> what it #includes, commented-out ones aside
+    dirs = [d for d in INCLUDER_DIRS if os.path.isdir(os.path.join(root, d))]
+    for path, rel in iter_source_files(root, dirs if headers else []):
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            text = f.read()
+        code = strip_code(text)
+        includes[rel.replace(os.sep, "/")] = {
+            m.group(2) for m in INCLUDE_RE.finditer(text)
+            if code[m.start(1)] == "#"}
+    dead = set()  # orphan headers and their own .cpp files
+    changed = True
+    while changed:
+        changed = False
+        for inc, (sf, own_cpp) in headers.items():
+            if sf.rel not in dead and not any(
+                    inc in incs for rel, incs in includes.items()
+                    if rel not in dead and rel not in (sf.rel, own_cpp)):
+                dead.update((sf.rel, own_cpp))
+                changed = True
+                report.add(
+                    "orphan-header", sf, 1,
+                    f"nothing in {', '.join(INCLUDER_DIRS)} includes '{inc}' "
+                    "(tests, examples, its own .cpp and other orphan "
+                    "headers do not count): delete it or give it a caller")
+
+
+# --------------------------------------------------------------------------
 # Rule: unit-flow
 # --------------------------------------------------------------------------
 
@@ -1408,6 +1457,8 @@ def main(argv=None) -> int:
         check_signal_safety(files, report)
     if "shard-purity" in rules:
         check_shard_purity(files, report)
+    if "orphan-header" in rules:
+        check_orphan_headers(files, report, root)
     if "protocol-exhaustiveness" in rules:
         check_protocol(files, report, root)
 
